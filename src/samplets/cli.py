@@ -1,6 +1,6 @@
 """Command-line front end for the transform / compression / sampling pipelines.
 
-Subcommands: transform, compress, detect, kernel-compress, grf, bench, info.
+Subcommands: transform, compress, detect, kernel-compress, grf, info.
 Exit codes: 0 on success, 1 on numerical failure (non-positive pivot), 2 on
 I/O or validation errors.  All data artifacts are deterministic given the
 same inputs, flags, and seed; metric sidecars additionally carry wall times.
@@ -21,11 +21,10 @@ from .basis import MomentSpec, build_samplet_basis
 from .cluster_tree import PointCloud
 from .errors import InvalidInput, NonPositivePivot, ResourceLimit
 from .h2 import assemble_compressed_kernel, dense_compressed_oracle
-from .kernels import KernelConfig, SCALED_EXPONENTIAL
+from .kernels import KernelConfig
 from .sparse import (
     add_ridge,
     anz,
-    basis_support_boxes,
     factorization_residual,
     fill_reducing_order,
     normal_stream,
@@ -248,13 +247,10 @@ def cmd_grf(args) -> int:
     if args.seed is None:
         raise InvalidInput("grf requires --seed for reproducible sampling")
     basis = _build_basis(cloud, args)
-    t0 = time.perf_counter()
     compressed = assemble_compressed_kernel(basis, cfg, eta=args.eta, p=args.p,
                                             epsilon=args.epsilon)
-    assembly_seconds = time.perf_counter() - t0
     ridged = add_ridge(compressed.matrix, args.ridge)
-    supports = basis_support_boxes(basis) if args.ordering == "geometric" else None
-    perm = fill_reducing_order(ridged, method=args.ordering, supports=supports)
+    perm = fill_reducing_order(ridged, method=args.ordering)
     t1 = time.perf_counter()
     factor = sparse_cholesky(ridged, perm, rho=args.ridge)
     chol_seconds = time.perf_counter() - t1
@@ -274,39 +270,11 @@ def cmd_grf(args) -> int:
         "seed": args.seed, "samples": args.samples, "ordering": args.ordering,
         "anz_K": anz(ridged), "anz_L": anz(factor),
         "nnz_K": ridged.nnz_full, "nnz_L": factor.nnz,
-        "assembly_seconds": assembly_seconds, "cholesky_seconds": chol_seconds,
+        "assembly_seconds": compressed.stats.assembly_seconds,
+        "cholesky_seconds": chol_seconds,
         "fields": paths,
     }
     _json_dump(metrics, args.metrics)
-    return 0
-
-
-def cmd_bench(args) -> int:
-    sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()] if args.sizes else []
-    dims = [int(tok) for tok in args.dims.split(",") if tok.strip()] if args.dims else []
-    rows = ["N,d,assembly_time,anz_K,chol_time,anz_L"]
-    for d in dims:
-        for n in sizes:
-            cloud = generate_points("uniform-cube", n, d, args.seed + n + 1000 * d)
-            basis = build_samplet_basis(cloud, q=args.q, q_leaf=args.q_leaf,
-                                        leaf_size=args.leaf_size)
-            cfg = KernelConfig(SCALED_EXPONENTIAL, distance_scale=10.0 / np.sqrt(d))
-            t0 = time.perf_counter()
-            compressed = assemble_compressed_kernel(basis, cfg, eta=args.eta,
-                                                    p=args.p, epsilon=args.epsilon)
-            assembly_time = time.perf_counter() - t0
-            ridged = add_ridge(compressed.matrix, args.ridge)
-            perm = fill_reducing_order(ridged)
-            t1 = time.perf_counter()
-            factor = sparse_cholesky(ridged, perm, rho=args.ridge)
-            chol_time = time.perf_counter() - t1
-            rows.append(f"{n},{d},{assembly_time:.6f},{anz(ridged):.3f},"
-                        f"{chol_time:.6f},{anz(factor):.3f}")
-    text = "\n".join(rows) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 
@@ -335,8 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="samplets",
         description="Multiresolution scattered-data analysis and kernel matrix compression",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for stages that allow them (currently 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_tr = sub.add_parser("transform", help="forward or inverse samplet transform")
@@ -395,22 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_gr.add_argument("--p", type=int, default=3)
     p_gr.add_argument("--epsilon", type=float, default=1e-3)
     p_gr.add_argument("--ridge", type=float, default=1.0)
-    p_gr.add_argument("--ordering", choices=("amd", "geometric", "natural"), default="amd")
+    p_gr.add_argument("--ordering", choices=("amd", "natural"), default="amd",
+                      help="fill-reducing ordering: amd (multiple minimum degree) "
+                           "or natural")
     p_gr.add_argument("--format", choices=("csv", "bin"), default="csv")
     p_gr.add_argument("--factor-out", dest="factor_out", help="save the factor (binary)")
     p_gr.set_defaults(func=cmd_grf)
-
-    p_bn = sub.add_parser("bench", help="sweep sizes and emit a timing table")
-    _basis_flags(p_bn)
-    p_bn.add_argument("--sizes", default="", help="comma-separated point counts")
-    p_bn.add_argument("--dims", default="", help="comma-separated dimensions")
-    p_bn.add_argument("--seed", type=int, default=0)
-    p_bn.add_argument("--eta", type=float, default=1.25)
-    p_bn.add_argument("--p", type=int, default=3)
-    p_bn.add_argument("--epsilon", type=float, default=1e-3)
-    p_bn.add_argument("--ridge", type=float, default=1.0)
-    p_bn.add_argument("--out", help="CSV output path (stdout if omitted)")
-    p_bn.set_defaults(func=cmd_bench)
 
     p_in = sub.add_parser("info", help="report tree and basis statistics")
     _generator_flags(p_in)
@@ -431,9 +387,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except NonPositivePivot as exc:

@@ -201,12 +201,18 @@ def read_factor(path) -> CholeskyFactor:
     raw = path.read_bytes()
     if raw[:8] != FACTOR_MAGIC:
         raise InvalidInput(f"{path}: not a factor file (wrong magic)")
+    if len(raw) < 36:
+        raise InvalidInput(f"{path}: truncated factor header")
     (version,) = struct.unpack("<I", raw[8:12])
     if version != 1:
         raise InvalidInput(f"{path}: unsupported factor version {version}")
     n, nnz, rho = struct.unpack("<QQd", raw[12:36])
     offset = 36
     counts = (n, n + 1, nnz, nnz)
+    expected = offset + 8 * sum(counts)
+    if len(raw) != expected:
+        raise InvalidInput(f"{path}: expected {expected} bytes for n={n}, nnz={nnz}, "
+                           f"found {len(raw)}")
     dtypes = ("<i8", "<i8", "<i8", "<f8")
     arrays = []
     for cnt, dt in zip(counts, dtypes):

@@ -34,8 +34,8 @@ class KernelConfig:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise InvalidInput(f"unknown kernel family {self.family!r}; choose from {FAMILIES}")
-        if self.length_scale <= 0 or self.distance_scale <= 0:
-            raise InvalidInput("kernel scales must be positive")
+        if not (0 < self.length_scale < np.inf and 0 < self.distance_scale < np.inf):
+            raise InvalidInput("kernel scales must be positive and finite")
 
     @classmethod
     def from_json(cls, text: str) -> "KernelConfig":

@@ -1,21 +1,20 @@
 """Sparse symmetric storage, fill-reducing orderings, Cholesky, and field sampling.
 
-The factorization is a simplicial sparse Cholesky: a symbolic phase derives
-the elimination tree and the exact pattern of the factor, then a left-looking
-numeric phase fills it column by column.  The default fill-reducing ordering
-is an approximate minimum degree (quotient graph with element absorption and
-the classic approximate external degree bound); a geometric nested dissection
-driven by the samplet support boxes is available as an alternative.
+Ordering and factorization both run on SciPy's SuperLU in symmetric mode with
+diagonal pivots only.  The fill-reducing ordering is Liu's multiple minimum
+degree on the symmetric pattern.  The Cholesky factor is read off SuperLU's
+no-pivot LU of the reordered matrix, L D L^T, as L diag(sqrt(D)).
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from math import sqrt
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .errors import InvalidInput, NonPositivePivot
 
@@ -174,250 +173,84 @@ def permute_sym(a: SparseSym, perm: Permutation) -> SparseSym:
 
 
 # ---------------------------------------------------------------------------
+# SuperLU in symmetric, diagonal-pivot mode
+
+
+def _superlu(mat: sp.csc_matrix, permc_spec: str):
+    """SuperLU with pivots taken from the diagonal unless it is exactly zero."""
+    return splu(mat, permc_spec=permc_spec, diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True})
+
+
+def _leading_lu(mat: sp.csc_matrix, m: int):
+    """Natural-order SuperLU of the leading m-by-m block; None if it is exactly
+    singular.  Raises NonPositivePivot at the first column whose pivot is not
+    positive or was replaced by a row swap."""
+    try:
+        lu = _superlu(mat if m == mat.shape[0] else mat[:m, :m], "NATURAL")
+    except RuntimeError:  # "Factor is exactly singular"
+        return None
+    if not np.array_equal(lu.perm_c, np.arange(m)):
+        raise RuntimeError("SuperLU reordered the columns of a natural-order factorization")
+    pivots = lu.U.diagonal()
+    swapped = lu.perm_r != np.arange(m)
+    bad = np.flatnonzero(swapped | ~(pivots > 0.0))
+    if bad.size:
+        j = int(bad[0])
+        raise NonPositivePivot(j, 0.0 if swapped[j] else pivots[j])
+    return lu
+
+
+def _natural_lu(mat: sp.csc_matrix):
+    """SuperLU of ``mat`` with neither row nor column exchanges.
+
+    Raises NonPositivePivot at the first column of the elimination whose pivot
+    is not positive.  SuperLU does not say where an exactly singular factor
+    broke down, but leading blocks share the pivots of the full elimination,
+    so the smallest singular leading block ends at the zero pivot.
+    """
+    n = mat.shape[0]
+    lu = _leading_lu(mat, n)
+    if lu is not None:
+        return lu
+    lo, hi = 1, n  # the leading block of size hi is singular
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _leading_lu(mat, mid) is None:
+            hi = mid
+        else:
+            lo = mid + 1
+    raise NonPositivePivot(lo - 1, 0.0)
+
+
+# ---------------------------------------------------------------------------
 # fill-reducing orderings
 
 
-def _adjacency(a: SparseSym) -> list[np.ndarray]:
-    """Off-diagonal adjacency lists of the symmetric pattern."""
-    full = a.to_scipy_full().tocsr()
-    out = []
-    for i in range(a.n):
-        nbrs = full.indices[full.indptr[i]:full.indptr[i + 1]]
-        out.append(nbrs[nbrs != i].astype(np.int64))
-    return out
+def fill_reducing_order(pattern: SparseSym, method: str = "amd") -> Permutation:
+    """A fill-reducing elimination order for the symmetric pattern.
 
-
-def amd_order(a: SparseSym) -> np.ndarray:
-    """Approximate minimum degree elimination order.
-
-    Quotient-graph variant: eliminated pivots become elements, direct edges
-    covered by an element are pruned, fully covered elements are absorbed, and
-    variable degrees are tracked by the approximate external degree bound
-    |A_i| + |L_p| + sum over remaining elements e of |L_e minus L_p|.
-    Ties break on the smallest index, so the order is deterministic.
-    """
-    n = a.n
-    adj = [set(lst) for lst in _adjacency(a)]
-    elems: list[set[int]] = [set() for _ in range(n)]
-    bnd: dict[int, set[int]] = {}
-    degree = np.array([len(s) for s in adj], dtype=np.int64)
-    alive = np.ones(n, dtype=bool)
-    absorbed: set[int] = set()
-    heap = [(int(degree[i]), i) for i in range(n)]
-    heapq.heapify(heap)
-    order = np.empty(n, dtype=np.int64)
-    w: dict[int, int] = {}
-
-    for step in range(n):
-        while True:
-            d, p = heapq.heappop(heap)
-            if alive[p] and d == degree[p]:
-                break
-        alive[p] = False
-        order[step] = p
-
-        front = set(adj[p])
-        for e in elems[p]:
-            if e not in absorbed:
-                front |= bnd[e]
-                absorbed.add(e)
-                del bnd[e]
-        front.discard(p)
-        front = {i for i in front if alive[i]}
-
-        # |L_e \ L_p| for every element touching the front
-        w.clear()
-        for i in front:
-            for e in elems[i]:
-                if e not in absorbed and e not in w:
-                    w[e] = len(bnd[e])
-        for i in front:
-            for e in elems[i]:
-                if e in w:
-                    w[e] -= 1
-
-        remaining = n - step - 1
-        front_size = len(front)
-        for i in front:
-            adj[i] -= front
-            adj[i].discard(p)
-            kept = set()
-            ext = 0
-            for e in elems[i]:
-                if e in absorbed:
-                    continue
-                if w.get(e, 0) == 0:
-                    absorbed.add(e)  # boundary fully covered by the new element
-                    bnd.pop(e, None)
-                    continue
-                kept.add(e)
-                ext += w[e]
-            kept.add(p)
-            elems[i] = kept
-            d_new = min(remaining - 1, len(adj[i]) + (front_size - 1) + ext)
-            d_new = max(d_new, 0)
-            if d_new != degree[i]:
-                degree[i] = d_new
-                heapq.heappush(heap, (d_new, i))
-
-        bnd[p] = front
-
-    return order
-
-
-def geometric_dissection_order(los: np.ndarray, his: np.ndarray,
-                               min_block: int = 32) -> np.ndarray:
-    """Recursive coordinate bisection on support boxes; separators come last.
-
-    Splits at the median support center along the longest axis; supports
-    straddling the cut form the separator and are ordered after both halves.
-    """
-    los = np.asarray(los, dtype=np.float64)
-    his = np.asarray(his, dtype=np.float64)
-    centers = (los + his) / 2.0
-    out: list[np.ndarray] = []
-
-    def recurse(idx: np.ndarray):
-        if idx.size <= min_block:
-            out.append(np.sort(idx))
-            return
-        c = centers[idx]
-        extent = c.max(axis=0) - c.min(axis=0)
-        axis = int(np.argmax(extent))
-        cut = float(np.median(c[:, axis]))
-        left = his[idx, axis] <= cut
-        right = los[idx, axis] > cut
-        sep = ~(left | right)
-        if not left.any() or not right.any():
-            # geometry degenerate along every useful axis: plain median split
-            half = idx.size // 2
-            ordered = idx[np.lexsort((idx, c[:, axis]))]
-            recurse(ordered[:half])
-            recurse(ordered[half:])
-            return
-        recurse(idx[left])
-        recurse(idx[right])
-        out.append(np.sort(idx[sep]))
-
-    recurse(np.arange(los.shape[0], dtype=np.int64))
-    return np.concatenate(out)
-
-
-def basis_support_boxes(basis) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coefficient support boxes (the owning cluster's bounding box)."""
-    n = basis.size
-    d = basis.tree.cloud.dim
-    los = np.empty((n, d))
-    his = np.empty((n, d))
-    root = basis.tree.root
-    los[:basis.n_root_scaling] = root.bbox.lo
-    his[:basis.n_root_scaling] = root.bbox.hi
-    for cluster in basis.tree.clusters:
-        block = basis.block(cluster)
-        if block.n_samplets:
-            sl = slice(block.samplet_offset, block.samplet_offset + block.n_samplets)
-            los[sl] = cluster.bbox.lo
-            his[sl] = cluster.bbox.hi
-    return los, his
-
-
-def fill_reducing_order(pattern: SparseSym, method: str = "amd",
-                        supports: tuple[np.ndarray, np.ndarray] | None = None
-                        ) -> Permutation:
-    """A permutation whose Cholesky fill does not exceed the natural order's.
-
-    ``method="amd"`` needs only the pattern; ``method="geometric"`` performs
-    nested dissection on per-index support boxes and requires ``supports``.
+    ``method="amd"`` is Liu's multiple minimum degree on the pattern, as
+    SuperLU computes it for its ``MMD_AT_PLUS_A`` column ordering.  SuperLU
+    orders while it factors, so the pattern is factored with unit off-diagonals
+    and each diagonal set to its row count: that matrix is diagonally dominant,
+    never needs a pivot, and makes the order depend on the pattern alone.
     ``method="natural"`` returns the identity.
     """
     if method == "natural":
         return Permutation.identity(pattern.n)
-    if method == "amd":
-        return Permutation.from_order(amd_order(pattern))
-    if method == "geometric":
-        if supports is None:
-            raise InvalidInput("geometric ordering requires support boxes")
-        return Permutation.from_order(geometric_dissection_order(*supports))
-    raise InvalidInput(f"unknown ordering method {method!r}")
+    if method != "amd":
+        raise InvalidInput(f"unknown ordering method {method!r}")
+    lower = sp.csc_matrix((np.ones(pattern.nnz_lower), pattern.indices, pattern.indptr),
+                          shape=(pattern.n, pattern.n))
+    full = (lower + lower.T).tocsc()
+    full.setdiag(np.diff(full.indptr))
+    lu = _superlu(full, "MMD_AT_PLUS_A")
+    return Permutation.from_order(np.argsort(lu.perm_c))
 
 
 # ---------------------------------------------------------------------------
 # Cholesky
-
-
-def _lower_row_lists(a: SparseSym) -> tuple[np.ndarray, np.ndarray]:
-    """CSR-like view of the strict lower triangle: per row, the columns j < i."""
-    cols = np.repeat(np.arange(a.n, dtype=np.int64), np.diff(a.indptr))
-    rows = a.indices
-    strict = rows > cols
-    rows = rows[strict]
-    cols = cols[strict]
-    order = np.lexsort((cols, rows))
-    rows = rows[order]
-    cols = cols[order]
-    rowptr = np.zeros(a.n + 1, dtype=np.int64)
-    np.add.at(rowptr, rows + 1, 1)
-    np.cumsum(rowptr, out=rowptr)
-    return rowptr, cols
-
-
-def elimination_tree(a: SparseSym) -> np.ndarray:
-    """Parent array of the elimination tree (path-compressed construction)."""
-    n = a.n
-    rowptr, rowcols = _lower_row_lists(a)
-    parent = np.full(n, -1, dtype=np.int64)
-    ancestor = np.full(n, -1, dtype=np.int64)
-    for k in range(n):
-        for idx in range(rowptr[k], rowptr[k + 1]):
-            j = rowcols[idx]
-            while j != -1 and j < k:
-                j_next = ancestor[j]
-                ancestor[j] = k
-                if j_next == -1:
-                    parent[j] = k
-                j = j_next
-    return parent
-
-
-def symbolic_cholesky(a: SparseSym) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Factor pattern via elimination-tree reachability.
-
-    Returns (indptr, indices, parent) for the lower-triangular factor with
-    sorted row indices and the diagonal leading every column.
-    """
-    n = a.n
-    parent = elimination_tree(a)
-    rowptr, rowcols = _lower_row_lists(a)
-    mark = np.full(n, -1, dtype=np.int64)
-    pattern_rows: list[np.ndarray] = []
-    counts = np.ones(n, dtype=np.int64)  # diagonal entries
-    scratch: list[int] = []
-    for k in range(n):
-        mark[k] = k
-        scratch.clear()
-        for idx in range(rowptr[k], rowptr[k + 1]):
-            j = rowcols[idx]
-            while mark[j] != k:
-                mark[j] = k
-                scratch.append(j)
-                j = parent[j]
-                if j == -1:
-                    break
-        cols_k = np.array(scratch, dtype=np.int64)
-        pattern_rows.append(cols_k)
-        counts[cols_k] += 1
-
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    fill = indptr[:-1].copy()
-    indices[fill] = np.arange(n)  # diagonal first in every column
-    fill += 1
-    for k in range(n):
-        cols_k = pattern_rows[k]
-        indices[fill[cols_k]] = k  # rows are appended in increasing k: sorted
-        fill[cols_k] += 1
-    return indptr, indices, parent
 
 
 @dataclass(eq=False)
@@ -438,6 +271,12 @@ class CholeskyFactor:
     def to_scipy(self) -> sp.csc_matrix:
         return sp.csc_matrix((self.values, self.indices, self.indptr), shape=(self.n, self.n))
 
+    @cached_property
+    def _triangular_lu(self):
+        """SuperLU of L itself: natural order and a positive diagonal, so no
+        pivoting and no fill; its solves are the two triangular solves."""
+        return _superlu(self.to_scipy(), "NATURAL")
+
     def matvec(self, z: np.ndarray) -> np.ndarray:
         """L @ z for a vector or a stack of columns."""
         return self.to_scipy() @ z
@@ -445,80 +284,35 @@ class CholeskyFactor:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve A x = b where A is the matrix this factor was computed from."""
         b = np.asarray(b, dtype=np.float64)
-        y = b[self.perm.order].copy()
-        y = self.solve_lower(y)
+        y = self.solve_lower(b[self.perm.order])
         y = self.solve_lower_transpose(y)
         return y[self.perm.rank]
 
     def solve_lower(self, b: np.ndarray) -> np.ndarray:
         """Forward substitution L y = b (in permuted coordinates)."""
-        y = np.array(b, dtype=np.float64, copy=True)
-        lp, li, lx = self.indptr, self.indices, self.values
-        for j in range(self.n):
-            lo, hi = lp[j], lp[j + 1]
-            y[j] /= lx[lo]
-            if hi > lo + 1:
-                update = np.multiply.outer(lx[lo + 1:hi], y[j])
-                y[li[lo + 1:hi]] -= update
-        return y
+        return self._triangular_lu.solve(np.asarray(b, dtype=np.float64))
 
     def solve_lower_transpose(self, b: np.ndarray) -> np.ndarray:
         """Backward substitution L^T x = b (in permuted coordinates)."""
-        x = np.array(b, dtype=np.float64, copy=True)
-        lp, li, lx = self.indptr, self.indices, self.values
-        for j in range(self.n - 1, -1, -1):
-            lo, hi = lp[j], lp[j + 1]
-            if hi > lo + 1:
-                x[j] -= lx[lo + 1:hi] @ x[li[lo + 1:hi]]
-            x[j] /= lx[lo]
-        return x
+        return self._triangular_lu.solve(np.asarray(b, dtype=np.float64), trans="T")
 
 
 def sparse_cholesky(a: SparseSym, perm: Permutation | None = None,
                     rho: float = 0.0) -> CholeskyFactor:
-    """Simplicial Cholesky of P A P^T with an exact symbolic pattern.
+    """Sparse Cholesky of P A P^T, from SuperLU's LU without pivoting.
 
-    ``rho`` only records the ridge already contained in ``a``.  Raises
-    NonPositivePivot when a pivot fails to be positive, reporting the column
-    of the permuted matrix at fault.
+    For symmetric A the no-pivot LU is L D L^T with D = diag(U), so the
+    Cholesky factor is L diag(sqrt(D)).  ``rho`` only records the ridge
+    already contained in ``a``.  Raises NonPositivePivot when a pivot fails to
+    be positive, reporting the column of the permuted matrix at fault.
     """
     if perm is None:
         perm = Permutation.identity(a.n)
-    ap = permute_sym(a, perm)
-    lp, li, parent = symbolic_cholesky(ap)
-    n = a.n
-    lx = np.zeros(li.size, dtype=np.float64)
-
-    work = np.zeros(n)
-    link: list[list[int]] = [[] for _ in range(n)]
-    ptr = np.array(lp, dtype=np.int64, copy=True)  # consume pointer per column
-
-    ap_indptr, ap_indices, ap_values = ap.indptr, ap.indices, ap.values
-    for j in range(n):
-        rows_a = ap_indices[ap_indptr[j]:ap_indptr[j + 1]]
-        work[rows_a] = ap_values[ap_indptr[j]:ap_indptr[j + 1]]
-        for k in link[j]:
-            start = ptr[k]
-            stop = lp[k + 1]
-            ljk = lx[start]
-            work[li[start:stop]] -= ljk * lx[start:stop]
-            ptr[k] = start + 1
-            if start + 1 < stop:
-                link[li[start + 1]].append(k)
-        lo, hi = lp[j], lp[j + 1]
-        pivot = work[j]
-        if not pivot > 0.0:
-            raise NonPositivePivot(j, pivot)
-        rows_j = li[lo:hi]
-        vals = work[rows_j]
-        work[rows_j] = 0.0
-        lx[lo:hi] = vals / sqrt(pivot)
-        ptr[j] = lo + 1
-        if lo + 1 < hi:
-            link[li[lo + 1]].append(j)
-        link[j] = []
-
-    return CholeskyFactor(n=n, perm=perm, rho=rho, indptr=lp, indices=li, values=lx)
+    lu = _natural_lu(permute_sym(a, perm).to_scipy_full())
+    l = (lu.L @ sp.diags(np.sqrt(lu.U.diagonal()))).tocsc()
+    l.sort_indices()  # the diagonal leads every column
+    return CholeskyFactor(n=a.n, perm=perm, rho=rho, indptr=l.indptr.astype(np.int64),
+                          indices=l.indices.astype(np.int64), values=l.data)
 
 
 def factorization_residual(a: SparseSym, factor: CholeskyFactor) -> float:

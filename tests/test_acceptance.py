@@ -26,7 +26,6 @@ from samplets.sparse import (
     fill_reducing_order,
     sample_grf,
     sparse_cholesky,
-    symbolic_cholesky,
 )
 from samplets.transform import (
     POINT_BASIS,
@@ -255,7 +254,7 @@ def test_a9_cholesky_pipeline(benchmark_4096):
     factor = sparse_cholesky(a, perm, rho=1.0)
     residual = factorization_residual(a, factor)
     assert residual <= 1e-10
-    natural_nnz = int(symbolic_cholesky(a)[0][-1])
+    natural_nnz = sparse_cholesky(a).nnz
     assert factor.nnz <= natural_nnz
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0

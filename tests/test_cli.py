@@ -194,25 +194,6 @@ class TestGrfCommand:
         assert "ridge" in capsys.readouterr().err
 
 
-class TestBenchCommand:
-    def test_small_grid_monotone(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        assert main(["bench", "--sizes", "256,512", "--dims", "1,2",
-                     "--seed", "0", "--out", str(out)]) == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "N,d,assembly_time,anz_K,chol_time,anz_L"
-        rows = [ln.split(",") for ln in lines[1:]]
-        assert len(rows) == 4
-        for d in ("1", "2"):
-            ns = [int(r[0]) for r in rows if r[1] == d]
-            assert ns == sorted(ns)
-
-    def test_empty_grid_header_only(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        assert main(["bench", "--sizes", "", "--dims", "", "--out", str(out)]) == 0
-        assert out.read_text() == "N,d,assembly_time,anz_K,chol_time,anz_L\n"
-
-
 class TestInfoCommand:
     def test_reports_structure(self, tmp_path, points_1d):
         rep = tmp_path / "info.json"

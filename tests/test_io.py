@@ -135,3 +135,18 @@ class TestFactorFiles:
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 40)
         with pytest.raises(InvalidInput, match="wrong magic"):
             sio.read_factor(path)
+
+    @pytest.mark.parametrize("cut", [10, 20, 50, -3])
+    def test_truncated_file_rejected(self, tmp_path, cut):
+        path = tmp_path / "f.chol"
+        sio.write_factor(path, sparse_cholesky(SparseSym.from_dense(4.0 * np.eye(3))))
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(InvalidInput, match="truncated|expected"):
+            sio.read_factor(path)
+
+    def test_overlong_file_rejected(self, tmp_path):
+        path = tmp_path / "f.chol"
+        sio.write_factor(path, sparse_cholesky(SparseSym.from_dense(4.0 * np.eye(3))))
+        path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        with pytest.raises(InvalidInput, match="expected"):
+            sio.read_factor(path)

@@ -54,6 +54,15 @@ class TestPointwise:
         with pytest.raises(InvalidInput):
             KernelConfig("cauchy")
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_bad_scales_rejected(self, scale):
+        with pytest.raises(InvalidInput):
+            KernelConfig("matern12", length_scale=scale)
+        with pytest.raises(InvalidInput):
+            KernelConfig("scaled-exponential", distance_scale=scale)
+        with pytest.raises(InvalidInput):
+            KernelConfig.from_json(f'{{"family": "matern32", "length_scale": "{scale}"}}')
+
 
 class TestDenseMatrix:
     def test_single_point(self):

@@ -14,15 +14,12 @@ from samplets.sparse import (
     SparseSym,
     add_ridge,
     anz,
-    basis_support_boxes,
-    elimination_tree,
     factorization_residual,
     fill_reducing_order,
     normal_stream,
     permute_sym,
     sample_grf,
     sparse_cholesky,
-    symbolic_cholesky,
 )
 from samplets.transform import forward_transform_matrix
 
@@ -50,21 +47,26 @@ def arrowhead(n, hub_first=True):
     return SparseSym.from_dense(a)
 
 
-def symbolic_nnz(a):
-    indptr, _, _ = symbolic_cholesky(a)
-    return int(indptr[-1])
-
-
-def dense_fill_pattern(a: SparseSym, seed=0):
-    """Oracle: generic values on the pattern, dense factorization, exact zeros."""
+def generic_spd(a: SparseSym, seed=0) -> np.ndarray:
+    """Generic values on the pattern of a with a dominant diagonal: positive
+    definite, and no entry of its Cholesky factor cancels to zero."""
     rng = np.random.default_rng(seed)
     dense = a.to_dense()
     mask = dense != 0
     vals = rng.uniform(1.0, 2.0, size=dense.shape)
     vals = np.tril(vals * mask) + np.tril(vals * mask, -1).T
     np.fill_diagonal(vals, np.abs(vals).sum(axis=1) + 1.0)
-    chol = np.linalg.cholesky(vals)
-    return chol != 0.0
+    return vals
+
+
+def symbolic_nnz(a: SparseSym) -> int:
+    """nnz of the natural-order Cholesky factor of the pattern of a."""
+    return sparse_cholesky(SparseSym.from_dense(generic_spd(a))).nnz
+
+
+def dense_fill_pattern(a: SparseSym, seed=0):
+    """Oracle: generic values on the pattern, dense factorization, exact zeros."""
+    return np.linalg.cholesky(generic_spd(a, seed)) != 0.0
 
 
 class TestSparseSym:
@@ -130,8 +132,7 @@ class TestOrdering:
     def test_tridiagonal_zero_fill(self):
         a = tridiag(5)
         perm = fill_reducing_order(a)
-        nnz = int(symbolic_cholesky(permute_sym(a, perm))[0][-1])
-        assert nnz == a.nnz_lower  # no fill-in at all
+        assert symbolic_nnz(permute_sym(a, perm)) == a.nnz_lower  # no fill-in at all
 
     def test_arrowhead_hub_moves_last(self):
         a = arrowhead(8, hub_first=True)
@@ -139,10 +140,8 @@ class TestOrdering:
         # the hub ends up in the terminal clique (its last edge ties with the
         # final leaf), which eliminates the fill entirely
         assert perm.rank[0] >= 6
-        nnz = int(symbolic_cholesky(permute_sym(a, perm))[0][-1])
-        assert nnz == a.nnz_lower
-        natural = int(symbolic_cholesky(a)[0][-1])
-        assert natural == 8 * 9 // 2  # hub first fills the factor completely
+        assert symbolic_nnz(permute_sym(a, perm)) == a.nnz_lower
+        assert symbolic_nnz(a) == 8 * 9 // 2  # hub first fills the factor completely
 
     def test_amd_never_worse_than_natural_on_geometric_graphs(self):
         rng = np.random.default_rng(5)
@@ -151,21 +150,6 @@ class TestOrdering:
         a = SparseSym.from_dense(np.where(d2 < 0.02, 1.0, 0.0) + 4 * np.eye(150))
         perm = fill_reducing_order(a)
         assert symbolic_nnz(permute_sym(a, perm)) <= symbolic_nnz(a)
-
-    def test_geometric_ordering_valid_and_effective(self):
-        rng = np.random.default_rng(6)
-        cloud = PointCloud(rng.uniform(-1, 1, size=(120, 2)))
-        basis = build_samplet_basis(cloud, q=1)
-        los, his = basis_support_boxes(basis)
-        pts = rng.uniform(0, 1, size=(120, 2))
-        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
-        a = SparseSym.from_dense(np.where(d2 < 0.03, 1.0, 0.0) + 4 * np.eye(120))
-        perm = fill_reducing_order(a, method="geometric", supports=(los, his))
-        np.testing.assert_array_equal(np.sort(perm.order), np.arange(120))
-
-    def test_geometric_requires_supports(self):
-        with pytest.raises(InvalidInput):
-            fill_reducing_order(identity_sym(3), method="geometric")
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(2, 40), seed=st.integers(0, 10**6))
@@ -186,15 +170,13 @@ class TestSymbolic:
         dense = (rng.random((n, n)) < 0.25).astype(float)
         dense = np.tril(dense, -1) + np.tril(dense, -1).T + np.eye(n)
         a = SparseSym.from_dense(dense)
-        indptr, indices, _ = symbolic_cholesky(a)
-        got = np.zeros((n, n), dtype=bool)
-        for j in range(n):
-            got[indices[indptr[j]:indptr[j + 1]], j] = True
+        factor = sparse_cholesky(SparseSym.from_dense(generic_spd(a, seed)))
+        got = factor.to_scipy().toarray() != 0.0
         np.testing.assert_array_equal(got, dense_fill_pattern(a, seed))
-
-    def test_elimination_tree_chain_for_tridiagonal(self):
-        parent = elimination_tree(tridiag(6))
-        np.testing.assert_array_equal(parent, [1, 2, 3, 4, 5, -1])
+        for j in range(n):  # sorted rows, diagonal first
+            rows = factor.indices[factor.indptr[j]:factor.indptr[j + 1]]
+            assert rows[0] == j
+            assert np.all(np.diff(rows) > 0)
 
 
 class TestCholesky:
@@ -214,6 +196,25 @@ class TestCholesky:
             sparse_cholesky(a)
         assert err.value.column == 1
         assert err.value.value == pytest.approx(-3.0)
+
+    def test_zero_pivot_reports_column_despite_row_swap(self):
+        a = SparseSym.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(NonPositivePivot) as err:
+            sparse_cholesky(a)
+        assert err.value.column == 0
+        assert err.value.value == 0.0
+
+    @pytest.mark.parametrize("dense", [
+        [[1.0, 1.0], [1.0, 1.0]],
+        [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+        [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    ])
+    def test_exactly_singular_reports_column(self, dense):
+        a = SparseSym.from_dense(np.array(dense))
+        with pytest.raises(NonPositivePivot) as err:
+            sparse_cholesky(a)
+        assert err.value.column == 1
+        assert err.value.value == 0.0
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(1, 60), seed=st.integers(0, 10**6))
