@@ -71,7 +71,12 @@ def generate_points(kind: str, n: int, dim: int, seed: int | None) -> PointCloud
         bits = np.random.Generator(np.random.Philox(key=np.array([seed, 0x5EED], dtype=np.uint64)))
         return PointCloud(bits.random((n, dim)) * 2.0 - 1.0)
     if kind == "grid":
-        side = max(2, round(n ** (1.0 / dim))) if dim > 1 else n
+        side = round(n ** (1.0 / dim))
+        if side ** dim != n:
+            nearest = min((s ** dim for s in (side - 1, side, side + 1) if s >= 1),
+                          key=lambda count: abs(count - n))
+            raise InvalidInput(f"--gen grid needs --n = side**{dim} for --dim {dim}; "
+                               f"the nearest such count is {nearest}")
         axes = [np.linspace(-1.0, 1.0, side) for _ in range(dim)]
         grids = np.meshgrid(*axes, indexing="ij")
         return PointCloud(np.stack([g.ravel() for g in grids], axis=1))
@@ -123,7 +128,8 @@ def _generator_flags(parser) -> None:
     parser.add_argument("--points", help="point file (CSV or SMPLPTS1 binary)")
     parser.add_argument("--gen", choices=("uniform-cube", "grid"),
                         help="generate points instead of reading a file")
-    parser.add_argument("--n", type=int, default=1024, help="generated point count")
+    parser.add_argument("--n", type=int, default=1024,
+                        help="generated point count (side**dim for grid)")
     parser.add_argument("--dim", type=int, default=2, help="generated dimension")
 
 

@@ -1,16 +1,19 @@
 """File formats: point clouds, data vectors, Matrix Market, factor snapshots.
 
-Binary formats are little-endian with a magic header; CSV formats use '.' as
-the decimal separator and detect an optional header row by failing to parse
-the first row as numbers.
+Binary formats are little-endian with a magic header; CSV formats are UTF-8,
+use '.' as the decimal separator and detect an optional header row by failing
+to parse the first row as numbers.  Matrix Market files are written and parsed
+by SciPy's C++ reader and writer (``scipy.io.mmwrite``/``mmread``).
 """
 
 from __future__ import annotations
 
+import io
 import struct
 from pathlib import Path
 
 import numpy as np
+import scipy.io
 
 from .cluster_tree import PointCloud
 from .errors import InvalidInput
@@ -45,7 +48,11 @@ def write_points_binary(path, cloud: PointCloud) -> None:
         fh.write(np.ascontiguousarray(cloud.coords, dtype="<f8").tobytes())
 
 
-def _parse_csv_rows(text: str, path) -> np.ndarray:
+def _parse_csv_rows(raw: bytes, path) -> np.ndarray:
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidInput(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     rows = [line.strip() for line in text.splitlines()]
     rows = [r for r in rows if r]
     if not rows:
@@ -82,7 +89,7 @@ def read_points(path) -> PointCloud:
         return PointCloud(data.reshape(n, d).copy())
     if raw[:8] == VECTOR_MAGIC or raw[:8] == FACTOR_MAGIC:
         raise InvalidInput(f"{path}: not a point file (wrong magic)")
-    return PointCloud(_parse_csv_rows(raw.decode("utf-8"), path))
+    return PointCloud(_parse_csv_rows(raw, path))
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +124,7 @@ def read_vector(path) -> np.ndarray:
         return data.copy()
     if raw[:8] == POINTS_MAGIC or raw[:8] == FACTOR_MAGIC:
         raise InvalidInput(f"{path}: not a vector file (wrong magic)")
-    table = _parse_csv_rows(raw.decode("utf-8"), path)
+    table = _parse_csv_rows(raw, path)
     if table.shape[1] != 1:
         raise InvalidInput(f"{path}: expected a single CSV column, got {table.shape[1]}")
     return table[:, 0]
@@ -128,55 +135,55 @@ def read_vector(path) -> np.ndarray:
 
 
 def write_matrix_market(path, a: SparseSym) -> None:
-    """Coordinate real general format; the full symmetric pattern is written."""
-    full = a.to_scipy_full().tocoo()
-    lines = ["%%MatrixMarket matrix coordinate real general",
-             f"{a.n} {a.n} {full.nnz}"]
-    order = np.lexsort((full.row, full.col))
-    rows = full.row[order]
-    cols = full.col[order]
-    vals = full.data[order]
-    for i, j, v in zip(rows, cols, vals):
-        lines.append(f"{i + 1} {j + 1} {_float_repr(v)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write the full symmetric pattern as coordinate real general.
+
+    Entries go out in column-major order, each value as the shortest string
+    that reads back to the same double (for example ``1.4281303977065004E1``).
+    """
+    # SciPy appends ".mtx" to a path without that suffix, so hand it a handle.
+    with open(path, "wb") as fh:
+        scipy.io.mmwrite(fh, a.to_scipy_full().tocoo(), symmetry="general")
 
 
 def read_matrix_market(path) -> SparseSym:
+    """Read a square coordinate real matrix and keep its lower triangle.
+
+    Symmetric files are mirrored; general files must hold both triangles with
+    equal values.  Malformed files raise ``InvalidInput``.
+    """
     path = Path(path)
     if not path.exists():
         raise InvalidInput(f"{path}: no such file")
-    lines = path.read_text().splitlines()
-    if not lines or not lines[0].startswith("%%MatrixMarket"):
+    # SciPy gets an in-memory stream, not the path or an open file: a path
+    # ending in .gz or .bz2 would turn on decompression, and SciPy's read
+    # cursor can outlive a failed call (through the traceback) and abort the
+    # interpreter once its file is closed.  SciPy 1.17.1 also segfaults on a
+    # NUL byte and on a last line with trailing characters but no newline.
+    raw = path.read_bytes()
+    if b"\0" in raw:
+        raise InvalidInput(f"{path}: NUL byte in a Matrix Market file")
+    stream = io.BytesIO(raw if raw.endswith(b"\n") else raw + b"\n")
+    banner = stream.readline()
+    if not banner.startswith(b"%%MatrixMarket"):
         raise InvalidInput(f"{path}: missing MatrixMarket banner")
-    banner = lines[0].lower().split()
-    if "coordinate" not in banner or "real" not in banner:
+    tokens = banner.lower().split()
+    if b"coordinate" not in tokens or b"real" not in tokens:
         raise InvalidInput(f"{path}: only coordinate real matrices are supported")
-    symmetric = "symmetric" in banner
-    body = [ln for ln in lines[1:] if ln.strip() and not ln.startswith("%")]
-    n_rows, n_cols, nnz = (int(tok) for tok in body[0].split())
+    stream.seek(0)
+    # An index beyond int64 raises OverflowError, and the declared entry count
+    # is allocated before the body is read, so an absurd one raises MemoryError.
+    try:
+        coo = scipy.io.mmread(stream)
+    except (ValueError, OverflowError, MemoryError) as exc:
+        raise InvalidInput(f"{path}: {exc}") from exc
+    n_rows, n_cols = coo.shape
     if n_rows != n_cols:
         raise InvalidInput(f"{path}: matrix is not square ({n_rows}x{n_cols})")
-    entries = body[1:]
-    if len(entries) != nnz:
-        raise InvalidInput(f"{path}: expected {nnz} entries, found {len(entries)}")
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    vals = np.empty(nnz)
-    for k, line in enumerate(entries):
-        toks = line.split()
-        rows[k] = int(toks[0]) - 1
-        cols[k] = int(toks[1]) - 1
-        vals[k] = float(toks[2])
-    if not symmetric:
-        # general files carry both triangles: verify they agree, keep the lower
-        import scipy.sparse as sp
-
-        coo = sp.csr_matrix((vals, (rows, cols)), shape=(n_rows, n_rows))
-        if (abs(coo - coo.T)).max() > 0:
-            raise InvalidInput(f"{path}: general matrix is not symmetric")
-        keep = rows >= cols
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    return SparseSym.from_triplets(n_rows, rows, cols, vals)
+    full = coo.tocsr()
+    if abs(full - full.T).max() > 0:
+        raise InvalidInput(f"{path}: matrix is not symmetric")
+    keep = coo.row >= coo.col
+    return SparseSym.from_triplets(n_rows, coo.row[keep], coo.col[keep], coo.data[keep])
 
 
 # ---------------------------------------------------------------------------

@@ -46,10 +46,13 @@ class KernelConfig:
         if not isinstance(payload, dict) or "family" not in payload:
             raise InvalidInput('kernel config must be an object with a "family" key')
         kwargs = {"family": payload["family"]}
-        if "length_scale" in payload:
-            kwargs["length_scale"] = float(payload["length_scale"])
-        if "distance_scale" in payload:
-            kwargs["distance_scale"] = float(payload["distance_scale"])
+        for key in ("length_scale", "distance_scale"):
+            if key in payload:
+                try:
+                    kwargs[key] = float(payload[key])
+                except (TypeError, ValueError) as exc:
+                    raise InvalidInput(f"kernel {key} must be a number, "
+                                       f"got {payload[key]!r}") from exc
         return cls(**kwargs)
 
     def to_json(self) -> str:

@@ -147,6 +147,8 @@ class Permutation:
     def from_order(cls, order) -> "Permutation":
         order = np.asarray(order, dtype=np.int64)
         n = order.size
+        if np.any((order < 0) | (order >= n)):
+            raise InvalidInput(f"order holds entries outside [0, {n})")
         rank = np.full(n, -1, dtype=np.int64)
         rank[order] = np.arange(n, dtype=np.int64)
         if np.any(rank < 0):

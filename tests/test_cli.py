@@ -139,6 +139,14 @@ class TestKernelCompressCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_non_numeric_scale_exit_code(self, tmp_path, points_1d, capsys):
+        kern = tmp_path / "bad.json"
+        kern.write_text(json.dumps({"family": "matern12", "length_scale": "abc"}))
+        rc = main(["kernel-compress", "--points", str(points_1d), "--kernel", str(kern),
+                   "--out", str(tmp_path / "k.mtx")])
+        assert rc == 2
+        assert "length_scale" in capsys.readouterr().err
+
 
 class TestGrfCommand:
     def test_samples_written_and_deterministic(self, tmp_path, kernel_json):
@@ -209,3 +217,13 @@ class TestInfoCommand:
                      "--report", str(rep)]) == 0
         payload = json.loads(rep.read_text())
         assert payload["n"] == 100  # 10 x 10 lattice
+
+    def test_non_utf8_points_exit_code(self, tmp_path, capsys):
+        pts = tmp_path / "latin.csv"
+        pts.write_bytes(b"\xff\xfe1,2\n")
+        assert main(["info", "--points", str(pts)]) == 2
+        assert "UTF-8" in capsys.readouterr().err
+
+    def test_grid_size_mismatch_rejected(self, capsys):
+        assert main(["info", "--gen", "grid", "--n", "1000", "--dim", "2"]) == 2
+        assert "1024" in capsys.readouterr().err

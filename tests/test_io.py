@@ -53,6 +53,13 @@ class TestPointFiles:
         with pytest.raises(InvalidInput, match="inconsistent"):
             sio.read_points(path)
 
+    @pytest.mark.parametrize("reader", [sio.read_points, sio.read_vector])
+    def test_non_utf8_rejected(self, tmp_path, reader):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"\xff\xfe1,2\n")
+        with pytest.raises(InvalidInput, match="UTF-8"):
+            reader(path)
+
 
 class TestVectorFiles:
     def test_csv_round_trip(self, tmp_path):
@@ -87,7 +94,7 @@ class TestMatrixMarket:
         header = path.read_text().splitlines()[0]
         assert header == "%%MatrixMarket matrix coordinate real general"
         again = sio.read_matrix_market(path)
-        np.testing.assert_allclose(again.to_dense(), dense)
+        np.testing.assert_array_equal(again.to_dense(), dense)
 
     def test_symmetric_header_accepted(self, tmp_path):
         path = tmp_path / "s.mtx"
@@ -102,6 +109,39 @@ class TestMatrixMarket:
                         "2 2 2\n1 2 5.0\n2 2 1.0\n")
         with pytest.raises(InvalidInput, match="not symmetric"):
             sio.read_matrix_market(path)
+
+    @pytest.mark.parametrize("text", [
+        b"%%MatrixMarket matrix coordinate real general\n2 2 1\nx 1 1.0\n",
+        b"%%MatrixMarket matrix coordinate real general\n",
+        b"%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1\n",
+        b"%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n",
+        b"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n",
+        b"%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n2 2 1.0\n",
+        b"%%MatrixMarket matrix coordinate r\xe9al general\n2 2 1\n1 1 1.0\n",
+        b"%%MatrixMarket matrix array real general\n2 2\n1.0\n0.0\n0.0\n1.0\n",
+        b"%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 1 1\n",
+        b"%%MatrixMarket matrix coordinate real general\n2 2 1000000000000000000\n1 1 1.0\n",
+        b"%%MatrixMarket matrix coordinate real general\n2 2 1\n99999999999999999999 1 1.0\n",
+        b"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 1\x00\n",
+    ], ids=["non-integer-index", "empty-body", "two-tokens", "index-out-of-range",
+            "entry-missing", "entry-extra", "non-ascii-banner", "array-format",
+            "integer-field", "absurd-entry-count", "index-beyond-int64", "nul-byte"])
+    def test_malformed_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.mtx"
+        path.write_bytes(text)
+        with pytest.raises(InvalidInput):
+            sio.read_matrix_market(path)
+
+    def test_trailing_blanks_without_final_newline(self, tmp_path):
+        path = tmp_path / "s.mtx"
+        path.write_bytes(b"%%MatrixMarket matrix coordinate real general\n"
+                         b"2 2 2\n1 1 4.0\n2 2 3.0 \t")
+        again = sio.read_matrix_market(path)
+        np.testing.assert_array_equal(again.to_dense(), np.diag([4.0, 3.0]))
+
+    def test_writes_exactly_the_given_path(self, tmp_path):
+        sio.write_matrix_market(tmp_path / "k.txt", SparseSym.from_dense(np.eye(2)))
+        assert [p.name for p in tmp_path.iterdir()] == ["k.txt"]
 
     def test_deterministic_bytes(self, tmp_path):
         a = SparseSym.from_dense(np.array([[2.0, -1.0], [-1.0, 2.0]]))
@@ -142,6 +182,16 @@ class TestFactorFiles:
         sio.write_factor(path, sparse_cholesky(SparseSym.from_dense(4.0 * np.eye(3))))
         path.write_bytes(path.read_bytes()[:cut])
         with pytest.raises(InvalidInput, match="truncated|expected"):
+            sio.read_factor(path)
+
+    @pytest.mark.parametrize("entry", [7, -3])
+    def test_out_of_range_order_rejected(self, tmp_path, entry):
+        path = tmp_path / "f.chol"
+        sio.write_factor(path, sparse_cholesky(SparseSym.from_dense(4.0 * np.eye(3))))
+        raw = bytearray(path.read_bytes())
+        raw[36:44] = np.int64(entry).astype("<i8").tobytes()  # first order entry
+        path.write_bytes(bytes(raw))
+        with pytest.raises(InvalidInput, match="outside"):
             sio.read_factor(path)
 
     def test_overlong_file_rejected(self, tmp_path):
