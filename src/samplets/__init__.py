@@ -35,7 +35,6 @@ from .h2 import (
     compute_multiscale_cluster_basis,
     coupling_matrix,
     dense_compressed_oracle,
-    recursively_determine_block,
 )
 from .kernels import KernelConfig, dense_kernel_matrix, kernel_eval
 from .sparse import (
@@ -73,7 +72,6 @@ __all__ = [
     "dense_kernel_matrix", "detect_singularities", "factorization_residual",
     "fill_reducing_order", "forward_transform", "inverse_transform",
     "is_admissible", "kernel_eval", "moment_dimension",
-    "reconstruction_error", "recursively_determine_block",
-    "relative_threshold", "sample_grf", "samplet_as_point_vector",
-    "sparse_cholesky", "threshold_coefficients", "two_scale_decomposition",
+    "reconstruction_error", "relative_threshold", "sample_grf",
+    "samplet_as_point_vector", "sparse_cholesky", "threshold_coefficients", "two_scale_decomposition",
 ]

@@ -150,14 +150,6 @@ class ClusterBasisBlock:
     n_samplets: int
     samplet_offset: int = -1
 
-    @property
-    def q_phi(self) -> np.ndarray:
-        return self.q_matrix[:, :self.n_scaling]
-
-    @property
-    def q_sigma(self) -> np.ndarray:
-        return self.q_matrix[:, self.n_scaling:]
-
 
 @dataclass(eq=False)
 class SampletBasis:

@@ -102,7 +102,11 @@ def _load_kernel(args) -> KernelConfig:
     path = Path(args.kernel)
     if not path.exists():
         raise InvalidInput(f"{path}: no such file")
-    return KernelConfig.from_json(path.read_text())
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidInput(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    return KernelConfig.from_json(text)
 
 
 def _resolve_threshold(args, coeffs: CoefficientVector) -> float:

@@ -9,8 +9,10 @@ into that permutation.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,32 +63,39 @@ class BoundingBox:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
+    @cached_property
+    def diameter(self) -> float:
+        """Euclidean length of the box diagonal, computed on first use."""
+        return float(np.linalg.norm(self.hi - self.lo))
+
 
 def cluster_diameter(box: BoundingBox) -> float:
     """Euclidean length of the box diagonal."""
-    return float(np.linalg.norm(box.hi - box.lo))
+    return box.diameter
 
 
 def cluster_distance(a: BoundingBox, b: BoundingBox) -> float:
     """Euclidean distance between two boxes; zero iff they intersect."""
     gap = np.maximum(0.0, np.maximum(a.lo - b.hi, b.lo - a.hi))
-    return float(np.linalg.norm(gap))
+    return math.sqrt(gap @ gap)
 
 
 def is_admissible(a: BoundingBox, b: BoundingBox, eta: float) -> bool:
     """Cut-off criterion: dist(a, b) >= eta * max(diam(a), diam(b)) and dist > 0.
 
-    ``eta=inf`` is allowed and marks every pair inadmissible, which forces
-    exact evaluation everywhere downstream.
+    This is the one admissibility rule: compressed assembly and
+    ``admissible_pair_count`` both decide far-field pairs with it.  ``eta=inf``
+    is allowed and marks every pair inadmissible, which forces exact
+    evaluation everywhere downstream.
     """
     if not eta > 0:
         raise InvalidInput(f"eta must be positive, got {eta}")
-    if not np.isfinite(eta):
+    if math.isinf(eta):
         return False
     dist = cluster_distance(a, b)
     if dist <= 0.0:
         return False
-    return dist >= eta * max(cluster_diameter(a), cluster_diameter(b))
+    return dist >= eta * max(a.diameter, b.diameter)
 
 
 @dataclass(eq=False)
@@ -124,12 +133,6 @@ class ClusterTree:
     leaf_size: int
     depth: int = 0
     clusters: list[Cluster] = field(default_factory=list)
-
-    @property
-    def inverse_permutation(self) -> np.ndarray:
-        inv = np.empty_like(self.permutation)
-        inv[self.permutation] = np.arange(self.permutation.size)
-        return inv
 
     def permuted_coords(self) -> np.ndarray:
         return self.cloud.coords[self.permutation]

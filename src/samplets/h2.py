@@ -1,13 +1,15 @@
 """Compressed kernel matrices via interpolation-based far-field approximation.
 
-Admissible cluster pairs (well separated in the cut-off sense) are evaluated
-through a tensor Chebyshev interpolant of the kernel, all other pairs exactly.
-Nested cluster bases connect interpolation data across levels through transfer
-matrices, so the whole samplet-compressed matrix assembles in log-linear time:
-a depth-first sweep over column clusters reuses son blocks for father blocks
+Admissible cluster pairs (``cluster_tree.is_admissible``, the cut-off
+criterion) are evaluated through a tensor Chebyshev interpolant of the
+kernel, all other pairs exactly.  Nested cluster bases connect interpolation
+data across levels through transfer matrices, so the whole samplet-compressed
+matrix assembles in log-linear time: one block recursion, swept depth-first
+and sons-first over the column clusters, reuses son blocks for father blocks
 and releases them as soon as they have been consumed.  Retained entries are
 the samplet-samplet interactions of inadmissible pairs plus the root scaling
-rows and columns; entries below the a-posteriori threshold are dropped.
+rows and columns; each block drops its entries below the a-posteriori
+threshold as it is stored, keeping the diagonal.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import SampletBasis
-from .cluster_tree import BoundingBox, Cluster, ClusterTree, cluster_diameter
+from .cluster_tree import BoundingBox, Cluster, ClusterTree, is_admissible
 from .errors import InvalidInput, ResourceLimit
 from .kernels import KernelConfig, dense_kernel_matrix, kernel_cross
 from .sparse import SparseSym
@@ -124,11 +126,14 @@ class InterpolationScheme:
 
 @dataclass(eq=False)
 class MultiscaleClusterBasis:
-    """Samplet-transformed nested cluster bases: V_phi and V_sigma per cluster."""
+    """Samplet-transformed nested cluster bases, one whole V per cluster.
+
+    The rows of ``v[c.index]`` are the cluster's scaling part V_phi followed
+    by its samplet part V_sigma, ordered like the columns of its q_matrix.
+    """
 
     scheme: InterpolationScheme
-    v_phi: list[np.ndarray]
-    v_sigma: list[np.ndarray]
+    v: list[np.ndarray]
 
 
 def compute_multiscale_cluster_basis(basis: SampletBasis,
@@ -139,8 +144,7 @@ def compute_multiscale_cluster_basis(basis: SampletBasis,
         raise InvalidInput("interpolation scheme was built for a different tree")
     tree = basis.tree
     coords = tree.permuted_coords()
-    v_phi: list[np.ndarray | None] = [None] * len(tree.clusters)
-    v_sigma: list[np.ndarray | None] = [None] * len(tree.clusters)
+    v: list[np.ndarray | None] = [None] * len(tree.clusters)
 
     def ascend(cluster: Cluster) -> np.ndarray:
         if cluster.is_leaf:
@@ -150,109 +154,23 @@ def compute_multiscale_cluster_basis(basis: SampletBasis,
             parts = [ascend(son) @ scheme.transfers[son.index].T for son in cluster.sons]
             v_in = np.vstack(parts)
         block = basis.block(cluster)
-        v = block.q_matrix.T @ v_in
-        v_phi[cluster.index] = v[:block.n_scaling]
-        v_sigma[cluster.index] = v[block.n_scaling:]
-        return v_phi[cluster.index]
+        v[cluster.index] = block.q_matrix.T @ v_in
+        return v[cluster.index][:block.n_scaling]
 
     ascend(tree.root)
-    return MultiscaleClusterBasis(scheme=scheme, v_phi=v_phi, v_sigma=v_sigma)
-
-
-@dataclass(eq=False)
-class _AssemblyContext:
-    basis: SampletBasis
-    cfg: KernelConfig
-    eta: float
-    mbasis: MultiscaleClusterBasis
-    coords: np.ndarray
-    diams: np.ndarray
-    los: np.ndarray
-    his: np.ndarray
-    visited_pairs: int = 0
-
-    def admissible(self, a: Cluster, b: Cluster) -> bool:
-        if not np.isfinite(self.eta):
-            return False
-        gap = np.maximum(0.0, np.maximum(self.los[a.index] - self.his[b.index],
-                                         self.los[b.index] - self.his[a.index]))
-        dist = float(np.sqrt(gap @ gap))
-        if dist <= 0.0:
-            return False
-        return dist >= self.eta * max(self.diams[a.index], self.diams[b.index])
-
-    def stacked_v(self, c: Cluster) -> np.ndarray:
-        return np.vstack([self.mbasis.v_phi[c.index], self.mbasis.v_sigma[c.index]])
-
-    def kernel_block(self, a: Cluster, b: Cluster) -> np.ndarray:
-        return kernel_cross(self.cfg, self.coords[a.begin:a.end],
-                            self.coords[b.begin:b.end])
-
-
-def _context(basis: SampletBasis, cfg: KernelConfig, eta: float, p: int) -> _AssemblyContext:
-    if not eta > 0:
-        raise InvalidInput(f"eta must be positive, got {eta}")
-    tree = basis.tree
-    scheme = InterpolationScheme.build(tree, p)
-    mbasis = compute_multiscale_cluster_basis(basis, scheme)
-    diams = np.array([cluster_diameter(c.bbox) for c in tree.clusters])
-    los = np.stack([c.bbox.lo for c in tree.clusters])
-    his = np.stack([c.bbox.hi for c in tree.clusters])
-    return _AssemblyContext(basis=basis, cfg=cfg, eta=eta, mbasis=mbasis,
-                            coords=tree.permuted_coords(), diams=diams,
-                            los=los, his=his)
-
-
-def _determine_block(ctx: _AssemblyContext, nu: Cluster, nu_p: Cluster) -> np.ndarray:
-    """Approximation of the full two-cluster interaction in the output bases.
-
-    Rows are nu's scaling functions followed by its samplets, columns likewise
-    for nu_p.  Admissible pairs go through the interpolation path, leaf pairs
-    are exact, mixed pairs recurse on the non-leaf side, and interior pairs
-    recurse on both sides, each time transforming son scaling parts upward.
-    """
-    ctx.visited_pairs += 1
-    basis = ctx.basis
-    if ctx.admissible(nu, nu_p):
-        s = kernel_cross(ctx.cfg, ctx.mbasis.scheme.nodes[nu.index],
-                         ctx.mbasis.scheme.nodes[nu_p.index])
-        return ctx.stacked_v(nu) @ s @ ctx.stacked_v(nu_p).T
-    if nu.is_leaf and nu_p.is_leaf:
-        q_row = basis.block(nu).q_matrix
-        q_col = basis.block(nu_p).q_matrix
-        return q_row.T @ ctx.kernel_block(nu, nu_p) @ q_col
-    if nu.is_leaf:
-        parts = []
-        for son in nu_p.sons:
-            sub = _determine_block(ctx, nu, son)
-            parts.append(sub[:, :basis.block(son).n_scaling])
-        return np.hstack(parts) @ basis.block(nu_p).q_matrix
-    if nu_p.is_leaf:
-        parts = []
-        for son in nu.sons:
-            sub = _determine_block(ctx, son, nu_p)
-            parts.append(sub[:basis.block(son).n_scaling, :])
-        return basis.block(nu).q_matrix.T @ np.vstack(parts)
-    rows = []
-    for son in nu.sons:
-        cols = []
-        for son_p in nu_p.sons:
-            sub = _determine_block(ctx, son, son_p)
-            cols.append(sub[:basis.block(son).n_scaling, :basis.block(son_p).n_scaling])
-        rows.append(np.hstack(cols))
-    return basis.block(nu).q_matrix.T @ np.vstack(rows) @ basis.block(nu_p).q_matrix
-
-
-def recursively_determine_block(basis: SampletBasis, cfg: KernelConfig,
-                                nu: Cluster, nu_p: Cluster,
-                                eta: float, p: int) -> np.ndarray:
-    """Standalone entry point for a single two-cluster block (test surface)."""
-    ctx = _context(basis, cfg, eta, p)
-    return _determine_block(ctx, nu, nu_p)
+    return MultiscaleClusterBasis(scheme=scheme, v=v)
 
 
 @dataclass(frozen=True)
 class AssemblyStats:
+    """What one assembly did.
+
+    ``visited_pairs`` counts the blocks computed directly: admissible pairs
+    interpolated and leaf-leaf pairs evaluated exactly.  ``peak_block_bytes``
+    is the largest total, at any point of the sweep, of the cached leaf-row
+    blocks plus the buffered kept triplets (row, column and value arrays).
+    """
+
     visited_pairs: int
     assembly_seconds: float
     peak_block_bytes: int
@@ -283,115 +201,110 @@ def assemble_compressed_kernel(basis: SampletBasis, cfg: KernelConfig,
                                epsilon: float = 1e-3) -> CompressedKernelMatrix:
     """Assemble the samplet-compressed kernel matrix in a single sweep.
 
-    Column clusters are processed sons-first, so fine blocks exist before the
-    father blocks that consume them; leaf-row blocks are cached across columns
-    and popped exactly once.  Stored data are the samplet-samplet parts of
-    every inadmissible pair plus the root scaling rows and columns; the strict
-    lower triangle is assembled and mirrored, making the result exactly
-    symmetric.  Off-diagonal entries below ``epsilon`` are dropped at the end.
+    One memoised block recursion ``block(nu, col)`` forms the interaction of
+    two clusters in their output bases: rows are nu's scaling functions
+    followed by its samplets, columns likewise for col.  An admissible pair
+    is interpolated.  Otherwise rows recurse first, a leaf-leaf pair is
+    exact, and a leaf row recurses over the column's sons.  Column clusters
+    are swept sons-first, so a leaf row's son blocks are already cached and
+    are popped exactly once.  Every inadmissible block is stored once: its
+    samplet-samplet part, or the root scaling rows and columns, restricted to
+    the lower triangle.  The same pass drops off-diagonal entries below
+    ``epsilon``; diagonal entries are always kept.  The lower triangle is
+    mirrored, so the result is exactly symmetric.
     """
     if epsilon < 0:
         raise InvalidInput(f"epsilon must be nonnegative, got {epsilon}")
+    if not eta > 0:
+        raise InvalidInput(f"eta must be positive, got {eta}")
     start = time.perf_counter()
-    ctx = _context(basis, cfg, eta, p)
     tree = basis.tree
     root = tree.root
-    n = basis.size
+    mbasis = compute_multiscale_cluster_basis(basis, InterpolationScheme.build(tree, p))
+    nodes, v = mbasis.scheme.nodes, mbasis.v
+    coords = tree.permuted_coords()
 
-    rows_out: list[np.ndarray] = []
-    cols_out: list[np.ndarray] = []
-    vals_out: list[np.ndarray] = []
+    def samplet_indices(cluster: Cluster) -> np.ndarray:
+        b = basis.block(cluster)
+        return np.arange(b.samplet_offset, b.samplet_offset + b.n_samplets, dtype=np.int64)
 
+    root_indices = np.concatenate([np.arange(basis.block(root).n_scaling, dtype=np.int64),
+                                   samplet_indices(root)])
+    triplets: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     cache: dict[tuple[int, int], np.ndarray] = {}
-    cache_bytes = 0
-    peak_bytes = 0
+    visited_pairs = cache_bytes = triplet_bytes = peak_bytes = 0
 
-    def global_rows(cluster: Cluster, include_scaling: bool) -> np.ndarray:
-        block = basis.block(cluster)
-        sam = np.arange(block.samplet_offset, block.samplet_offset + block.n_samplets,
-                        dtype=np.int64)
-        if not include_scaling:
-            return sam
-        if cluster is not root:
-            raise AssertionError("only root scaling functions have global indices")
-        return np.concatenate([np.arange(block.n_scaling, dtype=np.int64), sam])
-
-    def emit(block_vals: np.ndarray, gi: np.ndarray, gj: np.ndarray):
-        if gi.size == 0 or gj.size == 0:
+    def emit(f: np.ndarray, gi: np.ndarray, gj: np.ndarray, diagonal: bool = False):
+        """Buffer the kept entries of f; a diagonal block keeps its lower triangle."""
+        nonlocal triplet_bytes
+        if f.size == 0:
             return
-        ii = np.repeat(gi, gj.size)
-        jj = np.tile(gj, gi.size)
-        vv = block_vals.ravel()
-        keep = ii >= jj
-        if not keep.all():
-            ii, jj, vv = ii[keep], jj[keep], vv[keep]
-        rows_out.append(ii)
-        cols_out.append(jj)
-        vals_out.append(np.ascontiguousarray(vv))
+        keep = np.abs(f) >= epsilon
+        if diagonal:
+            keep = np.tril(keep, -1) | np.eye(gi.size, dtype=bool)
+        r, c = np.nonzero(keep)
+        ii, jj, vv = gi[r], gj[c], f[r, c]
+        triplets.append((ii, jj, vv))
+        triplet_bytes += ii.nbytes + jj.nbytes + vv.nbytes
 
     def store(nu: Cluster, col: Cluster, f: np.ndarray):
+        """Emit the stored part of F(nu, col): samplet rows and columns, plus
+        the root's scaling ones.  A pair whose samplets lie above the diagonal
+        is stored through its transposed pair, the upper root strip through
+        the root column."""
         ns_r = basis.block(nu).n_scaling
         ns_c = basis.block(col).n_scaling
-        if nu is root and col is root:
-            emit(f, global_rows(root, True), global_rows(root, True))
-        elif col is root:
-            emit(f[ns_r:, :], global_rows(nu, False), global_rows(root, True))
-        elif nu is root:
-            return  # upper strip; mirrored from the root-column pass
-        else:
-            off_r = basis.block(nu).samplet_offset
-            off_c = basis.block(col).samplet_offset
-            if off_r < off_c:
-                return  # entirely upper triangle; the transposed pair stores it
-            emit(f[ns_r:, ns_c:], global_rows(nu, False), global_rows(col, False))
+        if col is root:
+            if nu is root:
+                emit(f, root_indices, root_indices, diagonal=True)
+            else:
+                emit(f[ns_r:, :], samplet_indices(nu), root_indices)
+        elif nu is not root and basis.block(nu).samplet_offset >= basis.block(col).samplet_offset:
+            emit(f[ns_r:, ns_c:], samplet_indices(nu), samplet_indices(col),
+                 diagonal=nu is col)
 
-    def setup_row(nu: Cluster, col: Cluster) -> np.ndarray:
-        nonlocal cache_bytes, peak_bytes
+    def block(nu: Cluster, col: Cluster) -> np.ndarray:
+        nonlocal visited_pairs, cache_bytes, peak_bytes
+        if is_admissible(nu.bbox, col.bbox, eta):
+            visited_pairs += 1
+            s = kernel_cross(cfg, nodes[nu.index], nodes[col.index])
+            return v[nu.index] @ s @ v[col.index].T
+        f = cache.pop((nu.index, col.index), None)
+        if f is not None:
+            cache_bytes -= f.nbytes
+            return f
+        q_row = basis.block(nu).q_matrix
+        q_col = basis.block(col).q_matrix
         if not nu.is_leaf:
-            parts = []
-            for son in nu.sons:
-                if ctx.admissible(son, col):
-                    sub = _determine_block(ctx, son, col)
-                else:
-                    sub = setup_row(son, col)
-                parts.append(sub[:basis.block(son).n_scaling, :])
-            f = basis.block(nu).q_matrix.T @ np.vstack(parts)
+            parts = [block(son, col)[:basis.block(son).n_scaling, :] for son in nu.sons]
+            f = q_row.T @ np.vstack(parts)
         elif col.is_leaf:
-            f = _determine_block(ctx, nu, col)
+            visited_pairs += 1
+            k = kernel_cross(cfg, coords[nu.begin:nu.end], coords[col.begin:col.end])
+            f = q_row.T @ k @ q_col
         else:
-            parts = []
-            for son_c in col.sons:
-                if ctx.admissible(nu, son_c):
-                    sub = _determine_block(ctx, nu, son_c)
-                else:
-                    sub = cache.pop((nu.index, son_c.index))
-                    cache_bytes -= sub.nbytes
-                parts.append(sub[:, :basis.block(son_c).n_scaling])
-            f = np.hstack(parts) @ basis.block(col).q_matrix
+            parts = [block(nu, son)[:, :basis.block(son).n_scaling] for son in col.sons]
+            f = np.hstack(parts) @ q_col
         if nu.is_leaf and col is not root:
             cache[(nu.index, col.index)] = f
             cache_bytes += f.nbytes
-            peak_bytes = max(peak_bytes, cache_bytes)
         store(nu, col, f)
+        peak_bytes = max(peak_bytes, cache_bytes + triplet_bytes)
         return f
 
-    def setup_column(col: Cluster):
-        if col.sons is not None:
-            for son in col.sons:
-                setup_column(son)
-        setup_row(root, col)
+    def sweep(col: Cluster):
+        for son in col.sons or ():
+            sweep(son)
+        block(root, col)
 
-    setup_column(root)
+    sweep(root)
     if cache:
         # admissibility monotonicity guarantees every cached block is consumed
         raise AssertionError(f"{len(cache)} assembly blocks were never consumed")
 
-    rows = np.concatenate(rows_out) if rows_out else np.empty(0, dtype=np.int64)
-    cols = np.concatenate(cols_out) if cols_out else np.empty(0, dtype=np.int64)
-    vals = np.concatenate(vals_out) if vals_out else np.empty(0)
-    keep = (np.abs(vals) >= epsilon) | (rows == cols)
-    matrix = SparseSym.from_triplets(n, rows[keep], cols[keep], vals[keep])
-    stats = AssemblyStats(visited_pairs=ctx.visited_pairs,
+    rows, cols, vals = (np.concatenate(parts) for parts in zip(*triplets))
+    matrix = SparseSym.from_triplets(basis.size, rows, cols, vals)
+    stats = AssemblyStats(visited_pairs=visited_pairs,
                           assembly_seconds=time.perf_counter() - start,
                           peak_block_bytes=int(peak_bytes))
     return CompressedKernelMatrix(matrix=matrix, kernel=cfg, eta=eta, p=p,
@@ -414,28 +327,12 @@ def admissible_pair_count(tree: ClusterTree, eta: float) -> int:
     Descendants of an admissible pair are never visited, which is what bounds
     the assembly cost; leaf-leaf pairs terminate the recursion.
     """
-    if not eta > 0:
-        raise InvalidInput(f"eta must be positive, got {eta}")
-    diams = np.array([cluster_diameter(c.bbox) for c in tree.clusters])
-    los = np.stack([c.bbox.lo for c in tree.clusters])
-    his = np.stack([c.bbox.hi for c in tree.clusters])
-
-    def admissible(a: Cluster, b: Cluster) -> bool:
-        if not np.isfinite(eta):
-            return False
-        gap = np.maximum(0.0, np.maximum(los[a.index] - his[b.index],
-                                         los[b.index] - his[a.index]))
-        dist = float(np.sqrt(gap @ gap))
-        if dist <= 0.0:
-            return False
-        return dist >= eta * max(diams[a.index], diams[b.index])
-
     count = 0
     stack = [(tree.root, tree.root)]
     while stack:
         a, b = stack.pop()
         count += 1
-        if admissible(a, b) or (a.is_leaf and b.is_leaf):
+        if is_admissible(a.bbox, b.bbox, eta) or (a.is_leaf and b.is_leaf):
             continue
         for sa in (a.sons or (a,)):
             for sb in (b.sons or (b,)):

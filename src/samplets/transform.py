@@ -226,17 +226,10 @@ def detect_singularities(basis: SampletBasis, f_sigma: CoefficientVector,
     return hits
 
 
-def dense_transform_matrix(basis: SampletBasis, cap: int = 4096) -> np.ndarray:
-    """Dense matrix of the forward transform assembled from basis elements."""
-    from .basis import dense_basis_matrix
-
-    return dense_basis_matrix(basis, cap=cap)
-
-
 __all__ = [
     "POINT_BASIS", "SAMPLET_BASIS", "CoefficientVector", "ThresholdReport",
     "ReconstructionReport", "SingularityHit", "forward_transform",
     "inverse_transform", "forward_transform_matrix", "inverse_transform_matrix",
     "threshold_coefficients", "relative_threshold", "reconstruction_error",
-    "detect_singularities", "dense_transform_matrix",
+    "detect_singularities",
 ]

@@ -33,6 +33,13 @@ def kernel_json(tmp_path):
     return path
 
 
+@pytest.fixture
+def non_utf8_kernel(tmp_path):
+    path = tmp_path / "kernel.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps({"family": "matern12"}).encode())
+    return path
+
+
 class TestTransformCommand:
     def test_round_trip_through_files(self, tmp_path, points_1d, data_1d):
         coeffs = tmp_path / "coeffs.csv"
@@ -147,6 +154,12 @@ class TestKernelCompressCommand:
         assert rc == 2
         assert "length_scale" in capsys.readouterr().err
 
+    def test_non_utf8_kernel_exit_code(self, tmp_path, points_1d, non_utf8_kernel, capsys):
+        rc = main(["kernel-compress", "--points", str(points_1d),
+                   "--kernel", str(non_utf8_kernel), "--out", str(tmp_path / "k.mtx")])
+        assert rc == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
 
 class TestGrfCommand:
     def test_samples_written_and_deterministic(self, tmp_path, kernel_json):
@@ -187,6 +200,12 @@ class TestGrfCommand:
                    "--out-prefix", str(tmp_path / "f")])
         assert rc == 2
         assert "seed" in capsys.readouterr().err
+
+    def test_non_utf8_kernel_exit_code(self, tmp_path, non_utf8_kernel, capsys):
+        rc = main(["grf", "--gen", "grid", "--n", "64", "--dim", "1", "--seed", "1",
+                   "--kernel", str(non_utf8_kernel), "--out-prefix", str(tmp_path / "f")])
+        assert rc == 2
+        assert "not UTF-8" in capsys.readouterr().err
 
     def test_non_positive_pivot_exit_code_and_hint(self, tmp_path, capsys):
         # a long-length-scale smooth kernel has a fast-decaying spectrum, so

@@ -6,7 +6,6 @@ import pytest
 from samplets.basis import build_samplet_basis
 from samplets.cluster_tree import (
     BoundingBox,
-    Cluster,
     PointCloud,
     build_cluster_tree,
     cluster_diameter,
@@ -23,7 +22,6 @@ from samplets.h2 import (
     coupling_matrix,
     dense_compressed_oracle,
     lagrange_tensor,
-    recursively_determine_block,
     transfer_matrix,
 )
 from samplets.kernels import KernelConfig, dense_kernel_matrix
@@ -141,8 +139,7 @@ class TestMultiscaleBasis:
         root = basis.tree.root
         v_delta = lagrange_tensor(root.bbox, 2, basis.tree.permuted_coords())
         expected = basis.block(root).q_matrix.T @ v_delta
-        got = np.vstack([mb.v_phi[root.index], mb.v_sigma[root.index]])
-        np.testing.assert_allclose(got, expected, atol=1e-12)
+        np.testing.assert_allclose(mb.v[root.index], expected, atol=1e-12)
 
     def test_constant_reproduction_kills_samplet_rows(self):
         rng = np.random.default_rng(3)
@@ -152,8 +149,9 @@ class TestMultiscaleBasis:
         mb = compute_multiscale_cluster_basis(basis, scheme)
         m = (2 + 1) ** 2
         for c in basis.tree.clusters:
-            if mb.v_sigma[c.index].size:
-                assert np.max(np.abs(mb.v_sigma[c.index] @ np.ones(m))) < 1e-9
+            v_sigma = mb.v[c.index][basis.block(c).n_scaling:]
+            if v_sigma.size:
+                assert np.max(np.abs(v_sigma @ np.ones(m))) < 1e-9
 
     def test_nestedness_matches_dense_cascade(self):
         rng = np.random.default_rng(4)
@@ -167,8 +165,7 @@ class TestMultiscaleBasis:
             w = expand_cluster_outputs(basis, c)
             v_delta = lagrange_tensor(c.bbox, p, coords[c.begin:c.end])
             expected = w @ v_delta
-            got = np.vstack([mb.v_phi[c.index], mb.v_sigma[c.index]])
-            np.testing.assert_allclose(got, expected, atol=1e-10)
+            np.testing.assert_allclose(mb.v[c.index], expected, atol=1e-10)
 
 
 def two_leaf_basis(points, leaf_size=2, q=0):
@@ -177,63 +174,58 @@ def two_leaf_basis(points, leaf_size=2, q=0):
     return basis
 
 
-class TestDetermineBlock:
-    def test_far_singletons_reproduce_kernel_value(self):
-        basis = two_leaf_basis([[0.0], [3.0]], leaf_size=1)
-        cfg = KernelConfig("matern12", length_scale=1.0)
+def two_leaf_case(points, leaf_size, eta, admissible):
+    """Builder of a two-leaf basis whose leaf pair has the stated admissibility."""
+    def make():
+        basis = two_leaf_basis(points, leaf_size=leaf_size)
         l1, l2 = basis.tree.root.sons
-        block = recursively_determine_block(basis, cfg, l1, l2, eta=1.0, p=3)
-        assert block.shape == (1, 1)
-        assert abs(block[0, 0] - math.exp(-3)) <= 1e-3
+        assert is_admissible(l1.bbox, l2.bbox, eta) == admissible
+        return basis
+    return make
 
-    def test_far_pair_interpolation_error_small(self):
-        basis = two_leaf_basis([[0.0], [0.2], [3.0], [3.2]])
-        cfg = KernelConfig("matern12", length_scale=1.0)
-        l1, l2 = basis.tree.root.sons
-        assert is_admissible(l1.bbox, l2.bbox, 1.0)
-        approx = recursively_determine_block(basis, cfg, l1, l2, eta=1.0, p=3)
-        k_exact = dense_kernel_matrix(cfg, basis.tree.cloud)
-        perm = basis.tree.permutation
-        sub = k_exact[np.ix_(perm[l1.begin:l1.end], perm[l2.begin:l2.end])]
-        exact = basis.block(l1).q_matrix.T @ sub @ basis.block(l2).q_matrix
-        assert np.max(np.abs(approx - exact)) <= 1e-3
 
-    def test_inadmissible_leaf_pair_is_exact(self):
-        basis = two_leaf_basis([[0.0], [0.4], [1.0], [1.4]])
-        cfg = KernelConfig("matern32", length_scale=0.7)
-        l1, l2 = basis.tree.root.sons
-        assert not is_admissible(l1.bbox, l2.bbox, 2.0)
-        got = recursively_determine_block(basis, cfg, l1, l2, eta=2.0, p=2)
-        k_exact = dense_kernel_matrix(cfg, basis.tree.cloud)
-        perm = basis.tree.permutation
-        sub = k_exact[np.ix_(perm[l1.begin:l1.end], perm[l2.begin:l2.end])]
-        exact = basis.block(l1).q_matrix.T @ sub @ basis.block(l2).q_matrix
-        np.testing.assert_allclose(got, exact, atol=1e-12)
+def uniform_case(d, n, seed):
+    """Builder of a q = 1 basis on n uniform points in [-1, 1]^d."""
+    def make():
+        rng = np.random.default_rng(seed)
+        return build_samplet_basis(PointCloud(rng.uniform(-1, 1, size=(n, d))), q=1)
+    return make
 
-    def test_block_transpose_symmetry(self):
-        rng = np.random.default_rng(5)
-        cloud = PointCloud(rng.uniform(-1, 1, size=(40, 2)))
-        basis = build_samplet_basis(cloud, q=1, leaf_size=6)
-        cfg = KernelConfig("scaled-exponential", distance_scale=4.0)
-        clusters = basis.tree.clusters
-        for a, b in [(0, 0), (1, 2), (3, 4), (0, 2)]:
-            if a >= len(clusters) or b >= len(clusters):
-                continue
-            fwd = recursively_determine_block(basis, cfg, clusters[a], clusters[b],
-                                              eta=1.25, p=2)
-            bwd = recursively_determine_block(basis, cfg, clusters[b], clusters[a],
-                                              eta=1.25, p=2)
-            np.testing.assert_allclose(fwd, bwd.T, atol=1e-12)
+
+def exact_leaf_block(basis, cfg, a, b):
+    """Two-sided two-scale transform of the exact kernel block of two leaves."""
+    k_exact = dense_kernel_matrix(cfg, basis.tree.cloud)
+    perm = basis.tree.permutation
+    sub = k_exact[np.ix_(perm[a.begin:a.end], perm[b.begin:b.end])]
+    return basis.block(a).q_matrix.T @ sub @ basis.block(b).q_matrix
+
+
+def far_field_block(basis, cfg, a, b, p):
+    """The block assembly forms for an admissible pair: V_a S V_b^T."""
+    mb = compute_multiscale_cluster_basis(basis, InterpolationScheme.build(basis.tree, p))
+    return mb.v[a.index] @ coupling_matrix(cfg, a.bbox, b.bbox, p) @ mb.v[b.index].T
 
 
 class TestAssembly:
-    @pytest.mark.parametrize("d,n,seed", [(1, 100, 0), (2, 120, 1), (3, 90, 2)])
-    def test_exact_mode_equals_dense_oracle(self, d, n, seed):
-        rng = np.random.default_rng(seed)
-        cloud = PointCloud(rng.uniform(-1, 1, size=(n, d)))
-        basis = build_samplet_basis(cloud, q=1)
-        cfg = KernelConfig("matern12", length_scale=1.0)
-        compressed = assemble_compressed_kernel(basis, cfg, eta=np.inf, p=1, epsilon=0.0)
+    @pytest.mark.parametrize("make_basis,cfg,eta,p", [
+        pytest.param(uniform_case(1, 100, 0), KernelConfig("matern12", length_scale=1.0),
+                     np.inf, 1, id="1-100-0"),
+        pytest.param(uniform_case(2, 120, 1), KernelConfig("matern12", length_scale=1.0),
+                     np.inf, 1, id="2-120-1"),
+        pytest.param(uniform_case(3, 90, 2), KernelConfig("matern12", length_scale=1.0),
+                     np.inf, 1, id="3-90-2"),
+        # an inadmissible leaf pair is evaluated exactly
+        pytest.param(two_leaf_case([[0.0], [0.4], [1.0], [1.4]], 2, 2.0, False),
+                     KernelConfig("matern32", length_scale=0.7), 2.0, 2,
+                     id="inadmissible-leaf-pair"),
+        # an admissible pair of singletons: the interpolant of a point is exact
+        pytest.param(two_leaf_case([[0.0], [3.0]], 1, 1.0, True),
+                     KernelConfig("matern12", length_scale=1.0), 1.0, 3,
+                     id="far-singletons"),
+    ])
+    def test_exact_mode_equals_dense_oracle(self, make_basis, cfg, eta, p):
+        basis = make_basis()
+        compressed = assemble_compressed_kernel(basis, cfg, eta=eta, p=p, epsilon=0.0)
         oracle = dense_compressed_oracle(cfg, basis)
         np.testing.assert_allclose(compressed.matrix.to_dense(), oracle, atol=1e-10)
 
@@ -281,6 +273,15 @@ class TestAssembly:
         assert compressed.stats.assembly_seconds >= 0.0
         assert compressed.stats.peak_block_bytes > 0
         assert compressed.anz == pytest.approx(compressed.matrix.nnz_full / 64)
+
+    def test_peak_block_bytes_covers_kept_triplets(self):
+        rng = np.random.default_rng(13)
+        cloud = PointCloud(rng.uniform(-1, 1, size=(200, 2)))
+        basis = build_samplet_basis(cloud, q=1)
+        cfg = KernelConfig("matern32", length_scale=0.5)
+        compressed = assemble_compressed_kernel(basis, cfg, eta=1.25, p=2, epsilon=1e-4)
+        # each kept lower entry is buffered as an int64 row and column and a float64 value
+        assert compressed.stats.peak_block_bytes >= 24 * compressed.matrix.nnz_lower
 
 
 class TestOracle:
@@ -382,17 +383,23 @@ class TestPairCounting:
 
 
 class TestFarFieldConvergence:
+    def test_far_pair_interpolation_error_small(self):
+        basis = two_leaf_basis([[0.0], [0.2], [3.0], [3.2]])
+        cfg = KernelConfig("matern12", length_scale=1.0)
+        l1, l2 = basis.tree.root.sons
+        assert is_admissible(l1.bbox, l2.bbox, 1.0)
+        approx = far_field_block(basis, cfg, l1, l2, p=3)
+        assert np.max(np.abs(approx - exact_leaf_block(basis, cfg, l1, l2))) <= 1e-3
+
     def test_error_decreases_with_degree(self):
         basis = two_leaf_basis([[0.0], [0.3], [2.0], [2.3]])
         cfg = KernelConfig("matern12", length_scale=1.0)
         l1, l2 = basis.tree.root.sons
-        k_exact = dense_kernel_matrix(cfg, basis.tree.cloud)
-        perm = basis.tree.permutation
-        sub = k_exact[np.ix_(perm[l1.begin:l1.end], perm[l2.begin:l2.end])]
-        exact = basis.block(l1).q_matrix.T @ sub @ basis.block(l2).q_matrix
+        assert is_admissible(l1.bbox, l2.bbox, 1.0)
+        exact = exact_leaf_block(basis, cfg, l1, l2)
         errors = []
         for p in range(1, 6):
-            approx = recursively_determine_block(basis, cfg, l1, l2, eta=1.0, p=p)
+            approx = far_field_block(basis, cfg, l1, l2, p)
             errors.append(np.max(np.abs(approx - exact)))
         for lo, hi in zip(errors[1:], errors[:-1]):
             assert lo <= hi * 1.5

@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from samplets.basis import build_samplet_basis, multi_indices
+from samplets.basis import build_samplet_basis, dense_basis_matrix, multi_indices
 from samplets.cluster_tree import PointCloud
 from samplets.errors import InvalidInput
 from samplets.transform import (
     POINT_BASIS,
     SAMPLET_BASIS,
     CoefficientVector,
-    dense_transform_matrix,
     detect_singularities,
     forward_transform,
     forward_transform_matrix,
@@ -99,7 +98,7 @@ class TestInverse:
 
 class TestMatrixConsistency:
     def test_forward_agrees_with_dense_matrix(self, basis_2d):
-        t = dense_transform_matrix(basis_2d)
+        t = dense_basis_matrix(basis_2d)
         rng = np.random.default_rng(3)
         f = rng.normal(size=basis_2d.size)
         fast = forward_transform(basis_2d, point_vec(f)).values
