@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -46,12 +47,28 @@ from .transform import (
 SCHEMA_VERSION = 1
 
 
-def _json_dump(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _json_text(payload: dict, indent: int | None = None) -> str:
+    """One JSON document with sorted keys; NaN and infinities are refused."""
+    try:
+        return json.dumps(payload, sort_keys=True, indent=indent, allow_nan=False)
+    except ValueError as exc:
+        raise InvalidInput(f"refusing to write a non-finite value: {exc}") from exc
+
+
+def _write_text(text: str, path: str | None) -> None:
     if path:
         Path(path).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _json_dump(payload: dict, path: str | None) -> None:
+    _write_text(_json_text(payload, indent=2) + "\n", path)
+
+
+def _eta_field(eta: float) -> float | str:
+    """eta as a metrics value: JSON has no infinity, so eta = inf reads "inf"."""
+    return eta if math.isfinite(eta) else "inf"
 
 
 def _write_vector(path: str, values: np.ndarray, fmt: str) -> None:
@@ -113,12 +130,14 @@ def _resolve_threshold(args, coeffs: CoefficientVector) -> float:
     if args.threshold is not None and args.threshold_rel is not None:
         raise InvalidInput("use either --threshold or --threshold-rel, not both")
     if args.threshold_rel is not None:
-        return relative_threshold(coeffs, args.threshold_rel)
-    if args.threshold is not None:
-        if args.threshold < 0:
-            raise InvalidInput("--threshold must be nonnegative")
-        return args.threshold
-    return 0.0
+        tau = relative_threshold(coeffs, args.threshold_rel)
+    elif args.threshold is not None:
+        tau = args.threshold
+    else:
+        return 0.0
+    if not 0 <= tau < math.inf:
+        raise InvalidInput(f"the threshold must be nonnegative and finite, got {tau}")
+    return tau
 
 
 def _basis_flags(parser) -> None:
@@ -186,11 +205,7 @@ def cmd_compress(args) -> int:
     line = {"threshold": rep.threshold, "kept": rep.kept,
             "ratio": rep.compression_ratio, "l2_error": rep.l2_error,
             "linf_error": rep.linf_error}
-    text = json.dumps(line, sort_keys=True) + "\n"
-    if args.report:
-        Path(args.report).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(_json_text(line) + "\n", args.report)
     return 0
 
 
@@ -201,21 +216,14 @@ def cmd_detect(args) -> int:
     coeffs = forward_transform(basis, CoefficientVector(data, POINT_BASIS))
     tau = _resolve_threshold(args, coeffs)
     hits = detect_singularities(basis, coeffs, tau)
-    lines = []
-    for hit in hits:
-        lines.append(json.dumps({
-            "level": hit.level,
-            "is_leaf": hit.cluster.is_leaf,
-            "lo": [float(v) for v in hit.cluster.bbox.lo],
-            "hi": [float(v) for v in hit.cluster.bbox.hi],
-            "size": hit.cluster.size,
-            "max_abs_coefficient": hit.max_abs_coefficient,
-        }, sort_keys=True))
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_text("".join(_json_text({
+        "level": hit.level,
+        "is_leaf": hit.cluster.is_leaf,
+        "lo": [float(v) for v in hit.cluster.bbox.lo],
+        "hi": [float(v) for v in hit.cluster.bbox.hi],
+        "size": hit.cluster.size,
+        "max_abs_coefficient": hit.max_abs_coefficient,
+    }) + "\n" for hit in hits), args.out)
     return 0
 
 
@@ -231,7 +239,7 @@ def cmd_kernel_compress(args) -> int:
     sio.write_matrix_market(args.out, matrix)
     metrics = {
         "schema": SCHEMA_VERSION, "command": "kernel-compress",
-        "N": cloud.count, "d": cloud.dim, "eta": args.eta, "p": args.p,
+        "N": cloud.count, "d": cloud.dim, "eta": _eta_field(args.eta), "p": args.p,
         "q": basis.spec.q, "q_leaf": basis.spec.q_leaf, "epsilon": args.epsilon,
         "ridge": args.ridge, "anz": anz(matrix),
         "nnz": matrix.nnz_full,
@@ -275,7 +283,7 @@ def cmd_grf(args) -> int:
         sio.write_factor(args.factor_out, factor)
     metrics = {
         "schema": SCHEMA_VERSION, "command": "grf",
-        "N": cloud.count, "d": cloud.dim, "eta": args.eta, "p": args.p,
+        "N": cloud.count, "d": cloud.dim, "eta": _eta_field(args.eta), "p": args.p,
         "q": basis.spec.q, "epsilon": args.epsilon, "ridge": args.ridge,
         "seed": args.seed, "samples": args.samples, "ordering": args.ordering,
         "anz_K": anz(ridged), "anz_L": anz(factor),

@@ -66,7 +66,22 @@ class BoundingBox:
     @cached_property
     def diameter(self) -> float:
         """Euclidean length of the box diagonal, computed on first use."""
-        return float(np.linalg.norm(self.hi - self.lo))
+        return float(_norms(self.hi - self.lo))
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis.
+
+    Each row's squared norm is one BLAS dot product, so a row of a batch
+    gives the same bits as ``math.sqrt(v @ v)`` for that row alone.
+    """
+    return np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])
+
+
+def _box_gap(lo_a: np.ndarray, hi_a: np.ndarray, lo_b: np.ndarray,
+             hi_b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between boxes given by (n, d) corner arrays."""
+    return _norms(np.maximum(0.0, np.maximum(lo_a - hi_b, lo_b - hi_a)))
 
 
 def cluster_diameter(box: BoundingBox) -> float:
@@ -76,26 +91,57 @@ def cluster_diameter(box: BoundingBox) -> float:
 
 def cluster_distance(a: BoundingBox, b: BoundingBox) -> float:
     """Euclidean distance between two boxes; zero iff they intersect."""
-    gap = np.maximum(0.0, np.maximum(a.lo - b.hi, b.lo - a.hi))
-    return math.sqrt(gap @ gap)
+    return float(_box_gap(a.lo, a.hi, b.lo, b.hi))
 
 
-def is_admissible(a: BoundingBox, b: BoundingBox, eta: float) -> bool:
-    """Cut-off criterion: dist(a, b) >= eta * max(diam(a), diam(b)) and dist > 0.
+def admissible(lo_a: np.ndarray, hi_a: np.ndarray, diam_a: np.ndarray,
+               lo_b: np.ndarray, hi_b: np.ndarray, diam_b: np.ndarray,
+               eta: float) -> np.ndarray:
+    """Cut-off criterion on arrays of box pairs, one pair per row.
 
-    This is the one admissibility rule: compressed assembly and
-    ``admissible_pair_count`` both decide far-field pairs with it.  ``eta=inf``
-    is allowed and marks every pair inadmissible, which forces exact
-    evaluation everywhere downstream.
+    Pair k is admissible iff dist(a_k, b_k) >= eta * max(diam(a_k), diam(b_k))
+    and the distance is positive.  This is the one admissibility rule:
+    ``is_admissible`` is its one-pair form, and compressed assembly and
+    ``admissible_pair_count`` decide far-field pairs with it.  ``eta=inf`` is
+    allowed and marks every pair inadmissible, which forces exact evaluation
+    everywhere downstream.
     """
     if not eta > 0:
         raise InvalidInput(f"eta must be positive, got {eta}")
     if math.isinf(eta):
-        return False
-    dist = cluster_distance(a, b)
-    if dist <= 0.0:
-        return False
-    return dist >= eta * max(a.diameter, b.diameter)
+        return np.zeros(np.shape(diam_a), dtype=bool)
+    dist = _box_gap(lo_a, hi_a, lo_b, hi_b)
+    return (dist > 0.0) & (dist >= eta * np.maximum(diam_a, diam_b))
+
+
+def is_admissible(a: BoundingBox, b: BoundingBox, eta: float) -> bool:
+    """The cut-off criterion of ``admissible`` for one pair of boxes."""
+    return bool(admissible(a.lo, a.hi, a.diameter, b.lo, b.hi, b.diameter, eta))
+
+
+@dataclass(frozen=True)
+class ClusterArrays:
+    """Per-cluster data of a tree as arrays indexed by breadth-first position.
+
+    ``sons[c]`` holds the two son indices, or -1 twice for a leaf.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    diameter: np.ndarray
+    level: np.ndarray
+    begin: np.ndarray
+    end: np.ndarray
+    sons: np.ndarray
+
+    @property
+    def is_leaf(self) -> np.ndarray:
+        return self.sons[:, 0] < 0
+
+    def admissible(self, a: np.ndarray, b: np.ndarray, eta: float) -> np.ndarray:
+        """The cut-off criterion for the cluster pairs (a[k], b[k])."""
+        return admissible(self.lo[a], self.hi[a], self.diameter[a],
+                          self.lo[b], self.hi[b], self.diameter[b], eta)
 
 
 @dataclass(eq=False)
@@ -140,6 +186,21 @@ class ClusterTree:
     @property
     def leaves(self) -> list[Cluster]:
         return [c for c in self.clusters if c.is_leaf]
+
+    @cached_property
+    def arrays(self) -> ClusterArrays:
+        """The clusters as arrays, built on first use."""
+        clusters = self.clusters
+        lo = np.array([c.bbox.lo for c in clusters])
+        hi = np.array([c.bbox.hi for c in clusters])
+        sons = np.array([(c.sons[0].index, c.sons[1].index) if c.sons else (-1, -1)
+                         for c in clusters], dtype=np.int64)
+        return ClusterArrays(
+            lo=lo, hi=hi, diameter=_norms(hi - lo),
+            level=np.array([c.level for c in clusters], dtype=np.int64),
+            begin=np.array([c.begin for c in clusters], dtype=np.int64),
+            end=np.array([c.end for c in clusters], dtype=np.int64),
+            sons=sons)
 
 
 def _tight_box(coords: np.ndarray) -> BoundingBox:

@@ -1,99 +1,129 @@
 """Compressed kernel matrices via interpolation-based far-field approximation.
 
-Admissible cluster pairs (``cluster_tree.is_admissible``, the cut-off
-criterion) are evaluated through a tensor Chebyshev interpolant of the
-kernel, all other pairs exactly.  Nested cluster bases connect interpolation
-data across levels through transfer matrices, so the whole samplet-compressed
-matrix assembles in log-linear time: one block recursion, swept depth-first
-and sons-first over the column clusters, reuses son blocks for father blocks
-and releases them as soon as they have been consumed.  Retained entries are
-the samplet-samplet interactions of inadmissible pairs plus the root scaling
-rows and columns; each block drops its entries below the a-posteriori
-threshold as it is stored, keeping the diagonal.
+Admissible cluster pairs (``cluster_tree.admissible``, the cut-off criterion)
+are evaluated through a tensor Chebyshev interpolant of the kernel, all other
+pairs exactly.  Nested cluster bases connect interpolation data across levels
+through transfer matrices, so the whole samplet-compressed matrix assembles in
+log-linear time.  Assembly first lists the cluster pairs it needs, as arrays:
+the block-cluster list of an H^2-matrix (Boerm, *Efficient Numerical Methods
+for Non-local Operators*, EMS 2010).  A pair depends only on pairs whose level
+sum is one higher, so the list is evaluated from the highest level sum down, a
+group of equally shaped blocks at a time with stacked matrix products, and a
+level's blocks are released once the next coarser level has used them.
+Retained entries are the samplet-samplet interactions of inadmissible pairs
+plus the root scaling rows and columns; each group drops its entries below the
+a-posteriori threshold as it is stored, keeping the diagonal.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import SampletBasis
-from .cluster_tree import BoundingBox, Cluster, ClusterTree, is_admissible
+from .cluster_tree import BoundingBox, ClusterTree
 from .errors import InvalidInput, ResourceLimit
-from .kernels import KernelConfig, dense_kernel_matrix, kernel_cross
+from .kernels import KernelConfig, dense_kernel_matrix, kernel_cross, kernel_radial
 from .sparse import SparseSym
 from .transform import forward_transform_matrix
 
 _DEGENERATE_WIDTH = 1e-300
 
 
-def chebyshev_nodes_1d(lo: float, hi: float, p: int) -> np.ndarray:
-    """p+1 Chebyshev points of the first kind mapped to [lo, hi], ascending."""
+def _chebyshev_axes(lo: np.ndarray, hi: np.ndarray, p: int) -> np.ndarray:
+    """p+1 ascending Chebyshev points of the first kind on each interval
+    [lo, hi]; shape lo.shape + (p+1,)."""
     k = np.arange(p + 1)
     ref = -np.cos((2 * k + 1) * np.pi / (2 * (p + 1)))
+    lo = np.asarray(lo, dtype=np.float64)[..., None]
+    hi = np.asarray(hi, dtype=np.float64)[..., None]
     return (lo + hi) / 2.0 + (hi - lo) / 2.0 * ref
+
+
+def _tensor_grids(lo: np.ndarray, hi: np.ndarray, p: int) -> np.ndarray:
+    """Tensor grids of (p+1)^d Chebyshev points in boxes given by (n, d)
+    corners, first axis slowest; shape (n, (p+1)^d, d)."""
+    if p < 0:
+        raise InvalidInput(f"interpolation degree must be >= 0, got {p}")
+    axes = _chebyshev_axes(lo, hi, p)
+    d = lo.shape[1]
+    digits = np.indices((p + 1,) * d).reshape(d, -1)
+    return np.stack([axes[:, k, digits[k]] for k in range(d)], axis=2)
 
 
 def chebyshev_points(box: BoundingBox, p: int) -> np.ndarray:
     """Tensor grid of (p+1)^d Chebyshev points in the box, first axis slowest."""
-    if p < 0:
-        raise InvalidInput(f"interpolation degree must be >= 0, got {p}")
-    axes = [chebyshev_nodes_1d(lo, hi, p) for lo, hi in zip(box.lo, box.hi)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    return _tensor_grids(box.lo[None], box.hi[None], p)[0]
 
 
-def _lagrange_1d(nodes: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Barycentric Lagrange basis values, shape (len(targets), len(nodes)).
+def _lagrange(nodes: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Barycentric Lagrange basis values for stacks of node sets.
 
-    Collapsed node sets (zero-width axis) fall back to constant interpolation:
-    the first basis function is 1, the others 0.
+    ``nodes`` has shape (n, m) and ``targets`` (n, t); the result has shape
+    (n, t, m).  Collapsed node sets (zero-width axis) fall back to constant
+    interpolation: the first basis function is 1, the others 0.
     """
-    nodes = np.asarray(nodes, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    m = nodes.size
-    out = np.zeros((targets.size, m))
-    if m == 1 or np.ptp(nodes) <= _DEGENERATE_WIDTH:
-        out[:, 0] = 1.0
+    n, m = nodes.shape
+    out = np.zeros((n, targets.shape[1], m))
+    if m == 1:
+        out[..., 0] = 1.0
         return out
-    weights = np.empty(m)
-    for j in range(m):
-        weights[j] = 1.0 / np.prod(nodes[j] - np.delete(nodes, j))
-    diff = targets[:, None] - nodes[None, :]
-    exact = diff == 0.0
-    hit_rows = exact.any(axis=1)
-    safe = np.where(exact, 1.0, diff)
-    terms = weights[None, :] / safe
-    out[:] = terms / terms.sum(axis=1, keepdims=True)
-    if hit_rows.any():
-        out[hit_rows] = exact[hit_rows].astype(np.float64)
+    others = np.array([[k for k in range(m) if k != j] for j in range(m)])
+    gaps = nodes[:, :, None] - nodes[:, others]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        prod = gaps[..., 0]
+        for k in range(1, m - 1):
+            prod = prod * gaps[..., k]
+        weights = 1.0 / prod
+        diff = targets[:, :, None] - nodes[:, None, :]
+        exact = diff == 0.0
+        terms = weights[:, None, :] / np.where(exact, 1.0, diff)
+        out[:] = terms / terms.sum(axis=2, keepdims=True)
+    hit = exact.any(axis=2)
+    out[hit] = exact[hit]
+    degenerate = np.ptp(nodes, axis=1) <= _DEGENERATE_WIDTH
+    out[degenerate] = 0.0
+    out[degenerate, :, 0] = 1.0
     return out
+
+
+def _lagrange_tensors(lo: np.ndarray, hi: np.ndarray, p: int,
+                      points: np.ndarray) -> np.ndarray:
+    """Tensor Lagrange basis values of n boxes at n point sets (n, t, d);
+    shape (n, t, (p+1)^d)."""
+    n, t, d = points.shape
+    axes = _chebyshev_axes(lo, hi, p)
+    values = _lagrange(axes[:, 0], points[:, :, 0])
+    for k in range(1, d):
+        a = _lagrange(axes[:, k], points[:, :, k])
+        values = (values[:, :, :, None] * a[:, :, None, :]).reshape(n, t, -1)
+    return values
 
 
 def lagrange_tensor(box: BoundingBox, p: int, points: np.ndarray) -> np.ndarray:
     """Tensor Lagrange basis values at ``points``; shape (n_points, (p+1)^d)."""
-    n, d = points.shape
-    values = None
-    for axis in range(d):
-        nodes = chebyshev_nodes_1d(box.lo[axis], box.hi[axis], p)
-        a = _lagrange_1d(nodes, points[:, axis])
-        if values is None:
-            values = a
-        else:
-            values = (values[:, :, None] * a[:, None, :]).reshape(n, -1)
-    return values
+    return _lagrange_tensors(box.lo[None], box.hi[None], p, np.asarray(points)[None])[0]
+
+
+def _transfers(lo_f: np.ndarray, hi_f: np.ndarray, lo_s: np.ndarray,
+               hi_s: np.ndarray, p: int) -> np.ndarray:
+    """Transfer matrices of n father/son box pairs; shape (n, (p+1)^d, (p+1)^d)."""
+    n, d = lo_f.shape
+    father, son = _chebyshev_axes(lo_f, hi_f, p), _chebyshev_axes(lo_s, hi_s, p)
+    t = np.ones((n, 1, 1))
+    for k in range(d):
+        a = _lagrange(father[:, k], son[:, k]).transpose(0, 2, 1)
+        r, c = t.shape[1] * a.shape[1], t.shape[2] * a.shape[2]
+        t = (t[:, :, None, :, None] * a[:, None, :, None, :]).reshape(n, r, c)
+    return t
 
 
 def transfer_matrix(parent: BoundingBox, son: BoundingBox, p: int) -> np.ndarray:
     """T[s, t] = (parent Lagrange polynomial s)(son interpolation point t)."""
-    t = np.ones((1, 1))
-    for axis in range(parent.lo.size):
-        par_nodes = chebyshev_nodes_1d(parent.lo[axis], parent.hi[axis], p)
-        son_nodes = chebyshev_nodes_1d(son.lo[axis], son.hi[axis], p)
-        t = np.kron(t, _lagrange_1d(par_nodes, son_nodes).T)
-    return t
+    return _transfers(parent.lo[None], parent.hi[None], son.lo[None], son.hi[None], p)[0]
 
 
 def coupling_matrix(cfg: KernelConfig, box_a: BoundingBox, box_b: BoundingBox,
@@ -104,24 +134,28 @@ def coupling_matrix(cfg: KernelConfig, box_a: BoundingBox, box_b: BoundingBox,
 
 @dataclass(eq=False)
 class InterpolationScheme:
-    """Per-cluster Chebyshev grids and son transfer matrices for one tree."""
+    """Chebyshev grids and son transfer matrices of all clusters of one tree.
+
+    ``nodes[c]`` is cluster c's grid and ``transfers[c]`` maps its father's
+    Lagrange basis to its grid; both are stacked arrays indexed by cluster,
+    and the root's transfer entry is NaN.
+    """
 
     tree: ClusterTree
     degree: int
-    nodes: list[np.ndarray] = field(default_factory=list)
-    transfers: dict[int, np.ndarray] = field(default_factory=dict)
+    nodes: np.ndarray
+    transfers: np.ndarray
 
     @classmethod
     def build(cls, tree: ClusterTree, p: int) -> "InterpolationScheme":
-        if p < 0:
-            raise InvalidInput(f"interpolation degree must be >= 0, got {p}")
-        scheme = cls(tree=tree, degree=p)
-        scheme.nodes = [chebyshev_points(c.bbox, p) for c in tree.clusters]
-        for cluster in tree.clusters:
-            if cluster.sons is not None:
-                for son in cluster.sons:
-                    scheme.transfers[son.index] = transfer_matrix(cluster.bbox, son.bbox, p)
-        return scheme
+        arrays = tree.arrays
+        nodes = _tensor_grids(arrays.lo, arrays.hi, p)
+        transfers = np.full((nodes.shape[0],) + (nodes.shape[1],) * 2, np.nan)
+        inner = np.flatnonzero(~arrays.is_leaf)
+        fathers, sons = np.repeat(inner, 2), arrays.sons[inner].ravel()
+        transfers[sons] = _transfers(arrays.lo[fathers], arrays.hi[fathers],
+                                     arrays.lo[sons], arrays.hi[sons], p)
+        return cls(tree=tree, degree=p, nodes=nodes, transfers=transfers)
 
 
 @dataclass(eq=False)
@@ -136,28 +170,52 @@ class MultiscaleClusterBasis:
     v: list[np.ndarray]
 
 
+def _groups(*keys: np.ndarray):
+    """Yield (key values, positions) for each distinct combination of keys."""
+    if keys[0].size == 0:
+        return
+    order = np.lexsort(keys[::-1])
+    sorted_keys = np.stack([k[order] for k in keys])
+    cuts = np.flatnonzero(np.any(sorted_keys[:, 1:] != sorted_keys[:, :-1], axis=0)) + 1
+    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, order.size]):
+        yield tuple(int(k[lo]) for k in sorted_keys), order[lo:hi]
+
+
 def compute_multiscale_cluster_basis(basis: SampletBasis,
                                      scheme: InterpolationScheme) -> MultiscaleClusterBasis:
-    """Bottom-up pass: leaves transform Lagrange evaluations, fathers transform
-    the stacked, transfer-mapped scaling parts of their sons."""
+    """Bottom-up pass, one level at a time: leaves transform Lagrange
+    evaluations, fathers transform the stacked, transfer-mapped scaling parts
+    of their sons.  Clusters of equal shape share stacked matrix products."""
     if scheme.tree is not basis.tree:
         raise InvalidInput("interpolation scheme was built for a different tree")
     tree = basis.tree
+    arrays = tree.arrays
     coords = tree.permuted_coords()
-    v: list[np.ndarray | None] = [None] * len(tree.clusters)
+    blocks = basis.blocks
+    size = arrays.end - arrays.begin
+    n_scaling = np.array([b.n_scaling for b in blocks])
+    v: list[np.ndarray | None] = [None] * len(blocks)
 
-    def ascend(cluster: Cluster) -> np.ndarray:
-        if cluster.is_leaf:
-            v_in = lagrange_tensor(cluster.bbox, scheme.degree,
-                                   coords[cluster.begin:cluster.end])
-        else:
-            parts = [ascend(son) @ scheme.transfers[son.index].T for son in cluster.sons]
-            v_in = np.vstack(parts)
-        block = basis.block(cluster)
-        v[cluster.index] = block.q_matrix.T @ v_in
-        return v[cluster.index][:block.n_scaling]
+    def finish(group: np.ndarray, v_in: np.ndarray):
+        q = np.stack([blocks[c].q_matrix for c in group])
+        for c, vc in zip(group, np.matmul(q.transpose(0, 2, 1), v_in)):
+            v[c] = vc
 
-    ascend(tree.root)
+    for level in range(tree.depth, -1, -1):
+        at_level = np.flatnonzero(arrays.level == level)
+        leaves = at_level[arrays.is_leaf[at_level]]
+        for (n,), pos in _groups(size[leaves]):
+            group = leaves[pos]
+            points = coords[arrays.begin[group][:, None] + np.arange(n)]
+            finish(group, _lagrange_tensors(arrays.lo[group], arrays.hi[group],
+                                            scheme.degree, points))
+        inner = at_level[~arrays.is_leaf[at_level]]
+        sons = arrays.sons[inner]
+        for (ns0, ns1), pos in _groups(n_scaling[sons[:, 0]], n_scaling[sons[:, 1]]):
+            parts = [np.matmul(np.stack([v[s][:ns] for s in sons[pos, k]]),
+                               scheme.transfers[sons[pos, k]].transpose(0, 2, 1))
+                     for k, ns in ((0, ns0), (1, ns1))]
+            finish(inner[pos], np.concatenate(parts, axis=1))
     return MultiscaleClusterBasis(scheme=scheme, v=v)
 
 
@@ -165,10 +223,12 @@ def compute_multiscale_cluster_basis(basis: SampletBasis,
 class AssemblyStats:
     """What one assembly did.
 
-    ``visited_pairs`` counts the blocks computed directly: admissible pairs
-    interpolated and leaf-leaf pairs evaluated exactly.  ``peak_block_bytes``
-    is the largest total, at any point of the sweep, of the cached leaf-row
-    blocks plus the buffered kept triplets (row, column and value arrays).
+    ``visited_pairs`` counts the distinct blocks computed directly: admissible
+    pairs interpolated and leaf-leaf pairs evaluated exactly; each is computed
+    once.  ``peak_block_bytes`` is the largest total, at any point of the
+    evaluation, of the block stacks held (the current and the previous level
+    sum, plus the blocks kept for columns above) and the buffered kept
+    triplets (row, column and value arrays).
     """
 
     visited_pairs: int
@@ -196,117 +256,262 @@ class CompressedKernelMatrix:
         return self.matrix.nnz_full / self.matrix.n
 
 
+# Kinds of block-list entries.  FAR pairs are interpolated, LEAF pairs are
+# evaluated exactly, ROWS and COLS pairs combine the scaling parts of their
+# row or column sons' blocks, and GIVEN blocks were computed in an earlier
+# batch and are read from it.
+FAR, LEAF, ROWS, COLS, GIVEN = range(5)
+
+# Columns of a subtree with at most this many points are evaluated as one
+# batch; larger subtrees are split, which bounds the blocks held at once.
+_BATCH_POINTS = 1024
+# Target size of the temporaries of one stacked product.
+_CHUNK_BYTES = 1 << 22
+
+
+def _distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pairwise distances of point stacks (b, n, d) and (b, m, d), summed axis
+    by axis like ``scipy.spatial.distance.cdist``; shape (b, n, m)."""
+    total = None
+    for k in range(x.shape[2]):
+        diff = x[:, :, None, k] - y[:, None, :, k]
+        total = diff * diff if total is None else total + diff * diff
+    return np.sqrt(total)
+
+
+class _Assembly:
+    """Block-list evaluation of one compressed kernel matrix."""
+
+    def __init__(self, basis: SampletBasis, mbasis: MultiscaleClusterBasis,
+                 cfg: KernelConfig, eta: float, epsilon: float):
+        tree = basis.tree
+        self.cfg, self.eta, self.epsilon = cfg, eta, epsilon
+        self.arrays = tree.arrays
+        self.n_clusters = len(tree.clusters)
+        self.coords = tree.permuted_coords()
+        self.nodes = mbasis.scheme.nodes
+        blocks = basis.blocks
+        self.rows = np.array([b.q_matrix.shape[1] for b in blocks], dtype=np.int64)
+        self.n_scaling = np.array([b.n_scaling for b in blocks], dtype=np.int64)
+        # The stored part of a block starts after the scaling rows/columns,
+        # at the samplet offset; the root (index 0) stores its scaling ones too.
+        self.skip = self.n_scaling.copy()
+        self.offset = np.array([b.samplet_offset for b in blocks], dtype=np.int64)
+        self.skip[0] = self.offset[0] = 0
+        # Q and V of all clusters with r rows, stacked: q[r][slot[c]].
+        self.slot = np.empty(self.n_clusters, dtype=np.int64)
+        self.q: dict[int, np.ndarray] = {}
+        self.v: dict[int, np.ndarray] = {}
+        for r in np.unique(self.rows):
+            members = np.flatnonzero(self.rows == r)
+            self.slot[members] = np.arange(members.size)
+            self.q[int(r)] = np.stack([blocks[c].q_matrix for c in members])
+            self.v[int(r)] = np.stack([mbasis.v[c] for c in members])
+        self.triplets: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.visited_pairs = self.triplet_bytes = self.given_bytes = self.peak_bytes = 0
+
+    def run(self, col: int) -> dict[int, tuple[np.ndarray, bool]]:
+        """Evaluate every pair whose column lies in col's subtree.
+
+        Returns the blocks of the pairs (leaf, col) that col's father needs,
+        keyed like the block list, each with its inadmissible flag.
+        """
+        a = self.arrays
+        sons = a.sons[col]
+        if sons[0] < 0 or a.end[col] - a.begin[col] <= _BATCH_POINTS:
+            columns, frontier, given = [], np.array([col]), {}
+            while frontier.size:
+                columns.append(frontier)
+                frontier = a.sons[frontier[~a.is_leaf[frontier]]].ravel()
+            columns = np.concatenate(columns)
+        else:
+            columns, given = np.array([col]), self.run(sons[0])
+            given.update(self.run(sons[1]))
+        return self.evaluate(columns, given, col)
+
+    def block_list(self, columns: np.ndarray, given: dict) -> list:
+        """The pairs of one batch, one (keys, kinds) entry per level sum.
+
+        Keys are nu * n_clusters + col, sorted.  The list starts from
+        (root, col) for every batch column and follows the dependencies; a
+        dependency on a column outside the batch is a GIVEN block, or an
+        admissible pair evaluated here.
+        """
+        a, nc = self.arrays, self.n_clusters
+        in_batch = np.zeros(nc, dtype=bool)
+        in_batch[columns] = True
+        seed_level = a.level[columns]
+        levels = []
+        pending = np.empty(0, dtype=np.int64)
+        consumed = set()
+        s = int(seed_level.min())
+        while pending.size or s <= seed_level.max():
+            # the root has index 0, so the key of (root, col) is col
+            keys = np.unique(np.concatenate([pending, columns[seed_level == s]]))
+            nu, col = np.divmod(keys, nc)
+            far = a.admissible(nu, col, self.eta)
+            kind = np.full(keys.size, FAR, dtype=np.int8)
+            leaf_row = a.is_leaf[nu]
+            kind[~far & ~leaf_row] = ROWS
+            kind[~far & leaf_row & a.is_leaf[col]] = LEAF
+            kind[~far & leaf_row & ~a.is_leaf[col]] = COLS
+            for i in np.flatnonzero(~in_batch[col]):
+                key = int(keys[i])
+                if key in given:
+                    kind[i] = GIVEN
+                    consumed.add(key)
+                elif not far[i]:
+                    raise AssertionError(f"assembly block {divmod(key, nc)} was never computed")
+            rows, cols = kind == ROWS, kind == COLS
+            pending = np.concatenate(
+                [a.sons[nu[rows], k] * nc + col[rows] for k in (0, 1)]
+                + [nu[cols] * nc + a.sons[col[cols], k] for k in (0, 1)])
+            levels.append((keys, kind))
+            s += 1
+        unused = [key for key, (_, inadmissible) in given.items()
+                  if inadmissible and key not in consumed]
+        if unused:
+            # admissibility monotonicity guarantees every kept block is consumed
+            raise AssertionError(f"{len(unused)} assembly blocks were never consumed")
+        return levels
+
+    def evaluate(self, columns: np.ndarray, given: dict, top: int) -> dict:
+        """Evaluate one batch from the highest level sum down."""
+        nc, is_leaf = self.n_clusters, self.arrays.is_leaf
+        kept: dict[int, tuple[np.ndarray, bool]] = {}
+        finer = None
+        for keys, kind in reversed(self.block_list(columns, given)):
+            nu, col = np.divmod(keys, nc)
+            sizes = self.rows[nu] * self.rows[col]
+            flat = np.empty(int(sizes.sum()))
+            offsets = np.empty(keys.size, dtype=np.int64)
+            start = 0
+            for (k, r, c), pos in _groups(kind, self.rows[nu], self.rows[col]):
+                # per pair: the block and its input, or the interpolation data
+                step = max(1, _CHUNK_BYTES // (8 * (2 * r * c + self.nodes.shape[1] * (r + c))))
+                for lo in range(0, pos.size, step):
+                    sub = pos[lo:lo + step]
+                    f = self.group_blocks(k, r, c, keys[sub], nu[sub], col[sub], given, finer)
+                    offsets[sub] = start + np.arange(sub.size) * (r * c)
+                    flat[start:start + f.size] = f.ravel()
+                    start += f.size
+                    if k != FAR and k != GIVEN:
+                        self.emit(f, nu[sub], col[sub])
+            if top != 0:
+                for i in np.flatnonzero((col == top) & is_leaf[nu]):
+                    block = flat[offsets[i]:offsets[i] + sizes[i]]
+                    kept[int(keys[i])] = (block.reshape(self.rows[nu[i]], -1).copy(),
+                                          kind[i] != FAR)
+            self.visited_pairs += int(np.count_nonzero((kind == FAR) | (kind == LEAF)))
+            held = flat.nbytes + (finer[2].nbytes if finer else 0)
+            held += sum(b.nbytes for b, _ in kept.values())
+            self.peak_bytes = max(self.peak_bytes,
+                                  held + self.given_bytes + self.triplet_bytes)
+            finer = keys, offsets, flat
+        self.given_bytes += sum(b.nbytes for b, _ in kept.values())
+        self.given_bytes -= sum(b.nbytes for b, _ in given.values())
+        return kept
+
+    def group_blocks(self, kind, r, c, keys, nu, col, given, finer):
+        """The (b, r, c) stack of blocks of one group of equally shaped pairs.
+
+        ``finer`` holds the keys, flat offsets and flat values of the blocks
+        of the next higher level sum, which combine pairs read.
+        """
+        q, v, slot, nc = self.q, self.v, self.slot, self.n_clusters
+        a = self.arrays
+        if kind == FAR:
+            s = kernel_radial(self.cfg, _distances(self.nodes[nu], self.nodes[col]))
+            return np.matmul(np.matmul(v[r][slot[nu]], s), v[c][slot[col]].transpose(0, 2, 1))
+        if kind == LEAF:
+            x = self.coords[a.begin[nu][:, None] + np.arange(r)]
+            y = self.coords[a.begin[col][:, None] + np.arange(c)]
+            k = kernel_radial(self.cfg, _distances(x, y))
+            return np.matmul(np.matmul(q[r][slot[nu]].transpose(0, 2, 1), k), q[c][slot[col]])
+        if kind == GIVEN:
+            return np.stack([given[int(key)][0] for key in keys])
+        finer_keys, finer_offsets, finer_flat = finer
+        i = np.arange(r)[None, :, None]
+        j = np.arange(c)[None, None, :]
+        if kind == ROWS:
+            # [F(s0, col)[:ns0]; F(s1, col)[:ns1]], read from the finer level
+            s0, s1 = a.sons[nu, 0], a.sons[nu, 1]
+            off0 = finer_offsets[np.searchsorted(finer_keys, s0 * nc + col)][:, None, None]
+            off1 = finer_offsets[np.searchsorted(finer_keys, s1 * nc + col)][:, None, None]
+            ns0 = self.n_scaling[s0][:, None, None]
+            index = np.where(i < ns0, off0 + i * c + j, off1 + (i - ns0) * c + j)
+            return np.matmul(q[r][slot[nu]].transpose(0, 2, 1), finer_flat[index])
+        # COLS: [F(nu, s0)[:, :ns0], F(nu, s1)[:, :ns1]]
+        s0, s1 = a.sons[col, 0], a.sons[col, 1]
+        off0 = finer_offsets[np.searchsorted(finer_keys, nu * nc + s0)][:, None, None]
+        off1 = finer_offsets[np.searchsorted(finer_keys, nu * nc + s1)][:, None, None]
+        w0, w1 = self.rows[s0][:, None, None], self.rows[s1][:, None, None]
+        ns0 = self.n_scaling[s0][:, None, None]
+        index = np.where(j < ns0, off0 + i * w0 + j, off1 + i * w1 + (j - ns0))
+        return np.matmul(finer_flat[index], q[c][slot[col]])
+
+    def emit(self, f: np.ndarray, nu: np.ndarray, col: np.ndarray):
+        """Buffer the kept stored entries of a stack of inadmissible blocks.
+
+        A pair stores its samplet rows and columns (the root: all of them)
+        when its samplets do not lie above the diagonal; the upper root strip
+        is stored through the root column.  Entries with |value| >= epsilon
+        are kept, and a diagonal block (nu = col) keeps its strict lower
+        triangle plus its whole diagonal.
+        """
+        stored = self.offset[nu] >= self.offset[col]
+        if not stored.all():
+            f, nu, col = f[stored], nu[stored], col[stored]
+        r, c = f.shape[1:]
+        skip_r, skip_c = self.skip[nu], self.skip[col]
+        keep = np.abs(f) >= self.epsilon
+        keep &= np.arange(r)[:, None] >= skip_r[:, None, None]
+        keep &= np.arange(c) >= skip_c[:, None, None]
+        diagonal = np.flatnonzero(nu == col)
+        if diagonal.size:
+            eye = np.eye(r, dtype=bool) & (np.arange(r) >= skip_r[diagonal, None, None])
+            keep[diagonal] = (keep[diagonal] & np.tri(r, k=-1, dtype=bool)) | eye
+        pair, ii, jj = np.nonzero(keep)
+        rows = self.offset[nu][pair] + ii - skip_r[pair]
+        cols = self.offset[col][pair] + jj - skip_c[pair]
+        vals = f[pair, ii, jj]
+        self.triplets.append((rows, cols, vals))
+        self.triplet_bytes += rows.nbytes + cols.nbytes + vals.nbytes
+
+
 def assemble_compressed_kernel(basis: SampletBasis, cfg: KernelConfig,
                                eta: float = 1.25, p: int = 3,
                                epsilon: float = 1e-3) -> CompressedKernelMatrix:
-    """Assemble the samplet-compressed kernel matrix in a single sweep.
+    """Assemble the samplet-compressed kernel matrix from its block list.
 
-    One memoised block recursion ``block(nu, col)`` forms the interaction of
-    two clusters in their output bases: rows are nu's scaling functions
-    followed by its samplets, columns likewise for col.  An admissible pair
-    is interpolated.  Otherwise rows recurse first, a leaf-leaf pair is
-    exact, and a leaf row recurses over the column's sons.  Column clusters
-    are swept sons-first, so a leaf row's son blocks are already cached and
-    are popped exactly once.  Every inadmissible block is stored once: its
-    samplet-samplet part, or the root scaling rows and columns, restricted to
-    the lower triangle.  The same pass drops off-diagonal entries below
+    F(nu, col) is the interaction of two clusters in their output bases: rows
+    are nu's scaling functions followed by its samplets, columns likewise for
+    col.  The block list holds the pairs (nu, col) the matrix needs, starting
+    from (root, col) for every column cluster.  An admissible pair is
+    interpolated as V_nu S V_col^T.  Otherwise an interior row combines its
+    sons' scaling rows, Q_nu^T [F(s0, col)[:ns0]; F(s1, col)[:ns1]]; a
+    leaf-leaf pair is exact, Q_nu^T K Q_col; and a leaf row with an interior
+    column combines the column's sons' scaling columns.  Each pair is computed
+    once, from the highest level sum down, in groups of equally shaped blocks,
+    one column subtree at a time.  Every inadmissible block is stored once:
+    its samplet-samplet part, or the root scaling rows and columns, restricted
+    to the lower triangle.  The same pass drops off-diagonal entries below
     ``epsilon``; diagonal entries are always kept.  The lower triangle is
     mirrored, so the result is exactly symmetric.
     """
-    if epsilon < 0:
-        raise InvalidInput(f"epsilon must be nonnegative, got {epsilon}")
+    if not 0 <= epsilon < math.inf:
+        raise InvalidInput(f"epsilon must be nonnegative and finite, got {epsilon}")
     if not eta > 0:
         raise InvalidInput(f"eta must be positive, got {eta}")
     start = time.perf_counter()
-    tree = basis.tree
-    root = tree.root
-    mbasis = compute_multiscale_cluster_basis(basis, InterpolationScheme.build(tree, p))
-    nodes, v = mbasis.scheme.nodes, mbasis.v
-    coords = tree.permuted_coords()
-
-    def samplet_indices(cluster: Cluster) -> np.ndarray:
-        b = basis.block(cluster)
-        return np.arange(b.samplet_offset, b.samplet_offset + b.n_samplets, dtype=np.int64)
-
-    root_indices = np.concatenate([np.arange(basis.block(root).n_scaling, dtype=np.int64),
-                                   samplet_indices(root)])
-    triplets: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    cache: dict[tuple[int, int], np.ndarray] = {}
-    visited_pairs = cache_bytes = triplet_bytes = peak_bytes = 0
-
-    def emit(f: np.ndarray, gi: np.ndarray, gj: np.ndarray, diagonal: bool = False):
-        """Buffer the kept entries of f; a diagonal block keeps its lower triangle."""
-        nonlocal triplet_bytes
-        if f.size == 0:
-            return
-        keep = np.abs(f) >= epsilon
-        if diagonal:
-            keep = np.tril(keep, -1) | np.eye(gi.size, dtype=bool)
-        r, c = np.nonzero(keep)
-        ii, jj, vv = gi[r], gj[c], f[r, c]
-        triplets.append((ii, jj, vv))
-        triplet_bytes += ii.nbytes + jj.nbytes + vv.nbytes
-
-    def store(nu: Cluster, col: Cluster, f: np.ndarray):
-        """Emit the stored part of F(nu, col): samplet rows and columns, plus
-        the root's scaling ones.  A pair whose samplets lie above the diagonal
-        is stored through its transposed pair, the upper root strip through
-        the root column."""
-        ns_r = basis.block(nu).n_scaling
-        ns_c = basis.block(col).n_scaling
-        if col is root:
-            if nu is root:
-                emit(f, root_indices, root_indices, diagonal=True)
-            else:
-                emit(f[ns_r:, :], samplet_indices(nu), root_indices)
-        elif nu is not root and basis.block(nu).samplet_offset >= basis.block(col).samplet_offset:
-            emit(f[ns_r:, ns_c:], samplet_indices(nu), samplet_indices(col),
-                 diagonal=nu is col)
-
-    def block(nu: Cluster, col: Cluster) -> np.ndarray:
-        nonlocal visited_pairs, cache_bytes, peak_bytes
-        if is_admissible(nu.bbox, col.bbox, eta):
-            visited_pairs += 1
-            s = kernel_cross(cfg, nodes[nu.index], nodes[col.index])
-            return v[nu.index] @ s @ v[col.index].T
-        f = cache.pop((nu.index, col.index), None)
-        if f is not None:
-            cache_bytes -= f.nbytes
-            return f
-        q_row = basis.block(nu).q_matrix
-        q_col = basis.block(col).q_matrix
-        if not nu.is_leaf:
-            parts = [block(son, col)[:basis.block(son).n_scaling, :] for son in nu.sons]
-            f = q_row.T @ np.vstack(parts)
-        elif col.is_leaf:
-            visited_pairs += 1
-            k = kernel_cross(cfg, coords[nu.begin:nu.end], coords[col.begin:col.end])
-            f = q_row.T @ k @ q_col
-        else:
-            parts = [block(nu, son)[:, :basis.block(son).n_scaling] for son in col.sons]
-            f = np.hstack(parts) @ q_col
-        if nu.is_leaf and col is not root:
-            cache[(nu.index, col.index)] = f
-            cache_bytes += f.nbytes
-        store(nu, col, f)
-        peak_bytes = max(peak_bytes, cache_bytes + triplet_bytes)
-        return f
-
-    def sweep(col: Cluster):
-        for son in col.sons or ():
-            sweep(son)
-        block(root, col)
-
-    sweep(root)
-    if cache:
-        # admissibility monotonicity guarantees every cached block is consumed
-        raise AssertionError(f"{len(cache)} assembly blocks were never consumed")
-
-    rows, cols, vals = (np.concatenate(parts) for parts in zip(*triplets))
+    mbasis = compute_multiscale_cluster_basis(basis, InterpolationScheme.build(basis.tree, p))
+    assembly = _Assembly(basis, mbasis, cfg, eta, epsilon)
+    assembly.run(0)
+    rows, cols, vals = (np.concatenate(parts) for parts in zip(*assembly.triplets))
     matrix = SparseSym.from_triplets(basis.size, rows, cols, vals)
-    stats = AssemblyStats(visited_pairs=visited_pairs,
+    stats = AssemblyStats(visited_pairs=assembly.visited_pairs,
                           assembly_seconds=time.perf_counter() - start,
-                          peak_block_bytes=int(peak_bytes))
+                          peak_block_bytes=int(assembly.peak_bytes))
     return CompressedKernelMatrix(matrix=matrix, kernel=cfg, eta=eta, p=p,
                                   epsilon=epsilon, stats=stats)
 
@@ -327,14 +532,20 @@ def admissible_pair_count(tree: ClusterTree, eta: float) -> int:
     Descendants of an admissible pair are never visited, which is what bounds
     the assembly cost; leaf-leaf pairs terminate the recursion.
     """
+    a = tree.arrays
+
+    def sons_or_self(c: np.ndarray) -> np.ndarray:
+        """Each cluster's two sons; a leaf stands in for itself, beside -1."""
+        alone = np.stack([c, np.full_like(c, -1)], axis=1)
+        return np.where(a.is_leaf[c][:, None], alone, a.sons[c])
+
     count = 0
-    stack = [(tree.root, tree.root)]
-    while stack:
-        a, b = stack.pop()
-        count += 1
-        if is_admissible(a.bbox, b.bbox, eta) or (a.is_leaf and b.is_leaf):
-            continue
-        for sa in (a.sons or (a,)):
-            for sb in (b.sons or (b,)):
-                stack.append((sa, sb))
+    rows = cols = np.array([tree.root.index])
+    while rows.size:
+        count += rows.size
+        split = ~(a.admissible(rows, cols, eta) | (a.is_leaf[rows] & a.is_leaf[cols]))
+        pair_rows = np.repeat(sons_or_self(rows[split]), 2, axis=1).ravel()
+        pair_cols = np.tile(sons_or_self(cols[split]), (1, 2)).ravel()
+        valid = (pair_rows >= 0) & (pair_cols >= 0)
+        rows, cols = pair_rows[valid], pair_cols[valid]
     return count

@@ -111,9 +111,9 @@ class SparseSym:
 
 
 def add_ridge(a: SparseSym, rho: float) -> SparseSym:
-    """Shift the diagonal by rho > 0; the sparsity pattern is unchanged."""
-    if not rho > 0:
-        raise InvalidInput(f"ridge parameter must be positive, got {rho}")
+    """Shift the diagonal by a finite rho > 0; the sparsity pattern is unchanged."""
+    if not 0 < rho < np.inf:
+        raise InvalidInput(f"ridge parameter must be positive and finite, got {rho}")
     values = a.values.copy()
     values[a.indptr[:-1]] += rho
     return SparseSym(n=a.n, indptr=a.indptr.copy(), indices=a.indices.copy(), values=values)

@@ -8,6 +8,7 @@ original point order; the tree permutation is applied internally.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,7 +138,7 @@ def threshold_coefficients(basis: SampletBasis, f_sigma: CoefficientVector,
     With ``protect_scaling`` (the default) the root scaling coefficients are
     never zeroed, preserving the coarse least-squares approximation.
     """
-    if tau < 0:
+    if not tau >= 0:
         raise InvalidInput(f"threshold must be nonnegative, got {tau}")
     coeffs = _require(f_sigma, SAMPLET_BASIS, basis.size)
     keep = np.abs(coeffs) >= tau
@@ -157,8 +158,14 @@ def threshold_coefficients(basis: SampletBasis, f_sigma: CoefficientVector,
 
 
 def relative_threshold(f_sigma: CoefficientVector, exponent: float) -> float:
-    """The threshold 10^(-exponent) * max|coefficient|."""
-    return 10.0 ** (-exponent) * float(np.max(np.abs(f_sigma.values)))
+    """The threshold 10^(-exponent) * max|coefficient|; the exponent is finite."""
+    if not math.isfinite(exponent):
+        raise InvalidInput(f"relative threshold exponent must be finite, got {exponent}")
+    try:
+        scale = 10.0 ** (-exponent)
+    except OverflowError as exc:
+        raise InvalidInput(f"relative threshold exponent {exponent} is out of range") from exc
+    return scale * float(np.max(np.abs(f_sigma.values)))
 
 
 @dataclass(frozen=True)
@@ -209,7 +216,7 @@ def detect_singularities(basis: SampletBasis, f_sigma: CoefficientVector,
     Large coefficients localize regions where the data fail to be smooth, so
     the flagged bounding boxes bracket kinks and jumps.
     """
-    if tau < 0:
+    if not tau >= 0:
         raise InvalidInput(f"threshold must be nonnegative, got {tau}")
     coeffs = _require(f_sigma, SAMPLET_BASIS, basis.size)
     hits = []

@@ -246,3 +246,69 @@ class TestInfoCommand:
     def test_grid_size_mismatch_rejected(self, capsys):
         assert main(["info", "--gen", "grid", "--n", "1000", "--dim", "2"]) == 2
         assert "1024" in capsys.readouterr().err
+
+
+def _threshold_argv(command, points, data, tmp_path):
+    out = {"compress": "--report", "detect": "--out"}[command]
+    return [command, "--points", str(points), "--data", str(data),
+            out, str(tmp_path / "out.jsonl")]
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("command", ["compress", "detect"])
+    @pytest.mark.parametrize("flag,value", [
+        ("--threshold", "nan"), ("--threshold", "inf"), ("--threshold", "-1"),
+        ("--threshold-rel", "nan"), ("--threshold-rel", "inf"),
+        ("--threshold-rel", "-inf"), ("--threshold-rel", "-400"),
+    ])
+    def test_bad_threshold_exit_code(self, tmp_path, points_1d, data_1d, capsys,
+                                     command, flag, value):
+        argv = _threshold_argv(command, points_1d, data_1d, tmp_path) + [f"{flag}={value}"]
+        assert main(argv) == 2
+        assert "threshold" in capsys.readouterr().err
+        assert not (tmp_path / "out.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["kernel-compress", "grf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e-3"])
+    def test_bad_epsilon_exit_code(self, tmp_path, points_1d, kernel_json, capsys,
+                                   command, value):
+        out = {"kernel-compress": ["--out", str(tmp_path / "k.mtx")],
+               "grf": ["--out-prefix", str(tmp_path / "f"), "--seed", "1"]}[command]
+        metrics = tmp_path / "m.json"
+        assert main([command, "--points", str(points_1d), "--kernel", str(kernel_json),
+                     "--metrics", str(metrics), f"--epsilon={value}"] + out) == 2
+        assert "epsilon" in capsys.readouterr().err
+        assert not metrics.exists()
+
+
+def _strict_json(text):
+    """Parse JSON, failing on the NaN and Infinity constants."""
+    def reject(constant):
+        raise AssertionError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictJsonOutput:
+    def test_every_subcommand_writes_strict_json(self, tmp_path, points_1d, data_1d,
+                                                 kernel_json, capsys):
+        pts, dat, ker = str(points_1d), str(data_1d), str(kernel_json)
+        runs = [
+            ["transform", "--points", pts, "--data", dat, "--out",
+             str(tmp_path / "c.csv"), "--threshold-rel", "3"],
+            ["compress", "--points", pts, "--data", dat, "--threshold-rel", "2"],
+            ["detect", "--points", pts, "--data", dat, "--threshold-rel", "2"],
+            ["kernel-compress", "--points", pts, "--kernel", ker, "--out",
+             str(tmp_path / "k.mtx"), "--eta", "inf", "--dense-oracle"],
+            ["grf", "--points", pts, "--kernel", ker, "--out-prefix",
+             str(tmp_path / "f"), "--seed", "3", "--samples", "1", "--eta", "inf"],
+            ["info", "--points", pts],
+        ]
+        for argv in runs:
+            assert main(argv) == 0, argv
+            out = capsys.readouterr().out
+            documents = [out] if argv[0] in ("transform", "kernel-compress", "grf",
+                                             "info") else out.splitlines()
+            assert documents, argv
+            parsed = [_strict_json(doc) for doc in documents]
+            if argv[0] in ("kernel-compress", "grf"):
+                assert parsed[0]["eta"] == "inf"

@@ -12,7 +12,8 @@ from samplets.cluster_tree import (
     cluster_distance,
     is_admissible,
 )
-from samplets.errors import ResourceLimit
+from samplets import h2
+from samplets.errors import InvalidInput, ResourceLimit
 from samplets.h2 import (
     InterpolationScheme,
     admissible_pair_count,
@@ -24,7 +25,7 @@ from samplets.h2 import (
     lagrange_tensor,
     transfer_matrix,
 )
-from samplets.kernels import KernelConfig, dense_kernel_matrix
+from samplets.kernels import KernelConfig, dense_kernel_matrix, kernel_cross
 
 
 def box(lo, hi):
@@ -184,11 +185,15 @@ def two_leaf_case(points, leaf_size, eta, admissible):
     return make
 
 
-def uniform_case(d, n, seed):
-    """Builder of a q = 1 basis on n uniform points in [-1, 1]^d."""
+def uniform_case(d, n, seed, q=1, leaf_sizes=None):
+    """Builder of a basis on n uniform points in [-1, 1]^d, optionally
+    asserting the sorted distinct leaf sizes of its tree."""
     def make():
         rng = np.random.default_rng(seed)
-        return build_samplet_basis(PointCloud(rng.uniform(-1, 1, size=(n, d))), q=1)
+        basis = build_samplet_basis(PointCloud(rng.uniform(-1, 1, size=(n, d))), q=q)
+        if leaf_sizes is not None:
+            assert sorted({c.size for c in basis.tree.leaves}) == leaf_sizes
+        return basis
     return make
 
 
@@ -206,7 +211,76 @@ def far_field_block(basis, cfg, a, b, p):
     return mb.v[a.index] @ coupling_matrix(cfg, a.bbox, b.bbox, p) @ mb.v[b.index].T
 
 
+def reference_assembly(basis, cfg, eta, p, epsilon):
+    """The compressed matrix as a dense array, one block at a time.
+
+    A memoised recursion over (row, column) cluster pairs with the block
+    formulas of the assembly, 2-D products only: the reference for the
+    batched evaluation.
+    """
+    tree = basis.tree
+    mb = compute_multiscale_cluster_basis(basis, InterpolationScheme.build(tree, p))
+    coords = tree.permuted_coords()
+    q = [b.q_matrix for b in basis.blocks]
+    ns = [b.n_scaling for b in basis.blocks]
+    memo = {}
+
+    def block(nu, col):
+        key = (nu.index, col.index)
+        if key not in memo:
+            if is_admissible(nu.bbox, col.bbox, eta):
+                s = coupling_matrix(cfg, nu.bbox, col.bbox, p)
+                f = mb.v[nu.index] @ s @ mb.v[col.index].T
+            elif not nu.is_leaf:
+                f = q[nu.index].T @ np.vstack([block(s, col)[:ns[s.index]] for s in nu.sons])
+            elif col.is_leaf:
+                k = kernel_cross(cfg, coords[nu.begin:nu.end], coords[col.begin:col.end])
+                f = q[nu.index].T @ k @ q[col.index]
+            else:
+                f = np.hstack([block(nu, s)[:, :ns[s.index]] for s in col.sons]) @ q[col.index]
+            memo[key] = f
+        return memo[key]
+
+    def outputs(c):
+        """Global index of each output of c; -1 for scaling functions below the root."""
+        b = basis.blocks[c.index]
+        if c is tree.root:
+            return np.arange(b.q_matrix.shape[1])
+        return np.r_[np.full(b.n_scaling, -1), b.samplet_offset + np.arange(b.n_samplets)]
+
+    for col in tree.clusters:
+        block(tree.root, col)
+    lower = np.zeros((basis.size, basis.size))
+    for (i, j), f in memo.items():
+        nu, col = tree.clusters[i], tree.clusters[j]
+        if is_admissible(nu.bbox, col.bbox, eta):
+            continue
+        rows, cols = outputs(nu), outputs(col)
+        for r, c in zip(*np.nonzero((rows[:, None] >= cols[None, :]) & (cols[None, :] >= 0))):
+            lower[rows[r], cols[c]] = f[r, c]
+    lower = np.where((np.abs(lower) >= epsilon) | np.eye(basis.size, dtype=bool), lower, 0.0)
+    return lower + np.tril(lower, -1).T
+
+
 class TestAssembly:
+    @pytest.mark.parametrize("make_basis,cfg,eta,p,epsilon", [
+        pytest.param(uniform_case(2, 61, 3, q=2, leaf_sizes=[15, 16, 30]),
+                     KernelConfig("matern32", length_scale=0.5), 1.25, 3, 0.0,
+                     id="2-61-3-mixed-leaves"),
+        pytest.param(uniform_case(2, 300, 4), KernelConfig("matern32", length_scale=0.5),
+                     1.25, 2, 1e-4, id="2-300-4"),
+        pytest.param(uniform_case(1, 200, 5), KernelConfig("matern12"), 1.0, 3, 0.0,
+                     id="1-200-5"),
+        pytest.param(uniform_case(3, 250, 6), KernelConfig("squared-exponential",
+                                                           length_scale=0.4),
+                     0.8, 2, 1e-5, id="3-250-6"),
+    ])
+    def test_equals_blockwise_reference(self, make_basis, cfg, eta, p, epsilon):
+        basis = make_basis()
+        compressed = assemble_compressed_kernel(basis, cfg, eta=eta, p=p, epsilon=epsilon)
+        expected = reference_assembly(basis, cfg, eta, p, epsilon)
+        np.testing.assert_array_equal(compressed.matrix.to_dense(), expected)
+
     @pytest.mark.parametrize("make_basis,cfg,eta,p", [
         pytest.param(uniform_case(1, 100, 0), KernelConfig("matern12", length_scale=1.0),
                      np.inf, 1, id="1-100-0"),
@@ -214,6 +288,10 @@ class TestAssembly:
                      np.inf, 1, id="2-120-1"),
         pytest.param(uniform_case(3, 90, 2), KernelConfig("matern12", length_scale=1.0),
                      np.inf, 1, id="3-90-2"),
+        # leaves of 30, 16 and 15 points on two levels: blocks of several shapes
+        pytest.param(uniform_case(2, 61, 3, q=2, leaf_sizes=[15, 16, 30]),
+                     KernelConfig("matern32", length_scale=0.5), np.inf, 3,
+                     id="2-61-3-mixed-leaves"),
         # an inadmissible leaf pair is evaluated exactly
         pytest.param(two_leaf_case([[0.0], [0.4], [1.0], [1.4]], 2, 2.0, False),
                      KernelConfig("matern32", length_scale=0.7), 2.0, 2,
@@ -273,6 +351,42 @@ class TestAssembly:
         assert compressed.stats.assembly_seconds >= 0.0
         assert compressed.stats.peak_block_bytes > 0
         assert compressed.anz == pytest.approx(compressed.matrix.nnz_full / 64)
+
+    @pytest.mark.parametrize("batch_points", [1, 40])
+    def test_column_subtree_batches_give_the_same_matrix(self, monkeypatch, batch_points):
+        basis = uniform_case(2, 300, 4)()
+        cfg = KernelConfig("matern32", length_scale=0.5)
+        whole = assemble_compressed_kernel(basis, cfg, eta=1.25, p=2, epsilon=0.0)
+        monkeypatch.setattr(h2, "_BATCH_POINTS", batch_points)
+        split = assemble_compressed_kernel(basis, cfg, eta=1.25, p=2, epsilon=0.0)
+        for name in ("indptr", "indices", "values"):
+            np.testing.assert_array_equal(getattr(split.matrix, name),
+                                          getattr(whole.matrix, name))
+        assert split.stats.visited_pairs == whole.stats.visited_pairs
+
+    def test_infinite_eta_computes_every_leaf_pair_once(self):
+        rng = np.random.default_rng(14)
+        basis = build_samplet_basis(PointCloud(rng.uniform(-1, 1, size=(300, 2))), q=1)
+        compressed = assemble_compressed_kernel(basis, KernelConfig("matern12"),
+                                                eta=np.inf, p=2, epsilon=1e-4)
+        assert compressed.stats.visited_pairs == len(basis.tree.leaves) ** 2
+
+    def test_golden_matrix(self):
+        # nnz_lower and the Frobenius norm of the memoised block recursion
+        # this assembly replaced
+        rng = np.random.default_rng(20)
+        basis = build_samplet_basis(PointCloud(rng.uniform(-1, 1, size=(512, 2))), q=2)
+        cfg = KernelConfig("scaled-exponential", distance_scale=10 / math.sqrt(2))
+        compressed = assemble_compressed_kernel(basis, cfg, eta=1.25, p=3, epsilon=1e-3)
+        assert compressed.matrix.nnz_lower == 34350
+        assert compressed.matrix.frobenius_norm() == pytest.approx(48.85745230154519,
+                                                                   rel=1e-12)
+
+    @pytest.mark.parametrize("epsilon", [-1e-3, np.nan, np.inf])
+    def test_bad_epsilon_rejected(self, epsilon):
+        basis = uniform_case(1, 40, 0)()
+        with pytest.raises(InvalidInput):
+            assemble_compressed_kernel(basis, KernelConfig("matern12"), epsilon=epsilon)
 
     def test_peak_block_bytes_covers_kept_triplets(self):
         rng = np.random.default_rng(13)
