@@ -15,25 +15,14 @@ from .basis import (
     samplet_as_point_vector,
     two_scale_decomposition,
 )
-from .cluster_tree import (
-    BoundingBox,
-    Cluster,
-    ClusterTree,
-    PointCloud,
-    build_cluster_tree,
-    cluster_diameter,
-    cluster_distance,
-    is_admissible,
-)
+from .cluster_tree import ClusterTree, PointCloud, admissible, build_cluster_tree
 from .errors import InvalidInput, NonPositivePivot, ResourceLimit
 from .h2 import (
     CompressedKernelMatrix,
     InterpolationScheme,
     admissible_pair_count,
     assemble_compressed_kernel,
-    chebyshev_points,
     compute_multiscale_cluster_basis,
-    coupling_matrix,
     dense_compressed_oracle,
 )
 from .kernels import KernelConfig, dense_kernel_matrix, kernel_eval
@@ -61,17 +50,17 @@ from .transform import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundingBox", "CholeskyFactor", "Cluster", "ClusterTree",
-    "CoefficientVector", "CompressedKernelMatrix", "InterpolationScheme",
-    "InvalidInput", "KernelConfig", "MomentSpec", "NonPositivePivot",
-    "Permutation", "PointCloud", "ResourceLimit", "SampletBasis", "SparseSym",
-    "add_ridge", "admissible_pair_count", "anz", "assemble_compressed_kernel",
-    "build_cluster_tree", "build_samplet_basis", "chebyshev_points",
-    "cluster_diameter", "cluster_distance", "compute_multiscale_cluster_basis",
-    "construct_basis", "coupling_matrix", "dense_compressed_oracle",
-    "dense_kernel_matrix", "detect_singularities", "factorization_residual",
-    "fill_reducing_order", "forward_transform", "inverse_transform",
-    "is_admissible", "kernel_eval", "moment_dimension",
+    "CholeskyFactor", "ClusterTree", "CoefficientVector",
+    "CompressedKernelMatrix", "InterpolationScheme", "InvalidInput",
+    "KernelConfig", "MomentSpec", "NonPositivePivot", "Permutation",
+    "PointCloud", "ResourceLimit", "SampletBasis", "SparseSym", "add_ridge",
+    "admissible", "admissible_pair_count", "anz", "assemble_compressed_kernel",
+    "build_cluster_tree", "build_samplet_basis",
+    "compute_multiscale_cluster_basis", "construct_basis",
+    "dense_compressed_oracle", "dense_kernel_matrix", "detect_singularities",
+    "factorization_residual", "fill_reducing_order", "forward_transform",
+    "inverse_transform", "kernel_eval", "moment_dimension",
     "reconstruction_error", "relative_threshold", "sample_grf",
-    "samplet_as_point_vector", "sparse_cholesky", "threshold_coefficients", "two_scale_decomposition",
+    "samplet_as_point_vector", "sparse_cholesky", "threshold_coefficients",
+    "two_scale_decomposition",
 ]

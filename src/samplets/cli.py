@@ -216,12 +216,13 @@ def cmd_detect(args) -> int:
     coeffs = forward_transform(basis, CoefficientVector(data, POINT_BASIS))
     tau = _resolve_threshold(args, coeffs)
     hits = detect_singularities(basis, coeffs, tau)
+    tree = basis.tree
     _write_text("".join(_json_text({
         "level": hit.level,
-        "is_leaf": hit.cluster.is_leaf,
-        "lo": [float(v) for v in hit.cluster.bbox.lo],
-        "hi": [float(v) for v in hit.cluster.bbox.hi],
-        "size": hit.cluster.size,
+        "is_leaf": bool(tree.is_leaf[hit.cluster]),
+        "lo": tree.lo[hit.cluster].tolist(),
+        "hi": tree.hi[hit.cluster].tolist(),
+        "size": int(tree.size[hit.cluster]),
         "max_abs_coefficient": hit.max_abs_coefficient,
     }) + "\n" for hit in hits), args.out)
     return 0

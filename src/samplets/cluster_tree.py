@@ -4,14 +4,14 @@ The tree is built by cardinality-balanced clustering: every cluster's
 bounding box is split along its longest edge such that the two sons receive
 ceil(n/2) and floor(n/2) points.  The tree records an in-place permutation of
 the point indices, so every cluster owns a contiguous half-open index range
-into that permutation.
+into that permutation.  A tree is a set of arrays indexed by cluster, in
+breadth-first order with the root at index 0.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -46,29 +46,6 @@ class PointCloud:
         return self.coords.shape[1]
 
 
-@dataclass(frozen=True)
-class BoundingBox:
-    """Axis-parallel box [lo, hi] with lo <= hi componentwise."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=np.float64)
-        hi = np.asarray(self.hi, dtype=np.float64)
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise InvalidInput("box corners must be 1-d vectors of equal length")
-        if np.any(lo > hi):
-            raise InvalidInput("box has lo > hi on some axis")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    @cached_property
-    def diameter(self) -> float:
-        """Euclidean length of the box diagonal, computed on first use."""
-        return float(_norms(self.hi - self.lo))
-
-
 def _norms(v: np.ndarray) -> np.ndarray:
     """Euclidean norms over the last axis.
 
@@ -84,16 +61,6 @@ def _box_gap(lo_a: np.ndarray, hi_a: np.ndarray, lo_b: np.ndarray,
     return _norms(np.maximum(0.0, np.maximum(lo_a - hi_b, lo_b - hi_a)))
 
 
-def cluster_diameter(box: BoundingBox) -> float:
-    """Euclidean length of the box diagonal."""
-    return box.diameter
-
-
-def cluster_distance(a: BoundingBox, b: BoundingBox) -> float:
-    """Euclidean distance between two boxes; zero iff they intersect."""
-    return float(_box_gap(a.lo, a.hi, b.lo, b.hi))
-
-
 def admissible(lo_a: np.ndarray, hi_a: np.ndarray, diam_a: np.ndarray,
                lo_b: np.ndarray, hi_b: np.ndarray, diam_b: np.ndarray,
                eta: float) -> np.ndarray:
@@ -101,10 +68,10 @@ def admissible(lo_a: np.ndarray, hi_a: np.ndarray, diam_a: np.ndarray,
 
     Pair k is admissible iff dist(a_k, b_k) >= eta * max(diam(a_k), diam(b_k))
     and the distance is positive.  This is the one admissibility rule:
-    ``is_admissible`` is its one-pair form, and compressed assembly and
-    ``admissible_pair_count`` decide far-field pairs with it.  ``eta=inf`` is
-    allowed and marks every pair inadmissible, which forces exact evaluation
-    everywhere downstream.
+    ``ClusterTree.admissible`` applies it to pairs of cluster indices, and
+    compressed assembly and ``admissible_pair_count`` decide far-field pairs
+    with it.  ``eta=inf`` is allowed and marks every pair inadmissible, which
+    forces exact evaluation everywhere downstream.
     """
     if not eta > 0:
         raise InvalidInput(f"eta must be positive, got {eta}")
@@ -114,97 +81,69 @@ def admissible(lo_a: np.ndarray, hi_a: np.ndarray, diam_a: np.ndarray,
     return (dist > 0.0) & (dist >= eta * np.maximum(diam_a, diam_b))
 
 
-def is_admissible(a: BoundingBox, b: BoundingBox, eta: float) -> bool:
-    """The cut-off criterion of ``admissible`` for one pair of boxes."""
-    return bool(admissible(a.lo, a.hi, a.diameter, b.lo, b.hi, b.diameter, eta))
+@dataclass(eq=False)
+class ClusterTree:
+    """Balanced binary hierarchy over a point cloud, one array entry per cluster.
 
-
-@dataclass(frozen=True)
-class ClusterArrays:
-    """Per-cluster data of a tree as arrays indexed by breadth-first position.
-
-    ``sons[c]`` holds the two son indices, or -1 twice for a leaf.
+    Clusters are numbered breadth-first, root (0) first, so every son has a
+    larger index than its father and reverse index order is bottom-up.
+    Each cluster c owns the tree positions [begin[c], end[c]), and
+    ``permutation[t]`` is the original index of the point at tree position t.
+    ``lo[c]`` and ``hi[c]`` are the corners of the tight bounding box of c's
+    points, ``diameter[c]`` is its diagonal length, ``level[c]`` is c's depth
+    and ``sons[c]`` holds its two son indices, or -1 twice for a leaf.
     """
 
+    cloud: PointCloud
+    permutation: np.ndarray
+    leaf_size: int
+    begin: np.ndarray
+    end: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     diameter: np.ndarray
     level: np.ndarray
-    begin: np.ndarray
-    end: np.ndarray
     sons: np.ndarray
 
     @property
+    def clusters(self) -> range:
+        """All cluster indices, coarse to fine."""
+        return range(self.begin.size)
+
+    @property
+    def depth(self) -> int:
+        return int(self.level[-1])
+
+    @cached_property
+    def size(self) -> np.ndarray:
+        return self.end - self.begin
+
+    @cached_property
     def is_leaf(self) -> np.ndarray:
         return self.sons[:, 0] < 0
+
+    @cached_property
+    def preorder(self) -> np.ndarray:
+        """All cluster indices depth-first, each father before its sons' subtrees.
+
+        Sorting by first tree position puts a subtree after the clusters left
+        of it; a father shares its first position with its left son and comes
+        first by level.
+        """
+        return np.lexsort((self.level, self.begin))
+
+    @cached_property
+    def leaves(self) -> np.ndarray:
+        """Indices of the leaf clusters."""
+        return np.flatnonzero(self.is_leaf)
+
+    def permuted_coords(self) -> np.ndarray:
+        return self.cloud.coords[self.permutation]
 
     def admissible(self, a: np.ndarray, b: np.ndarray, eta: float) -> np.ndarray:
         """The cut-off criterion for the cluster pairs (a[k], b[k])."""
         return admissible(self.lo[a], self.hi[a], self.diameter[a],
                           self.lo[b], self.hi[b], self.diameter[b], eta)
-
-
-@dataclass(eq=False)
-class Cluster:
-    """A node of the cluster tree owning the permutation range [begin, end)."""
-
-    level: int
-    begin: int
-    end: int
-    bbox: BoundingBox
-    sons: tuple["Cluster", "Cluster"] | None = None
-    index: int = -1  # position in breadth-first order, assigned after build
-
-    @property
-    def size(self) -> int:
-        return self.end - self.begin
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.sons is None
-
-
-@dataclass(eq=False)
-class ClusterTree:
-    """Balanced binary hierarchy over a point cloud.
-
-    ``permutation[t]`` is the original index of the point at tree position t.
-    ``clusters`` lists all nodes in breadth-first order (root first), so a
-    cluster's ``index`` field addresses per-cluster side arrays.
-    """
-
-    cloud: PointCloud
-    root: Cluster
-    permutation: np.ndarray
-    leaf_size: int
-    depth: int = 0
-    clusters: list[Cluster] = field(default_factory=list)
-
-    def permuted_coords(self) -> np.ndarray:
-        return self.cloud.coords[self.permutation]
-
-    @property
-    def leaves(self) -> list[Cluster]:
-        return [c for c in self.clusters if c.is_leaf]
-
-    @cached_property
-    def arrays(self) -> ClusterArrays:
-        """The clusters as arrays, built on first use."""
-        clusters = self.clusters
-        lo = np.array([c.bbox.lo for c in clusters])
-        hi = np.array([c.bbox.hi for c in clusters])
-        sons = np.array([(c.sons[0].index, c.sons[1].index) if c.sons else (-1, -1)
-                         for c in clusters], dtype=np.int64)
-        return ClusterArrays(
-            lo=lo, hi=hi, diameter=_norms(hi - lo),
-            level=np.array([c.level for c in clusters], dtype=np.int64),
-            begin=np.array([c.begin for c in clusters], dtype=np.int64),
-            end=np.array([c.end for c in clusters], dtype=np.int64),
-            sons=sons)
-
-
-def _tight_box(coords: np.ndarray) -> BoundingBox:
-    return BoundingBox(coords.min(axis=0), coords.max(axis=0))
 
 
 def _split_indices(idx: np.ndarray, vals: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -228,46 +167,45 @@ def _split_indices(idx: np.ndarray, vals: np.ndarray, k: int) -> tuple[np.ndarra
 
 
 def build_cluster_tree(cloud: PointCloud, leaf_size: int = DEFAULT_LEAF_SIZE) -> ClusterTree:
-    """Build the balanced binary cluster tree by recursive median splits.
+    """Build the balanced binary cluster tree by median splits, breadth-first.
 
     The split axis is the longest bounding-box edge (lowest axis index on
-    ties); recursion stops once a cluster holds at most ``leaf_size`` points.
-    Within a leaf, points are ordered by original index.
+    ties); a cluster holding at most ``leaf_size`` points is a leaf.  Within
+    a leaf, points are ordered by original index.
     """
     if leaf_size < 1:
         raise InvalidInput(f"leaf_size must be >= 1, got {leaf_size}")
     coords = cloud.coords
     perm = np.arange(cloud.count, dtype=np.int64)
-
-    def build(begin: int, end: int, level: int) -> Cluster:
-        idx = perm[begin:end]
+    begin, end, level = [0], [cloud.count], [0]
+    lo, hi, sons = [], [], []
+    c = 0
+    while c < len(begin):  # sons are appended behind: breadth-first numbering
+        b, e = begin[c], end[c]
+        idx = perm[b:e]
         pts = coords[idx]
-        box = _tight_box(pts)
-        n = end - begin
+        lo.append(pts.min(axis=0))
+        hi.append(pts.max(axis=0))
+        n = e - b
         if n <= leaf_size:
-            perm[begin:end] = np.sort(idx)
-            return Cluster(level=level, begin=begin, end=end, bbox=box)
-        axis = int(np.argmax(box.hi - box.lo))
-        k = (n + 1) // 2
-        left_idx, right_idx = _split_indices(idx, pts[:, axis], k)
-        perm[begin:begin + k] = left_idx
-        perm[begin + k:end] = right_idx
-        left = build(begin, begin + k, level + 1)
-        right = build(begin + k, end, level + 1)
-        return Cluster(level=level, begin=begin, end=end, bbox=box, sons=(left, right))
+            perm[b:e] = np.sort(idx)
+            sons.append((-1, -1))
+        else:
+            axis = int(np.argmax(hi[c] - lo[c]))
+            k = (n + 1) // 2
+            left_idx, right_idx = _split_indices(idx, pts[:, axis], k)
+            perm[b:b + k] = left_idx
+            perm[b + k:e] = right_idx
+            sons.append((len(begin), len(begin) + 1))
+            begin += [b, b + k]
+            end += [b + k, e]
+            level += [level[c] + 1] * 2
+        c += 1
 
-    root = build(0, cloud.count, 0)
-
-    ordered: list[Cluster] = []
-    queue = deque([root])
-    depth = 0
-    while queue:
-        node = queue.popleft()
-        node.index = len(ordered)
-        ordered.append(node)
-        depth = max(depth, node.level)
-        if node.sons is not None:
-            queue.extend(node.sons)
-
-    return ClusterTree(cloud=cloud, root=root, permutation=perm,
-                       leaf_size=leaf_size, depth=depth, clusters=ordered)
+    lo, hi = np.array(lo), np.array(hi)
+    return ClusterTree(cloud=cloud, permutation=perm, leaf_size=leaf_size,
+                       begin=np.array(begin, dtype=np.int64),
+                       end=np.array(end, dtype=np.int64), lo=lo, hi=hi,
+                       diameter=_norms(hi - lo),
+                       level=np.array(level, dtype=np.int64),
+                       sons=np.array(sons, dtype=np.int64))

@@ -12,7 +12,10 @@ group of equally shaped blocks at a time with stacked matrix products, and a
 level's blocks are released once the next coarser level has used them.
 Retained entries are the samplet-samplet interactions of inadmissible pairs
 plus the root scaling rows and columns; each group drops its entries below the
-a-posteriori threshold as it is stored, keeping the diagonal.
+a-posteriori threshold as it is stored, keeping the diagonal.  Clusters are
+tree indices throughout: every step gathers from the tree's per-cluster
+arrays (boxes, ranges, sons) and the basis's (two-scale matrices, scaling
+counts, samplet offsets).
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import SampletBasis
-from .cluster_tree import BoundingBox, ClusterTree
+from .cluster_tree import ClusterTree
 from .errors import InvalidInput, ResourceLimit
-from .kernels import KernelConfig, dense_kernel_matrix, kernel_cross, kernel_radial
+from .kernels import KernelConfig, dense_kernel_matrix, kernel_radial
 from .sparse import SparseSym
 from .transform import forward_transform_matrix
 
@@ -52,11 +55,6 @@ def _tensor_grids(lo: np.ndarray, hi: np.ndarray, p: int) -> np.ndarray:
     d = lo.shape[1]
     digits = np.indices((p + 1,) * d).reshape(d, -1)
     return np.stack([axes[:, k, digits[k]] for k in range(d)], axis=2)
-
-
-def chebyshev_points(box: BoundingBox, p: int) -> np.ndarray:
-    """Tensor grid of (p+1)^d Chebyshev points in the box, first axis slowest."""
-    return _tensor_grids(box.lo[None], box.hi[None], p)[0]
 
 
 def _lagrange(nodes: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -103,11 +101,6 @@ def _lagrange_tensors(lo: np.ndarray, hi: np.ndarray, p: int,
     return values
 
 
-def lagrange_tensor(box: BoundingBox, p: int, points: np.ndarray) -> np.ndarray:
-    """Tensor Lagrange basis values at ``points``; shape (n_points, (p+1)^d)."""
-    return _lagrange_tensors(box.lo[None], box.hi[None], p, np.asarray(points)[None])[0]
-
-
 def _transfers(lo_f: np.ndarray, hi_f: np.ndarray, lo_s: np.ndarray,
                hi_s: np.ndarray, p: int) -> np.ndarray:
     """Transfer matrices of n father/son box pairs; shape (n, (p+1)^d, (p+1)^d)."""
@@ -119,17 +112,6 @@ def _transfers(lo_f: np.ndarray, hi_f: np.ndarray, lo_s: np.ndarray,
         r, c = t.shape[1] * a.shape[1], t.shape[2] * a.shape[2]
         t = (t[:, :, None, :, None] * a[:, None, :, None, :]).reshape(n, r, c)
     return t
-
-
-def transfer_matrix(parent: BoundingBox, son: BoundingBox, p: int) -> np.ndarray:
-    """T[s, t] = (parent Lagrange polynomial s)(son interpolation point t)."""
-    return _transfers(parent.lo[None], parent.hi[None], son.lo[None], son.hi[None], p)[0]
-
-
-def coupling_matrix(cfg: KernelConfig, box_a: BoundingBox, box_b: BoundingBox,
-                    p: int) -> np.ndarray:
-    """Kernel evaluated on the two clusters' interpolation grids."""
-    return kernel_cross(cfg, chebyshev_points(box_a, p), chebyshev_points(box_b, p))
 
 
 @dataclass(eq=False)
@@ -148,13 +130,12 @@ class InterpolationScheme:
 
     @classmethod
     def build(cls, tree: ClusterTree, p: int) -> "InterpolationScheme":
-        arrays = tree.arrays
-        nodes = _tensor_grids(arrays.lo, arrays.hi, p)
+        nodes = _tensor_grids(tree.lo, tree.hi, p)
         transfers = np.full((nodes.shape[0],) + (nodes.shape[1],) * 2, np.nan)
-        inner = np.flatnonzero(~arrays.is_leaf)
-        fathers, sons = np.repeat(inner, 2), arrays.sons[inner].ravel()
-        transfers[sons] = _transfers(arrays.lo[fathers], arrays.hi[fathers],
-                                     arrays.lo[sons], arrays.hi[sons], p)
+        inner = np.flatnonzero(~tree.is_leaf)
+        fathers, sons = np.repeat(inner, 2), tree.sons[inner].ravel()
+        transfers[sons] = _transfers(tree.lo[fathers], tree.hi[fathers],
+                                     tree.lo[sons], tree.hi[sons], p)
         return cls(tree=tree, degree=p, nodes=nodes, transfers=transfers)
 
 
@@ -162,8 +143,8 @@ class InterpolationScheme:
 class MultiscaleClusterBasis:
     """Samplet-transformed nested cluster bases, one whole V per cluster.
 
-    The rows of ``v[c.index]`` are the cluster's scaling part V_phi followed
-    by its samplet part V_sigma, ordered like the columns of its q_matrix.
+    The rows of ``v[c]`` are cluster c's scaling part V_phi followed by its
+    samplet part V_sigma, ordered like the columns of ``q_matrices[c]``.
     """
 
     scheme: InterpolationScheme
@@ -189,28 +170,25 @@ def compute_multiscale_cluster_basis(basis: SampletBasis,
     if scheme.tree is not basis.tree:
         raise InvalidInput("interpolation scheme was built for a different tree")
     tree = basis.tree
-    arrays = tree.arrays
     coords = tree.permuted_coords()
-    blocks = basis.blocks
-    size = arrays.end - arrays.begin
-    n_scaling = np.array([b.n_scaling for b in blocks])
-    v: list[np.ndarray | None] = [None] * len(blocks)
+    q_matrices, n_scaling = basis.q_matrices, basis.n_scaling
+    v: list[np.ndarray | None] = [None] * len(q_matrices)
 
     def finish(group: np.ndarray, v_in: np.ndarray):
-        q = np.stack([blocks[c].q_matrix for c in group])
+        q = np.stack([q_matrices[c] for c in group])
         for c, vc in zip(group, np.matmul(q.transpose(0, 2, 1), v_in)):
             v[c] = vc
 
     for level in range(tree.depth, -1, -1):
-        at_level = np.flatnonzero(arrays.level == level)
-        leaves = at_level[arrays.is_leaf[at_level]]
-        for (n,), pos in _groups(size[leaves]):
+        at_level = np.flatnonzero(tree.level == level)
+        leaves = at_level[tree.is_leaf[at_level]]
+        for (n,), pos in _groups(tree.size[leaves]):
             group = leaves[pos]
-            points = coords[arrays.begin[group][:, None] + np.arange(n)]
-            finish(group, _lagrange_tensors(arrays.lo[group], arrays.hi[group],
+            points = coords[tree.begin[group][:, None] + np.arange(n)]
+            finish(group, _lagrange_tensors(tree.lo[group], tree.hi[group],
                                             scheme.degree, points))
-        inner = at_level[~arrays.is_leaf[at_level]]
-        sons = arrays.sons[inner]
+        inner = at_level[~tree.is_leaf[at_level]]
+        sons = tree.sons[inner]
         for (ns0, ns1), pos in _groups(n_scaling[sons[:, 0]], n_scaling[sons[:, 1]]):
             parts = [np.matmul(np.stack([v[s][:ns] for s in sons[pos, k]]),
                                scheme.transfers[sons[pos, k]].transpose(0, 2, 1))
@@ -286,17 +264,17 @@ class _Assembly:
                  cfg: KernelConfig, eta: float, epsilon: float):
         tree = basis.tree
         self.cfg, self.eta, self.epsilon = cfg, eta, epsilon
-        self.arrays = tree.arrays
+        self.tree = tree
         self.n_clusters = len(tree.clusters)
         self.coords = tree.permuted_coords()
         self.nodes = mbasis.scheme.nodes
-        blocks = basis.blocks
-        self.rows = np.array([b.q_matrix.shape[1] for b in blocks], dtype=np.int64)
-        self.n_scaling = np.array([b.n_scaling for b in blocks], dtype=np.int64)
+        q_matrices = basis.q_matrices
+        self.rows = np.array([q.shape[1] for q in q_matrices], dtype=np.int64)
+        self.n_scaling = basis.n_scaling
         # The stored part of a block starts after the scaling rows/columns,
         # at the samplet offset; the root (index 0) stores its scaling ones too.
         self.skip = self.n_scaling.copy()
-        self.offset = np.array([b.samplet_offset for b in blocks], dtype=np.int64)
+        self.offset = basis.samplet_offset.copy()
         self.skip[0] = self.offset[0] = 0
         # Q and V of all clusters with r rows, stacked: q[r][slot[c]].
         self.slot = np.empty(self.n_clusters, dtype=np.int64)
@@ -305,7 +283,7 @@ class _Assembly:
         for r in np.unique(self.rows):
             members = np.flatnonzero(self.rows == r)
             self.slot[members] = np.arange(members.size)
-            self.q[int(r)] = np.stack([blocks[c].q_matrix for c in members])
+            self.q[int(r)] = np.stack([q_matrices[c] for c in members])
             self.v[int(r)] = np.stack([mbasis.v[c] for c in members])
         self.triplets: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self.visited_pairs = self.triplet_bytes = self.given_bytes = self.peak_bytes = 0
@@ -316,9 +294,9 @@ class _Assembly:
         Returns the blocks of the pairs (leaf, col) that col's father needs,
         keyed like the block list, each with its inadmissible flag.
         """
-        a = self.arrays
+        a = self.tree
         sons = a.sons[col]
-        if sons[0] < 0 or a.end[col] - a.begin[col] <= _BATCH_POINTS:
+        if sons[0] < 0 or a.size[col] <= _BATCH_POINTS:
             columns, frontier, given = [], np.array([col]), {}
             while frontier.size:
                 columns.append(frontier)
@@ -337,7 +315,7 @@ class _Assembly:
         dependency on a column outside the batch is a GIVEN block, or an
         admissible pair evaluated here.
         """
-        a, nc = self.arrays, self.n_clusters
+        a, nc = self.tree, self.n_clusters
         in_batch = np.zeros(nc, dtype=bool)
         in_batch[columns] = True
         seed_level = a.level[columns]
@@ -377,7 +355,7 @@ class _Assembly:
 
     def evaluate(self, columns: np.ndarray, given: dict, top: int) -> dict:
         """Evaluate one batch from the highest level sum down."""
-        nc, is_leaf = self.n_clusters, self.arrays.is_leaf
+        nc, is_leaf = self.n_clusters, self.tree.is_leaf
         kept: dict[int, tuple[np.ndarray, bool]] = {}
         finer = None
         for keys, kind in reversed(self.block_list(columns, given)):
@@ -419,7 +397,7 @@ class _Assembly:
         of the next higher level sum, which combine pairs read.
         """
         q, v, slot, nc = self.q, self.v, self.slot, self.n_clusters
-        a = self.arrays
+        a = self.tree
         if kind == FAR:
             s = kernel_radial(self.cfg, _distances(self.nodes[nu], self.nodes[col]))
             return np.matmul(np.matmul(v[r][slot[nu]], s), v[c][slot[col]].transpose(0, 2, 1))
@@ -532,18 +510,18 @@ def admissible_pair_count(tree: ClusterTree, eta: float) -> int:
     Descendants of an admissible pair are never visited, which is what bounds
     the assembly cost; leaf-leaf pairs terminate the recursion.
     """
-    a = tree.arrays
 
     def sons_or_self(c: np.ndarray) -> np.ndarray:
         """Each cluster's two sons; a leaf stands in for itself, beside -1."""
         alone = np.stack([c, np.full_like(c, -1)], axis=1)
-        return np.where(a.is_leaf[c][:, None], alone, a.sons[c])
+        return np.where(tree.is_leaf[c][:, None], alone, tree.sons[c])
 
     count = 0
-    rows = cols = np.array([tree.root.index])
+    rows = cols = np.array([0])  # the root pair
     while rows.size:
         count += rows.size
-        split = ~(a.admissible(rows, cols, eta) | (a.is_leaf[rows] & a.is_leaf[cols]))
+        leaf_pair = tree.is_leaf[rows] & tree.is_leaf[cols]
+        split = ~(tree.admissible(rows, cols, eta) | leaf_pair)
         pair_rows = np.repeat(sons_or_self(rows[split]), 2, axis=1).ravel()
         pair_cols = np.tile(sons_or_self(cols[split]), (1, 2)).ravel()
         valid = (pair_rows >= 0) & (pair_cols >= 0)

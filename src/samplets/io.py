@@ -110,6 +110,10 @@ def write_vector_binary(path, values: np.ndarray) -> None:
 
 
 def read_vector(path) -> np.ndarray:
+    """Read a data vector from CSV or the binary vector format (sniffed).
+
+    Every value must be finite: NaN or an infinity raises ``InvalidInput``.
+    """
     path = Path(path)
     if not path.exists():
         raise InvalidInput(f"{path}: no such file")
@@ -118,16 +122,21 @@ def read_vector(path) -> np.ndarray:
         if len(raw) < 12:
             raise InvalidInput(f"{path}: truncated vector header")
         (n,) = struct.unpack("<I", raw[8:12])
-        data = np.frombuffer(raw, dtype="<f8", offset=12)
-        if data.size != n:
-            raise InvalidInput(f"{path}: expected {n} values, found {data.size}")
-        return data.copy()
-    if raw[:8] == POINTS_MAGIC or raw[:8] == FACTOR_MAGIC:
+        values = np.frombuffer(raw, dtype="<f8", offset=12).astype(np.float64)
+        if values.size != n:
+            raise InvalidInput(f"{path}: expected {n} values, found {values.size}")
+    elif raw[:8] == POINTS_MAGIC or raw[:8] == FACTOR_MAGIC:
         raise InvalidInput(f"{path}: not a vector file (wrong magic)")
-    table = _parse_csv_rows(raw, path)
-    if table.shape[1] != 1:
-        raise InvalidInput(f"{path}: expected a single CSV column, got {table.shape[1]}")
-    return table[:, 0]
+    else:
+        table = _parse_csv_rows(raw, path)
+        if table.shape[1] != 1:
+            raise InvalidInput(f"{path}: expected a single CSV column, got {table.shape[1]}")
+        values = table[:, 0]
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise InvalidInput(f"{path}: value {bad[0]} is {values[bad[0]]}; "
+                           f"data values must be finite")
+    return values
 
 
 # ---------------------------------------------------------------------------

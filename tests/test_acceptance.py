@@ -90,8 +90,8 @@ def test_a2_vanishing_moments():
     coeffs2 = forward_transform(basis, CoefficientVector(poly_qhat, POINT_BASIS))
     leaf_rel = 0.0
     for leaf in basis.tree.leaves:
-        block = basis.block(leaf)
-        vals = coeffs2.values[block.samplet_offset:block.samplet_offset + block.n_samplets]
+        offset = basis.samplet_offset[leaf]
+        vals = coeffs2.values[offset:offset + basis.n_samplets[leaf]]
         if vals.size:
             leaf_rel = max(leaf_rel, float(np.max(np.abs(vals))))
     leaf_rel /= np.linalg.norm(poly_qhat)
@@ -125,29 +125,36 @@ def test_a3_round_trip_and_parseval():
 def test_a4_linear_cost_transforms():
     start = time.perf_counter()
     rng = np.random.default_rng(4)
-    times = []
     sizes = [2 ** k for k in range(14, 21)]
+    cases = []
     for n in sizes:
         cloud = PointCloud(rng.uniform(-1, 1, size=(n, 2)))
         basis = build_samplet_basis(cloud, q=2)
         f = rng.normal(size=(n, 1))
-        reps = max(1, 2 ** 18 // n)
         inverse_transform_matrix(basis, forward_transform_matrix(basis, f))  # warm up
-        samples = []
-        for _ in range(5):
+        cases.append((basis, f, max(1, 2 ** 18 // n)))
+    # Round-robin rounds over all sizes: a burst of host load lands on every
+    # size, not on one, and each size keeps its fastest round.  At least 5
+    # rounds, then more while another round still ends within 110 s.
+    times = [math.inf] * len(sizes)
+    rounds = round_seconds = 0
+    while rounds < 5 or time.perf_counter() - start + round_seconds < 110.0:
+        round_start = time.perf_counter()
+        for i, (basis, f, reps) in enumerate(cases):
             t0 = time.perf_counter()
             for _ in range(reps):
                 c = forward_transform_matrix(basis, f)
                 inverse_transform_matrix(basis, c)
-            samples.append((time.perf_counter() - t0) / reps)
-        times.append(min(samples))
-        del basis, cloud
+            times[i] = min(times[i], (time.perf_counter() - t0) / reps)
+        round_seconds = time.perf_counter() - round_start
+        rounds += 1
+    del cases
     ratios = [b / a for a, b in zip(times, times[1:])]
-    assert max(ratios) <= 2.5
+    assert max(ratios) <= 2.5, f"doubling ratios {ratios} over {rounds} rounds"
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
     report("A4", "doubling ratios " + ", ".join(f"{r:.2f}" for r in ratios) +
-                 f" (tol 2.5), {elapsed:.0f}s")
+                 f" (tol 2.5), {rounds} rounds, {elapsed:.0f}s")
 
 
 def test_a5_data_compression():
@@ -291,9 +298,12 @@ def test_a11_singularity_detection():
     n = 4096
 
     def flagged(xs):
+        """Each hit's box and whether it is a leaf."""
         basis = build_samplet_basis(PointCloud(xs[:, None]), q=2)
         coeffs = forward_transform(basis, CoefficientVector(np.abs(xs), POINT_BASIS))
-        return detect_singularities(basis, coeffs, relative_threshold(coeffs, 8))
+        tree = basis.tree
+        return [(tree.lo[h.cluster], tree.hi[h.cluster], tree.is_leaf[h.cluster])
+                for h in detect_singularities(basis, coeffs, relative_threshold(coeffs, 8))]
 
     # stated grid: the kink may align with cluster boundaries, in which case
     # every flagged box (whatever its level) still brackets the origin
@@ -301,19 +311,19 @@ def test_a11_singularity_detection():
     spacing = 2.0 / (n - 1)
     hits = flagged(x)
     assert hits
-    for hit in hits:
-        assert hit.cluster.bbox.lo[0] <= 2 * spacing
-        assert hit.cluster.bbox.hi[0] >= -2 * spacing
+    for lo, hi, _ in hits:
+        assert lo[0] <= 2 * spacing
+        assert hi[0] >= -2 * spacing
 
     # shifted grid: the kink is interior to leaf clusters, so leaf-level hits
     # exist and all of them localize the kink
     x2 = np.linspace(-1.0137, 1.0, n)
     spacing2 = (1.0 + 1.0137) / (n - 1)
-    leaf_hits = [h for h in flagged(x2) if h.cluster.is_leaf]
+    leaf_hits = [h for h in flagged(x2) if h[2]]
     assert leaf_hits
-    for hit in leaf_hits:
-        assert hit.cluster.bbox.lo[0] <= 2 * spacing2
-        assert hit.cluster.bbox.hi[0] >= -2 * spacing2
+    for lo, hi, _ in leaf_hits:
+        assert lo[0] <= 2 * spacing2
+        assert hi[0] >= -2 * spacing2
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     report("A11", f"{len(hits)} flagged clusters bracket the kink on the "

@@ -110,6 +110,52 @@ class TestDetectCommand:
                 assert h["lo"][0] <= 0.01 and h["hi"][0] >= -0.01
 
 
+    @pytest.mark.parametrize("start,rel,expected", [
+        # the kink at 0 lies on a cluster boundary: only the root flags it
+        (-1.0, "4", [
+            {"hi": [1.0], "is_leaf": False, "level": 0, "lo": [-1.0],
+             "max_abs_coefficient": 1.1867317490541798, "size": 512},
+        ]),
+        # the kink lies inside clusters of every level
+        (-1.0137, "8", [
+            {"hi": [1.0], "is_leaf": False, "level": 0, "lo": [-1.0137],
+             "max_abs_coefficient": 1.229090758408475, "size": 512},
+            {"hi": [0.05423091976516625], "is_leaf": False, "level": 5,
+             "lo": [-0.004879647749510774], "max_abs_coefficient": 0.004952036821095186,
+             "size": 16},
+            {"hi": [0.117282191780822], "is_leaf": False, "level": 4,
+             "lo": [-0.004879647749510774], "max_abs_coefficient": 0.004585204474221842,
+             "size": 32},
+            {"hi": [0.24338473581213305], "is_leaf": False, "level": 3,
+             "lo": [-0.004879647749510774], "max_abs_coefficient": 0.0036843915533732933,
+             "size": 64},
+            {"hi": [0.49558982387475536], "is_leaf": False, "level": 2,
+             "lo": [-0.004879647749510774], "max_abs_coefficient": 0.0027736877578465966,
+             "size": 128},
+            {"hi": [1.0], "is_leaf": False, "level": 1, "lo": [-0.004879647749510774],
+             "max_abs_coefficient": 0.002023157467259785, "size": 256},
+            {"hi": [0.02270528375733849], "is_leaf": True, "level": 6,
+             "lo": [-0.004879647749510774], "max_abs_coefficient": 5.018540720726043e-05,
+             "size": 8},
+        ]),
+    ], ids=["aligned", "shifted"])
+    def test_golden_output(self, tmp_path, start, rel, expected):
+        # the lines of the per-cluster object tree this output was read from
+        x = np.linspace(start, 1, 512)
+        pts = tmp_path / "p.csv"
+        dat = tmp_path / "d.csv"
+        sio.write_points_csv(pts, PointCloud(x[:, None]))
+        sio.write_vector_csv(dat, np.abs(x))
+        out = tmp_path / "hits.jsonl"
+        assert main(["detect", "--points", str(pts), "--data", str(dat),
+                     "--threshold-rel", rel, "--out", str(out)]) == 0
+        hits = [json.loads(ln) for ln in out.read_text().splitlines()]
+        assert len(hits) == len(expected)
+        for got, want in zip(hits, expected):
+            assert got == {**want, "max_abs_coefficient": pytest.approx(
+                want["max_abs_coefficient"], rel=1e-12)}
+
+
 class TestKernelCompressCommand:
     def test_single_point_with_ridge(self, tmp_path, kernel_json):
         pts = tmp_path / "one.csv"
@@ -279,6 +325,23 @@ class TestNonFiniteParameters:
                      "--metrics", str(metrics), f"--epsilon={value}"] + out) == 2
         assert "epsilon" in capsys.readouterr().err
         assert not metrics.exists()
+
+
+class TestNonFiniteData:
+    @pytest.mark.parametrize("command", ["transform", "compress", "detect"])
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    def test_non_finite_data_exit_code(self, tmp_path, points_1d, capsys, command, fmt):
+        f = np.linspace(0.0, 1.0, 256)
+        f[100] = np.nan
+        data = tmp_path / f"f.{fmt}"
+        (sio.write_vector_csv if fmt == "csv" else sio.write_vector_binary)(data, f)
+        out = tmp_path / "out"
+        argv = [command, "--points", str(points_1d), "--data", str(data), "--out", str(out)]
+        if command == "transform":
+            argv += ["--report", str(tmp_path / "report.json")]
+        assert main(argv) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _strict_json(text):

@@ -3,76 +3,96 @@ import math
 import numpy as np
 import pytest
 
-from samplets.basis import build_samplet_basis
-from samplets.cluster_tree import (
-    BoundingBox,
-    PointCloud,
-    build_cluster_tree,
-    cluster_diameter,
-    cluster_distance,
-    is_admissible,
-)
 from samplets import h2
+from samplets.basis import build_samplet_basis
+from samplets.cluster_tree import PointCloud, build_cluster_tree
 from samplets.errors import InvalidInput, ResourceLimit
 from samplets.h2 import (
     InterpolationScheme,
     admissible_pair_count,
     assemble_compressed_kernel,
-    chebyshev_points,
     compute_multiscale_cluster_basis,
-    coupling_matrix,
     dense_compressed_oracle,
-    lagrange_tensor,
-    transfer_matrix,
 )
 from samplets.kernels import KernelConfig, dense_kernel_matrix, kernel_cross
 
 
 def box(lo, hi):
-    return BoundingBox(np.atleast_1d(np.asarray(lo, float)),
-                       np.atleast_1d(np.asarray(hi, float)))
+    """One box as (1, d) corner arrays, the input of the batched helpers."""
+    return np.atleast_2d(np.asarray(lo, float)), np.atleast_2d(np.asarray(hi, float))
+
+
+def cluster_box(tree, c):
+    return tree.lo[c:c + 1], tree.hi[c:c + 1]
+
+
+def grid(b, p):
+    """Tensor Chebyshev grid of one box."""
+    return h2._tensor_grids(*b, p)[0]
+
+
+def lagrange(b, p, points):
+    """Tensor Lagrange basis values of one box at the given points."""
+    return h2._lagrange_tensors(*b, p, np.asarray(points, float)[None])[0]
+
+
+def coupling(cfg, a, b, p):
+    """Kernel evaluated on the interpolation grids of two boxes."""
+    return kernel_cross(cfg, grid(a, p), grid(b, p))
+
+
+def admits(tree, a, b, eta):
+    """The admissibility of one cluster pair."""
+    return bool(tree.admissible(np.array([a]), np.array([b]), eta)[0])
+
+
+def distance(tree, a, b):
+    """Euclidean distance between two clusters' boxes."""
+    gap = np.maximum(0.0, np.maximum(tree.lo[a] - tree.hi[b], tree.lo[b] - tree.hi[a]))
+    return float(np.linalg.norm(gap))
 
 
 def expand_cluster_outputs(basis, cluster):
     """Test oracle: every output of a cluster expanded over its own points."""
-    block = basis.block(cluster)
-    n_out = block.q_matrix.shape[1]
-    rows = np.zeros((n_out, cluster.size))
+    tree, q = basis.tree, basis.q_matrices
+    n_out = q[cluster].shape[1]
+    rows = np.zeros((n_out, tree.size[cluster]))
 
     def expand(node, outputs):
-        incoming = basis.block(node).q_matrix @ outputs
-        if node.is_leaf:
-            return [(node.begin, incoming)]
+        incoming = q[node] @ outputs
+        if tree.is_leaf[node]:
+            return [(tree.begin[node], incoming)]
         parts = []
         pos = 0
-        for son in node.sons:
-            ns = basis.block(son).n_scaling
-            son_out = np.zeros((basis.block(son).q_matrix.shape[1], incoming.shape[1]))
+        for son in tree.sons[node]:
+            ns = basis.n_scaling[son]
+            son_out = np.zeros((q[son].shape[1], incoming.shape[1]))
             son_out[:ns] = incoming[pos:pos + ns]
             pos += ns
             parts.extend(expand(son, son_out))
         return parts
 
+    first = tree.begin[cluster]
     for k in range(n_out):
         unit = np.zeros((n_out, 1))
         unit[k] = 1.0
         for begin, vals in expand(cluster, unit):
-            rows[k, begin - cluster.begin:begin - cluster.begin + vals.size] = vals[:, 0]
+            rows[k, begin - first:begin - first + vals.size] = vals[:, 0]
     return rows
 
 
 class TestChebyshev:
     def test_p0_is_box_center(self):
-        pts = chebyshev_points(box([0, 2], [4, 6]), 0)
+        pts = grid(box([0, 2], [4, 6]), 0)
         np.testing.assert_allclose(pts, [[2.0, 4.0]])
 
     def test_p1_nodes_on_reference_interval(self):
-        pts = chebyshev_points(box([-1], [1]), 1)
+        pts = grid(box([-1], [1]), 1)
         s = math.sqrt(2) / 2
         np.testing.assert_allclose(pts.ravel(), [-s, s], atol=1e-15)
 
     def test_tensor_structure_2d(self):
-        pts = chebyshev_points(box([-1, 0], [1, 1]), 1)
+        pts = grid(box([-1, 0], [1, 1]), 1)
         assert pts.shape == (4, 2)
         s = math.sqrt(2) / 2
         axis0 = np.array([-s, s])
@@ -91,9 +111,9 @@ class TestChebyshev:
             vy = np.vander(xy[:, 1], p + 1, increasing=True)
             return np.einsum("ni,ij,nj->n", vx, coeff, vy)
 
-        nodes = chebyshev_points(b, p)
+        nodes = grid(b, p)
         targets = rng.uniform([-0.5, 1.0], [2.0, 3.0], size=(40, 2))
-        interp = lagrange_tensor(b, p, targets) @ poly(nodes)
+        interp = lagrange(b, p, targets) @ poly(nodes)
         np.testing.assert_allclose(interp, poly(targets), atol=1e-10)
 
     def test_transfer_reproduces_parent_basis_on_son_box(self):
@@ -101,14 +121,14 @@ class TestChebyshev:
         parent = box([0.0, 0.0], [2.0, 2.0])
         son = box([0.0, 1.0], [1.0, 2.0])
         p = 3
-        t = transfer_matrix(parent, son, p)
+        t = h2._transfers(*parent, *son, p)[0]
         x = rng.uniform([0, 1], [1, 2], size=(25, 2))
-        np.testing.assert_allclose(lagrange_tensor(parent, p, x),
-                                   lagrange_tensor(son, p, x) @ t.T, atol=1e-10)
+        np.testing.assert_allclose(lagrange(parent, p, x), lagrange(son, p, x) @ t.T,
+                                   atol=1e-10)
 
     def test_degenerate_axis_constant_convention(self):
         b = box([1.0, 0.0], [1.0, 2.0])  # zero width on axis 0
-        vals = lagrange_tensor(b, 2, np.array([[1.0, 0.7]]))
+        vals = lagrange(b, 2, [[1.0, 0.7]])
         assert vals.shape == (1, 9)
         assert abs(vals.sum() - 1.0) < 1e-12  # partition of unity survives
 
@@ -116,17 +136,16 @@ class TestChebyshev:
 class TestCoupling:
     def test_same_box_p0(self):
         b = box([0, 0], [1, 1])
-        np.testing.assert_allclose(coupling_matrix(KernelConfig("matern12"), b, b, 0), [[1.0]])
+        np.testing.assert_allclose(coupling(KernelConfig("matern12"), b, b, 0), [[1.0]])
 
     def test_transpose_symmetry(self):
         a, b = box([0], [1]), box([2], [4])
         cfg = KernelConfig("matern32", length_scale=0.5)
-        np.testing.assert_array_equal(coupling_matrix(cfg, a, b, 2),
-                                      coupling_matrix(cfg, b, a, 2).T)
+        np.testing.assert_array_equal(coupling(cfg, a, b, 2), coupling(cfg, b, a, 2).T)
 
     def test_two_degenerate_1d_boxes(self):
         a, b = box([0], [0]), box([1], [1])
-        s = coupling_matrix(KernelConfig("matern12", length_scale=1.0), a, b, 0)
+        s = coupling(KernelConfig("matern12", length_scale=1.0), a, b, 0)
         np.testing.assert_allclose(s, [[math.exp(-1)]])
 
 
@@ -137,10 +156,10 @@ class TestMultiscaleBasis:
         basis = build_samplet_basis(cloud, q=0, q_leaf=0, leaf_size=8)
         scheme = InterpolationScheme.build(basis.tree, 2)
         mb = compute_multiscale_cluster_basis(basis, scheme)
-        root = basis.tree.root
-        v_delta = lagrange_tensor(root.bbox, 2, basis.tree.permuted_coords())
-        expected = basis.block(root).q_matrix.T @ v_delta
-        np.testing.assert_allclose(mb.v[root.index], expected, atol=1e-12)
+        assert len(basis.tree.clusters) == 1
+        v_delta = lagrange(cluster_box(basis.tree, 0), 2, basis.tree.permuted_coords())
+        expected = basis.q_matrices[0].T @ v_delta
+        np.testing.assert_allclose(mb.v[0], expected, atol=1e-12)
 
     def test_constant_reproduction_kills_samplet_rows(self):
         rng = np.random.default_rng(3)
@@ -150,7 +169,7 @@ class TestMultiscaleBasis:
         mb = compute_multiscale_cluster_basis(basis, scheme)
         m = (2 + 1) ** 2
         for c in basis.tree.clusters:
-            v_sigma = mb.v[c.index][basis.block(c).n_scaling:]
+            v_sigma = mb.v[c][basis.n_scaling[c]:]
             if v_sigma.size:
                 assert np.max(np.abs(v_sigma @ np.ones(m))) < 1e-9
 
@@ -161,12 +180,13 @@ class TestMultiscaleBasis:
         p = 2
         scheme = InterpolationScheme.build(basis.tree, p)
         mb = compute_multiscale_cluster_basis(basis, scheme)
-        coords = basis.tree.permuted_coords()
-        for c in basis.tree.clusters:
+        tree = basis.tree
+        coords = tree.permuted_coords()
+        for c in tree.clusters:
             w = expand_cluster_outputs(basis, c)
-            v_delta = lagrange_tensor(c.bbox, p, coords[c.begin:c.end])
+            v_delta = lagrange(cluster_box(tree, c), p, coords[tree.begin[c]:tree.end[c]])
             expected = w @ v_delta
-            np.testing.assert_allclose(mb.v[c.index], expected, atol=1e-10)
+            np.testing.assert_allclose(mb.v[c], expected, atol=1e-10)
 
 
 def two_leaf_basis(points, leaf_size=2, q=0):
@@ -179,8 +199,8 @@ def two_leaf_case(points, leaf_size, eta, admissible):
     """Builder of a two-leaf basis whose leaf pair has the stated admissibility."""
     def make():
         basis = two_leaf_basis(points, leaf_size=leaf_size)
-        l1, l2 = basis.tree.root.sons
-        assert is_admissible(l1.bbox, l2.bbox, eta) == admissible
+        l1, l2 = basis.tree.sons[0]
+        assert admits(basis.tree, l1, l2, eta) == admissible
         return basis
     return make
 
@@ -192,23 +212,27 @@ def uniform_case(d, n, seed, q=1, leaf_sizes=None):
         rng = np.random.default_rng(seed)
         basis = build_samplet_basis(PointCloud(rng.uniform(-1, 1, size=(n, d))), q=q)
         if leaf_sizes is not None:
-            assert sorted({c.size for c in basis.tree.leaves}) == leaf_sizes
+            tree = basis.tree
+            assert sorted(set(tree.size[tree.leaves].tolist())) == leaf_sizes
         return basis
     return make
 
 
 def exact_leaf_block(basis, cfg, a, b):
     """Two-sided two-scale transform of the exact kernel block of two leaves."""
-    k_exact = dense_kernel_matrix(cfg, basis.tree.cloud)
-    perm = basis.tree.permutation
-    sub = k_exact[np.ix_(perm[a.begin:a.end], perm[b.begin:b.end])]
-    return basis.block(a).q_matrix.T @ sub @ basis.block(b).q_matrix
+    tree = basis.tree
+    k_exact = dense_kernel_matrix(cfg, tree.cloud)
+    perm = tree.permutation
+    sub = k_exact[np.ix_(perm[tree.begin[a]:tree.end[a]], perm[tree.begin[b]:tree.end[b]])]
+    return basis.q_matrices[a].T @ sub @ basis.q_matrices[b]
 
 
 def far_field_block(basis, cfg, a, b, p):
     """The block assembly forms for an admissible pair: V_a S V_b^T."""
-    mb = compute_multiscale_cluster_basis(basis, InterpolationScheme.build(basis.tree, p))
-    return mb.v[a.index] @ coupling_matrix(cfg, a.bbox, b.bbox, p) @ mb.v[b.index].T
+    tree = basis.tree
+    mb = compute_multiscale_cluster_basis(basis, InterpolationScheme.build(tree, p))
+    s = coupling(cfg, cluster_box(tree, a), cluster_box(tree, b), p)
+    return mb.v[a] @ s @ mb.v[b].T
 
 
 def reference_assembly(basis, cfg, eta, p, epsilon):
@@ -221,39 +245,39 @@ def reference_assembly(basis, cfg, eta, p, epsilon):
     tree = basis.tree
     mb = compute_multiscale_cluster_basis(basis, InterpolationScheme.build(tree, p))
     coords = tree.permuted_coords()
-    q = [b.q_matrix for b in basis.blocks]
-    ns = [b.n_scaling for b in basis.blocks]
+    q, ns = basis.q_matrices, basis.n_scaling
     memo = {}
 
+    def points(c):
+        return coords[tree.begin[c]:tree.end[c]]
+
     def block(nu, col):
-        key = (nu.index, col.index)
+        key = (nu, col)
         if key not in memo:
-            if is_admissible(nu.bbox, col.bbox, eta):
-                s = coupling_matrix(cfg, nu.bbox, col.bbox, p)
-                f = mb.v[nu.index] @ s @ mb.v[col.index].T
-            elif not nu.is_leaf:
-                f = q[nu.index].T @ np.vstack([block(s, col)[:ns[s.index]] for s in nu.sons])
-            elif col.is_leaf:
-                k = kernel_cross(cfg, coords[nu.begin:nu.end], coords[col.begin:col.end])
-                f = q[nu.index].T @ k @ q[col.index]
+            if admits(tree, nu, col, eta):
+                s = coupling(cfg, cluster_box(tree, nu), cluster_box(tree, col), p)
+                f = mb.v[nu] @ s @ mb.v[col].T
+            elif not tree.is_leaf[nu]:
+                f = q[nu].T @ np.vstack([block(s, col)[:ns[s]] for s in tree.sons[nu]])
+            elif tree.is_leaf[col]:
+                f = q[nu].T @ kernel_cross(cfg, points(nu), points(col)) @ q[col]
             else:
-                f = np.hstack([block(nu, s)[:, :ns[s.index]] for s in col.sons]) @ q[col.index]
+                f = np.hstack([block(nu, s)[:, :ns[s]] for s in tree.sons[col]]) @ q[col]
             memo[key] = f
         return memo[key]
 
     def outputs(c):
         """Global index of each output of c; -1 for scaling functions below the root."""
-        b = basis.blocks[c.index]
-        if c is tree.root:
-            return np.arange(b.q_matrix.shape[1])
-        return np.r_[np.full(b.n_scaling, -1), b.samplet_offset + np.arange(b.n_samplets)]
+        if c == 0:
+            return np.arange(q[c].shape[1])
+        return np.r_[np.full(ns[c], -1),
+                     basis.samplet_offset[c] + np.arange(basis.n_samplets[c])]
 
     for col in tree.clusters:
-        block(tree.root, col)
+        block(0, col)
     lower = np.zeros((basis.size, basis.size))
-    for (i, j), f in memo.items():
-        nu, col = tree.clusters[i], tree.clusters[j]
-        if is_admissible(nu.bbox, col.bbox, eta):
+    for (nu, col), f in memo.items():
+        if admits(tree, nu, col, eta):
             continue
         rows, cols = outputs(nu), outputs(col)
         for r, c in zip(*np.nonzero((rows[:, None] >= cols[None, :]) & (cols[None, :] >= 0))):
@@ -449,49 +473,51 @@ class TestPairCounting:
         tree = build_cluster_tree(cloud, leaf_size=5)
         eta = 1.25
 
+        def sons_or_self(c):
+            return (c,) if tree.is_leaf[c] else tuple(tree.sons[c])
+
         # transferability: admissibility is inherited by son pairs
         for a in tree.clusters:
             for b in tree.clusters:
-                if is_admissible(a.bbox, b.bbox, eta):
-                    for sa in (a.sons or (a,)):
-                        for sb in (b.sons or (b,)):
-                            assert is_admissible(sa.bbox, sb.bbox, eta)
+                if admits(tree, a, b, eta):
+                    for sa in sons_or_self(a):
+                        for sb in sons_or_self(b):
+                            assert admits(tree, sa, sb, eta)
 
         visited = set()
         full_visited = set()
         for prune, acc in ((True, visited), (False, full_visited)):
-            stack = [(tree.root, tree.root)]
+            stack = [(0, 0)]
             while stack:
                 a, b = stack.pop()
-                acc.add((a.index, b.index))
-                if (prune and is_admissible(a.bbox, b.bbox, eta)) or \
-                        (a.is_leaf and b.is_leaf):
+                acc.add((a, b))
+                if (prune and admits(tree, a, b, eta)) or \
+                        (tree.is_leaf[a] and tree.is_leaf[b]):
                     continue
-                for sa in (a.sons or (a,)):
-                    for sb in (b.sons or (b,)):
+                for sa in sons_or_self(a):
+                    for sb in sons_or_self(b):
                         stack.append((sa, sb))
+        assert admissible_pair_count(tree, eta) == len(visited)
 
         def son_towards(node, target):
             """The son whose index range contains the target cluster."""
-            if node.is_leaf:
+            if tree.is_leaf[node]:
                 return node
-            for son in node.sons:
-                if son.begin <= target.begin and target.end <= son.end:
+            for son in tree.sons[node]:
+                if tree.begin[son] <= tree.begin[target] and tree.end[target] <= tree.end[son]:
                     return son
             raise AssertionError("target not contained in any son")
 
-        clusters = tree.clusters
-        for ai, bi in full_visited:
-            a, b = clusters[ai], clusters[bi]
+        for a, b in full_visited:
             # walk the unique simultaneous-descent path from the root pair
-            x, y = tree.root, tree.root
+            x, y = 0, 0
             blocked = False
             while (x, y) != (a, b):
-                if is_admissible(x.bbox, y.bbox, eta):
+                if admits(tree, x, y, eta):
                     blocked = True
                     break
                 x, y = son_towards(x, a), son_towards(y, b)
-            reachable = (ai, bi) in visited
+            reachable = (a, b) in visited
             assert reachable == (not blocked)
         assert visited <= full_visited
 
@@ -500,16 +526,16 @@ class TestFarFieldConvergence:
     def test_far_pair_interpolation_error_small(self):
         basis = two_leaf_basis([[0.0], [0.2], [3.0], [3.2]])
         cfg = KernelConfig("matern12", length_scale=1.0)
-        l1, l2 = basis.tree.root.sons
-        assert is_admissible(l1.bbox, l2.bbox, 1.0)
+        l1, l2 = basis.tree.sons[0]
+        assert admits(basis.tree, l1, l2, 1.0)
         approx = far_field_block(basis, cfg, l1, l2, p=3)
         assert np.max(np.abs(approx - exact_leaf_block(basis, cfg, l1, l2))) <= 1e-3
 
     def test_error_decreases_with_degree(self):
         basis = two_leaf_basis([[0.0], [0.3], [2.0], [2.3]])
         cfg = KernelConfig("matern12", length_scale=1.0)
-        l1, l2 = basis.tree.root.sons
-        assert is_admissible(l1.bbox, l2.bbox, 1.0)
+        l1, l2 = basis.tree.sons[0]
+        assert admits(basis.tree, l1, l2, 1.0)
         exact = exact_leaf_block(basis, cfg, l1, l2)
         errors = []
         for p in range(1, 6):
@@ -536,22 +562,20 @@ class TestKernelDecayBound:
             ratios = []
             for a in tree.clusters:
                 for b in tree.clusters:
-                    if cluster_distance(a.bbox, b.bbox) <= 0:
+                    # admissible pairs are apart: their distance is positive
+                    if not admits(tree, a, b, 1.0):
                         continue
-                    if not is_admissible(a.bbox, b.bbox, 1.0):
+                    if basis.n_samplets[a] == 0 or basis.n_samplets[b] == 0:
                         continue
-                    ba, bb = basis.block(a), basis.block(b)
-                    if ba.n_samplets == 0 or bb.n_samplets == 0:
-                        continue
-                    dist = cluster_distance(a.bbox, b.bbox)
-                    for i in range(ba.n_samplets):
-                        gi = ba.samplet_offset + i
+                    dist = distance(tree, a, b)
+                    for i in range(basis.n_samplets[a]):
+                        gi = basis.samplet_offset[a] + i
                         l1_i = np.abs(samplet_as_point_vector(basis, gi)).sum()
-                        for j in range(bb.n_samplets):
-                            gj = bb.samplet_offset + j
+                        for j in range(basis.n_samplets[b]):
+                            gj = basis.samplet_offset[b] + j
                             l1_j = np.abs(samplet_as_point_vector(basis, gj)).sum()
-                            denom = (cluster_diameter(a.bbox) ** (q + 1)
-                                     * cluster_diameter(b.bbox) ** (q + 1)
+                            denom = (tree.diameter[a] ** (q + 1)
+                                     * tree.diameter[b] ** (q + 1)
                                      / dist ** (2 * (q + 1))) * l1_i * l1_j
                             if denom > 0:
                                 ratios.append(abs(k_sig[gi, gj]) / denom)

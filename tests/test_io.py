@@ -81,6 +81,16 @@ class TestVectorFiles:
         with pytest.raises(InvalidInput, match="single CSV column"):
             sio.read_vector(path)
 
+    @pytest.mark.parametrize("writer", [sio.write_vector_csv, sio.write_vector_binary],
+                             ids=["csv", "binary"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, tmp_path, writer, bad):
+        vals = np.array([1.0, 2.0, bad, 4.0])
+        path = tmp_path / "v.dat"
+        writer(path, vals)
+        with pytest.raises(InvalidInput, match="value 2 .*finite"):
+            sio.read_vector(path)
+
 
 class TestMatrixMarket:
     def test_round_trip(self, tmp_path):

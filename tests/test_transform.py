@@ -208,6 +208,86 @@ class TestDegenerateClouds:
         np.testing.assert_allclose(back.values, f, atol=1e-12)
 
 
+def reference_detection(basis, coeffs, tau):
+    """Detection one cluster at a time: (cluster, level, peak), largest first,
+    equal peaks in breadth-first order."""
+    hits = []
+    for c in basis.tree.clusters:
+        n = basis.n_samplets[c]
+        if n == 0:
+            continue
+        offset = basis.samplet_offset[c]
+        peak = float(np.max(np.abs(coeffs[offset:offset + n])))
+        if peak >= tau:
+            hits.append((c, int(basis.tree.level[c]), peak))
+    hits.sort(key=lambda h: -h[2])
+    return hits
+
+
+def detected(basis, coeffs, tau):
+    hits = detect_singularities(basis, CoefficientVector(coeffs, SAMPLET_BASIS), tau)
+    return [(h.cluster, h.level, h.max_abs_coefficient) for h in hits]
+
+
+@pytest.fixture(scope="module")
+def starved_basis():
+    """Leaves of at most 2 points under q = 0 in 1-D (q_leaf = 1) keep only
+    scaling functions, while every father gets a samplet.  300 points put
+    leaves and fathers on one level, so clusters without samplets sit between
+    and after clusters with samplets in breadth-first order."""
+    rng = np.random.default_rng(31)
+    basis = build_samplet_basis(PointCloud(rng.uniform(-1, 1, size=(300, 1))), q=0,
+                                leaf_size=2)
+    empty = basis.n_samplets == 0
+    assert empty[-1] and not empty.all()
+    assert np.any(empty[:-1] & ~empty[1:])
+    return basis
+
+
+class TestDetectionReference:
+    @pytest.mark.parametrize("rel", [None, 0.5, 1, 2])
+    def test_matches_reference_with_empty_clusters(self, starved_basis, rel):
+        rng = np.random.default_rng(32)
+        n_root = starved_basis.n_root_scaling
+        coeffs = rng.normal(size=starved_basis.size)
+        coeffs[:n_root] = 100.0  # never a samplet peak
+        tau = 0.0 if rel is None else 10.0 ** -rel * np.max(np.abs(coeffs[n_root:]))
+        hits = detected(starved_basis, coeffs, tau)
+        assert hits == reference_detection(starved_basis, coeffs, tau)
+        flagged = [c for c, _, _ in hits]
+        assert not np.any(starved_basis.n_samplets[flagged] == 0)
+
+    def test_matches_reference_on_transformed_data(self, basis_2d):
+        x = basis_2d.tree.cloud.coords
+        coeffs = forward_transform(basis_2d, point_vec(np.abs(x[:, 0] - 0.1))).values
+        for rel in (0, 1, 2, 3):
+            tau = relative_threshold(CoefficientVector(coeffs, SAMPLET_BASIS), rel)
+            assert detected(basis_2d, coeffs, tau) == reference_detection(basis_2d, coeffs, tau)
+
+    @pytest.mark.parametrize("make_basis", ["basis_2d", "starved_basis"])
+    def test_equal_peaks_keep_breadth_first_order(self, request, make_basis):
+        basis = request.getfixturevalue(make_basis)
+        rng = np.random.default_rng(33)
+        # peaks of 1, 2 or 3: many ties, each broken by cluster index
+        coeffs = rng.integers(-3, 4, size=basis.size).astype(float)
+        coeffs[np.abs(coeffs) == 0] = 1.0
+        hits = detected(basis, coeffs, 0.0)
+        assert hits == reference_detection(basis, coeffs, 0.0)
+        for (c0, _, p0), (c1, _, p1) in zip(hits, hits[1:]):
+            assert p0 > p1 or (p0 == p1 and c0 < c1)
+        assert len({p for _, _, p in hits}) < len(hits)
+
+    def test_every_samplet_below_threshold(self, starved_basis):
+        coeffs = np.zeros(starved_basis.size)
+        coeffs[:starved_basis.n_root_scaling] = 1.0
+        assert detected(starved_basis, coeffs, 1e-12) == []
+
+    def test_no_samplets_at_all(self):
+        basis = build_samplet_basis(PointCloud(np.linspace(0, 1, 3)[:, None]), q=1)
+        assert basis.n_samplets.sum() == 0
+        assert detected(basis, np.ones(3), 0.0) == []
+
+
 class TestSingularities:
     def test_smooth_polynomial_gives_empty_list(self, basis_2d):
         x = basis_2d.frame.normalize(basis_2d.tree.cloud.coords)
@@ -230,7 +310,9 @@ class TestSingularities:
         assert hits
         assert hits == sorted(hits, key=lambda h: -h.max_abs_coefficient)
         spacing = 2.0 / (n - 1)
+        tree = basis.tree
         for hit in hits:
-            if hit.cluster.is_leaf:
-                assert hit.cluster.bbox.lo[0] <= 2 * spacing
-                assert hit.cluster.bbox.hi[0] >= -2 * spacing
+            assert hit.level == tree.level[hit.cluster]
+            if tree.is_leaf[hit.cluster]:
+                assert tree.lo[hit.cluster, 0] <= 2 * spacing
+                assert tree.hi[hit.cluster, 0] >= -2 * spacing
