@@ -13,7 +13,9 @@ monomials are evaluated in globally normalized coordinates (the root bounding
 box mapped onto [-1, 1]^d), which keeps son-to-father moment propagation exact
 and the moment matrices well conditioned.  Clusters are the indices of the
 cluster tree; the basis keeps one two-scale matrix per cluster and its
-scaling and samplet counts as arrays indexed the same way.
+scaling and samplet counts as arrays indexed the same way.  The basis is
+built one tree level at a time, with one stacked QR per stack of equally
+shaped moment matrices, under a byte budget per stack.
 """
 
 from __future__ import annotations
@@ -25,7 +27,19 @@ from math import comb
 import numpy as np
 
 from .cluster_tree import ClusterTree, PointCloud, build_cluster_tree
-from .errors import InvalidInput
+from .errors import InvalidInput, ResourceLimit
+
+# Byte budget of one stack of moment matrices and their two-scale matrices
+# in ``construct_basis``; it bounds the build's temporaries.  On the
+# ``signals-2d`` benchmark (N = 2^16, 2-core x86), 1 MiB stacks built the
+# basis about 8 % faster but raised the peak RSS of repeated builds by
+# 4 %; 64 KiB stacks left it where one array per cluster did.
+_STACK_BYTES = 1 << 16
+
+# Cap on the entries of one moment matrix; a leaf's is m_q_leaf x its point
+# count.  2^24 float64 entries are 128 MiB, and evaluating the monomials
+# takes d times that.
+MAX_MOMENT_ENTRIES = 1 << 24
 
 
 def moment_dimension(q: int, d: int) -> int:
@@ -110,9 +124,13 @@ class NormalizationFrame:
 
 
 def _monomials(points: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """Evaluate x^alpha for every point and multi-index; shape (m, n)."""
-    # points: (n, d), exponents: (m, d)
-    return np.prod(points[None, :, :] ** exponents[:, None, :], axis=2)
+    """Evaluate x^alpha for every point and multi-index; shape (..., m, n).
+
+    ``points`` is (..., n, d), a stack of point sets; ``exponents`` is (m, d).
+    Every stack entry gets the bits of a call on its points alone: the power
+    runs with one operand broadcast, as it does for one point set.
+    """
+    return np.prod(points[..., None, :, :] ** exponents[:, None, :], axis=-1)
 
 
 def leaf_moment_matrix(tree: ClusterTree, leaf: int, degree: int,
@@ -128,16 +146,19 @@ def leaf_moment_matrix(tree: ClusterTree, leaf: int, degree: int,
 def two_scale_decomposition(moment: np.ndarray) -> tuple[np.ndarray, int]:
     """Full QR of the transposed moment matrix with the sign fixed so diag(R) >= 0.
 
-    Returns the orthogonal (n x n) matrix and the number of scaling columns
-    min(m, n).  Column k annihilates the first k-1 moment rows, so every
-    column beyond the scaling block annihilates all m rows.
+    ``moment`` is one (m x n) matrix or a stack (..., m, n) of them; each
+    stack entry is decomposed on its own and gets the bits of a call on it
+    alone.  Returns the orthogonal (..., n, n) matrices and the number of
+    scaling columns min(m, n).  Column k annihilates the first k-1 moment
+    rows, so every column beyond the scaling block annihilates all m rows.
     """
-    m, n = moment.shape
+    m, n = moment.shape[-2:]
     if n < 1:
         raise InvalidInput("moment matrix needs at least one column")
-    qmat, rmat = np.linalg.qr(moment.T, mode="complete")
+    qmat, rmat = np.linalg.qr(np.swapaxes(moment, -1, -2), mode="complete")
     k = min(m, n)
-    qmat[:, :k] *= np.where(np.diagonal(rmat)[:k] < 0, -1.0, 1.0)
+    diagonal = np.diagonal(rmat, axis1=-2, axis2=-1)[..., None, :k]
+    qmat[..., :k] *= np.where(diagonal < 0, -1.0, 1.0)
     return qmat, k
 
 
@@ -182,6 +203,69 @@ class SampletBasis:
         return int(np.searchsorted(self.samplet_offset, global_index, side="right")) - 1
 
 
+def _groups(*keys: np.ndarray):
+    """Yield (key values, positions) for each distinct combination of keys.
+
+    Positions are ascending within a group.
+    """
+    if keys[0].size == 0:
+        return
+    order = np.lexsort(keys[::-1])
+    sorted_keys = np.stack([k[order] for k in keys])
+    cuts = np.flatnonzero(np.any(sorted_keys[:, 1:] != sorted_keys[:, :-1], axis=0)) + 1
+    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, order.size]):
+        yield tuple(int(k[lo]) for k in sorted_keys), order[lo:hi]
+
+
+def _chunks(members: np.ndarray, m: int, n: int):
+    """Split a group of (m x n) moment matrices into stacks of at most
+    ``_STACK_BYTES`` of moments and two-scale matrices (one matrix at least)."""
+    step = max(1, _STACK_BYTES // (8 * n * (m + n)))
+    return (members[i:i + step] for i in range(0, members.size, step))
+
+
+def _check_moment_size(tree: ClusterTree, spec: MomentSpec) -> None:
+    """Refuse a build whose moment matrices could exceed ``MAX_MOMENT_ENTRIES``.
+
+    A leaf's moment matrix is m_q_leaf x (its points).  A father's has m_q
+    rows and one column per scaling function of its sons; a son has at most
+    its point count of them, and at most max(m_q, largest leaf).  The bound
+    is taken from binomials, before any monomial is enumerated.
+    """
+    largest_leaf = int(tree.size[tree.leaves].max())
+    entries = spec.m_q_leaf * largest_leaf
+    if not tree.is_leaf[0]:
+        columns = min(tree.cloud.count, 2 * max(spec.m_q, largest_leaf))
+        entries = max(entries, spec.m_q * columns)
+    if entries > MAX_MOMENT_ENTRIES:
+        raise ResourceLimit(
+            f"moment matrices of up to {entries} entries exceed the cap of "
+            f"{MAX_MOMENT_ENTRIES} (q={spec.q}, q_leaf={spec.q_leaf}, largest leaf "
+            f"{largest_leaf} points); lower q, q_leaf or the leaf size")
+
+
+def _moment_stacks(tree: ClusterTree, at_level: np.ndarray, points: np.ndarray,
+                   exponents: np.ndarray, n_scaling: np.ndarray, son_exports: np.ndarray,
+                   below: int):
+    """Yield (clusters, moments) over one level: stacks of equally shaped
+    moment matrices, at most ``_STACK_BYTES`` each.
+
+    A leaf's moments are its monomials; a father's are the columns its sons
+    exported, side by side.  ``son_exports[s - below]`` holds son s's.
+    """
+    leaves = at_level[tree.is_leaf[at_level]]
+    for (n,), pos in _groups(tree.size[leaves]):
+        for group in _chunks(leaves[pos], exponents.shape[0], n):
+            yield group, _monomials(points[tree.begin[group][:, None] + np.arange(n)], exponents)
+    inner = at_level[~tree.is_leaf[at_level]]
+    s0, s1 = tree.sons[inner, 0], tree.sons[inner, 1]
+    for (ns0, ns1), pos in _groups(n_scaling[s0], n_scaling[s1]):
+        for chunk in _chunks(pos, son_exports.shape[1], ns0 + ns1):
+            yield inner[chunk], np.concatenate((son_exports[s0[chunk] - below, :, :ns0],
+                                                son_exports[s1[chunk] - below, :, :ns1]),
+                                               axis=-1)
+
+
 def construct_basis(tree: ClusterTree, spec: MomentSpec) -> SampletBasis:
     """Bottom-up construction of the samplet basis on a cluster tree.
 
@@ -190,37 +274,53 @@ def construct_basis(tree: ClusterTree, spec: MomentSpec) -> SampletBasis:
     export for their scaling functions and decomposes those.  The root keeps
     its scaling functions as basis elements, so the total count of scaling
     functions at the root plus samplets everywhere equals N.
+
+    The build runs one tree level at a time, finest first.  A level's
+    clusters with equally shaped moment matrices (leaves of one size, or
+    fathers whose sons carry the same scaling counts) are decomposed in
+    stacks of at most ``_STACK_BYTES``, with one stacked QR and one stacked
+    product each; every cluster gets the bits of a decomposition of its own
+    matrix.  ``q_matrices[c]`` is a view into its stack.  The moments a level
+    exports upward are copied into one array per level, so that no view
+    holds a stack's full product alive.
     """
     if spec.dim != tree.cloud.dim:
         raise InvalidInput(f"moment spec dim {spec.dim} != cloud dim {tree.cloud.dim}")
+    _check_moment_size(tree, spec)
     frame = NormalizationFrame.for_cloud(tree.cloud)
-    m_q = spec.m_q
+    points = frame.normalize(tree.permuted_coords())
+    exponents = multi_indices(spec.q_leaf, spec.dim)
+    m_q, m_leaf = spec.m_q, exponents.shape[0]
+    is_leaf, sons, size = tree.is_leaf, tree.sons, tree.size
     n_clusters = len(tree.clusters)
     q_matrices: list[np.ndarray | None] = [None] * n_clusters
     n_scaling = np.empty(n_clusters, dtype=np.int64)
-    # the moment block each cluster exports upward, held until its father reads it
-    exported: list[np.ndarray | None] = [None] * n_clusters
-    # Sons before fathers, depth-first: the two-scale matrices are allocated in
-    # the order the transforms read them, which made those 10 % faster at
-    # N = 2^14..2^18 than the breadth-first order.
-    for c in reversed(tree.preorder.tolist()):
-        if tree.is_leaf[c]:
-            moment = leaf_moment_matrix(tree, c, spec.q_leaf, frame)
-        else:
-            s0, s1 = tree.sons[c]
-            moment = np.hstack([exported[s0], exported[s1]])
-            exported[s0] = exported[s1] = None
-        qmat, n_scaling[c] = two_scale_decomposition(moment)
-        q_matrices[c] = qmat
-        r_t = moment @ qmat  # lower trapezoidal by construction
-        exported[c] = r_t[:m_q, :n_scaling[c]]
+    columns = np.empty(n_clusters, dtype=np.int64)  # of the moment matrix, and Q's order
+    bounds = np.searchsorted(tree.level, np.arange(tree.depth + 2))
+    son_exports = None
+    for level in range(tree.depth, -1, -1):
+        first, stop = bounds[level], bounds[level + 1]
+        at_level = np.arange(first, stop)
+        leaves, inner = at_level[is_leaf[at_level]], at_level[~is_leaf[at_level]]
+        columns[leaves] = size[leaves]
+        columns[inner] = n_scaling[sons[inner, 0]] + n_scaling[sons[inner, 1]]
+        n_scaling[at_level] = np.minimum(np.where(is_leaf[at_level], m_leaf, m_q),
+                                         columns[at_level])
+        exports = np.empty((at_level.size, m_q, int(n_scaling[at_level].max())))
+        for group, moment in _moment_stacks(tree, at_level, points, exponents, n_scaling,
+                                            son_exports, stop):
+            qmat, ns = two_scale_decomposition(moment)
+            exports[group - first, :, :ns] = np.matmul(moment, qmat)[:, :m_q, :ns]
+            for c, q in zip(group.tolist(), qmat):
+                q_matrices[c] = q
+        son_exports = exports
 
-    n_samplets = np.array([q.shape[0] for q in q_matrices], dtype=np.int64) - n_scaling
+    n_samplets = columns - n_scaling
     # samplets follow the root scaling functions in breadth-first cluster order
     samplet_offset = n_scaling[0] + np.cumsum(n_samplets) - n_samplets
-    size = n_scaling[0] + n_samplets.sum()
-    if size != tree.cloud.count:
-        raise AssertionError(f"basis size mismatch: {size} != {tree.cloud.count}")
+    total = n_scaling[0] + n_samplets.sum()
+    if total != tree.cloud.count:
+        raise AssertionError(f"basis size mismatch: {total} != {tree.cloud.count}")
     return SampletBasis(tree=tree, spec=spec, frame=frame, q_matrices=q_matrices,
                         n_scaling=n_scaling, samplet_offset=samplet_offset)
 

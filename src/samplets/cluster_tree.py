@@ -5,7 +5,8 @@ bounding box is split along its longest edge such that the two sons receive
 ceil(n/2) and floor(n/2) points.  The tree records an in-place permutation of
 the point indices, so every cluster owns a contiguous half-open index range
 into that permutation.  A tree is a set of arrays indexed by cluster, in
-breadth-first order with the root at index 0.
+breadth-first order with the root at index 0.  It is built one level at a
+time: every level is a few NumPy passes over the points of its clusters.
 """
 
 from __future__ import annotations
@@ -146,66 +147,68 @@ class ClusterTree:
                           self.lo[b], self.hi[b], self.diameter[b], eta)
 
 
-def _split_indices(idx: np.ndarray, vals: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Partition ``idx`` into the k smallest by (value, original index) and the rest.
-
-    Equal coordinate values are broken by the original point index, so the
-    split is deterministic even for heavily duplicated coordinates.
-    """
-    part = np.argpartition(vals, k - 1)
-    pivot = vals[part[k - 1]]
-    less = vals < pivot
-    n_less = int(np.count_nonzero(less))
-    tie_pos = np.flatnonzero(vals == pivot)
-    # among ties, the smallest original indices go left
-    tie_order = tie_pos[np.argsort(idx[tie_pos], kind="stable")]
-    take = k - n_less
-    left_pos = np.concatenate([np.flatnonzero(less), tie_order[:take]])
-    right_mask = np.ones(idx.size, dtype=bool)
-    right_mask[left_pos] = False
-    return idx[left_pos], idx[right_mask]
-
-
 def build_cluster_tree(cloud: PointCloud, leaf_size: int = DEFAULT_LEAF_SIZE) -> ClusterTree:
-    """Build the balanced binary cluster tree by median splits, breadth-first.
+    """Build the balanced binary cluster tree by median splits, one level at a time.
 
-    The split axis is the longest bounding-box edge (lowest axis index on
-    ties); a cluster holding at most ``leaf_size`` points is a leaf.  Within
-    a leaf, points are ordered by original index.
+    A cluster's box is the tight box of its points.  A cluster holding at
+    most ``leaf_size`` points is a leaf.  Any other cluster is split along
+    its longest box edge (lowest axis index on ties): the left son gets the
+    ceil(n/2) points that come first by (coordinate, original index), so
+    duplicated coordinates split deterministically.  Within a leaf, points
+    are ordered by original index.
+
+    Every point is ranked once per axis by (coordinate, original index).
+    Each level then keeps, per axis, its clusters' points in that order, one
+    cluster after another; a split keeps the order on every axis by a stable
+    partition, so a level costs a few NumPy passes over its points and no
+    sort.  A box corner is the first or last point of its cluster's run.
     """
     if leaf_size < 1:
         raise InvalidInput(f"leaf_size must be >= 1, got {leaf_size}")
     coords = cloud.coords
-    perm = np.arange(cloud.count, dtype=np.int64)
-    begin, end, level = [0], [cloud.count], [0]
-    lo, hi, sons = [], [], []
-    c = 0
-    while c < len(begin):  # sons are appended behind: breadth-first numbering
-        b, e = begin[c], end[c]
-        idx = perm[b:e]
-        pts = coords[idx]
-        lo.append(pts.min(axis=0))
-        hi.append(pts.max(axis=0))
-        n = e - b
-        if n <= leaf_size:
-            perm[b:e] = np.sort(idx)
-            sons.append((-1, -1))
-        else:
-            axis = int(np.argmax(hi[c] - lo[c]))
-            k = (n + 1) // 2
-            left_idx, right_idx = _split_indices(idx, pts[:, axis], k)
-            perm[b:b + k] = left_idx
-            perm[b + k:e] = right_idx
-            sons.append((len(begin), len(begin) + 1))
-            begin += [b, b + k]
-            end += [b + k, e]
-            level += [level[c] + 1] * 2
-        c += 1
+    n_points, dim = coords.shape
+    axes = np.arange(dim)[:, None]
+    order = np.ascontiguousarray(np.argsort(coords, axis=0, kind="stable").T)
+    leaf_begin = np.empty(n_points, dtype=np.int64)  # each point's leaf's first position
+    begin = np.zeros(1, dtype=np.int64)
+    size = np.array([n_points], dtype=np.int64)
+    levels = []  # (begin, size, lo, hi, is_leaf) of every level's clusters
+    while begin.size:
+        start = np.cumsum(size) - size  # each cluster's first entry in ``order``
+        lo = coords[order[axes, start], axes].T
+        hi = coords[order[axes, start + size - 1], axes].T
+        leaf = size <= leaf_size
+        levels.append((begin, size, lo, hi, leaf))
+        in_leaf = np.repeat(leaf, size)
+        leaf_begin[order[0, in_leaf]] = np.repeat(begin[leaf], size[leaf])
+        order = order[:, ~in_leaf]
+        inner = ~leaf
+        begin, size = begin[inner], size[inner]
+        if not begin.size:
+            break
+        axis = np.argmax(hi[inner] - lo[inner], axis=1)
+        k = (size + 1) // 2
+        start = np.cumsum(size) - size
+        pos = np.arange(order.shape[1])
+        start_of, k_of = np.repeat(start, size), np.repeat(k, size)
+        split_order = order[np.repeat(axis, size), pos]
+        left = np.zeros(n_points, dtype=bool)
+        left[split_order[pos - start_of < k_of]] = True
+        for run in order:  # stable partition: the left son's points first
+            goes_left = left[run]
+            before = np.cumsum(goes_left) - goes_left
+            before -= np.repeat(before[start], size)  # left points before, in the cluster
+            dest = np.where(goes_left, start_of + before, pos + k_of - before)
+            run[dest] = run.copy()
+        begin = np.stack([begin, begin + k], axis=1).ravel()
+        size = np.stack([k, size - k], axis=1).ravel()
 
-    lo, hi = np.array(lo), np.array(hi)
-    return ClusterTree(cloud=cloud, permutation=perm, leaf_size=leaf_size,
-                       begin=np.array(begin, dtype=np.int64),
-                       end=np.array(end, dtype=np.int64), lo=lo, hi=hi,
+    begin, size, lo, hi, leaf = (np.concatenate(parts) for parts in zip(*levels))
+    sons = np.full((begin.size, 2), -1, dtype=np.int64)
+    sons[~leaf] = np.arange(1, begin.size).reshape(-1, 2)  # sons follow in father order
+    return ClusterTree(cloud=cloud, permutation=np.argsort(leaf_begin, kind="stable"),
+                       leaf_size=leaf_size, begin=begin, end=begin + size, lo=lo, hi=hi,
                        diameter=_norms(hi - lo),
-                       level=np.array(level, dtype=np.int64),
-                       sons=np.array(sons, dtype=np.int64))
+                       level=np.repeat(np.arange(len(levels)),
+                                       [part[0].size for part in levels]),
+                       sons=sons)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import SampletBasis
+from .basis import SampletBasis, _groups
 from .cluster_tree import ClusterTree
 from .errors import InvalidInput, ResourceLimit
 from .kernels import KernelConfig, dense_kernel_matrix, kernel_radial
@@ -149,17 +149,6 @@ class MultiscaleClusterBasis:
 
     scheme: InterpolationScheme
     v: list[np.ndarray]
-
-
-def _groups(*keys: np.ndarray):
-    """Yield (key values, positions) for each distinct combination of keys."""
-    if keys[0].size == 0:
-        return
-    order = np.lexsort(keys[::-1])
-    sorted_keys = np.stack([k[order] for k in keys])
-    cuts = np.flatnonzero(np.any(sorted_keys[:, 1:] != sorted_keys[:, :-1], axis=0)) + 1
-    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, order.size]):
-        yield tuple(int(k[lo]) for k in sorted_keys), order[lo:hi]
 
 
 def compute_multiscale_cluster_basis(basis: SampletBasis,

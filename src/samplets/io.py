@@ -154,11 +154,66 @@ def write_matrix_market(path, a: SparseSym) -> None:
         scipy.io.mmwrite(fh, a.to_scipy_full().tocoo(), symmetry="general")
 
 
+# Byte classes of a Matrix Market data section, one bit each, and per byte
+# the classes that may not follow it in a decimal number or between two.
+_BLANK, _DIGIT, _SIGN, _POINT, _EXP, _OTHER = (1 << k for k in range(6))
+_MEMBERS = ((b" \t\r\n", _BLANK, _EXP),       # no exponent without a mantissa
+            (b"0123456789", _DIGIT, _SIGN),     # no sign after a digit
+            (b"+-", _SIGN, _BLANK | _SIGN | _EXP),  # a sign precedes digits
+            (b".", _POINT, _SIGN | _POINT),
+            (b"eE", _EXP, _BLANK | _POINT | _EXP))  # an exponent has digits
+_CLASS = bytearray([_OTHER]) * 256
+_BAD_NEXT = bytearray(256)
+for _chars, _cls, _bad in _MEMBERS:
+    for _ch in _chars:
+        _CLASS[_ch], _BAD_NEXT[_ch] = _cls, _bad | _OTHER
+_CLASS, _BAD_NEXT = bytes(_CLASS), bytes(_BAD_NEXT)
+_CHECK_BYTES = 1 << 16  # body bytes per run of the token check
+
+
+def _check_entry_tokens(path: Path, body: bytes, entries: int) -> None:
+    """Every token after the size line is a decimal number, three per entry.
+
+    SciPy's reader takes the longest numeric prefix of a value token and
+    ignores the rest (``12,5`` reads as 12, ``0x10`` as 0), and it reads
+    ``nan`` and ``inf``.  A number here is ``[sign] (digits [. [digits]] |
+    . digits) [(e|E) [sign] digits]``.  The test runs on byte classes in a
+    few array passes: no byte may follow one that forbids its class, a
+    point needs a digit beside it, and with the digits removed, no point may
+    follow a point, nor a point or exponent follow an exponent.  Tokens do
+    not cross lines, so the body is checked in cache-sized runs of lines.
+    """
+    tokens = 0
+    start = 0  # body[start - 1] ends a line, or start is 0
+    while start < len(body):
+        stop = body.rfind(b"\n", start, start + _CHECK_BYTES) + 1
+        if stop == 0:  # one line longer than a run
+            stop = body.index(b"\n", start) + 1
+        lines = b"\n" + body[start:stop]
+        cls = np.frombuffer(lines.translate(_CLASS), dtype=np.uint8)
+        bad_next = np.frombuffer(lines.translate(_BAD_NEXT), dtype=np.uint8)
+        marks = np.frombuffer(lines.translate(_CLASS, b"0123456789"), dtype=np.uint8)
+        after_exp = marks[:-1] == _EXP
+        after_exp[1:] |= (marks[:-2] == _EXP) & (marks[1:-1] == _SIGN)
+        if ((bad_next[:-1] & cls[1:]).any()
+                or ((cls[1:-1] == _POINT) & ((cls[:-2] | cls[2:]) & _DIGIT == 0)).any()
+                or ((marks[:-1] == _POINT) & (marks[1:] == _POINT)).any()
+                or (after_exp & (marks[1:] & (_POINT | _EXP) != 0)).any()):
+            raise InvalidInput(f"{path}: an entry token is not a decimal number")
+        tokens += np.count_nonzero((cls[:-1] == _BLANK) & (cls[1:] != _BLANK))
+        start = stop
+    if tokens != 3 * entries:
+        raise InvalidInput(f"{path}: {tokens} entry tokens for {entries} entries; "
+                           "expected three per entry")
+
+
 def read_matrix_market(path) -> SparseSym:
     """Read a square coordinate real matrix and keep its lower triangle.
 
     Symmetric files are mirrored; general files must hold both triangles with
-    equal values.  Malformed files raise ``InvalidInput``.
+    equal values.  Every entry is three decimal numbers and every value is
+    finite; comment lines may hold anything.  Malformed files raise
+    ``InvalidInput``.
     """
     path = Path(path)
     if not path.exists():
@@ -171,13 +226,19 @@ def read_matrix_market(path) -> SparseSym:
     raw = path.read_bytes()
     if b"\0" in raw:
         raise InvalidInput(f"{path}: NUL byte in a Matrix Market file")
-    stream = io.BytesIO(raw if raw.endswith(b"\n") else raw + b"\n")
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
+    stream = io.BytesIO(raw)
     banner = stream.readline()
     if not banner.startswith(b"%%MatrixMarket"):
         raise InvalidInput(f"{path}: missing MatrixMarket banner")
     tokens = banner.lower().split()
     if b"coordinate" not in tokens or b"real" not in tokens:
         raise InvalidInput(f"{path}: only coordinate real matrices are supported")
+    size_line = stream.readline()  # comment and blank lines come before it
+    while size_line and (size_line.startswith(b"%") or not size_line.strip()):
+        size_line = stream.readline()
+    body_start = stream.tell()
     stream.seek(0)
     # An index beyond int64 raises OverflowError, and the declared entry count
     # is allocated before the body is read, so an absurd one raises MemoryError.
@@ -185,6 +246,9 @@ def read_matrix_market(path) -> SparseSym:
         coo = scipy.io.mmread(stream)
     except (ValueError, OverflowError, MemoryError) as exc:
         raise InvalidInput(f"{path}: {exc}") from exc
+    _check_entry_tokens(path, raw[body_start:], int(size_line.split()[2]))
+    if not np.isfinite(coo.data).all():
+        raise InvalidInput(f"{path}: matrix entries must be finite")
     n_rows, n_cols = coo.shape
     if n_rows != n_cols:
         raise InvalidInput(f"{path}: matrix is not square ({n_rows}x{n_cols})")

@@ -232,6 +232,19 @@ def test_out_of_range_index_rejected():
         samplet_as_point_vector(basis, -1)
 
 
+def test_moment_size_cap(monkeypatch):
+    import samplets.basis as basis_module
+    from samplets.errors import ResourceLimit
+
+    tree = build_cluster_tree(PointCloud(np.linspace(0, 1, 10)[:, None]), leaf_size=16)
+    spec = MomentSpec(dim=1, q=0, q_leaf=4)  # one leaf: a 5 x 10 moment matrix
+    monkeypatch.setattr(basis_module, "MAX_MOMENT_ENTRIES", 50)
+    construct_basis(tree, spec)
+    monkeypatch.setattr(basis_module, "MAX_MOMENT_ENTRIES", 49)
+    with pytest.raises(ResourceLimit):
+        construct_basis(tree, spec)
+
+
 def test_build_cost_grows_linearly():
     import time
 

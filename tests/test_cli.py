@@ -289,6 +289,14 @@ class TestInfoCommand:
         assert main(["info", "--points", str(pts)]) == 2
         assert "UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--q", "200"], ["--q-leaf", "400"]])
+    def test_huge_moment_degree_exit_code(self, tmp_path, capsys, flags):
+        pts = tmp_path / "p3.csv"
+        rng = np.random.default_rng(0)
+        sio.write_points_csv(pts, PointCloud(rng.uniform(-1, 1, size=(100, 3))))
+        assert main(["info", "--points", str(pts), *flags]) == 2
+        assert "exceed the cap" in capsys.readouterr().err
+
     def test_grid_size_mismatch_rejected(self, capsys):
         assert main(["info", "--gen", "grid", "--n", "1000", "--dim", "2"]) == 2
         assert "1024" in capsys.readouterr().err

@@ -142,6 +142,48 @@ class TestMatrixMarket:
         with pytest.raises(InvalidInput):
             sio.read_matrix_market(path)
 
+    @pytest.mark.parametrize("value", [
+        "12,5", "0x10", "1.5abc", "1_000", "nan", "inf", "-inf", "1e", "1e+",
+        "1.5.3", "1e5e5", "1e5.3", "2-1", ".", "-.e5", "e5", "1e400",
+    ])
+    def test_value_token_must_be_a_number(self, tmp_path, value):
+        path = tmp_path / "bad.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        f"1 1 1\n1 1 {value}\n")
+        with pytest.raises(InvalidInput):
+            sio.read_matrix_market(path)
+
+    @pytest.mark.parametrize("value", ["12", "-1.5", ".5", "5.", "1E-3", "-2.5e+10"])
+    def test_value_token_forms_accepted(self, tmp_path, value):
+        path = tmp_path / "ok.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        f"1 1 1\n1 1 {value}\n")
+        assert sio.read_matrix_market(path).values[0] == float(value)
+
+    def test_extra_entry_token_rejected(self, tmp_path):
+        path = tmp_path / "bad.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        "2 2 2\n1 1 1.0 7\n2 2 1.0\n")
+        with pytest.raises(InvalidInput, match="three per entry"):
+            sio.read_matrix_market(path)
+
+    def test_comment_lines_may_hold_anything(self, tmp_path):
+        path = tmp_path / "c.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        "% nan 12,5 0x10 1_000 inf\n%\n\n2 2 2\n1 1 4.0\n2 2 3.0\n")
+        np.testing.assert_array_equal(sio.read_matrix_market(path).to_dense(),
+                                      np.diag([4.0, 3.0]))
+
+    def test_bad_token_found_beyond_the_first_run(self, tmp_path):
+        n = 20000  # about 300 kB of entries, several runs of the check
+        lines = [f"{i} {i} 1.25E0" for i in range(1, n + 1)]
+        lines[-7] = f"{n - 6} {n - 6} 1.25E0,5"
+        path = tmp_path / "long.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        f"{n} {n} {n}\n" + "\n".join(lines) + "\n")
+        with pytest.raises(InvalidInput, match="not a decimal number"):
+            sio.read_matrix_market(path)
+
     def test_trailing_blanks_without_final_newline(self, tmp_path):
         path = tmp_path / "s.mtx"
         path.write_bytes(b"%%MatrixMarket matrix coordinate real general\n"

@@ -1,0 +1,192 @@
+"""The level-batched set-up against per-cluster reference builders.
+
+``reference_tree`` and ``reference_basis`` build the cluster tree and the
+samplet basis one cluster at a time, with one median split, one QR and one
+product per cluster.  The library must reproduce every tree array and every
+two-scale matrix bit for bit, dtypes included.
+"""
+
+import numpy as np
+import pytest
+
+import samplets.basis as basis_module
+from samplets.basis import (
+    MomentSpec,
+    NormalizationFrame,
+    construct_basis,
+    multi_indices,
+)
+from samplets.cluster_tree import PointCloud, _norms, build_cluster_tree
+
+TREE_ARRAYS = ("permutation", "begin", "end", "lo", "hi", "diameter", "level", "sons")
+
+
+def _split_indices(idx, vals, k):
+    """The k smallest of ``idx`` by (value, original index), and the rest."""
+    part = np.argpartition(vals, k - 1)
+    pivot = vals[part[k - 1]]
+    less = vals < pivot
+    n_less = int(np.count_nonzero(less))
+    tie_pos = np.flatnonzero(vals == pivot)
+    tie_order = tie_pos[np.argsort(idx[tie_pos], kind="stable")]
+    left_pos = np.concatenate([np.flatnonzero(less), tie_order[:k - n_less]])
+    right_mask = np.ones(idx.size, dtype=bool)
+    right_mask[left_pos] = False
+    return idx[left_pos], idx[right_mask]
+
+
+def reference_tree(coords, leaf_size):
+    """One median split per cluster, breadth-first; the tree arrays by name."""
+    perm = np.arange(coords.shape[0], dtype=np.int64)
+    begin, end, level = [0], [coords.shape[0]], [0]
+    lo, hi, sons = [], [], []
+    c = 0
+    while c < len(begin):
+        b, e = begin[c], end[c]
+        idx = perm[b:e]
+        pts = coords[idx]
+        lo.append(pts.min(axis=0))
+        hi.append(pts.max(axis=0))
+        n = e - b
+        if n <= leaf_size:
+            perm[b:e] = np.sort(idx)
+            sons.append((-1, -1))
+        else:
+            axis = int(np.argmax(hi[c] - lo[c]))
+            k = (n + 1) // 2
+            perm[b:b + k], perm[b + k:e] = _split_indices(idx, pts[:, axis], k)
+            sons.append((len(begin), len(begin) + 1))
+            begin += [b, b + k]
+            end += [b + k, e]
+            level += [level[c] + 1] * 2
+        c += 1
+    lo, hi = np.array(lo), np.array(hi)
+    return {"permutation": perm, "begin": np.array(begin, dtype=np.int64),
+            "end": np.array(end, dtype=np.int64), "lo": lo, "hi": hi,
+            "diameter": _norms(hi - lo), "level": np.array(level, dtype=np.int64),
+            "sons": np.array(sons, dtype=np.int64)}
+
+
+def _reference_two_scale(moment):
+    qmat, rmat = np.linalg.qr(moment.T, mode="complete")
+    k = min(moment.shape)
+    qmat[:, :k] *= np.where(np.diagonal(rmat)[:k] < 0, -1.0, 1.0)
+    return qmat, k
+
+
+def reference_basis(tree, spec):
+    """One QR and one product per cluster, sons before fathers.
+
+    Returns the two-scale matrices, scaling counts and samplet offsets.
+    """
+    frame = NormalizationFrame.for_cloud(tree.cloud)
+    exponents = multi_indices(spec.q_leaf, spec.dim)
+    n_clusters = tree.begin.size
+    q_matrices = [None] * n_clusters
+    n_scaling = np.empty(n_clusters, dtype=np.int64)
+    exported = [None] * n_clusters
+    for c in reversed(tree.preorder.tolist()):
+        if tree.is_leaf[c]:
+            pts = frame.normalize(tree.cloud.coords[tree.permutation[tree.begin[c]:tree.end[c]]])
+            moment = np.prod(pts[None, :, :] ** exponents[:, None, :], axis=2)
+        else:
+            s0, s1 = tree.sons[c]
+            moment = np.hstack([exported[s0], exported[s1]])
+        q_matrices[c], n_scaling[c] = _reference_two_scale(moment)
+        exported[c] = (moment @ q_matrices[c])[:spec.m_q, :n_scaling[c]]
+    n_samplets = np.array([q.shape[0] for q in q_matrices], dtype=np.int64) - n_scaling
+    samplet_offset = n_scaling[0] + np.cumsum(n_samplets) - n_samplets
+    return q_matrices, n_scaling, samplet_offset
+
+
+def assert_same(got, want, what):
+    assert got.dtype == want.dtype, f"{what}: dtype {got.dtype} != {want.dtype}"
+    assert np.array_equal(got, want), f"{what} differs"
+
+
+def assert_matches_reference(coords, q, leaf_size=None, q_leaf=None):
+    spec = MomentSpec.default(coords.shape[1], q=q, q_leaf=q_leaf)
+    leaf_size = spec.default_leaf_size() if leaf_size is None else leaf_size
+    tree = build_cluster_tree(PointCloud(coords), leaf_size=leaf_size)
+    for name, want in reference_tree(tree.cloud.coords, leaf_size).items():
+        assert_same(getattr(tree, name), want, name)
+    basis = construct_basis(tree, spec)
+    q_matrices, n_scaling, samplet_offset = reference_basis(tree, spec)
+    assert_same(basis.n_scaling, n_scaling, "n_scaling")
+    assert_same(basis.samplet_offset, samplet_offset, "samplet_offset")
+    assert len(basis.q_matrices) == len(q_matrices)
+    for c, (got, want) in enumerate(zip(basis.q_matrices, q_matrices)):
+        assert_same(got, want, f"Q of cluster {c}")
+    return basis
+
+
+@pytest.mark.parametrize("leaf_size", [1, 2, None])
+@pytest.mark.parametrize("q", [0, 1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_random_points(d, q, leaf_size):
+    rng = np.random.default_rng(100 * d + 10 * q + (leaf_size or 0))
+    assert_matches_reference(rng.uniform(-1, 1, size=(157, d)), q, leaf_size)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sizes_around_the_leaf_size(d):
+    spec = MomentSpec.default(d, q=1)
+    leaf_size = spec.default_leaf_size()
+    rng = np.random.default_rng(d)
+    for n in (1, leaf_size, leaf_size + 1):
+        assert_matches_reference(rng.uniform(-1, 1, size=(n, d)), 1)
+
+
+@pytest.mark.parametrize("leaf_size", [1, 2, None])
+def test_duplicate_points(leaf_size):
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-1, 1, size=(90, 2))
+    pts[::3] = pts[1]
+    pts[40:50] = pts[7]
+    assert_matches_reference(pts, 2, leaf_size)
+    assert_matches_reference(np.zeros((25, 3)), 1, leaf_size)
+
+
+def test_lattice_with_repeated_points():
+    side = np.linspace(-1, 1, 32)
+    lattice = np.stack(np.meshgrid(side, side, indexing="ij"), axis=-1).reshape(-1, 2)
+    repeats = lattice[np.random.default_rng(9).choice(lattice.shape[0], 100, replace=False)]
+    pts = np.concatenate([lattice, repeats])
+    for leaf_size in (1, 2, None):
+        assert_matches_reference(pts, 2, leaf_size)
+
+
+def test_collinear_points():
+    t = np.linspace(0, 1, 200)
+    pts = np.stack([t, 2 * t - 1, 0.5 - t], axis=1)
+    for q in (0, 2):
+        assert_matches_reference(pts, q)
+        assert_matches_reference(pts, q, leaf_size=1)
+
+
+def test_zero_width_axis():
+    rng = np.random.default_rng(13)
+    pts = rng.uniform(-1, 1, size=(300, 3))
+    pts[:, 1] = 0.25
+    assert_matches_reference(pts, 2)
+    assert_matches_reference(pts, 1, leaf_size=2)
+
+
+def test_enriched_leaf_degree():
+    rng = np.random.default_rng(17)
+    assert_matches_reference(rng.uniform(-1, 1, size=(400, 2)), 1, q_leaf=4)
+
+
+def test_one_cluster_per_stack_gives_the_same_bits(monkeypatch):
+    rng = np.random.default_rng(21)
+    cloud = PointCloud(rng.uniform(-1, 1, size=(3000, 2)))
+    spec = MomentSpec.default(2)
+    tree = build_cluster_tree(cloud, leaf_size=spec.default_leaf_size())
+    batched = construct_basis(tree, spec)
+    monkeypatch.setattr(basis_module, "_STACK_BYTES", 1)
+    single = construct_basis(tree, spec)
+    assert_same(single.n_scaling, batched.n_scaling, "n_scaling")
+    assert_same(single.samplet_offset, batched.samplet_offset, "samplet_offset")
+    for c, (got, want) in enumerate(zip(single.q_matrices, batched.q_matrices)):
+        assert got.base is not None and got.base.shape[0] == 1  # a stack of one
+        assert_same(got, want, f"Q of cluster {c}")
