@@ -9,6 +9,7 @@ by SciPy's C++ reader and writer (``scipy.io.mmwrite``/``mmread``).
 from __future__ import annotations
 
 import io
+import re
 import struct
 from pathlib import Path
 
@@ -169,6 +170,7 @@ for _chars, _cls, _bad in _MEMBERS:
         _CLASS[_ch], _BAD_NEXT[_ch] = _cls, _bad | _OTHER
 _CLASS, _BAD_NEXT = bytes(_CLASS), bytes(_BAD_NEXT)
 _CHECK_BYTES = 1 << 16  # body bytes per run of the token check
+_LEADING_PLUS = re.compile(rb"(?<![^ \t\r\n])\+")  # a plus sign that starts a token
 
 
 def _check_entry_tokens(path: Path, body: bytes, entries: int) -> None:
@@ -239,6 +241,9 @@ def read_matrix_market(path) -> SparseSym:
     while size_line and (size_line.startswith(b"%") or not size_line.strip()):
         size_line = stream.readline()
     body_start = stream.tell()
+    body = raw[body_start:]
+    if b"+" in body:  # SciPy refuses a leading plus sign, as in "1 1 +2"
+        stream = io.BytesIO(raw[:body_start] + _LEADING_PLUS.sub(b"", body))
     stream.seek(0)
     # An index beyond int64 raises OverflowError, and the declared entry count
     # is allocated before the body is read, so an absurd one raises MemoryError.
@@ -246,7 +251,7 @@ def read_matrix_market(path) -> SparseSym:
         coo = scipy.io.mmread(stream)
     except (ValueError, OverflowError, MemoryError) as exc:
         raise InvalidInput(f"{path}: {exc}") from exc
-    _check_entry_tokens(path, raw[body_start:], int(size_line.split()[2]))
+    _check_entry_tokens(path, body, int(size_line.split()[2]))
     if not np.isfinite(coo.data).all():
         raise InvalidInput(f"{path}: matrix entries must be finite")
     n_rows, n_cols = coo.shape

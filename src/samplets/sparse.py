@@ -2,8 +2,11 @@
 
 Ordering and factorization both run on SciPy's SuperLU in symmetric mode with
 diagonal pivots only.  The fill-reducing ordering is Liu's multiple minimum
-degree on the symmetric pattern.  The Cholesky factor is read off SuperLU's
-no-pivot LU of the reordered matrix, L D L^T, as L diag(sqrt(D)).
+degree on the symmetric pattern, read from SuperLU's symbolic pass (an
+incomplete LU that drops every off-diagonal entry, so it computes no fill).
+The numeric LU runs once, in the Cholesky factorization, which reads the
+factor off SuperLU's no-pivot LU of the reordered matrix, L D L^T, as
+L diag(sqrt(D)).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from math import sqrt
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import spilu, splu
 
 from .errors import InvalidInput, NonPositivePivot
 
@@ -234,10 +237,11 @@ def fill_reducing_order(pattern: SparseSym, method: str = "amd") -> Permutation:
 
     ``method="amd"`` is Liu's multiple minimum degree on the pattern, as
     SuperLU computes it for its ``MMD_AT_PLUS_A`` column ordering.  SuperLU
-    orders while it factors, so the pattern is factored with unit off-diagonals
-    and each diagonal set to its row count: that matrix is diagonally dominant,
-    never needs a pivot, and makes the order depend on the pattern alone.
-    ``method="natural"`` returns the identity.
+    orders before it factors, so the order is read from an incomplete LU that
+    drops every off-diagonal entry and computes no fill.  It runs on unit
+    off-diagonals with each diagonal set to its row count: that matrix is
+    diagonally dominant, never needs a pivot, and makes the order depend on
+    the pattern alone.  ``method="natural"`` returns the identity.
     """
     if method == "natural":
         return Permutation.identity(pattern.n)
@@ -247,8 +251,9 @@ def fill_reducing_order(pattern: SparseSym, method: str = "amd") -> Permutation:
                           shape=(pattern.n, pattern.n))
     full = (lower + lower.T).tocsc()
     full.setdiag(np.diff(full.indptr))
-    lu = _superlu(full, "MMD_AT_PLUS_A")
-    return Permutation.from_order(np.argsort(lu.perm_c))
+    ilu = spilu(full, drop_tol=np.inf, fill_factor=1.0, permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    return Permutation.from_order(np.argsort(ilu.perm_c))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +315,7 @@ def sparse_cholesky(a: SparseSym, perm: Permutation | None = None,
     """
     if perm is None:
         perm = Permutation.identity(a.n)
-    lu = _natural_lu(permute_sym(a, perm).to_scipy_full())
+    lu = _natural_lu(a.to_scipy_full()[perm.order][:, perm.order])
     l = (lu.L @ sp.diags(np.sqrt(lu.U.diagonal()))).tocsc()
     l.sort_indices()  # the diagonal leads every column
     return CholeskyFactor(n=a.n, perm=perm, rho=rho, indptr=l.indptr.astype(np.int64),

@@ -145,6 +145,7 @@ class TestMatrixMarket:
     @pytest.mark.parametrize("value", [
         "12,5", "0x10", "1.5abc", "1_000", "nan", "inf", "-inf", "1e", "1e+",
         "1.5.3", "1e5e5", "1e5.3", "2-1", ".", "-.e5", "e5", "1e400",
+        "+", "++2", "+-2", "+e5", "1+2",
     ])
     def test_value_token_must_be_a_number(self, tmp_path, value):
         path = tmp_path / "bad.mtx"
@@ -153,7 +154,8 @@ class TestMatrixMarket:
         with pytest.raises(InvalidInput):
             sio.read_matrix_market(path)
 
-    @pytest.mark.parametrize("value", ["12", "-1.5", ".5", "5.", "1E-3", "-2.5e+10"])
+    @pytest.mark.parametrize("value", ["12", "-1.5", ".5", "5.", "1E-3", "-2.5e+10",
+                                       "+2", "+.5", "+1.5e+1"])
     def test_value_token_forms_accepted(self, tmp_path, value):
         path = tmp_path / "ok.mtx"
         path.write_text("%%MatrixMarket matrix coordinate real general\n"

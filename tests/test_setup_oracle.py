@@ -2,9 +2,13 @@
 
 ``reference_tree`` and ``reference_basis`` build the cluster tree and the
 samplet basis one cluster at a time, with one median split, one QR and one
-product per cluster.  The library must reproduce every tree array and every
-two-scale matrix bit for bit, dtypes included.
+product per cluster, and ``reference_monomials`` evaluates the monomials of
+one point set by the direct broadcast power.  The library must reproduce
+every tree array, every moment matrix and every two-scale matrix bit for
+bit, dtypes included.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ import samplets.basis as basis_module
 from samplets.basis import (
     MomentSpec,
     NormalizationFrame,
+    _monomials,
     construct_basis,
     multi_indices,
 )
@@ -74,6 +79,11 @@ def _reference_two_scale(moment):
     return qmat, k
 
 
+def reference_monomials(points, exponents):
+    """x^alpha for every multi-index (rows) and point (columns) of one point set."""
+    return np.prod(points[None, :, :] ** exponents[:, None, :], axis=2)
+
+
 def reference_basis(tree, spec):
     """One QR and one product per cluster, sons before fathers.
 
@@ -88,7 +98,7 @@ def reference_basis(tree, spec):
     for c in reversed(tree.preorder.tolist()):
         if tree.is_leaf[c]:
             pts = frame.normalize(tree.cloud.coords[tree.permutation[tree.begin[c]:tree.end[c]]])
-            moment = np.prod(pts[None, :, :] ** exponents[:, None, :], axis=2)
+            moment = reference_monomials(pts, exponents)
         else:
             s0, s1 = tree.sons[c]
             moment = np.hstack([exported[s0], exported[s1]])
@@ -104,6 +114,10 @@ def assert_same(got, want, what):
     assert np.array_equal(got, want), f"{what} differs"
 
 
+def digest(a):
+    return a.dtype, a.shape, hashlib.sha256(np.ascontiguousarray(a)).hexdigest()
+
+
 def assert_matches_reference(coords, q, leaf_size=None, q_leaf=None):
     spec = MomentSpec.default(coords.shape[1], q=q, q_leaf=q_leaf)
     leaf_size = spec.default_leaf_size() if leaf_size is None else leaf_size
@@ -111,13 +125,15 @@ def assert_matches_reference(coords, q, leaf_size=None, q_leaf=None):
     for name, want in reference_tree(tree.cloud.coords, leaf_size).items():
         assert_same(getattr(tree, name), want, name)
     basis = construct_basis(tree, spec)
+    got_n_scaling, got_offset = basis.n_scaling, basis.samplet_offset
+    got_q = [digest(q) for q in basis.q_matrices]
+    del basis  # a leaf of n points has an n x n two-scale matrix; hold one copy
     q_matrices, n_scaling, samplet_offset = reference_basis(tree, spec)
-    assert_same(basis.n_scaling, n_scaling, "n_scaling")
-    assert_same(basis.samplet_offset, samplet_offset, "samplet_offset")
-    assert len(basis.q_matrices) == len(q_matrices)
-    for c, (got, want) in enumerate(zip(basis.q_matrices, q_matrices)):
-        assert_same(got, want, f"Q of cluster {c}")
-    return basis
+    assert_same(got_n_scaling, n_scaling, "n_scaling")
+    assert_same(got_offset, samplet_offset, "samplet_offset")
+    assert len(got_q) == len(q_matrices)
+    for c, (got, want) in enumerate(zip(got_q, q_matrices)):
+        assert got == digest(want), f"Q of cluster {c} differs (dtype, shape or bits)"
 
 
 @pytest.mark.parametrize("leaf_size", [1, 2, None])
@@ -175,6 +191,34 @@ def test_zero_width_axis():
 def test_enriched_leaf_degree():
     rng = np.random.default_rng(17)
     assert_matches_reference(rng.uniform(-1, 1, size=(400, 2)), 1, q_leaf=4)
+
+
+@pytest.mark.parametrize("q_leaf", range(7))
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_monomials_match_one_point_set_at_a_time(d, q_leaf):
+    """NumPy picks the inner loop of ``**`` by operand layout and size, and
+    the loops differ in the last bit.  The reference is one point set alone,
+    not one point: in 1-D, a leaf of a few thousand points already differs
+    from its points evaluated one at a time, and the library has always had
+    the leaf's bits.  A stack must give each entry the bits of its set alone."""
+    exponents = multi_indices(q_leaf, d)
+    pool = np.random.default_rng(10 * d + q_leaf).uniform(-1, 1, size=(3 * 20000, d))
+    for n in (1, 16, 2000, 8192, 20000):
+        sets = pool[:3 * n].reshape(3, n, d)
+        want = np.stack([reference_monomials(x, exponents) for x in sets])
+        assert_same(_monomials(sets[0], exponents), want[0], f"{n} points")
+        assert_same(_monomials(sets, exponents), want, f"a stack of 3 x {n} points")
+
+
+@pytest.mark.parametrize("d, n, q, leaf_size", [
+    (2, 5000, 2, 5000),  # one leaf
+    (1, 6000, 2, 6000),  # one leaf
+    (3, 8000, 2, 2000),  # four leaves of 2000
+    (2, 8000, 6, 2000),  # four leaves of 2000 at q_leaf = 10
+])
+def test_big_leaves(d, n, q, leaf_size):
+    rng = np.random.default_rng(1000 * d + n + q)
+    assert_matches_reference(rng.uniform(-1, 1, size=(n, d)), q, leaf_size)
 
 
 def test_one_cluster_per_stack_gives_the_same_bits(monkeypatch):

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
 from samplets.basis import build_samplet_basis
 from samplets.cluster_tree import PointCloud
 from samplets.errors import InvalidInput, NonPositivePivot
+from samplets.h2 import assemble_compressed_kernel
+from samplets.kernels import SCALED_EXPONENTIAL, KernelConfig
 from samplets.sparse import (
     CholeskyFactor,
     Permutation,
@@ -67,6 +71,32 @@ def symbolic_nnz(a: SparseSym) -> int:
 def dense_fill_pattern(a: SparseSym, seed=0):
     """Oracle: generic values on the pattern, dense factorization, exact zeros."""
     return np.linalg.cholesky(generic_spd(a, seed)) != 0.0
+
+
+def reference_order(pattern: SparseSym) -> np.ndarray:
+    """Multiple minimum degree as a full numeric SuperLU factorization of the
+    dominant matrix on the pattern reports it."""
+    lower = sp.csc_matrix((np.ones(pattern.nnz_lower), pattern.indices, pattern.indptr),
+                          shape=(pattern.n, pattern.n))
+    full = (lower + lower.T).tocsc()
+    full.setdiag(np.diff(full.indptr))
+    lu = splu(full, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+              options={"SymmetricMode": True})
+    return np.argsort(lu.perm_c)
+
+
+def compressed_kernel(d, n):
+    """A ridged compressed kernel matrix on n uniform points in d dimensions."""
+    cloud = PointCloud(np.random.default_rng(n + d).uniform(-1, 1, size=(n, d)))
+    kernel = KernelConfig(SCALED_EXPONENTIAL, distance_scale=10.0 / math.sqrt(2))
+    compressed = assemble_compressed_kernel(build_samplet_basis(cloud), kernel,
+                                            eta=1.25, p=3, epsilon=1e-3)
+    return add_ridge(compressed.matrix, 1.0)
+
+
+def random_pattern(n, density, seed):
+    dense = (np.random.default_rng(seed).random((n, n)) < density).astype(float)
+    return SparseSym.from_dense(np.tril(dense, -1) + np.tril(dense, -1).T + np.eye(n))
 
 
 class TestSparseSym:
@@ -151,6 +181,17 @@ class TestOrdering:
         perm = fill_reducing_order(a)
         assert symbolic_nnz(permute_sym(a, perm)) <= symbolic_nnz(a)
 
+    @pytest.mark.parametrize("make", [
+        lambda: compressed_kernel(1, 300), lambda: compressed_kernel(1, 2048),
+        lambda: compressed_kernel(2, 300), lambda: compressed_kernel(2, 512),
+        lambda: compressed_kernel(3, 512), lambda: arrowhead(200), lambda: tridiag(200),
+        lambda: random_pattern(50, 0.05, 0), lambda: random_pattern(350, 0.05, 3),
+    ], ids=["kernel-1d-300", "kernel-1d-2048", "kernel-2d-300", "kernel-2d-512",
+            "kernel-3d-512", "arrowhead", "tridiagonal", "random-50", "random-350"])
+    def test_amd_equals_the_numeric_factorization_order(self, make):
+        a = make()
+        np.testing.assert_array_equal(fill_reducing_order(a).order, reference_order(a))
+
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(2, 40), seed=st.integers(0, 10**6))
     def test_amd_is_a_permutation(self, n, seed):
@@ -230,6 +271,15 @@ class TestCholesky:
         b = rng.normal(size=n)
         x = factor.solve(b)
         assert np.linalg.norm(dense @ x - b) <= 1e-8 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("d, n", [(1, 300), (2, 512), (3, 512)])
+    def test_factor_does_not_depend_on_how_the_matrix_is_permuted(self, d, n):
+        a = compressed_kernel(d, n)
+        perm = fill_reducing_order(a)
+        factor = sparse_cholesky(a, perm)
+        natural = sparse_cholesky(permute_sym(a, perm))
+        for name in ("indptr", "indices", "values"):
+            np.testing.assert_array_equal(getattr(factor, name), getattr(natural, name))
 
     def test_permutation_round_trip(self):
         perm = Permutation.from_order([2, 0, 3, 1])
