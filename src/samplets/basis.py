@@ -15,7 +15,9 @@ and the moment matrices well conditioned.  Clusters are the indices of the
 cluster tree; the basis keeps one two-scale matrix per cluster and its
 scaling and samplet counts as arrays indexed the same way.  The basis is
 built one tree level at a time, with one stacked QR per stack of equally
-shaped moment matrices, under a byte budget per stack.
+shaped moment matrices, under a byte budget per stack.  The two-scale
+matrices of all leaves of one size are stored as one stack, which the
+transforms multiply in one call.
 """
 
 from __future__ import annotations
@@ -183,6 +185,8 @@ class SampletBasis:
     Global coefficient ordering: indices 0..n_scaling[0]-1 address the root
     scaling functions; samplets follow grouped per cluster in breadth-first
     (coarse-to-fine) tree order, cluster c's starting at ``samplet_offset[c]``.
+    ``leaf_stacks`` holds one (leaves, Q stack) pair per leaf size, leaves
+    ascending; a leaf's ``q_matrices`` entry is a view into its stack.
     """
 
     tree: ClusterTree
@@ -191,6 +195,7 @@ class SampletBasis:
     q_matrices: list[np.ndarray]
     n_scaling: np.ndarray
     samplet_offset: np.ndarray
+    leaf_stacks: list[tuple[np.ndarray, np.ndarray]]
 
     @property
     def size(self) -> int:
@@ -213,6 +218,42 @@ class SampletBasis:
         if global_index < self.n_root_scaling:
             return 0
         return int(np.searchsorted(self.samplet_offset, global_index, side="right")) - 1
+
+    @cached_property
+    def scaling_offset(self) -> np.ndarray:
+        """Each cluster's first row in a buffer of every cluster's scaling
+        coefficients, in cluster order; brothers' rows are adjacent."""
+        return np.cumsum(self.n_scaling) - self.n_scaling
+
+    @cached_property
+    def leaf_steps(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """Per leaf stack: its Q stack (b, n, n), its points' original indices
+        (b, n), its scaling rows (b, ns) in the scaling buffer and its
+        samplets' global indices (b, n - ns)."""
+        tree = self.tree
+        steps = []
+        for leaves, q in self.leaf_stacks:
+            n, ns = q.shape[-1], int(self.n_scaling[leaves[0]])
+            steps.append((q, tree.permutation[tree.begin[leaves][:, None] + np.arange(n)],
+                          self.scaling_offset[leaves][:, None] + np.arange(ns),
+                          self.samplet_offset[leaves][:, None] + np.arange(n - ns)))
+        return steps
+
+    @cached_property
+    def interior_steps(self) -> list[tuple[np.ndarray, int, int, int, int, int, int]]:
+        """One (Q, sons' scaling rows start and stop, own scaling rows start
+        and count, samplet start and stop) per interior cluster, sons before
+        fathers.  Brothers have consecutive indices, so their scaling rows
+        form one run that starts at the first son's."""
+        tree = self.tree
+        inner = np.flatnonzero(~tree.is_leaf)[::-1]
+        first = self.scaling_offset[tree.sons[inner, 0]]
+        stop = self.samplet_offset + self.n_samplets
+        columns = (self.n_scaling[tree.sons[inner, 0]] + self.n_scaling[tree.sons[inner, 1]])
+        rows = zip(inner.tolist(), first.tolist(), (first + columns).tolist(),
+                   self.scaling_offset[inner].tolist(), self.n_scaling[inner].tolist(),
+                   self.samplet_offset[inner].tolist(), stop[inner].tolist())
+        return [(self.q_matrices[c], *rest) for c, *rest in rows]
 
 
 def _groups(*keys: np.ndarray):
@@ -292,9 +333,11 @@ def construct_basis(tree: ClusterTree, spec: MomentSpec) -> SampletBasis:
     fathers whose sons carry the same scaling counts) are decomposed in
     stacks of at most ``_STACK_BYTES``, with one stacked QR and one stacked
     product each; every cluster gets the bits of a decomposition of its own
-    matrix.  ``q_matrices[c]`` is a view into its stack.  The moments a level
-    exports upward are copied into one array per level, so that no view
-    holds a stack's full product alive.
+    matrix.  An interior cluster's ``q_matrices`` entry is a view into its
+    stack; a leaf's two-scale matrix is copied into the one stack of all
+    leaves of its size, and its entry is a view into that.  The moments a
+    level exports upward are copied into one array per level, so that no
+    view holds a stack's full product alive.
     """
     if spec.dim != tree.cloud.dim:
         raise InvalidInput(f"moment spec dim {spec.dim} != cloud dim {tree.cloud.dim}")
@@ -309,6 +352,14 @@ def construct_basis(tree: ClusterTree, spec: MomentSpec) -> SampletBasis:
     n_scaling = np.empty(n_clusters, dtype=np.int64)
     columns = np.empty(n_clusters, dtype=np.int64)  # of the moment matrix, and Q's order
     bounds = np.searchsorted(tree.level, np.arange(tree.depth + 2))
+    leaf_stacks = []
+    leaf_row = np.empty(n_clusters, dtype=np.int64)  # a leaf's place in its stack
+    stack_of: dict[int, np.ndarray] = {}
+    for (n,), pos in _groups(size[tree.leaves]):
+        leaves = tree.leaves[pos]
+        leaf_row[leaves] = np.arange(leaves.size)
+        stack_of[n] = np.empty((leaves.size, n, n))
+        leaf_stacks.append((leaves, stack_of[n]))
     son_exports = None
     for level in range(tree.depth, -1, -1):
         first, stop = bounds[level], bounds[level + 1]
@@ -323,6 +374,11 @@ def construct_basis(tree: ClusterTree, spec: MomentSpec) -> SampletBasis:
                                             son_exports, stop):
             qmat, ns = two_scale_decomposition(moment)
             exports[group - first, :, :ns] = np.matmul(moment, qmat)[:, :m_q, :ns]
+            if is_leaf[group[0]]:  # one level's leaves of one size: consecutive rows
+                row = leaf_row[group[0]]
+                stack = stack_of[qmat.shape[-1]][row:row + group.size]
+                stack[...] = qmat
+                qmat = stack
             for c, q in zip(group.tolist(), qmat):
                 q_matrices[c] = q
         son_exports = exports
@@ -334,7 +390,8 @@ def construct_basis(tree: ClusterTree, spec: MomentSpec) -> SampletBasis:
     if total != tree.cloud.count:
         raise AssertionError(f"basis size mismatch: {total} != {tree.cloud.count}")
     return SampletBasis(tree=tree, spec=spec, frame=frame, q_matrices=q_matrices,
-                        n_scaling=n_scaling, samplet_offset=samplet_offset)
+                        n_scaling=n_scaling, samplet_offset=samplet_offset,
+                        leaf_stacks=leaf_stacks)
 
 
 def build_samplet_basis(cloud: PointCloud, q: int = 2, q_leaf: int | None = None,

@@ -85,6 +85,8 @@ def generate_points(kind: str, n: int, dim: int, seed: int | None) -> PointCloud
     if kind == "uniform-cube":
         if seed is None:
             raise InvalidInput("--gen uniform-cube requires --seed")
+        if not 0 <= seed < 2 ** 64:
+            raise InvalidInput(f"--seed must lie in [0, 2**64), got {seed}")
         bits = np.random.Generator(np.random.Philox(key=np.array([seed, 0x5EED], dtype=np.uint64)))
         return PointCloud(bits.random((n, dim)) * 2.0 - 1.0)
     if kind == "grid":

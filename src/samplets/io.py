@@ -68,6 +68,8 @@ def _parse_csv_rows(raw: bytes, path) -> np.ndarray:
             parsed.append([float(tok) for tok in line.replace(";", ",").split(",")])
         except ValueError as exc:
             raise InvalidInput(f"{path}: cannot parse row {line!r}") from exc
+    if not parsed:
+        raise InvalidInput(f"{path}: file holds a header row but no data")
     width = len(parsed[0])
     if any(len(r) != width for r in parsed):
         raise InvalidInput(f"{path}: rows have inconsistent column counts")
@@ -84,9 +86,10 @@ def read_points(path) -> PointCloud:
         if len(raw) < 16:
             raise InvalidInput(f"{path}: truncated point header")
         d, n = struct.unpack("<II", raw[8:16])
+        if len(raw) != 16 + 8 * n * d:
+            raise InvalidInput(f"{path}: expected {n * d} coordinates ({8 * n * d} bytes), "
+                               f"found {len(raw) - 16} bytes")
         data = np.frombuffer(raw, dtype="<f8", offset=16)
-        if data.size != n * d:
-            raise InvalidInput(f"{path}: expected {n * d} coordinates, found {data.size}")
         return PointCloud(data.reshape(n, d).copy())
     if raw[:8] == VECTOR_MAGIC or raw[:8] == FACTOR_MAGIC:
         raise InvalidInput(f"{path}: not a point file (wrong magic)")
@@ -123,9 +126,10 @@ def read_vector(path) -> np.ndarray:
         if len(raw) < 12:
             raise InvalidInput(f"{path}: truncated vector header")
         (n,) = struct.unpack("<I", raw[8:12])
+        if len(raw) != 12 + 8 * n:
+            raise InvalidInput(f"{path}: expected {n} values ({8 * n} bytes), "
+                               f"found {len(raw) - 12} bytes")
         values = np.frombuffer(raw, dtype="<f8", offset=12).astype(np.float64)
-        if values.size != n:
-            raise InvalidInput(f"{path}: expected {n} values, found {values.size}")
     elif raw[:8] == POINTS_MAGIC or raw[:8] == FACTOR_MAGIC:
         raise InvalidInput(f"{path}: not a vector file (wrong magic)")
     else:

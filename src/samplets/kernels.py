@@ -39,9 +39,11 @@ class KernelConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "KernelConfig":
+        # Python's JSON parser raises a bare ValueError on an integer of more
+        # than 4300 digits and RecursionError on deeply nested arrays.
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise InvalidInput(f"kernel config is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict) or "family" not in payload:
             raise InvalidInput('kernel config must be an object with a "family" key')
@@ -50,7 +52,7 @@ class KernelConfig:
             if key in payload:
                 try:
                     kwargs[key] = float(payload[key])
-                except (TypeError, ValueError) as exc:
+                except (TypeError, ValueError, OverflowError) as exc:
                     raise InvalidInput(f"kernel {key} must be a number, "
                                        f"got {payload[key]!r}") from exc
         return cls(**kwargs)

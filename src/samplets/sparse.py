@@ -342,8 +342,8 @@ def normal_stream(seed: int, stream: int, n: int) -> np.ndarray:
     produced by the Box-Muller transform, so a sample never depends on how
     many other samples were drawn.
     """
-    if seed < 0 or stream < 0:
-        raise InvalidInput("seed and stream index must be nonnegative")
+    if not (0 <= seed < 2 ** 64 and 0 <= stream < 2 ** 64):
+        raise InvalidInput(f"seed {seed} and stream index {stream} must lie in [0, 2**64)")
     bits = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
     half = (n + 1) // 2
     u = bits.random(2 * half)
@@ -366,6 +366,8 @@ def sample_grf(factor: CholeskyFactor, basis, seed: int, n_samples: int) -> np.n
     n = factor.n
     if basis.size != n:
         raise InvalidInput("factor and basis sizes differ")
+    if n_samples < 0:
+        raise InvalidInput(f"sample count must be nonnegative, got {n_samples}")
     from .transform import inverse_transform_matrix
 
     l_mat = factor.to_scipy()

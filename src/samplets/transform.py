@@ -1,14 +1,35 @@
 """Discrete samplet transform, its inverse, thresholding and singularity detection.
 
-Both transforms run in linear time as one loop over the cluster indices in
-depth-first order (``ClusterTree.preorder``).  The forward pass runs it
-backwards, so sons come before fathers: it gathers point data at the leaves
-and pushes scaling coefficients upward through the two-scale matrices.  The
-inverse pass runs it forwards and pushes coefficients down.  Depth-first
-order keeps a son's output in cache until its father reads it; breadth-first
-order measured about 20 % slower at N = 2^18 on a 2-core x86 host.  Callers
-see data in the original point order; the tree permutation is applied
-internally.
+Both transforms run in linear time in two stages, and the inverse mirrors the
+forward pass.  Callers see data in the original point order; the tree
+permutation is applied internally.
+
+Leaves.  The basis stores the two-scale matrices of all leaves of one size as
+one stack (``SampletBasis.leaf_stacks``, indexed for the transforms by
+``leaf_steps``).  Per stack, the forward pass gathers
+the leaves' point values through the tree permutation, multiplies them by the
+transposed stack in one ``np.matmul`` and scatters the results: scaling rows
+into a buffer of every cluster's scaling coefficients, samplet rows into the
+output.  The inverse gathers those rows, multiplies by the stack and scatters
+to the points.  A stacked ``matmul`` calls BLAS once per leaf with the
+operands of a product on that leaf alone, so each leaf keeps its bits.
+
+Interior clusters.  One step per cluster (``SampletBasis.interior_steps``),
+in breadth-first order, sons before fathers for the forward pass and fathers
+first for the inverse.  Brothers have consecutive indices, so their scaling
+rows lie side by side in the buffer: a forward step is one slice, one product
+and two slice writes.  Depth-first order was no faster: at N = 2^16 and 2^18
+in 2-D, breadth-first was 0.3-4 % faster in the median of 31 interleaved
+forward-plus-inverse calls (2-core x86, one BLAS thread).
+
+The interior is not stacked.  A prototype that stacked every level was about
+7x faster at N = 2^16, but its Q stacks hold about 390 B per point and fall
+out of cache as N grows: its per-point cost rose 96 -> 127 -> 161 ns from
+N = 2^14 to 2^16, and the linear-cost test (A4) read doubling ratios of 2.65
+and 2.52.  The leaves are half of all clusters, hold 8 x (leaf size) bytes of
+Q per point (128 B at 16 points per leaf), and are the only place where data
+pass through the tree permutation; stacking them alone more than halves the
+cost of a transform at N = 2^16 and keeps the per-point cost flat.
 """
 
 from __future__ import annotations
@@ -63,60 +84,41 @@ def _require(vec: CoefficientVector, tag: str, n: int) -> np.ndarray:
     return vec.values
 
 
-def _loop_lists(basis: SampletBasis) -> tuple[list[int], ...]:
-    """Begin, end, both sons, scaling count, samplet offset and samplet stop of
-    every cluster, as flat lists, which index fastest in a Python loop.
-
-    Flat lists of ints hold nothing the cyclic garbage collector tracks.
-    ``sons.tolist()`` makes one list per cluster instead; at N = 2^18 that set
-    off about 90 young collections per forward-plus-inverse call and a full
-    one, which scans every live object of the process, every third call.
-    """
-    tree = basis.tree
-    stop = basis.samplet_offset + basis.n_samplets
-    return tuple(a.tolist() for a in (tree.begin, tree.end, tree.sons[:, 0], tree.sons[:, 1],
-                                      basis.n_scaling, basis.samplet_offset, stop))
-
-
 def _forward_array(basis: SampletBasis, data: np.ndarray) -> np.ndarray:
-    """Transform columns of ``data`` (already in original point order)."""
-    tree, q_matrices = basis.tree, basis.q_matrices
+    """Transform the columns of ``data`` (N or (N, k), original point order)."""
     out = np.empty_like(data)
-    permuted = data[tree.permutation]
-    begin, end, first, second, n_scaling, offset, stop = _loop_lists(basis)
-    # each cluster's scaling coefficients, held until its father reads them
-    scaling: list[np.ndarray | None] = [None] * len(begin)
-    for c in reversed(tree.preorder.tolist()):
-        s0, s1 = first[c], second[c]
-        if s0 < 0:
-            coeffs = q_matrices[c].T @ permuted[begin[c]:end[c]]
-        else:
-            coeffs = q_matrices[c].T @ np.concatenate((scaling[s0], scaling[s1]))
-            scaling[s0] = scaling[s1] = None
-        out[offset[c]:stop[c]] = coeffs[n_scaling[c]:]
-        scaling[c] = coeffs[:n_scaling[c]]
-    out[:n_scaling[0]] = scaling[0]
+    values, coeffs = (data[:, None], out[:, None]) if data.ndim == 1 else (data, out)
+    scaling = np.empty((int(basis.n_scaling.sum()), values.shape[1]))
+    for q, points, scaling_rows, samplet_rows in basis.leaf_steps:
+        stacked = np.matmul(np.swapaxes(q, 1, 2), values[points])
+        ns = scaling_rows.shape[1]
+        scaling[scaling_rows] = stacked[:, :ns]
+        coeffs[samplet_rows] = stacked[:, ns:]
+    # ``dot`` makes the BLAS call of ``@`` with about 1 us less overhead
+    for q, first, stop, own, ns, lo, hi in basis.interior_steps:
+        step = q.T.dot(scaling[first:stop])
+        scaling[own:own + ns] = step[:ns]
+        coeffs[lo:hi] = step[ns:]
+    ns = basis.n_root_scaling
+    coeffs[:ns] = scaling[:ns]
     return out
 
 
 def _inverse_array(basis: SampletBasis, coeffs: np.ndarray) -> np.ndarray:
-    """Inverse transform for columns of ``coeffs``; result in original point order."""
-    tree, q_matrices = basis.tree, basis.q_matrices
+    """Inverse transform of the columns of ``coeffs``; result in original point order."""
     out = np.empty_like(coeffs)
-    perm = tree.permutation
-    begin, end, first, second, n_scaling, offset, stop = _loop_lists(basis)
-    # each cluster's scaling coefficients, set by its father
-    scaling: list[np.ndarray | None] = [None] * len(begin)
-    scaling[0] = coeffs[:n_scaling[0]]
-    for c in tree.preorder.tolist():
-        incoming = q_matrices[c] @ np.concatenate((scaling[c], coeffs[offset[c]:stop[c]]))
-        scaling[c] = None
-        s0, s1 = first[c], second[c]
-        if s0 < 0:
-            out[perm[begin[c]:end[c]]] = incoming
-        else:
-            scaling[s0] = incoming[:n_scaling[s0]]
-            scaling[s1] = incoming[n_scaling[s0]:]
+    coeffs, values = (coeffs[:, None], out[:, None]) if coeffs.ndim == 1 else (coeffs, out)
+    scaling = np.empty((int(basis.n_scaling.sum()), coeffs.shape[1]))
+    ns = basis.n_root_scaling
+    scaling[:ns] = coeffs[:ns]
+    for q, first, stop, own, ns, lo, hi in reversed(basis.interior_steps):
+        np.dot(q, np.concatenate((scaling[own:own + ns], coeffs[lo:hi])), out=scaling[first:stop])
+    for q, points, scaling_rows, samplet_rows in basis.leaf_steps:
+        ns = scaling_rows.shape[1]
+        stacked = np.empty(points.shape + coeffs.shape[1:])
+        stacked[:, :ns] = scaling[scaling_rows]
+        stacked[:, ns:] = coeffs[samplet_rows]
+        values[points] = np.matmul(q, stacked)
     return out
 
 

@@ -200,6 +200,16 @@ class TestKernelCompressCommand:
         assert rc == 2
         assert "length_scale" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale", ["1" + "0" * 400, "1" + "0" * 5000],
+                             ids=["float-overflow", "over-4300-digits"])
+    def test_huge_integer_scale_exit_code(self, tmp_path, points_1d, capsys, scale):
+        kern = tmp_path / "huge.json"
+        kern.write_text('{"family": "matern12", "length_scale": ' + scale + "}")
+        rc = main(["kernel-compress", "--points", str(points_1d), "--kernel", str(kern),
+                   "--out", str(tmp_path / "k.mtx")])
+        assert rc == 2
+        assert "kernel" in capsys.readouterr().err
+
     def test_non_utf8_kernel_exit_code(self, tmp_path, points_1d, non_utf8_kernel, capsys):
         rc = main(["kernel-compress", "--points", str(points_1d),
                    "--kernel", str(non_utf8_kernel), "--out", str(tmp_path / "k.mtx")])
@@ -253,6 +263,16 @@ class TestGrfCommand:
         assert rc == 2
         assert "not UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value,word", [("--seed", str(2 ** 64), "seed"),
+                                                 ("--samples", "-1", "sample count")])
+    def test_bad_seed_or_sample_count_exit_code(self, tmp_path, kernel_json, capsys,
+                                                flag, value, word):
+        argv = ["grf", "--gen", "grid", "--n", "64", "--dim", "1", "--seed", "1",
+                "--kernel", str(kernel_json), "--out-prefix", str(tmp_path / "f")]
+        assert main(argv + [flag, value]) == 2
+        assert word in capsys.readouterr().err
+        assert not list(tmp_path.glob("f_*"))
+
     def test_non_positive_pivot_exit_code_and_hint(self, tmp_path, capsys):
         # a long-length-scale smooth kernel has a fast-decaying spectrum, so
         # compression noise makes the matrix indefinite for a negligible ridge
@@ -297,6 +317,12 @@ class TestInfoCommand:
         assert main(["info", "--points", str(pts), *flags]) == 2
         assert "exceed the cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_out_of_range_exit_code(self, capsys, seed):
+        assert main(["info", "--gen", "uniform-cube", "--n", "64", "--dim", "2",
+                     "--seed", seed]) == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_grid_size_mismatch_rejected(self, capsys):
         assert main(["info", "--gen", "grid", "--n", "1000", "--dim", "2"]) == 2
         assert "1024" in capsys.readouterr().err
@@ -333,6 +359,25 @@ class TestNonFiniteParameters:
                      "--metrics", str(metrics), f"--epsilon={value}"] + out) == 2
         assert "epsilon" in capsys.readouterr().err
         assert not metrics.exists()
+
+
+class TestMalformedFiles:
+    def test_binary_points_with_partial_value_exit_code(self, tmp_path, data_1d, capsys):
+        pts = tmp_path / "pts.bin"
+        sio.write_points_binary(pts, PointCloud(np.linspace(-1, 1, 256)[:, None]))
+        pts.write_bytes(pts.read_bytes()[:-3])
+        argv = ["transform", "--points", str(pts), "--data", str(data_1d),
+                "--out", str(tmp_path / "c.csv"), "--report", str(tmp_path / "r.json")]
+        assert main(argv) == 2
+        assert "coordinates" in capsys.readouterr().err
+
+    def test_header_only_data_exit_code(self, tmp_path, points_1d, capsys):
+        data = tmp_path / "f.csv"
+        data.write_text("x,y\n")
+        argv = ["transform", "--points", str(points_1d), "--data", str(data),
+                "--out", str(tmp_path / "c.csv"), "--report", str(tmp_path / "r.json")]
+        assert main(argv) == 2
+        assert "no data" in capsys.readouterr().err
 
 
 class TestNonFiniteData:

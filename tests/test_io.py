@@ -54,6 +54,22 @@ class TestPointFiles:
             sio.read_points(path)
 
     @pytest.mark.parametrize("reader", [sio.read_points, sio.read_vector])
+    def test_header_without_data_rejected(self, tmp_path, reader):
+        path = tmp_path / "header.csv"
+        path.write_text("x,y\n")
+        with pytest.raises(InvalidInput, match="no data"):
+            reader(path)
+
+    @pytest.mark.parametrize("extra", [1, 7, 9])
+    def test_binary_payload_not_whole_values_rejected(self, tmp_path, cloud, extra):
+        path = tmp_path / "pts.bin"
+        sio.write_points_binary(path, cloud)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-extra] if extra < 8 else raw + bytes(extra))
+        with pytest.raises(InvalidInput, match="coordinates"):
+            sio.read_points(path)
+
+    @pytest.mark.parametrize("reader", [sio.read_points, sio.read_vector])
     def test_non_utf8_rejected(self, tmp_path, reader):
         path = tmp_path / "latin.csv"
         path.write_bytes(b"\xff\xfe1,2\n")
@@ -74,6 +90,15 @@ class TestVectorFiles:
         path = tmp_path / "v.bin"
         sio.write_vector_binary(path, vals)
         np.testing.assert_array_equal(sio.read_vector(path), vals)
+
+    @pytest.mark.parametrize("extra", [1, 7, 9])
+    def test_binary_payload_not_whole_values_rejected(self, tmp_path, extra):
+        path = tmp_path / "v.bin"
+        sio.write_vector_binary(path, np.arange(5.0))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-extra] if extra < 8 else raw + bytes(extra))
+        with pytest.raises(InvalidInput, match="values"):
+            sio.read_vector(path)
 
     def test_multi_column_rejected(self, tmp_path):
         path = tmp_path / "v.csv"

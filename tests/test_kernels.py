@@ -50,6 +50,15 @@ class TestPointwise:
         with pytest.raises(InvalidInput):
             kernel_eval(KernelConfig("matern12"), np.zeros(2), np.zeros(3))
 
+    @pytest.mark.parametrize("text", [
+        '{"family": "matern12", "length_scale": 1' + "0" * 400 + "}",  # overflows a float
+        '{"family": "matern12", "length_scale": 1' + "0" * 5000 + "}",  # over 4300 digits
+        "[" * 100000 + "]" * 100000,  # deeper than the parser's recursion limit
+    ], ids=["float-overflow", "over-4300-digits", "deep-nesting"])
+    def test_malformed_json_rejected(self, text):
+        with pytest.raises(InvalidInput):
+            KernelConfig.from_json(text)
+
     def test_unknown_family_rejected(self):
         with pytest.raises(InvalidInput):
             KernelConfig("cauchy")

@@ -1,11 +1,13 @@
-"""The level-batched set-up against per-cluster reference builders.
+"""The level-batched set-up and the stacked transforms against per-cluster
+reference code.
 
 ``reference_tree`` and ``reference_basis`` build the cluster tree and the
 samplet basis one cluster at a time, with one median split, one QR and one
 product per cluster, and ``reference_monomials`` evaluates the monomials of
-one point set by the direct broadcast power.  The library must reproduce
-every tree array, every moment matrix and every two-scale matrix bit for
-bit, dtypes included.
+one point set by the direct broadcast power.  ``reference_forward`` and
+``reference_inverse`` transform with one product per cluster, depth-first.
+The library must reproduce every tree array, every moment matrix, every
+two-scale matrix and every transform bit for bit, dtypes included.
 """
 
 import hashlib
@@ -20,8 +22,10 @@ from samplets.basis import (
     _monomials,
     construct_basis,
     multi_indices,
+    two_scale_decomposition,
 )
 from samplets.cluster_tree import PointCloud, _norms, build_cluster_tree
+from samplets.transform import forward_transform_matrix, inverse_transform_matrix
 
 TREE_ARRAYS = ("permutation", "begin", "end", "lo", "hi", "diameter", "level", "sons")
 
@@ -227,10 +231,112 @@ def test_one_cluster_per_stack_gives_the_same_bits(monkeypatch):
     spec = MomentSpec.default(2)
     tree = build_cluster_tree(cloud, leaf_size=spec.default_leaf_size())
     batched = construct_basis(tree, spec)
+    stack_sizes = []
+
+    def recording(moment):
+        stack_sizes.append(moment.shape[0])
+        return two_scale_decomposition(moment)
+
     monkeypatch.setattr(basis_module, "_STACK_BYTES", 1)
+    monkeypatch.setattr(basis_module, "two_scale_decomposition", recording)
     single = construct_basis(tree, spec)
+    assert stack_sizes == [1] * len(tree.clusters)  # one QR per cluster
     assert_same(single.n_scaling, batched.n_scaling, "n_scaling")
     assert_same(single.samplet_offset, batched.samplet_offset, "samplet_offset")
     for c, (got, want) in enumerate(zip(single.q_matrices, batched.q_matrices)):
-        assert got.base is not None and got.base.shape[0] == 1  # a stack of one
         assert_same(got, want, f"Q of cluster {c}")
+
+
+def reference_forward(basis, data):
+    """Forward transform of the columns of ``data``, one product per cluster."""
+    tree, q_matrices, n_scaling = basis.tree, basis.q_matrices, basis.n_scaling
+    out = np.empty_like(data)
+    permuted = data[tree.permutation]
+    scaling = [None] * tree.begin.size
+    for c in reversed(tree.preorder.tolist()):
+        s0, s1 = tree.sons[c]
+        if s0 < 0:
+            coeffs = q_matrices[c].T @ permuted[tree.begin[c]:tree.end[c]]
+        else:
+            coeffs = q_matrices[c].T @ np.concatenate((scaling[s0], scaling[s1]))
+        offset = basis.samplet_offset[c]
+        out[offset:offset + basis.n_samplets[c]] = coeffs[n_scaling[c]:]
+        scaling[c] = coeffs[:n_scaling[c]]
+    out[:n_scaling[0]] = scaling[0]
+    return out
+
+
+def reference_inverse(basis, coeffs):
+    """Inverse transform of the columns of ``coeffs``, one product per cluster."""
+    tree, q_matrices, n_scaling = basis.tree, basis.q_matrices, basis.n_scaling
+    out = np.empty_like(coeffs)
+    scaling = [None] * tree.begin.size
+    scaling[0] = coeffs[:n_scaling[0]]
+    for c in tree.preorder.tolist():
+        offset = basis.samplet_offset[c]
+        incoming = q_matrices[c] @ np.concatenate(
+            (scaling[c], coeffs[offset:offset + basis.n_samplets[c]]))
+        s0, s1 = tree.sons[c]
+        if s0 < 0:
+            out[tree.permutation[tree.begin[c]:tree.end[c]]] = incoming
+        else:
+            scaling[s0] = incoming[:n_scaling[s0]]
+            scaling[s1] = incoming[n_scaling[s0]:]
+    return out
+
+
+def at_offset(a, offset):
+    """A copy of ``a`` that starts ``offset`` bytes past a 64-byte boundary."""
+    buf = np.empty(a.nbytes + 128, dtype=np.uint8)
+    start = -buf.ctypes.data % 64 + offset
+    copy = buf[start:start + a.nbytes].view(np.float64).reshape(a.shape)
+    copy[...] = a
+    return copy
+
+
+TRANSFORM_CASES = {
+    "1-D, q = 0": (1, 500, 0, None),
+    "2-D, q = 1": (2, 700, 1, None),
+    "2-D, q = 2": (2, 900, 2, None),
+    "2-D, q = 3": (2, 1100, 3, None),
+    "3-D, q = 2": (3, 800, 2, None),
+    "N = 1": (2, 1, 2, None),
+    "leaf size 1": (2, 300, 1, 1),
+    "leaf size 40": (2, 1000, 2, 40),
+    "mixed leaf sizes": (2, 1003, 2, 13),
+}
+
+
+@pytest.mark.parametrize("case", TRANSFORM_CASES)
+def test_transforms_match_reference(case):
+    d, n, q, leaf_size = TRANSFORM_CASES[case]
+    rng = np.random.default_rng(n + q)
+    spec = MomentSpec.default(d, q=q)
+    tree = build_cluster_tree(PointCloud(rng.uniform(-1, 1, size=(n, d))),
+                              leaf_size=leaf_size or spec.default_leaf_size())
+    basis = construct_basis(tree, spec)
+    for shape in ((n,), (n, 1), (n, 3), (n, 7), (n, n)):
+        data = rng.normal(size=shape)
+        want_forward = reference_forward(basis, data)
+        want_inverse = reference_inverse(basis, data)
+        for offset in (0, 8, 24):
+            copy = at_offset(data, offset)
+            assert_same(forward_transform_matrix(basis, copy), want_forward,
+                        f"forward of {shape} at offset {offset}")
+            assert_same(inverse_transform_matrix(basis, copy), want_inverse,
+                        f"inverse of {shape} at offset {offset}")
+
+
+def test_leaf_two_scale_matrices_are_views_of_their_stacks():
+    rng = np.random.default_rng(8)
+    spec = MomentSpec.default(2)
+    tree = build_cluster_tree(PointCloud(rng.uniform(-1, 1, size=(1003, 2))), leaf_size=13)
+    basis = construct_basis(tree, spec)
+    stacked = 0
+    for leaves, stack in basis.leaf_stacks:
+        assert np.all(tree.size[leaves] == stack.shape[-1])
+        for row, leaf in enumerate(leaves.tolist()):
+            assert basis.q_matrices[leaf].base is stack
+            assert np.shares_memory(basis.q_matrices[leaf], stack[row])
+        stacked += leaves.size
+    assert stacked == tree.leaves.size
