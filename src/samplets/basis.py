@@ -210,6 +210,12 @@ class SampletBasis:
         """Samplets per cluster: the gaps between consecutive offsets."""
         return np.diff(self.samplet_offset, append=self.size)
 
+    @cached_property
+    def order(self) -> np.ndarray:
+        """Outputs per cluster, scaling functions plus samplets: the order of
+        its two-scale matrix."""
+        return self.n_scaling + self.n_samplets
+
     def owner_of(self, global_index: int) -> int:
         """The cluster owning a basis element (the root for root scaling functions)."""
         n = self.size

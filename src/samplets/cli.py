@@ -26,9 +26,10 @@ from .kernels import KernelConfig
 from .sparse import (
     add_ridge,
     anz,
+    check_key,
     factorization_residual,
     fill_reducing_order,
-    normal_stream,
+    grf_buffer,
     sample_grf,
     sparse_cholesky,
 )
@@ -85,8 +86,7 @@ def generate_points(kind: str, n: int, dim: int, seed: int | None) -> PointCloud
     if kind == "uniform-cube":
         if seed is None:
             raise InvalidInput("--gen uniform-cube requires --seed")
-        if not 0 <= seed < 2 ** 64:
-            raise InvalidInput(f"--seed must lie in [0, 2**64), got {seed}")
+        check_key(seed, "--seed")
         bits = np.random.Generator(np.random.Philox(key=np.array([seed, 0x5EED], dtype=np.uint64)))
         return PointCloud(bits.random((n, dim)) * 2.0 - 1.0)
     if kind == "grid":
@@ -267,6 +267,8 @@ def cmd_grf(args) -> int:
     cfg = _load_kernel(args)
     if args.seed is None:
         raise InvalidInput("grf requires --seed for reproducible sampling")
+    check_key(args.seed, "--seed")
+    grf_buffer(args.samples, cloud.count)  # refuse a bad or unallocatable count before any work
     basis = _build_basis(cloud, args)
     compressed = assemble_compressed_kernel(basis, cfg, eta=args.eta, p=args.p,
                                             epsilon=args.epsilon)

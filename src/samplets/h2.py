@@ -4,7 +4,11 @@ Admissible cluster pairs (``cluster_tree.admissible``, the cut-off criterion)
 are evaluated through a tensor Chebyshev interpolant of the kernel, all other
 pairs exactly.  Nested cluster bases connect interpolation data across levels
 through transfer matrices, so the whole samplet-compressed matrix assembles in
-log-linear time.  Assembly first lists the cluster pairs it needs, as arrays:
+log-linear time.  One tensor Lagrange evaluator gives both: a leaf's
+interpolation data are its box's Lagrange basis at its points, and a son's
+transfer matrix is its father's Lagrange basis at the son's grid.  The
+cluster bases are built bottom-up into stacks of equal order, the layout the
+assembly reads.  Assembly first lists the cluster pairs it needs, as arrays:
 the block-cluster list of an H^2-matrix (Boerm, *Efficient Numerical Methods
 for Non-local Operators*, EMS 2010).  A pair depends only on pairs whose level
 sum is one higher, so the list is evaluated from the highest level sum down, a
@@ -14,8 +18,9 @@ Retained entries are the samplet-samplet interactions of inadmissible pairs
 plus the root scaling rows and columns; each group drops its entries below the
 a-posteriori threshold as it is stored, keeping the diagonal.  Clusters are
 tree indices throughout: every step gathers from the tree's per-cluster
-arrays (boxes, ranges, sons) and the basis's (two-scale matrices, scaling
-counts, samplet offsets).
+arrays (boxes, ranges, sons), the basis's (scaling counts, samplet offsets)
+and the stacks of two-scale matrices and V, through each cluster's order and
+slot.
 """
 
 from __future__ import annotations
@@ -97,21 +102,8 @@ def _lagrange_tensors(lo: np.ndarray, hi: np.ndarray, p: int,
     values = _lagrange(axes[:, 0], points[:, :, 0])
     for k in range(1, d):
         a = _lagrange(axes[:, k], points[:, :, k])
-        values = (values[:, :, :, None] * a[:, :, None, :]).reshape(n, t, -1)
+        values = (values[:, :, :, None] * a[:, :, None, :]).reshape(n, t, (p + 1) ** (k + 1))
     return values
-
-
-def _transfers(lo_f: np.ndarray, hi_f: np.ndarray, lo_s: np.ndarray,
-               hi_s: np.ndarray, p: int) -> np.ndarray:
-    """Transfer matrices of n father/son box pairs; shape (n, (p+1)^d, (p+1)^d)."""
-    n, d = lo_f.shape
-    father, son = _chebyshev_axes(lo_f, hi_f, p), _chebyshev_axes(lo_s, hi_s, p)
-    t = np.ones((n, 1, 1))
-    for k in range(d):
-        a = _lagrange(father[:, k], son[:, k]).transpose(0, 2, 1)
-        r, c = t.shape[1] * a.shape[1], t.shape[2] * a.shape[2]
-        t = (t[:, :, None, :, None] * a[:, None, :, None, :]).reshape(n, r, c)
-    return t
 
 
 @dataclass(eq=False)
@@ -119,8 +111,9 @@ class InterpolationScheme:
     """Chebyshev grids and son transfer matrices of all clusters of one tree.
 
     ``nodes[c]`` is cluster c's grid and ``transfers[c]`` maps its father's
-    Lagrange basis to its grid; both are stacked arrays indexed by cluster,
-    and the root's transfer entry is NaN.
+    Lagrange basis to its grid: entry (i, j) is the father's i-th Lagrange
+    polynomial at the son's j-th node.  Both are stacked arrays indexed by
+    cluster, and the root's transfer entry is NaN.
     """
 
     tree: ClusterTree
@@ -134,39 +127,52 @@ class InterpolationScheme:
         transfers = np.full((nodes.shape[0],) + (nodes.shape[1],) * 2, np.nan)
         inner = np.flatnonzero(~tree.is_leaf)
         fathers, sons = np.repeat(inner, 2), tree.sons[inner].ravel()
-        transfers[sons] = _transfers(tree.lo[fathers], tree.hi[fathers],
-                                     tree.lo[sons], tree.hi[sons], p)
+        transfers[sons] = _lagrange_tensors(tree.lo[fathers], tree.hi[fathers], p,
+                                            nodes[sons]).transpose(0, 2, 1)
         return cls(tree=tree, degree=p, nodes=nodes, transfers=transfers)
 
 
 @dataclass(eq=False)
 class MultiscaleClusterBasis:
-    """Samplet-transformed nested cluster bases, one whole V per cluster.
+    """Samplet-transformed nested cluster bases, stacked by cluster order.
 
-    The rows of ``v[c]`` are cluster c's scaling part V_phi followed by its
-    samplet part V_sigma, ordered like the columns of ``q_matrices[c]``.
+    A cluster's order is its number of outputs, ``SampletBasis.order``.
+    Cluster c's two-scale matrix is ``q[order[c]][slot[c]]`` and its V is
+    ``v[order[c]][slot[c]]``: the rows of V are c's scaling part V_phi
+    followed by its samplet part V_sigma, ordered like the columns of Q.
     """
 
     scheme: InterpolationScheme
-    v: list[np.ndarray]
+    order: np.ndarray
+    slot: np.ndarray
+    q: dict[int, np.ndarray]
+    v: dict[int, np.ndarray]
 
 
 def compute_multiscale_cluster_basis(basis: SampletBasis,
                                      scheme: InterpolationScheme) -> MultiscaleClusterBasis:
     """Bottom-up pass, one level at a time: leaves transform Lagrange
     evaluations, fathers transform the stacked, transfer-mapped scaling parts
-    of their sons.  Clusters of equal shape share stacked matrix products."""
+    of their sons.  The two-scale matrices are stacked by order once, and
+    each group of equally shaped clusters writes its V into the stack of its
+    order with one stacked product."""
     if scheme.tree is not basis.tree:
         raise InvalidInput("interpolation scheme was built for a different tree")
     tree = basis.tree
     coords = tree.permuted_coords()
-    q_matrices, n_scaling = basis.q_matrices, basis.n_scaling
-    v: list[np.ndarray | None] = [None] * len(q_matrices)
+    order, n_scaling = basis.order, basis.n_scaling
+    slot = np.empty(order.size, dtype=np.int64)
+    q: dict[int, np.ndarray] = {}
+    v: dict[int, np.ndarray] = {}
+    for r in np.unique(order).tolist():
+        members = np.flatnonzero(order == r)
+        slot[members] = np.arange(members.size)
+        q[r] = np.stack([basis.q_matrices[c] for c in members])
+        v[r] = np.empty((members.size, r, scheme.nodes.shape[1]))
 
-    def finish(group: np.ndarray, v_in: np.ndarray):
-        q = np.stack([q_matrices[c] for c in group])
-        for c, vc in zip(group, np.matmul(q.transpose(0, 2, 1), v_in)):
-            v[c] = vc
+    def finish(group: np.ndarray, r: int, v_in: np.ndarray):
+        i = slot[group]
+        v[r][i] = np.matmul(q[r][i].transpose(0, 2, 1), v_in)
 
     for level in range(tree.depth, -1, -1):
         at_level = np.flatnonzero(tree.level == level)
@@ -174,16 +180,16 @@ def compute_multiscale_cluster_basis(basis: SampletBasis,
         for (n,), pos in _groups(tree.size[leaves]):
             group = leaves[pos]
             points = coords[tree.begin[group][:, None] + np.arange(n)]
-            finish(group, _lagrange_tensors(tree.lo[group], tree.hi[group],
-                                            scheme.degree, points))
+            finish(group, n, _lagrange_tensors(tree.lo[group], tree.hi[group],
+                                               scheme.degree, points))
         inner = at_level[~tree.is_leaf[at_level]]
         sons = tree.sons[inner]
-        for (ns0, ns1), pos in _groups(n_scaling[sons[:, 0]], n_scaling[sons[:, 1]]):
-            parts = [np.matmul(np.stack([v[s][:ns] for s in sons[pos, k]]),
-                               scheme.transfers[sons[pos, k]].transpose(0, 2, 1))
-                     for k, ns in ((0, ns0), (1, ns1))]
-            finish(inner[pos], np.concatenate(parts, axis=1))
-    return MultiscaleClusterBasis(scheme=scheme, v=v)
+        keys = (n_scaling[sons[:, 0]], n_scaling[sons[:, 1]], order[sons[:, 0]], order[sons[:, 1]])
+        for (ns0, ns1, r0, r1), pos in _groups(*keys):
+            parts = [np.matmul(v[r][slot[s], :ns], scheme.transfers[s].transpose(0, 2, 1))
+                     for s, r, ns in ((sons[pos, 0], r0, ns0), (sons[pos, 1], r1, ns1))]
+            finish(inner[pos], ns0 + ns1, np.concatenate(parts, axis=1))
+    return MultiscaleClusterBasis(scheme=scheme, order=order, slot=slot, q=q, v=v)
 
 
 @dataclass(frozen=True)
@@ -257,23 +263,14 @@ class _Assembly:
         self.n_clusters = len(tree.clusters)
         self.coords = tree.permuted_coords()
         self.nodes = mbasis.scheme.nodes
-        q_matrices = basis.q_matrices
-        self.rows = np.array([q.shape[1] for q in q_matrices], dtype=np.int64)
+        # Q and V of all clusters with r rows, stacked: q[r][slot[c]].
+        self.rows, self.slot, self.q, self.v = mbasis.order, mbasis.slot, mbasis.q, mbasis.v
         self.n_scaling = basis.n_scaling
         # The stored part of a block starts after the scaling rows/columns,
         # at the samplet offset; the root (index 0) stores its scaling ones too.
         self.skip = self.n_scaling.copy()
         self.offset = basis.samplet_offset.copy()
         self.skip[0] = self.offset[0] = 0
-        # Q and V of all clusters with r rows, stacked: q[r][slot[c]].
-        self.slot = np.empty(self.n_clusters, dtype=np.int64)
-        self.q: dict[int, np.ndarray] = {}
-        self.v: dict[int, np.ndarray] = {}
-        for r in np.unique(self.rows):
-            members = np.flatnonzero(self.rows == r)
-            self.slot[members] = np.arange(members.size)
-            self.q[int(r)] = np.stack([q_matrices[c] for c in members])
-            self.v[int(r)] = np.stack([mbasis.v[c] for c in members])
         self.triplets: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self.visited_pairs = self.triplet_bytes = self.given_bytes = self.peak_bytes = 0
 
@@ -346,6 +343,7 @@ class _Assembly:
         """Evaluate one batch from the highest level sum down."""
         nc, is_leaf = self.n_clusters, self.tree.is_leaf
         kept: dict[int, tuple[np.ndarray, bool]] = {}
+        kept_bytes = 0
         finer = None
         for keys, kind in reversed(self.block_list(columns, given)):
             nu, col = np.divmod(keys, nc)
@@ -369,14 +367,13 @@ class _Assembly:
                     block = flat[offsets[i]:offsets[i] + sizes[i]]
                     kept[int(keys[i])] = (block.reshape(self.rows[nu[i]], -1).copy(),
                                           kind[i] != FAR)
+                    kept_bytes += block.nbytes
             self.visited_pairs += int(np.count_nonzero((kind == FAR) | (kind == LEAF)))
-            held = flat.nbytes + (finer[2].nbytes if finer else 0)
-            held += sum(b.nbytes for b, _ in kept.values())
+            held = flat.nbytes + (finer[2].nbytes if finer else 0) + kept_bytes
             self.peak_bytes = max(self.peak_bytes,
                                   held + self.given_bytes + self.triplet_bytes)
             finer = keys, offsets, flat
-        self.given_bytes += sum(b.nbytes for b, _ in kept.values())
-        self.given_bytes -= sum(b.nbytes for b, _ in given.values())
+        self.given_bytes += kept_bytes - sum(b.nbytes for b, _ in given.values())
         return kept
 
     def group_blocks(self, kind, r, c, keys, nu, col, given, finer):

@@ -309,6 +309,8 @@ def read_factor(path) -> CholeskyFactor:
         arrays.append(np.frombuffer(raw, dtype=dt, count=cnt, offset=offset).copy())
         offset += nbytes
     order, indptr, indices, values = arrays
-    return CholeskyFactor(n=int(n), perm=Permutation.from_order(order), rho=float(rho),
-                          indptr=indptr.astype(np.int64),
-                          indices=indices.astype(np.int64), values=values)
+    try:
+        return CholeskyFactor(n=int(n), perm=Permutation.from_order(order), rho=float(rho),
+                              indptr=indptr, indices=indices, values=values)
+    except InvalidInput as exc:
+        raise InvalidInput(f"{path}: {exc}") from exc

@@ -98,22 +98,9 @@ def kernel_cross(cfg: KernelConfig, xs: np.ndarray, ys: np.ndarray) -> np.ndarra
 
 
 def dense_kernel_matrix(cfg: KernelConfig, cloud: PointCloud,
-                        order: str = "original",
-                        permutation: np.ndarray | None = None,
                         cap: int = DENSE_CAP) -> np.ndarray:
-    """Exact dense N x N kernel matrix, guarded against oversize allocation.
-
-    ``order="tree"`` evaluates in tree-permuted point order, which requires
-    the tree permutation.
-    """
+    """Exact dense N x N kernel matrix, guarded against oversize allocation."""
     n = cloud.count
     if n > cap:
         raise ResourceLimit(f"dense kernel matrix capped at N <= {cap}, got {n}")
-    coords = cloud.coords
-    if order == "tree":
-        if permutation is None:
-            raise InvalidInput("tree ordering requires the tree permutation")
-        coords = coords[permutation]
-    elif order != "original":
-        raise InvalidInput(f"unknown ordering {order!r}; use 'original' or 'tree'")
-    return kernel_cross(cfg, coords, coords)
+    return kernel_cross(cfg, cloud.coords, cloud.coords)

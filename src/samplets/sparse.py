@@ -19,11 +19,43 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spilu, splu
 
-from .errors import InvalidInput, NonPositivePivot
+from .errors import InvalidInput, NonPositivePivot, ResourceLimit
 
 
 # ---------------------------------------------------------------------------
 # storage
+
+
+def _lower_triangle(n: int, indptr, indices, values):
+    """The compressed-column arrays of a lower triangle of order n, as
+    contiguous int64, int64 and float64 arrays.
+
+    Raises InvalidInput unless indptr runs from 0 to the number of stored
+    entries, every row index lies in [0, n), every column starts with its
+    diagonal entry and row indices strictly increase within a column.
+    """
+    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+    indices = np.ascontiguousarray(indices, dtype=np.int64)
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if indptr.shape != (n + 1,):
+        raise InvalidInput("indptr must have length n+1")
+    nnz = int(indptr[-1])
+    if indptr[0] != 0 or indices.shape != (nnz,) or values.shape != (nnz,):
+        raise InvalidInput("indptr must run from 0 to the number of stored entries")
+    starts = indptr[:-1]
+    if np.any(indptr[1:] <= starts):
+        raise InvalidInput("every column must hold at least its diagonal entry")
+    if np.any((indices < 0) | (indices >= n)):
+        raise InvalidInput(f"row indices must lie in [0, {n})")
+    if not np.array_equal(indices[starts], np.arange(n)):
+        raise InvalidInput("every column must start with its diagonal entry")
+    if nnz > 1:
+        gaps = np.diff(indices)
+        inside = np.ones(gaps.size, dtype=bool)
+        inside[indptr[1:-1] - 1] = False
+        if np.any(gaps[inside] <= 0):
+            raise InvalidInput("row indices must strictly increase within columns")
+    return indptr, indices, values
 
 
 @dataclass(eq=False)
@@ -41,22 +73,8 @@ class SparseSym:
     values: np.ndarray
 
     def __post_init__(self):
-        self.indptr = np.ascontiguousarray(self.indptr, dtype=np.int64)
-        self.indices = np.ascontiguousarray(self.indices, dtype=np.int64)
-        self.values = np.ascontiguousarray(self.values, dtype=np.float64)
-        if self.indptr.shape != (self.n + 1,):
-            raise InvalidInput("indptr must have length n+1")
-        starts = self.indptr[:-1]
-        if np.any(self.indptr[1:] <= starts):
-            raise InvalidInput("every column must hold at least its diagonal entry")
-        if not np.array_equal(self.indices[starts], np.arange(self.n)):
-            raise InvalidInput("every column must start with its diagonal entry")
-        if self.indices.size > 1:
-            gaps = np.diff(self.indices)
-            inside = np.ones(gaps.size, dtype=bool)
-            inside[self.indptr[1:-1] - 1] = False
-            if np.any(gaps[inside] <= 0):
-                raise InvalidInput("row indices must strictly increase within columns")
+        self.indptr, self.indices, self.values = _lower_triangle(
+            self.n, self.indptr, self.indices, self.values)
 
     @classmethod
     def from_triplets(cls, n: int, rows, cols, vals) -> "SparseSym":
@@ -262,7 +280,12 @@ def fill_reducing_order(pattern: SparseSym, method: str = "amd") -> Permutation:
 
 @dataclass(eq=False)
 class CholeskyFactor:
-    """Lower-triangular factor of P (A + already-applied ridge) P^T."""
+    """Lower-triangular factor of P (A + already-applied ridge) P^T.
+
+    L is stored like the lower triangle of a ``SparseSym``; its values are
+    finite, its diagonal positive and the recorded ridge finite and
+    nonnegative, so L is nonsingular.
+    """
 
     n: int
     perm: Permutation
@@ -270,6 +293,18 @@ class CholeskyFactor:
     indptr: np.ndarray
     indices: np.ndarray
     values: np.ndarray
+
+    def __post_init__(self):
+        self.indptr, self.indices, self.values = _lower_triangle(
+            self.n, self.indptr, self.indices, self.values)
+        if self.perm.n != self.n:
+            raise InvalidInput("permutation size does not match factor size")
+        if not np.isfinite(self.values).all():
+            raise InvalidInput("factor values must be finite")
+        if not np.all(self.values[self.indptr[:-1]] > 0.0):
+            raise InvalidInput("factor diagonal must be positive")
+        if not 0 <= self.rho < np.inf:
+            raise InvalidInput(f"ridge must be finite and nonnegative, got {self.rho}")
 
     @property
     def nnz(self) -> int:
@@ -283,10 +318,6 @@ class CholeskyFactor:
         """SuperLU of L itself: natural order and a positive diagonal, so no
         pivoting and no fill; its solves are the two triangular solves."""
         return _superlu(self.to_scipy(), "NATURAL")
-
-    def matvec(self, z: np.ndarray) -> np.ndarray:
-        """L @ z for a vector or a stack of columns."""
-        return self.to_scipy() @ z
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve A x = b where A is the matrix this factor was computed from."""
@@ -335,6 +366,28 @@ def factorization_residual(a: SparseSym, factor: CholeskyFactor) -> float:
 # Gaussian random fields
 
 
+def check_key(value: int, name: str = "seed") -> None:
+    """Raise InvalidInput unless ``value`` is a Philox key word: an integer
+    in [0, 2**64)."""
+    if not 0 <= value < 2 ** 64:
+        raise InvalidInput(f"{name} must lie in [0, 2**64), got {value}")
+
+
+def grf_buffer(n_samples: int, n: int) -> np.ndarray:
+    """The uninitialised (n_samples, n) array of GRF samples.
+
+    Raises InvalidInput for a negative count and ResourceLimit when the
+    array cannot be allocated.
+    """
+    if n_samples < 0:
+        raise InvalidInput(f"sample count must be nonnegative, got {n_samples}")
+    try:
+        return np.empty((n_samples, n))
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond the address space
+        raise ResourceLimit(f"{n_samples} samples of {n} points need {8 * n_samples * n} "
+                            "bytes, more than can be allocated") from exc
+
+
 def normal_stream(seed: int, stream: int, n: int) -> np.ndarray:
     """Deterministic standard normals from a keyed counter-based generator.
 
@@ -342,8 +395,8 @@ def normal_stream(seed: int, stream: int, n: int) -> np.ndarray:
     produced by the Box-Muller transform, so a sample never depends on how
     many other samples were drawn.
     """
-    if not (0 <= seed < 2 ** 64 and 0 <= stream < 2 ** 64):
-        raise InvalidInput(f"seed {seed} and stream index {stream} must lie in [0, 2**64)")
+    check_key(seed)
+    check_key(stream, "stream index")
     bits = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
     half = (n + 1) // 2
     u = bits.random(2 * half)
@@ -366,12 +419,10 @@ def sample_grf(factor: CholeskyFactor, basis, seed: int, n_samples: int) -> np.n
     n = factor.n
     if basis.size != n:
         raise InvalidInput("factor and basis sizes differ")
-    if n_samples < 0:
-        raise InvalidInput(f"sample count must be nonnegative, got {n_samples}")
+    fields = grf_buffer(n_samples, n)
     from .transform import inverse_transform_matrix
 
     l_mat = factor.to_scipy()
-    fields = np.empty((n_samples, n))
     for s in range(n_samples):
         z = normal_stream(seed, s, n)
         correlated = l_mat @ z                   # L z, permuted coordinates

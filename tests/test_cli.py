@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from samplets import cli
 from samplets import io as sio
 from samplets.cli import main
 from samplets.cluster_tree import PointCloud
@@ -263,15 +264,39 @@ class TestGrfCommand:
         assert rc == 2
         assert "not UTF-8" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag,value,word", [("--seed", str(2 ** 64), "seed"),
-                                                 ("--samples", "-1", "sample count")])
+    BAD_ARGUMENTS = [("--seed", str(2 ** 64), "seed"), ("--seed", "-1", "seed"),
+                     ("--samples", "-1", "sample count"),
+                     ("--samples", str(10 ** 12), "samples"),
+                     ("--samples", str(10 ** 20), "samples")]
+
+    @staticmethod
+    def refuse_bad_argument(monkeypatch, capsys, tmp_path, argv, word):
+        """grf exits 2 with a one-line error, before any basis or assembly."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("grf built the basis before checking its arguments")
+
+        monkeypatch.setattr(cli, "_build_basis", no_work)
+        monkeypatch.setattr(cli, "assemble_compressed_kernel", no_work)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert word in err and err.count("\n") == 1
+        assert not list(tmp_path.glob("f_*"))
+
+    @pytest.mark.parametrize("flag,value,word", BAD_ARGUMENTS)
     def test_bad_seed_or_sample_count_exit_code(self, tmp_path, kernel_json, capsys,
-                                                flag, value, word):
+                                                monkeypatch, flag, value, word):
         argv = ["grf", "--gen", "grid", "--n", "64", "--dim", "1", "--seed", "1",
                 "--kernel", str(kernel_json), "--out-prefix", str(tmp_path / "f")]
-        assert main(argv + [flag, value]) == 2
-        assert word in capsys.readouterr().err
-        assert not list(tmp_path.glob("f_*"))
+        self.refuse_bad_argument(monkeypatch, capsys, tmp_path, argv + [flag, value], word)
+
+    @pytest.mark.parametrize("flag,value,word", BAD_ARGUMENTS)
+    def test_bad_seed_or_sample_count_with_point_file(self, tmp_path, kernel_json, capsys,
+                                                      monkeypatch, flag, value, word):
+        path = tmp_path / "pts.csv"
+        sio.write_points_csv(path, PointCloud(np.linspace(-1, 1, 8000).reshape(-1, 2)))
+        argv = ["grf", "--points", str(path), "--seed", "1", "--kernel", str(kernel_json),
+                "--out-prefix", str(tmp_path / "f")]
+        self.refuse_bad_argument(monkeypatch, capsys, tmp_path, argv + [flag, value], word)
 
     def test_non_positive_pivot_exit_code_and_hint(self, tmp_path, capsys):
         # a long-length-scale smooth kernel has a fast-decaying spectrum, so

@@ -8,7 +8,9 @@ exception fails the test.  Examples are derandomized, so a run is
 reproducible.
 
 SciPy's Matrix Market parser has crashed the interpreter on malformed input
-before, so its fuzz loop runs in a subprocess: a crash fails that test only.
+before, and SuperLU has crashed on malformed factors, so those fuzz loops run
+in a subprocess: a crash fails that test only.  A factor that reads must also
+solve to finite values.
 """
 
 import json
@@ -27,7 +29,7 @@ from samplets import io as sio
 from samplets.cluster_tree import PointCloud
 from samplets.errors import InvalidInput, ResourceLimit
 from samplets.kernels import FAMILIES, KernelConfig
-from samplets.sparse import SparseSym
+from samplets.sparse import SparseSym, fill_reducing_order, sparse_cholesky
 
 TESTS = Path(__file__).resolve().parent
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -161,15 +163,53 @@ def matrix_market_fuzz(index, mutations):
     assert np.isfinite(a.values).all()
 
 
-def test_read_matrix_market_fuzz(tmp_path):
+def _factor_seeds() -> list[bytes]:
+    rng = np.random.default_rng(3)
+    dense = (rng.random((12, 12)) < 0.3) * rng.normal(size=(12, 12))
+    dense = np.tril(dense, -1) + np.tril(dense, -1).T
+    dense += np.diag(np.abs(dense).sum(axis=1) + 1)
+    a = SparseSym.from_dense(dense)
+    diagonal = SparseSym.from_dense(4.0 * np.eye(3))
+    return _seed_files([
+        lambda p: sio.write_factor(p, sparse_cholesky(a, fill_reducing_order(a), rho=0.25)),
+        lambda p: sio.write_factor(p, sparse_cholesky(diagonal)),
+    ])
+
+
+@FUZZ
+@given(index=st.integers(0, 1), mutations=MUTATIONS)
+def factor_fuzz(index, mutations):
+    """The factor-file fuzz loop, reading and then solving;
+    ``test_read_factor_fuzz`` runs it in a subprocess."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.chol"
+        seeds = _factor_seeds()
+        path.write_bytes(mutate(seeds[index % len(seeds)], mutations))
+        try:
+            factor = sio.read_factor(path)
+        except (InvalidInput, ResourceLimit):
+            return
+    x = factor.solve(np.linspace(-1.0, 1.0, factor.n))
+    assert x.shape == (factor.n,) and np.isfinite(x).all()
+
+
+def _run_in_subprocess(loop: str, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(TESTS), str(TESTS.parent / "src"), env.get("PYTHONPATH", "")])
     run = subprocess.run(
-        [sys.executable, "-c", "import test_fuzz_readers as t; t.matrix_market_fuzz()"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600)
+        [sys.executable, "-c", f"import test_fuzz_readers as t; t.{loop}()"],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, (
         f"fuzz loop exited with {run.returncode}\n{run.stdout[-4000:]}\n{run.stderr[-4000:]}")
+
+
+def test_read_matrix_market_fuzz(tmp_path):
+    _run_in_subprocess("matrix_market_fuzz", tmp_path)
+
+
+def test_read_factor_fuzz(tmp_path):
+    _run_in_subprocess("factor_fuzz", tmp_path)
 
 
 def test_mutations_apply_as_described():

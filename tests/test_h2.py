@@ -36,6 +36,11 @@ def lagrange(b, p, points):
     return h2._lagrange_tensors(*b, p, np.asarray(points, float)[None])[0]
 
 
+def v_of(mb, c):
+    """Cluster c's V, read from the stack of its order."""
+    return mb.v[mb.order[c]][mb.slot[c]]
+
+
 def coupling(cfg, a, b, p):
     """Kernel evaluated on the interpolation grids of two boxes."""
     return kernel_cross(cfg, grid(a, p), grid(b, p))
@@ -118,13 +123,16 @@ class TestChebyshev:
 
     def test_transfer_reproduces_parent_basis_on_son_box(self):
         rng = np.random.default_rng(1)
-        parent = box([0.0, 0.0], [2.0, 2.0])
-        son = box([0.0, 1.0], [1.0, 2.0])
+        tree = build_cluster_tree(PointCloud(rng.uniform([0, 0], [2, 3], size=(40, 2))),
+                                  leaf_size=10)
         p = 3
-        t = h2._transfers(*parent, *son, p)[0]
-        x = rng.uniform([0, 1], [1, 2], size=(25, 2))
-        np.testing.assert_allclose(lagrange(parent, p, x), lagrange(son, p, x) @ t.T,
-                                   atol=1e-10)
+        transfers = InterpolationScheme.build(tree, p).transfers
+        for son in range(1, len(tree.clusters)):
+            father = int(np.flatnonzero((tree.sons == son).any(axis=1))[0])
+            x = rng.uniform(tree.lo[son], tree.hi[son], size=(25, 2))
+            np.testing.assert_allclose(lagrange(cluster_box(tree, father), p, x),
+                                       lagrange(cluster_box(tree, son), p, x)
+                                       @ transfers[son].T, atol=1e-10)
 
     def test_degenerate_axis_constant_convention(self):
         b = box([1.0, 0.0], [1.0, 2.0])  # zero width on axis 0
@@ -159,7 +167,7 @@ class TestMultiscaleBasis:
         assert len(basis.tree.clusters) == 1
         v_delta = lagrange(cluster_box(basis.tree, 0), 2, basis.tree.permuted_coords())
         expected = basis.q_matrices[0].T @ v_delta
-        np.testing.assert_allclose(mb.v[0], expected, atol=1e-12)
+        np.testing.assert_allclose(v_of(mb, 0), expected, atol=1e-12)
 
     def test_constant_reproduction_kills_samplet_rows(self):
         rng = np.random.default_rng(3)
@@ -169,7 +177,7 @@ class TestMultiscaleBasis:
         mb = compute_multiscale_cluster_basis(basis, scheme)
         m = (2 + 1) ** 2
         for c in basis.tree.clusters:
-            v_sigma = mb.v[c][basis.n_scaling[c]:]
+            v_sigma = v_of(mb, c)[basis.n_scaling[c]:]
             if v_sigma.size:
                 assert np.max(np.abs(v_sigma @ np.ones(m))) < 1e-9
 
@@ -186,7 +194,7 @@ class TestMultiscaleBasis:
             w = expand_cluster_outputs(basis, c)
             v_delta = lagrange(cluster_box(tree, c), p, coords[tree.begin[c]:tree.end[c]])
             expected = w @ v_delta
-            np.testing.assert_allclose(mb.v[c], expected, atol=1e-10)
+            np.testing.assert_allclose(v_of(mb, c), expected, atol=1e-10)
 
 
 def two_leaf_basis(points, leaf_size=2, q=0):
@@ -232,7 +240,7 @@ def far_field_block(basis, cfg, a, b, p):
     tree = basis.tree
     mb = compute_multiscale_cluster_basis(basis, InterpolationScheme.build(tree, p))
     s = coupling(cfg, cluster_box(tree, a), cluster_box(tree, b), p)
-    return mb.v[a] @ s @ mb.v[b].T
+    return v_of(mb, a) @ s @ v_of(mb, b).T
 
 
 def reference_assembly(basis, cfg, eta, p, epsilon):
@@ -256,7 +264,7 @@ def reference_assembly(basis, cfg, eta, p, epsilon):
         if key not in memo:
             if admits(tree, nu, col, eta):
                 s = coupling(cfg, cluster_box(tree, nu), cluster_box(tree, col), p)
-                f = mb.v[nu] @ s @ mb.v[col].T
+                f = v_of(mb, nu) @ s @ v_of(mb, col).T
             elif not tree.is_leaf[nu]:
                 f = q[nu].T @ np.vstack([block(s, col)[:ns[s]] for s in tree.sons[nu]])
             elif tree.is_leaf[col]:

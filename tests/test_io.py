@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 
 from samplets import io as sio
+from samplets.basis import build_samplet_basis
 from samplets.cluster_tree import PointCloud
 from samplets.errors import InvalidInput
+from samplets.h2 import assemble_compressed_kernel
+from samplets.kernels import KernelConfig
 from samplets.sparse import (
     Permutation,
     SparseSym,
+    add_ridge,
     fill_reducing_order,
     sparse_cholesky,
 )
@@ -271,6 +275,59 @@ class TestFactorFiles:
         raw[36:44] = np.int64(entry).astype("<i8").tobytes()  # first order entry
         path.write_bytes(bytes(raw))
         with pytest.raises(InvalidInput, match="outside"):
+            sio.read_factor(path)
+
+    @pytest.fixture
+    def grf_factor(self, tmp_path):
+        """The factor file of a 64-point GRF problem, with its n and nnz."""
+        rng = np.random.default_rng(4)
+        basis = build_samplet_basis(PointCloud(rng.uniform(-1, 1, size=(64, 2))), q=1)
+        k = assemble_compressed_kernel(basis, KernelConfig("matern32", length_scale=0.5))
+        ridged = add_ridge(k.matrix, 1.0)
+        factor = sparse_cholesky(ridged, fill_reducing_order(ridged), rho=1.0)
+        path = tmp_path / "grf.chol"
+        sio.write_factor(path, factor)
+        return path, factor.n, factor.nnz
+
+    @staticmethod
+    def patch(path, offset, value, dtype):
+        raw = bytearray(path.read_bytes())
+        raw[offset:offset + 8] = np.array([value], dtype=dtype).tobytes()
+        path.write_bytes(bytes(raw))
+
+    def test_row_index_out_of_range_rejected(self, grf_factor):
+        path, n, nnz = grf_factor
+        indices = 36 + 8 * (2 * n + 1)
+        self.patch(path, indices + 8 * (nnz // 2), n + 3, "<i8")
+        with pytest.raises(InvalidInput, match=r"row indices must lie in \[0, 64\)"):
+            sio.read_factor(path)
+
+    def test_column_pointer_past_nnz_rejected(self, grf_factor):
+        path, n, nnz = grf_factor
+        self.patch(path, 36 + 8 * n + 8 * (n // 2), nnz + 100, "<i8")
+        with pytest.raises(InvalidInput, match="at least its diagonal"):
+            sio.read_factor(path)
+
+    @pytest.mark.parametrize("position,value,message", [
+        ("off-diagonal", np.nan, "finite"),
+        ("diagonal", np.nan, "finite"),
+        ("diagonal", 0.0, "diagonal must be positive"),
+        ("diagonal", -1.0, "diagonal must be positive"),
+    ])
+    def test_bad_value_rejected(self, grf_factor, position, value, message):
+        path, n, nnz = grf_factor
+        indptr = np.frombuffer(path.read_bytes(), "<i8", n + 1, 36 + 8 * n)
+        entry = indptr[n // 2] + (1 if position == "off-diagonal" else 0)
+        assert entry < indptr[n // 2 + 1]
+        self.patch(path, 36 + 8 * (2 * n + 1 + nnz + entry), value, "<f8")
+        with pytest.raises(InvalidInput, match=message):
+            sio.read_factor(path)
+
+    @pytest.mark.parametrize("rho", [np.nan, np.inf, -0.5])
+    def test_bad_ridge_rejected(self, grf_factor, rho):
+        path, _, _ = grf_factor
+        self.patch(path, 28, rho, "<f8")
+        with pytest.raises(InvalidInput, match="ridge"):
             sio.read_factor(path)
 
     def test_overlong_file_rejected(self, tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from samplets.cluster_tree import PointCloud, build_cluster_tree
+from samplets.cluster_tree import PointCloud
 from samplets.errors import InvalidInput, ResourceLimit
 from samplets.kernels import (
     FAMILIES,
@@ -90,16 +90,6 @@ class TestDenseMatrix:
         for cfg in all_configs(ell=0.7, c=4.0):
             k = dense_kernel_matrix(cfg, cloud)
             assert np.max(np.abs(k - k.T)) == 0.0
-
-    def test_tree_ordering(self):
-        rng = np.random.default_rng(1)
-        cloud = PointCloud(rng.uniform(size=(20, 2)))
-        tree = build_cluster_tree(cloud, leaf_size=4)
-        k = dense_kernel_matrix(KernelConfig("matern12"), cloud)
-        kp = dense_kernel_matrix(KernelConfig("matern12"), cloud,
-                                 order="tree", permutation=tree.permutation)
-        p = tree.permutation
-        np.testing.assert_array_equal(kp, k[np.ix_(p, p)])
 
     def test_cap_enforced(self):
         cloud = PointCloud(np.zeros((10, 1)))

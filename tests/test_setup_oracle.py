@@ -6,8 +6,11 @@ samplet basis one cluster at a time, with one median split, one QR and one
 product per cluster, and ``reference_monomials`` evaluates the monomials of
 one point set by the direct broadcast power.  ``reference_forward`` and
 ``reference_inverse`` transform with one product per cluster, depth-first.
-The library must reproduce every tree array, every moment matrix, every
-two-scale matrix and every transform bit for bit, dtypes included.
+``reference_transfers`` builds the H^2 transfer matrices as Kronecker
+products of one-axis Lagrange matrices, and ``reference_cluster_bases``
+builds every cluster's V as its own array.  The library must reproduce every
+tree array, every moment matrix, every two-scale matrix, every transform,
+every transfer matrix and every V bit for bit, dtypes included.
 """
 
 import hashlib
@@ -19,12 +22,21 @@ import samplets.basis as basis_module
 from samplets.basis import (
     MomentSpec,
     NormalizationFrame,
+    _groups,
     _monomials,
+    build_samplet_basis,
     construct_basis,
     multi_indices,
     two_scale_decomposition,
 )
 from samplets.cluster_tree import PointCloud, _norms, build_cluster_tree
+from samplets.h2 import (
+    InterpolationScheme,
+    _chebyshev_axes,
+    _lagrange,
+    _lagrange_tensors,
+    compute_multiscale_cluster_basis,
+)
 from samplets.transform import forward_transform_matrix, inverse_transform_matrix
 
 TREE_ARRAYS = ("permutation", "begin", "end", "lo", "hi", "diameter", "level", "sons")
@@ -340,3 +352,91 @@ def test_leaf_two_scale_matrices_are_views_of_their_stacks():
             assert np.shares_memory(basis.q_matrices[leaf], stack[row])
         stacked += leaves.size
     assert stacked == tree.leaves.size
+
+
+def reference_transfers(tree, p):
+    """Transfer matrices of every son, indexed by cluster (NaN at the root):
+    the Kronecker product over the axes of the father's one-axis Lagrange
+    basis at the son's one-axis nodes."""
+    m = (p + 1) ** tree.lo.shape[1]
+    transfers = np.full((tree.begin.size, m, m), np.nan)
+    inner = np.flatnonzero(~tree.is_leaf)
+    fathers, sons = np.repeat(inner, 2), tree.sons[inner].ravel()
+    father = _chebyshev_axes(tree.lo[fathers], tree.hi[fathers], p)
+    son = _chebyshev_axes(tree.lo[sons], tree.hi[sons], p)
+    t = np.ones((sons.size, 1, 1))
+    for k in range(tree.lo.shape[1]):
+        a = _lagrange(father[:, k], son[:, k]).transpose(0, 2, 1)
+        r, c = t.shape[1] * a.shape[1], t.shape[2] * a.shape[2]
+        t = (t[:, :, None, :, None] * a[:, None, :, None, :]).reshape(sons.size, r, c)
+    transfers[sons] = t
+    return transfers
+
+
+def reference_cluster_bases(basis, p):
+    """Every cluster's V as its own array, one level at a time, sons before
+    fathers, with the transfer matrices of ``reference_transfers``."""
+    tree = basis.tree
+    transfers = reference_transfers(tree, p)
+    coords = tree.permuted_coords()
+    q_matrices, n_scaling = basis.q_matrices, basis.n_scaling
+    v = [None] * len(q_matrices)
+
+    def finish(group, v_in):
+        q = np.stack([q_matrices[c] for c in group])
+        for c, vc in zip(group, np.matmul(q.transpose(0, 2, 1), v_in)):
+            v[c] = vc
+
+    for level in range(tree.depth, -1, -1):
+        at_level = np.flatnonzero(tree.level == level)
+        leaves = at_level[tree.is_leaf[at_level]]
+        for (n,), pos in _groups(tree.size[leaves]):
+            group = leaves[pos]
+            points = coords[tree.begin[group][:, None] + np.arange(n)]
+            finish(group, _lagrange_tensors(tree.lo[group], tree.hi[group], p, points))
+        inner = at_level[~tree.is_leaf[at_level]]
+        sons = tree.sons[inner]
+        for (ns0, ns1), pos in _groups(n_scaling[sons[:, 0]], n_scaling[sons[:, 1]]):
+            parts = [np.matmul(np.stack([v[s][:ns] for s in sons[pos, k]]),
+                               transfers[sons[pos, k]].transpose(0, 2, 1))
+                     for k, ns in ((0, ns0), (1, ns1))]
+            finish(inner[pos], np.concatenate(parts, axis=1))
+    return transfers, v
+
+
+H2_CASES = {  # d, n, seed, q, p, leaf size (None: the default), its leaf sizes
+    "1-D, q = 0, p = 5": (1, 333, 333, 0, 5, None, None),
+    "one leaf": (2, 6, 2, 0, 2, 8, [6]),
+    "2-D, mixed leaves": (2, 61, 3, 2, 3, None, [15, 16, 30]),
+    "3-D": (3, 1000, 1000, 2, 3, None, None),
+}
+
+
+@pytest.mark.parametrize("case", H2_CASES)
+def test_cluster_bases_match_reference(case):
+    d, n, seed, q, p, leaf_size, leaf_sizes = H2_CASES[case]
+    rng = np.random.default_rng(seed)
+    basis = build_samplet_basis(PointCloud(rng.uniform(-1, 1, size=(n, d))), q=q,
+                                leaf_size=leaf_size)
+    tree = basis.tree
+    if leaf_sizes is not None:
+        assert sorted(set(tree.size[tree.leaves].tolist())) == leaf_sizes
+    scheme = InterpolationScheme.build(tree, p)
+    mb = compute_multiscale_cluster_basis(basis, scheme)
+    transfers, v = reference_cluster_bases(basis, p)
+    assert_same(scheme.transfers[1:], transfers[1:], "transfer matrices")  # the root's are NaN
+    for c in tree.clusters:
+        assert_same(mb.q[mb.order[c]][mb.slot[c]], basis.q_matrices[c], f"Q of cluster {c}")
+        assert_same(mb.v[mb.order[c]][mb.slot[c]], v[c], f"V of cluster {c}")
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3, 5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_transfers_match_reference(d, p):
+    rng = np.random.default_rng(10 * d + p)
+    coords = rng.uniform(-1, 1, size=(512, d))
+    if d > 1:
+        coords[:, 1] = 0.25  # a zero-width axis in every box
+    tree = build_cluster_tree(PointCloud(coords), leaf_size=20)
+    assert_same(InterpolationScheme.build(tree, p).transfers[1:],
+                reference_transfers(tree, p)[1:], "transfer matrices")

@@ -9,7 +9,7 @@ from scipy.sparse.linalg import splu
 
 from samplets.basis import build_samplet_basis
 from samplets.cluster_tree import PointCloud
-from samplets.errors import InvalidInput, NonPositivePivot
+from samplets.errors import InvalidInput, NonPositivePivot, ResourceLimit
 from samplets.h2 import assemble_compressed_kernel
 from samplets.kernels import SCALED_EXPONENTIAL, KernelConfig
 from samplets.sparse import (
@@ -115,6 +115,25 @@ class TestSparseSym:
     def test_asymmetric_dense_rejected(self):
         with pytest.raises(InvalidInput):
             SparseSym.from_dense(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("indptr,indices", [
+        ([0, 2, 3], [0, 5, 1]),        # a row index outside [0, n)
+        ([0, 2, 3], [0, -1, 1]),       # a negative row index
+        ([0, 9, 3], [0, 1, 1]),        # a column pointer past nnz
+        ([1, 2, 3], [0, 1, 1]),        # indptr not starting at 0
+        ([0, 2, 4], [0, 1, 1]),        # indptr not ending at nnz
+        ([0, 1, 3], [1, 1, 0]),        # a column not starting with its diagonal
+        ([0, 3, 4], [0, 1, 1, 1]),     # rows not strictly increasing
+    ])
+    def test_malformed_arrays_rejected(self, indptr, indices):
+        with pytest.raises(InvalidInput):
+            SparseSym(n=2, indptr=np.array(indptr), indices=np.array(indices),
+                      values=np.ones(len(indices)))
+
+    def test_values_must_match_indices(self):
+        with pytest.raises(InvalidInput):
+            SparseSym(n=2, indptr=np.array([0, 2, 3]), indices=np.array([0, 1, 1]),
+                      values=np.ones(2))
 
     def test_frobenius_matches_dense(self):
         rng = np.random.default_rng(1)
@@ -231,6 +250,24 @@ class TestCholesky:
         np.testing.assert_allclose(factor.to_scipy().toarray(),
                                    [[2.0, 0.0], [1.0, math.sqrt(2)]])
 
+    @pytest.mark.parametrize("change", ["permutation", "pattern", "nan", "diagonal", "ridge"])
+    def test_malformed_factor_rejected(self, change):
+        factor = sparse_cholesky(SparseSym.from_dense(np.array([[4.0, 2.0], [2.0, 3.0]])))
+        fields = dict(n=2, perm=factor.perm, rho=0.0, indptr=factor.indptr,
+                      indices=factor.indices, values=factor.values.copy())
+        if change == "permutation":
+            fields["perm"] = Permutation.identity(3)
+        elif change == "pattern":
+            fields["indices"] = np.array([0, 2, 1])
+        elif change == "nan":
+            fields["values"][1] = np.nan
+        elif change == "diagonal":
+            fields["values"][2] = 0.0
+        else:
+            fields["rho"] = -1.0
+        with pytest.raises(InvalidInput):
+            CholeskyFactor(**fields)
+
     def test_indefinite_reports_column(self):
         a = SparseSym.from_dense(np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(NonPositivePivot) as err:
@@ -312,6 +349,19 @@ class TestGrf:
         fields = sample_grf(factor, basis, seed=7, n_samples=3)
         expected = np.array([normal_stream(7, s, 1)[0] for s in range(3)])
         np.testing.assert_allclose(fields[:, 0], expected)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_out_of_range_rejected(self, seed):
+        with pytest.raises(InvalidInput, match=r"seed must lie in \[0, 2\*\*64\)"):
+            normal_stream(seed, 0, 4)
+
+    @pytest.mark.parametrize("n_samples,error", [(-1, InvalidInput), (10 ** 12, ResourceLimit),
+                                                 (10 ** 20, ResourceLimit)])
+    def test_bad_sample_count_rejected(self, n_samples, error):
+        basis = build_samplet_basis(PointCloud(np.linspace(-1, 1, 64)[:, None]), q=1)
+        factor = sparse_cholesky(identity_sym(64))
+        with pytest.raises(error):
+            sample_grf(factor, basis, seed=1, n_samples=n_samples)
 
     def test_seeded_reproducibility(self):
         rng = np.random.default_rng(11)
