@@ -12,7 +12,6 @@ from .basis import (
     build_samplet_basis,
     construct_basis,
     moment_dimension,
-    samplet_as_point_vector,
     two_scale_decomposition,
 )
 from .cluster_tree import ClusterTree, PointCloud, admissible, build_cluster_tree
@@ -20,12 +19,11 @@ from .errors import InvalidInput, NonPositivePivot, ResourceLimit
 from .h2 import (
     CompressedKernelMatrix,
     InterpolationScheme,
-    admissible_pair_count,
     assemble_compressed_kernel,
     compute_multiscale_cluster_basis,
     dense_compressed_oracle,
 )
-from .kernels import KernelConfig, dense_kernel_matrix, kernel_eval
+from .kernels import KernelConfig, dense_kernel_matrix
 from .sparse import (
     CholeskyFactor,
     Permutation,
@@ -54,13 +52,13 @@ __all__ = [
     "CompressedKernelMatrix", "InterpolationScheme", "InvalidInput",
     "KernelConfig", "MomentSpec", "NonPositivePivot", "Permutation",
     "PointCloud", "ResourceLimit", "SampletBasis", "SparseSym", "add_ridge",
-    "admissible", "admissible_pair_count", "anz", "assemble_compressed_kernel",
+    "admissible", "anz", "assemble_compressed_kernel",
     "build_cluster_tree", "build_samplet_basis",
     "compute_multiscale_cluster_basis", "construct_basis",
     "dense_compressed_oracle", "dense_kernel_matrix", "detect_singularities",
     "factorization_residual", "fill_reducing_order", "forward_transform",
-    "inverse_transform", "kernel_eval", "moment_dimension",
+    "inverse_transform", "moment_dimension",
     "reconstruction_error", "relative_threshold", "sample_grf",
-    "samplet_as_point_vector", "sparse_cholesky", "threshold_coefficients",
+    "sparse_cholesky", "threshold_coefficients",
     "two_scale_decomposition",
 ]

@@ -147,16 +147,6 @@ def _monomials(points: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     return out
 
 
-def leaf_moment_matrix(tree: ClusterTree, leaf: int, degree: int,
-                       frame: NormalizationFrame) -> np.ndarray:
-    """Moment matrix of a leaf: monomials of the normalized points, (m_degree x n)."""
-    if not tree.is_leaf[leaf]:
-        raise InvalidInput("leaf_moment_matrix requires a leaf cluster")
-    pts = tree.cloud.coords[tree.permutation[tree.begin[leaf]:tree.end[leaf]]]
-    exponents = multi_indices(degree, tree.cloud.dim)
-    return _monomials(frame.normalize(pts), exponents)
-
-
 def two_scale_decomposition(moment: np.ndarray) -> tuple[np.ndarray, int]:
     """Full QR of the transposed moment matrix with the sign fixed so diag(R) >= 0.
 
@@ -215,15 +205,6 @@ class SampletBasis:
         """Outputs per cluster, scaling functions plus samplets: the order of
         its two-scale matrix."""
         return self.n_scaling + self.n_samplets
-
-    def owner_of(self, global_index: int) -> int:
-        """The cluster owning a basis element (the root for root scaling functions)."""
-        n = self.size
-        if not 0 <= global_index < n:
-            raise InvalidInput(f"basis index {global_index} out of range [0, {n})")
-        if global_index < self.n_root_scaling:
-            return 0
-        return int(np.searchsorted(self.samplet_offset, global_index, side="right")) - 1
 
     @cached_property
     def scaling_offset(self) -> np.ndarray:
@@ -409,45 +390,3 @@ def build_samplet_basis(cloud: PointCloud, q: int = 2, q_leaf: int | None = None
     tree = build_cluster_tree(cloud, leaf_size=leaf_size)
     return construct_basis(tree, spec)
 
-
-def samplet_as_point_vector(basis: SampletBasis, global_index: int) -> np.ndarray:
-    """Expand one basis element into its coefficients over the original points.
-
-    The result has unit Euclidean norm and is supported on the owning
-    cluster's index range only.  It pushes a unit vector down the tree one
-    cluster at a time, independently of the transforms, so tests use it as
-    their reference.
-    """
-    tree, q = basis.tree, basis.q_matrices
-    cluster = basis.owner_of(global_index)
-    coeff = np.zeros(q[cluster].shape[1])
-    if global_index < basis.n_root_scaling:
-        coeff[global_index] = 1.0
-    else:
-        coeff[basis.n_scaling[cluster] + global_index - basis.samplet_offset[cluster]] = 1.0
-
-    out = np.zeros(basis.size)
-
-    def push_down(node: int, outputs: np.ndarray):
-        incoming = q[node] @ outputs
-        if tree.is_leaf[node]:
-            out[tree.permutation[tree.begin[node]:tree.end[node]]] = incoming
-            return
-        pos = 0
-        for son in tree.sons[node]:
-            son_scaling = basis.n_scaling[son]
-            son_outputs = np.zeros(q[son].shape[1])
-            son_outputs[:son_scaling] = incoming[pos:pos + son_scaling]
-            pos += son_scaling
-            push_down(son, son_outputs)
-
-    push_down(cluster, coeff)
-    return out
-
-
-def dense_basis_matrix(basis: SampletBasis, cap: int = 4096) -> np.ndarray:
-    """All basis elements as rows of an N x N orthogonal matrix (test oracle)."""
-    n = basis.size
-    if n > cap:
-        raise InvalidInput(f"dense basis matrix guarded to N <= {cap}, got {n}")
-    return np.vstack([samplet_as_point_vector(basis, k) for k in range(n)])

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as sio
-from .basis import MomentSpec, build_samplet_basis
+from .basis import build_samplet_basis
 from .cluster_tree import PointCloud
 from .errors import InvalidInput, NonPositivePivot, ResourceLimit
 from .h2 import assemble_compressed_kernel, dense_compressed_oracle
@@ -27,7 +27,6 @@ from .sparse import (
     add_ridge,
     anz,
     check_key,
-    factorization_residual,
     fill_reducing_order,
     grf_buffer,
     sample_grf,
@@ -273,7 +272,7 @@ def cmd_grf(args) -> int:
     compressed = assemble_compressed_kernel(basis, cfg, eta=args.eta, p=args.p,
                                             epsilon=args.epsilon)
     ridged = add_ridge(compressed.matrix, args.ridge)
-    perm = fill_reducing_order(ridged, method=args.ordering)
+    perm = fill_reducing_order(ridged)
     t1 = time.perf_counter()
     factor = sparse_cholesky(ridged, perm, rho=args.ridge)
     chol_seconds = time.perf_counter() - t1
@@ -290,7 +289,7 @@ def cmd_grf(args) -> int:
         "schema": SCHEMA_VERSION, "command": "grf",
         "N": cloud.count, "d": cloud.dim, "eta": _eta_field(args.eta), "p": args.p,
         "q": basis.spec.q, "epsilon": args.epsilon, "ridge": args.ridge,
-        "seed": args.seed, "samples": args.samples, "ordering": args.ordering,
+        "seed": args.seed, "samples": args.samples,
         "anz_K": anz(ridged), "anz_L": anz(factor),
         "nnz_K": ridged.nnz_full, "nnz_L": factor.nnz,
         "assembly_seconds": compressed.stats.assembly_seconds,
@@ -384,9 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gr.add_argument("--p", type=int, default=3)
     p_gr.add_argument("--epsilon", type=float, default=1e-3)
     p_gr.add_argument("--ridge", type=float, default=1.0)
-    p_gr.add_argument("--ordering", choices=("amd", "natural"), default="amd",
-                      help="fill-reducing ordering: amd (multiple minimum degree) "
-                           "or natural")
     p_gr.add_argument("--format", choices=("csv", "bin"), default="csv")
     p_gr.add_argument("--factor-out", dest="factor_out", help="save the factor (binary)")
     p_gr.set_defaults(func=cmd_grf)

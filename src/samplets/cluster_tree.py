@@ -70,9 +70,9 @@ def admissible(lo_a: np.ndarray, hi_a: np.ndarray, diam_a: np.ndarray,
     Pair k is admissible iff dist(a_k, b_k) >= eta * max(diam(a_k), diam(b_k))
     and the distance is positive.  This is the one admissibility rule:
     ``ClusterTree.admissible`` applies it to pairs of cluster indices, and
-    compressed assembly and ``admissible_pair_count`` decide far-field pairs
-    with it.  ``eta=inf`` is allowed and marks every pair inadmissible, which
-    forces exact evaluation everywhere downstream.
+    compressed assembly decides far-field pairs with it.  ``eta=inf`` is
+    allowed and marks every pair inadmissible, which forces exact evaluation
+    everywhere downstream.
     """
     if not eta > 0:
         raise InvalidInput(f"eta must be positive, got {eta}")

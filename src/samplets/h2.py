@@ -489,27 +489,3 @@ def dense_compressed_oracle(cfg: KernelConfig, basis: SampletBasis,
     k = dense_kernel_matrix(cfg, basis.tree.cloud, cap=cap)
     return forward_transform_matrix(basis, forward_transform_matrix(basis, k).T)
 
-
-def admissible_pair_count(tree: ClusterTree, eta: float) -> int:
-    """Number of cluster pairs visited by the pruned block recursion.
-
-    Descendants of an admissible pair are never visited, which is what bounds
-    the assembly cost; leaf-leaf pairs terminate the recursion.
-    """
-
-    def sons_or_self(c: np.ndarray) -> np.ndarray:
-        """Each cluster's two sons; a leaf stands in for itself, beside -1."""
-        alone = np.stack([c, np.full_like(c, -1)], axis=1)
-        return np.where(tree.is_leaf[c][:, None], alone, tree.sons[c])
-
-    count = 0
-    rows = cols = np.array([0])  # the root pair
-    while rows.size:
-        count += rows.size
-        leaf_pair = tree.is_leaf[rows] & tree.is_leaf[cols]
-        split = ~(tree.admissible(rows, cols, eta) | leaf_pair)
-        pair_rows = np.repeat(sons_or_self(rows[split]), 2, axis=1).ravel()
-        pair_cols = np.tile(sons_or_self(cols[split]), (1, 2)).ravel()
-        valid = (pair_rows >= 0) & (pair_cols >= 0)
-        rows, cols = pair_rows[valid], pair_cols[valid]
-    return count

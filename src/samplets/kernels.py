@@ -83,15 +83,6 @@ def kernel_radial(cfg: KernelConfig, r: np.ndarray) -> np.ndarray:
     return np.exp(-cfg.distance_scale * r)  # scaled exponential
 
 
-def kernel_eval(cfg: KernelConfig, x: np.ndarray, y: np.ndarray) -> float:
-    """k(||x - y||) for a single pair of points."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if x.shape != y.shape:
-        raise InvalidInput(f"point dimensions differ: {x.shape} vs {y.shape}")
-    return float(kernel_radial(cfg, np.linalg.norm(x - y)))
-
-
 def kernel_cross(cfg: KernelConfig, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Kernel matrix between two point sets, shapes (n, d) and (m, d)."""
     return kernel_radial(cfg, cdist(xs, ys))

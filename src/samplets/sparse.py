@@ -4,9 +4,10 @@ Ordering and factorization both run on SciPy's SuperLU in symmetric mode with
 diagonal pivots only.  The fill-reducing ordering is Liu's multiple minimum
 degree on the symmetric pattern, read from SuperLU's symbolic pass (an
 incomplete LU that drops every off-diagonal entry, so it computes no fill).
-The numeric LU runs once, in the Cholesky factorization, which reads the
-factor off SuperLU's no-pivot LU of the reordered matrix, L D L^T, as
-L diag(sqrt(D)).
+The numeric LU runs once, in the Cholesky factorization.  For symmetric A the
+no-pivot LU of the reordered matrix is L D L^T with D the diagonal of U, so
+the factor is L diag(sqrt(D)): U is read once for its diagonal, and SuperLU's
+L is scaled in place, then sorted.
 """
 
 from __future__ import annotations
@@ -186,13 +187,12 @@ class Permutation:
         return self.order.size
 
 
-def permute_sym(a: SparseSym, perm: Permutation) -> SparseSym:
-    """The matrix P A P^T, i.e. entry (i, j) moves to (rank[i], rank[j])."""
+def _permuted(a: SparseSym, perm: Permutation) -> sp.csc_matrix:
+    """The full matrix P A P^T in compressed-column form: entry (i, j) moves to
+    (rank[i], rank[j])."""
     if perm.n != a.n:
         raise InvalidInput("permutation size does not match matrix size")
-    cols = np.repeat(np.arange(a.n, dtype=np.int64), np.diff(a.indptr))
-    rows = a.indices
-    return SparseSym.from_triplets(a.n, perm.rank[rows], perm.rank[cols], a.values)
+    return a.to_scipy_full()[perm.order][:, perm.order]
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +206,10 @@ def _superlu(mat: sp.csc_matrix, permc_spec: str):
 
 
 def _leading_lu(mat: sp.csc_matrix, m: int):
-    """Natural-order SuperLU of the leading m-by-m block; None if it is exactly
-    singular.  Raises NonPositivePivot at the first column whose pivot is not
-    positive or was replaced by a row swap."""
+    """Natural-order SuperLU of the leading m-by-m block and its pivots, the
+    diagonal of U; None if the block is exactly singular.  Raises
+    NonPositivePivot at the first column whose pivot is not positive or was
+    replaced by a row swap."""
     try:
         lu = _superlu(mat if m == mat.shape[0] else mat[:m, :m], "NATURAL")
     except RuntimeError:  # "Factor is exactly singular"
@@ -221,11 +222,11 @@ def _leading_lu(mat: sp.csc_matrix, m: int):
     if bad.size:
         j = int(bad[0])
         raise NonPositivePivot(j, 0.0 if swapped[j] else pivots[j])
-    return lu
+    return lu, pivots
 
 
 def _natural_lu(mat: sp.csc_matrix):
-    """SuperLU of ``mat`` with neither row nor column exchanges.
+    """SuperLU of ``mat`` with neither row nor column exchanges, and its pivots.
 
     Raises NonPositivePivot at the first column of the elimination whose pivot
     is not positive.  SuperLU does not say where an exactly singular factor
@@ -233,9 +234,9 @@ def _natural_lu(mat: sp.csc_matrix):
     so the smallest singular leading block ends at the zero pivot.
     """
     n = mat.shape[0]
-    lu = _leading_lu(mat, n)
-    if lu is not None:
-        return lu
+    factored = _leading_lu(mat, n)
+    if factored is not None:
+        return factored
     lo, hi = 1, n  # the leading block of size hi is singular
     while lo < hi:
         mid = (lo + hi) // 2
@@ -259,10 +260,9 @@ def fill_reducing_order(pattern: SparseSym, method: str = "amd") -> Permutation:
     drops every off-diagonal entry and computes no fill.  It runs on unit
     off-diagonals with each diagonal set to its row count: that matrix is
     diagonally dominant, never needs a pivot, and makes the order depend on
-    the pattern alone.  ``method="natural"`` returns the identity.
+    the pattern alone.  ``"amd"`` is the only method; ``sparse_cholesky``
+    without a permutation factors in the natural order.
     """
-    if method == "natural":
-        return Permutation.identity(pattern.n)
     if method != "amd":
         raise InvalidInput(f"unknown ordering method {method!r}")
     lower = sp.csc_matrix((np.ones(pattern.nnz_lower), pattern.indices, pattern.indptr),
@@ -320,19 +320,31 @@ class CholeskyFactor:
         return _superlu(self.to_scipy(), "NATURAL")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve A x = b where A is the matrix this factor was computed from."""
+        """Solve A x = b where A is the matrix this factor was computed from.
+
+        Raises InvalidInput when either substitution gives a value that is not
+        finite, such as an overflow on a nearly singular factor.
+        """
         b = np.asarray(b, dtype=np.float64)
         y = self.solve_lower(b[self.perm.order])
         y = self.solve_lower_transpose(y)
         return y[self.perm.rank]
 
+    def _substitute(self, b: np.ndarray, trans: str) -> np.ndarray:
+        """One triangular solve; a non-finite result raises InvalidInput."""
+        x = self._triangular_lu.solve(np.asarray(b, dtype=np.float64), trans=trans)
+        if not np.isfinite(x).all():
+            raise InvalidInput("a triangular solve with the factor gave a non-finite "
+                               "result")
+        return x
+
     def solve_lower(self, b: np.ndarray) -> np.ndarray:
         """Forward substitution L y = b (in permuted coordinates)."""
-        return self._triangular_lu.solve(np.asarray(b, dtype=np.float64))
+        return self._substitute(b, "N")
 
     def solve_lower_transpose(self, b: np.ndarray) -> np.ndarray:
         """Backward substitution L^T x = b (in permuted coordinates)."""
-        return self._triangular_lu.solve(np.asarray(b, dtype=np.float64), trans="T")
+        return self._substitute(b, "T")
 
 
 def sparse_cholesky(a: SparseSym, perm: Permutation | None = None,
@@ -340,22 +352,27 @@ def sparse_cholesky(a: SparseSym, perm: Permutation | None = None,
     """Sparse Cholesky of P A P^T, from SuperLU's LU without pivoting.
 
     For symmetric A the no-pivot LU is L D L^T with D = diag(U), so the
-    Cholesky factor is L diag(sqrt(D)).  ``rho`` only records the ridge
-    already contained in ``a``.  Raises NonPositivePivot when a pivot fails to
-    be positive, reporting the column of the permuted matrix at fault.
+    Cholesky factor is L diag(sqrt(D)).  SuperLU's L is copied out once and
+    its columns are scaled in place after SuperLU is freed.  Without ``perm``
+    the matrix is factored in its natural order.  ``rho`` only records the
+    ridge already contained in ``a``.  Raises NonPositivePivot when a pivot
+    fails to be positive, reporting the column of the permuted matrix at
+    fault.
     """
     if perm is None:
         perm = Permutation.identity(a.n)
-    lu = _natural_lu(a.to_scipy_full()[perm.order][:, perm.order])
-    l = (lu.L @ sp.diags(np.sqrt(lu.U.diagonal()))).tocsc()
-    l.sort_indices()  # the diagonal leads every column
-    return CholeskyFactor(n=a.n, perm=perm, rho=rho, indptr=l.indptr.astype(np.int64),
-                          indices=l.indices.astype(np.int64), values=l.data)
+    lu, pivots = _natural_lu(_permuted(a, perm))
+    l = lu.L
+    del lu
+    l.data *= np.repeat(np.sqrt(pivots), np.diff(l.indptr))
+    l.sort_indices()  # SuperLU's L is unsorted; the diagonal leads every column
+    return CholeskyFactor(n=a.n, perm=perm, rho=rho, indptr=l.indptr,
+                          indices=l.indices, values=l.data)
 
 
 def factorization_residual(a: SparseSym, factor: CholeskyFactor) -> float:
     """|| P A P^T - L L^T ||_F relative to ||A||_F."""
-    ap = permute_sym(a, factor.perm).to_scipy_full()
+    ap = _permuted(a, factor.perm)
     l = factor.to_scipy()
     diff = (ap - l @ l.T).tocoo()
     denom = a.frobenius_norm()

@@ -251,6 +251,12 @@ class TestGrfCommand:
         payload = json.loads(met.read_text())
         assert payload["anz_K"] > 0 and payload["anz_L"] > 0
 
+    def test_ordering_is_not_an_option(self, tmp_path, kernel_json):
+        # the ordering is always multiple minimum degree
+        assert main(["grf", "--gen", "grid", "--n", "64", "--dim", "1", "--seed", "1",
+                     "--kernel", str(kernel_json), "--ordering", "amd",
+                     "--out-prefix", str(tmp_path / "f")]) == 2
+
     def test_requires_seed(self, tmp_path, kernel_json, capsys):
         rc = main(["grf", "--gen", "grid", "--n", "64", "--dim", "1",
                    "--kernel", str(kernel_json),

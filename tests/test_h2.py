@@ -9,12 +9,13 @@ from samplets.cluster_tree import PointCloud, build_cluster_tree
 from samplets.errors import InvalidInput, ResourceLimit
 from samplets.h2 import (
     InterpolationScheme,
-    admissible_pair_count,
     assemble_compressed_kernel,
     compute_multiscale_cluster_basis,
     dense_compressed_oracle,
 )
 from samplets.kernels import KernelConfig, dense_kernel_matrix, kernel_cross
+
+from oracles import samplet_as_point_vector
 
 
 def box(lo, hi):
@@ -455,27 +456,43 @@ class TestOracle:
             dense_compressed_oracle(KernelConfig("matern12"), basis, cap=10)
 
 
+def visited_pairs(points, leaf_size, eta):
+    """The pairs one assembly computes directly, on a q = 0 basis of 1-D points."""
+    basis = two_leaf_basis([[x] for x in points], leaf_size=leaf_size)
+    compressed = assemble_compressed_kernel(basis, KernelConfig("matern12"), eta=eta,
+                                            p=1, epsilon=0.0)
+    return compressed.stats.visited_pairs
+
+
 class TestPairCounting:
     def test_single_leaf_tree(self):
-        tree = build_cluster_tree(PointCloud(np.array([[0.0], [1.0]])), leaf_size=4)
-        assert admissible_pair_count(tree, 1.0) == 1
+        # the root is a leaf: one exact leaf-leaf block
+        assert visited_pairs([0.0, 1.0], leaf_size=4, eta=1.0) == 1
 
     def test_two_leaf_tree_hand_count(self):
-        tree = build_cluster_tree(PointCloud(np.array([[0.0], [1.0]])), leaf_size=1)
-        # visited: (root,root) + 4 leaf pairs; the separated cross pairs are
-        # admissible for tiny eta but have no descendants to prune
-        assert admissible_pair_count(tree, 1e-9) == 5
+        # four leaf pairs: the two diagonal ones are exact; the separated cross
+        # pairs of single points (diameter 0) are admissible for any finite eta
+        # and interpolated instead, which leaves the count unchanged
+        assert visited_pairs([0.0, 1.0], leaf_size=1, eta=1e-9) == 4
+        assert visited_pairs([0.0, 1.0], leaf_size=1, eta=np.inf) == 4
 
     def test_depth_two_pruning_witness(self):
-        pts = np.array([[0.0], [0.1], [10.0], [10.1]])
-        tree = build_cluster_tree(PointCloud(pts), leaf_size=1)
-        assert tree.depth == 2
-        # eta=1: the two mid-level cross pairs are admissible and each prunes
-        # its 4 singleton descendants: 21 pairs of the full recursion drop to 13
-        assert admissible_pair_count(tree, np.inf) == 21
-        assert admissible_pair_count(tree, 1.0) == 13
+        pts = [0.0, 0.1, 10.0, 10.1]
+        assert build_cluster_tree(PointCloud(np.array(pts)[:, None]), leaf_size=1).depth == 2
+        # eta=inf: all 16 leaf-leaf blocks are exact
+        assert visited_pairs(pts, leaf_size=1, eta=np.inf) == 16
+        # eta=1: only the 4 diagonal leaf blocks are exact.  Interpolated are
+        # the 2 neighbouring singleton pairs in each half, the 2 mid-level
+        # cross pairs and the 8 pairs of a leaf with the far mid-level
+        # cluster, which the row and column combinations above them read:
+        # 18 in all
+        assert visited_pairs(pts, leaf_size=1, eta=1.0) == 18
 
-    def test_pruning_skips_exactly_admissible_descendants(self):
+
+class TestAdmissibility:
+    def test_admissibility_is_inherited_by_son_pairs(self):
+        # assembly relies on this: a kept block below an admissible pair
+        # would never be consumed
         rng = np.random.default_rng(12)
         cloud = PointCloud(rng.uniform(-1, 1, size=(60, 2)))
         tree = build_cluster_tree(cloud, leaf_size=5)
@@ -484,50 +501,15 @@ class TestPairCounting:
         def sons_or_self(c):
             return (c,) if tree.is_leaf[c] else tuple(tree.sons[c])
 
-        # transferability: admissibility is inherited by son pairs
+        n_admissible = 0
         for a in tree.clusters:
             for b in tree.clusters:
                 if admits(tree, a, b, eta):
+                    n_admissible += 1
                     for sa in sons_or_self(a):
                         for sb in sons_or_self(b):
                             assert admits(tree, sa, sb, eta)
-
-        visited = set()
-        full_visited = set()
-        for prune, acc in ((True, visited), (False, full_visited)):
-            stack = [(0, 0)]
-            while stack:
-                a, b = stack.pop()
-                acc.add((a, b))
-                if (prune and admits(tree, a, b, eta)) or \
-                        (tree.is_leaf[a] and tree.is_leaf[b]):
-                    continue
-                for sa in sons_or_self(a):
-                    for sb in sons_or_self(b):
-                        stack.append((sa, sb))
-        assert admissible_pair_count(tree, eta) == len(visited)
-
-        def son_towards(node, target):
-            """The son whose index range contains the target cluster."""
-            if tree.is_leaf[node]:
-                return node
-            for son in tree.sons[node]:
-                if tree.begin[son] <= tree.begin[target] and tree.end[target] <= tree.end[son]:
-                    return son
-            raise AssertionError("target not contained in any son")
-
-        for a, b in full_visited:
-            # walk the unique simultaneous-descent path from the root pair
-            x, y = 0, 0
-            blocked = False
-            while (x, y) != (a, b):
-                if admits(tree, x, y, eta):
-                    blocked = True
-                    break
-                x, y = son_towards(x, a), son_towards(y, b)
-            reachable = (a, b) in visited
-            assert reachable == (not blocked)
-        assert visited <= full_visited
+        assert n_admissible > 0
 
 
 class TestFarFieldConvergence:
@@ -556,8 +538,6 @@ class TestFarFieldConvergence:
 
 class TestKernelDecayBound:
     def test_admissible_entries_obey_calibrated_decay_bound(self):
-        from samplets.basis import samplet_as_point_vector
-
         cfg = KernelConfig("matern12", length_scale=1.0)
 
         def max_ratio(seed):

@@ -9,7 +9,6 @@ from samplets.kernels import (
     FAMILIES,
     KernelConfig,
     dense_kernel_matrix,
-    kernel_eval,
     kernel_radial,
 )
 
@@ -20,18 +19,16 @@ def all_configs(ell=1.0, c=1.0):
 
 class TestPointwise:
     def test_self_evaluation_is_one(self):
-        x = np.array([0.3, -0.7])
         for cfg in all_configs(ell=0.5, c=3.0):
-            assert kernel_eval(cfg, x, x) == pytest.approx(1.0)
+            assert kernel_radial(cfg, 0.0) == pytest.approx(1.0)
 
     def test_matern12_closed_form(self):
         cfg = KernelConfig("matern12", length_scale=1.0)
-        assert kernel_eval(cfg, np.array([0.0]), np.array([1.0])) == pytest.approx(math.exp(-1))
+        assert kernel_radial(cfg, 1.0) == pytest.approx(math.exp(-1))
 
     def test_squared_exponential_closed_form(self):
         cfg = KernelConfig("squared-exponential", length_scale=1.0)
-        assert kernel_eval(cfg, np.array([0.0, 0.0]),
-                           np.array([1.0, 1.0])) == pytest.approx(math.exp(-1))
+        assert kernel_radial(cfg, math.sqrt(2)) == pytest.approx(math.exp(-1))
 
     def test_matern32_52_closed_forms(self):
         r, ell = 0.8, 0.5
@@ -45,10 +42,6 @@ class TestPointwise:
     def test_scaled_exponential(self):
         cfg = KernelConfig("scaled-exponential", distance_scale=25.0)
         assert kernel_radial(cfg, 0.1) == pytest.approx(math.exp(-2.5))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InvalidInput):
-            kernel_eval(KernelConfig("matern12"), np.zeros(2), np.zeros(3))
 
     @pytest.mark.parametrize("text", [
         '{"family": "matern12", "length_scale": 1' + "0" * 400 + "}",  # overflows a float

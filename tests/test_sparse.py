@@ -16,12 +16,12 @@ from samplets.sparse import (
     CholeskyFactor,
     Permutation,
     SparseSym,
+    _permuted,
     add_ridge,
     anz,
     factorization_residual,
     fill_reducing_order,
     normal_stream,
-    permute_sym,
     sample_grf,
     sparse_cholesky,
 )
@@ -83,6 +83,28 @@ def reference_order(pattern: SparseSym) -> np.ndarray:
     lu = splu(full, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
               options={"SymmetricMode": True})
     return np.argsort(lu.perm_c)
+
+
+def permute_sym(a: SparseSym, perm: Permutation) -> SparseSym:
+    """Reference P A P^T from coordinates: entry (i, j) moves to (rank[i], rank[j])."""
+    cols = np.repeat(np.arange(a.n, dtype=np.int64), np.diff(a.indptr))
+    return SparseSym.from_triplets(a.n, perm.rank[a.indices], perm.rank[cols], a.values)
+
+
+def reference_cholesky(a: SparseSym, perm: Permutation):
+    """Reference factor arrays: SuperLU's no-pivot LU of the permuted matrix,
+    L diag(sqrt(diag U)) as a sparse product, converted to sorted CSC."""
+    lu = splu(permute_sym(a, perm).to_scipy_full(), permc_spec="NATURAL",
+              diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    l = (lu.L @ sp.diags(np.sqrt(lu.U.diagonal()))).tocsc()
+    l.sort_indices()
+    return l.indptr, l.indices, l.data
+
+
+def assert_same_factor(factor, indptr, indices, values):
+    for got, want in ((factor.indptr, indptr), (factor.indices, indices),
+                      (factor.values, values)):
+        np.testing.assert_array_equal(got, want)
 
 
 def compressed_kernel(d, n):
@@ -211,6 +233,11 @@ class TestOrdering:
         a = make()
         np.testing.assert_array_equal(fill_reducing_order(a).order, reference_order(a))
 
+    @pytest.mark.parametrize("method", ["natural", "metis", ""])
+    def test_unknown_method_rejected(self, method):
+        with pytest.raises(InvalidInput, match="unknown ordering method"):
+            fill_reducing_order(tridiag(4), method=method)
+
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(2, 40), seed=st.integers(0, 10**6))
     def test_amd_is_a_permutation(self, n, seed):
@@ -315,8 +342,39 @@ class TestCholesky:
         perm = fill_reducing_order(a)
         factor = sparse_cholesky(a, perm)
         natural = sparse_cholesky(permute_sym(a, perm))
-        for name in ("indptr", "indices", "values"):
-            np.testing.assert_array_equal(getattr(factor, name), getattr(natural, name))
+        assert_same_factor(factor, natural.indptr, natural.indices, natural.values)
+
+    @pytest.mark.parametrize("d, n", [(1, 300), (2, 512), (3, 512)])
+    def test_factor_matches_reference_construction(self, d, n):
+        a = compressed_kernel(d, n)
+        perm = fill_reducing_order(a)
+        assert_same_factor(sparse_cholesky(a, perm), *reference_cholesky(a, perm))
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 40), seed=st.integers(0, 10**6))
+    def test_random_factor_matches_reference_construction(self, n, seed):
+        rng = np.random.default_rng(seed)
+        dense = (rng.random((n, n)) < 0.2) * rng.normal(size=(n, n))
+        dense = np.tril(dense, -1) + np.tril(dense, -1).T
+        dense += np.diag(np.abs(dense).sum(axis=1) + 1.0)
+        a = SparseSym.from_dense(dense)
+        perm = Permutation.from_order(rng.permutation(n))
+        assert_same_factor(sparse_cholesky(a, perm), *reference_cholesky(a, perm))
+
+    @pytest.mark.parametrize("lower, overflow", [
+        ([[1e-300, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], np.isnan),
+        ([[1e-300, 0.0], [0.0, 1.0]], np.isinf),
+    ], ids=["nan", "inf"])
+    def test_non_finite_solve_rejected(self, lower, overflow):
+        l = sp.csc_matrix(np.array(lower))
+        factor = CholeskyFactor(n=l.shape[0], perm=Permutation.identity(l.shape[0]),
+                                rho=0.0, indptr=l.indptr, indices=l.indices, values=l.data)
+        ones = np.ones(factor.n)
+        lu = splu(l, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        with np.errstate(all="ignore"):  # the unchecked substitutions overflow
+            assert overflow(lu.solve(lu.solve(ones), trans="T")).any()
+        with pytest.raises(InvalidInput, match="non-finite"):
+            factor.solve(ones)
 
     def test_permutation_round_trip(self):
         perm = Permutation.from_order([2, 0, 3, 1])
@@ -329,8 +387,11 @@ class TestCholesky:
         dense = dense + dense.T + 10 * np.eye(6)
         a = SparseSym.from_dense(dense)
         perm = Permutation.from_order([5, 3, 0, 1, 4, 2])
-        np.testing.assert_allclose(permute_sym(a, perm).to_dense(),
-                                   dense[np.ix_(perm.order, perm.order)])
+        expected = dense[np.ix_(perm.order, perm.order)]
+        np.testing.assert_array_equal(permute_sym(a, perm).to_dense(), expected)
+        np.testing.assert_array_equal(_permuted(a, perm).toarray(), expected)
+        with pytest.raises(InvalidInput):
+            _permuted(a, Permutation.identity(5))
 
 
 class TestGrf:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from samplets.basis import build_samplet_basis, dense_basis_matrix, multi_indices
+from samplets.basis import build_samplet_basis, multi_indices
 from samplets.cluster_tree import PointCloud
 from samplets.errors import InvalidInput
 from samplets.transform import (
@@ -19,6 +19,8 @@ from samplets.transform import (
     relative_threshold,
     threshold_coefficients,
 )
+
+from oracles import dense_basis_matrix, samplet_as_point_vector
 
 
 @pytest.fixture(scope="module")
@@ -73,8 +75,6 @@ class TestInverse:
         assert np.max(np.abs(back.values - f)) <= 1e-12 * np.max(np.abs(f))
 
     def test_unit_coefficient_reproduces_basis_element(self, basis_2d):
-        from samplets.basis import samplet_as_point_vector
-
         for k in (0, basis_2d.n_root_scaling, basis_2d.size - 1):
             e = np.zeros(basis_2d.size)
             e[k] = 1.0
