@@ -16,8 +16,9 @@ cluster tree; the basis keeps one two-scale matrix per cluster and its
 scaling and samplet counts as arrays indexed the same way.  The basis is
 built one tree level at a time, with one stacked QR per stack of equally
 shaped moment matrices, under a byte budget per stack.  The two-scale
-matrices of all leaves of one size are stored as one stack, which the
-transforms multiply in one call.
+matrices of all leaves of one size are stored as one stack; each interior
+QR stack is stored as it came out of the QR.  The transforms multiply each
+stored stack in one call (``SampletBasis.steps``).
 """
 
 from __future__ import annotations
@@ -176,7 +177,9 @@ class SampletBasis:
     scaling functions; samplets follow grouped per cluster in breadth-first
     (coarse-to-fine) tree order, cluster c's starting at ``samplet_offset[c]``.
     ``leaf_stacks`` holds one (leaves, Q stack) pair per leaf size, leaves
-    ascending; a leaf's ``q_matrices`` entry is a view into its stack.
+    ascending; ``interior_stacks`` holds one (fathers, Q stack) pair per
+    stacked QR of the build, finest level first.  Every ``q_matrices`` entry
+    is a view into the one stack that holds its cluster.
     """
 
     tree: ClusterTree
@@ -186,6 +189,7 @@ class SampletBasis:
     n_scaling: np.ndarray
     samplet_offset: np.ndarray
     leaf_stacks: list[tuple[np.ndarray, np.ndarray]]
+    interior_stacks: list[tuple[np.ndarray, np.ndarray]]
 
     @property
     def size(self) -> int:
@@ -207,40 +211,34 @@ class SampletBasis:
         return self.n_scaling + self.n_samplets
 
     @cached_property
-    def scaling_offset(self) -> np.ndarray:
-        """Each cluster's first row in a buffer of every cluster's scaling
-        coefficients, in cluster order; brothers' rows are adjacent."""
-        return np.cumsum(self.n_scaling) - self.n_scaling
+    def steps(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """One step per stored Q stack (b, n, n), in the order of the forward
+        pass: ``leaf_stacks``, then ``interior_stacks``.  A step holds the
+        stack, its clusters' input rows (b, n) and their output rows (b, n).
 
-    @cached_property
-    def leaf_steps(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """Per leaf stack: its Q stack (b, n, n), its points' original indices
-        (b, n), its scaling rows (b, ns) in the scaling buffer and its
-        samplets' global indices (b, n - ns)."""
-        tree = self.tree
+        The rows index the transforms' work buffer: the N coefficients in
+        global order, then every cluster's scaling coefficients in cluster
+        order, so brothers' rows are adjacent.  The root's scaling functions
+        are basis elements, and its scaling rows are coefficients 0..ns-1.
+        A cluster's output rows are its scaling rows, then its samplets'.
+        A leaf's input rows are its points' original indices into the data;
+        a father's are its sons' scaling rows, one run from the first son's.
+        """
+        tree, n_scaling = self.tree, self.n_scaling
+        scaling_row = self.size + np.cumsum(n_scaling) - n_scaling
+        scaling_row[0] = 0
         steps = []
-        for leaves, q in self.leaf_stacks:
-            n, ns = q.shape[-1], int(self.n_scaling[leaves[0]])
-            steps.append((q, tree.permutation[tree.begin[leaves][:, None] + np.arange(n)],
-                          self.scaling_offset[leaves][:, None] + np.arange(ns),
-                          self.samplet_offset[leaves][:, None] + np.arange(n - ns)))
+        for clusters, q in self.leaf_stacks + self.interior_stacks:
+            n, ns = q.shape[-1], int(n_scaling[clusters[0]])
+            if tree.is_leaf[clusters[0]]:
+                rows = tree.permutation[tree.begin[clusters][:, None] + np.arange(n)]
+            else:
+                rows = scaling_row[tree.sons[clusters, 0]][:, None] + np.arange(n)
+            outputs = np.concatenate((scaling_row[clusters][:, None] + np.arange(ns),
+                                      self.samplet_offset[clusters][:, None] + np.arange(n - ns)),
+                                     axis=1)
+            steps.append((q, rows, outputs))
         return steps
-
-    @cached_property
-    def interior_steps(self) -> list[tuple[np.ndarray, int, int, int, int, int, int]]:
-        """One (Q, sons' scaling rows start and stop, own scaling rows start
-        and count, samplet start and stop) per interior cluster, sons before
-        fathers.  Brothers have consecutive indices, so their scaling rows
-        form one run that starts at the first son's."""
-        tree = self.tree
-        inner = np.flatnonzero(~tree.is_leaf)[::-1]
-        first = self.scaling_offset[tree.sons[inner, 0]]
-        stop = self.samplet_offset + self.n_samplets
-        columns = (self.n_scaling[tree.sons[inner, 0]] + self.n_scaling[tree.sons[inner, 1]])
-        rows = zip(inner.tolist(), first.tolist(), (first + columns).tolist(),
-                   self.scaling_offset[inner].tolist(), self.n_scaling[inner].tolist(),
-                   self.samplet_offset[inner].tolist(), stop[inner].tolist())
-        return [(self.q_matrices[c], *rest) for c, *rest in rows]
 
 
 def _groups(*keys: np.ndarray):
@@ -320,11 +318,12 @@ def construct_basis(tree: ClusterTree, spec: MomentSpec) -> SampletBasis:
     fathers whose sons carry the same scaling counts) are decomposed in
     stacks of at most ``_STACK_BYTES``, with one stacked QR and one stacked
     product each; every cluster gets the bits of a decomposition of its own
-    matrix.  An interior cluster's ``q_matrices`` entry is a view into its
-    stack; a leaf's two-scale matrix is copied into the one stack of all
-    leaves of its size, and its entry is a view into that.  The moments a
-    level exports upward are copied into one array per level, so that no
-    view holds a stack's full product alive.
+    matrix.  An interior QR stack is kept as it is, in ``interior_stacks``,
+    and its clusters' ``q_matrices`` entries are views into it; a leaf's
+    two-scale matrix is copied into the one stack of all leaves of its size,
+    and its entry is a view into that.  The moments a level exports upward
+    are copied into one array per level, so that no view holds a stack's
+    full product alive.
     """
     if spec.dim != tree.cloud.dim:
         raise InvalidInput(f"moment spec dim {spec.dim} != cloud dim {tree.cloud.dim}")
@@ -339,7 +338,7 @@ def construct_basis(tree: ClusterTree, spec: MomentSpec) -> SampletBasis:
     n_scaling = np.empty(n_clusters, dtype=np.int64)
     columns = np.empty(n_clusters, dtype=np.int64)  # of the moment matrix, and Q's order
     bounds = np.searchsorted(tree.level, np.arange(tree.depth + 2))
-    leaf_stacks = []
+    leaf_stacks, interior_stacks = [], []
     leaf_row = np.empty(n_clusters, dtype=np.int64)  # a leaf's place in its stack
     stack_of: dict[int, np.ndarray] = {}
     for (n,), pos in _groups(size[tree.leaves]):
@@ -366,6 +365,8 @@ def construct_basis(tree: ClusterTree, spec: MomentSpec) -> SampletBasis:
                 stack = stack_of[qmat.shape[-1]][row:row + group.size]
                 stack[...] = qmat
                 qmat = stack
+            else:
+                interior_stacks.append((group, qmat))
             for c, q in zip(group.tolist(), qmat):
                 q_matrices[c] = q
         son_exports = exports
@@ -378,7 +379,7 @@ def construct_basis(tree: ClusterTree, spec: MomentSpec) -> SampletBasis:
         raise AssertionError(f"basis size mismatch: {total} != {tree.cloud.count}")
     return SampletBasis(tree=tree, spec=spec, frame=frame, q_matrices=q_matrices,
                         n_scaling=n_scaling, samplet_offset=samplet_offset,
-                        leaf_stacks=leaf_stacks)
+                        leaf_stacks=leaf_stacks, interior_stacks=interior_stacks)
 
 
 def build_samplet_basis(cloud: PointCloud, q: int = 2, q_leaf: int | None = None,

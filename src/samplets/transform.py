@@ -1,35 +1,30 @@
 """Discrete samplet transform, its inverse, thresholding and singularity detection.
 
-Both transforms run in linear time in two stages, and the inverse mirrors the
-forward pass.  Callers see data in the original point order; the tree
-permutation is applied internally.
+Both transforms run in linear time; the inverse mirrors the forward pass.
+Callers see data in the original point order; the tree permutation is
+applied internally.
 
-Leaves.  The basis stores the two-scale matrices of all leaves of one size as
-one stack (``SampletBasis.leaf_stacks``, indexed for the transforms by
-``leaf_steps``).  Per stack, the forward pass gathers
-the leaves' point values through the tree permutation, multiplies them by the
-transposed stack in one ``np.matmul`` and scatters the results: scaling rows
-into a buffer of every cluster's scaling coefficients, samplet rows into the
-output.  The inverse gathers those rows, multiplies by the stack and scatters
-to the points.  A stacked ``matmul`` calls BLAS once per leaf with the
-operands of a product on that leaf alone, so each leaf keeps its bits.
+A pass takes one step per stored stack of two-scale matrices
+(``SampletBasis.steps``): the stacks of all leaves of one size, then the
+interior stacks of the basis build's stacked QR, finest level first.  Both
+passes work in one buffer: the N coefficients, then every cluster's scaling
+coefficients.  A forward step gathers its input rows (a leaf's points from
+the data through the tree permutation, or a father's sons' scaling rows),
+multiplies them by the transposed stack in one ``np.matmul`` and scatters
+the product to its clusters' scaling and samplet rows.  The inverse runs the
+steps in reverse, from those rows back to the inputs.  A stacked ``matmul``
+calls BLAS once per cluster with the operands of a product on that cluster
+alone, so every cluster keeps its bits.  Steps run in row slices of at most
+``_PART_BYTES`` of gathered input, so many-column transforms hold small
+temporaries.
 
-Interior clusters.  One step per cluster (``SampletBasis.interior_steps``),
-in breadth-first order, sons before fathers for the forward pass and fathers
-first for the inverse.  Brothers have consecutive indices, so their scaling
-rows lie side by side in the buffer: a forward step is one slice, one product
-and two slice writes.  Depth-first order was no faster: at N = 2^16 and 2^18
-in 2-D, breadth-first was 0.3-4 % faster in the median of 31 interleaved
-forward-plus-inverse calls (2-core x86, one BLAS thread).
-
-The interior is not stacked.  A prototype that stacked every level was about
-7x faster at N = 2^16, but its Q stacks hold about 390 B per point and fall
-out of cache as N grows: its per-point cost rose 96 -> 127 -> 161 ns from
-N = 2^14 to 2^16, and the linear-cost test (A4) read doubling ratios of 2.65
-and 2.52.  The leaves are half of all clusters, hold 8 x (leaf size) bytes of
-Q per point (128 B at 16 points per leaf), and are the only place where data
-pass through the tree permutation; stacking them alone more than halves the
-cost of a transform at N = 2^16 and keeps the per-point cost flat.
+Every pass reads all of Q once, about 390 B per point (2-D, q = 2), so no
+step order keeps it in cache.  Run back to back, forward plus inverse takes
+138 ns per point at N = 2^14, 212 ns at 2^15 (Q grows from 6 to 12 MiB) and
+240 ns at 2^18 (2-core x86, one BLAS thread).  One Q stack per level was
+faster (``signals-2d`` ``job_p90_s`` 0.18-0.19 s against 0.26-0.28 s) but,
+built by concatenating the QR stacks, raised its peak RSS from 130.5 to
+145.6 MB; the interior stacks keep the QR's byte budget.
 """
 
 from __future__ import annotations
@@ -44,6 +39,8 @@ from .errors import InvalidInput
 
 POINT_BASIS = "point"
 SAMPLET_BASIS = "samplet"
+
+_PART_BYTES = 1 << 16  # of one slice of a step's gathered input
 
 
 @dataclass(frozen=True)
@@ -84,41 +81,42 @@ def _require(vec: CoefficientVector, tag: str, n: int) -> np.ndarray:
     return vec.values
 
 
+def _steps(basis: SampletBasis, values: np.ndarray, work: np.ndarray):
+    """Yield the forward pass's steps in row slices of at most ``_PART_BYTES``
+    of gathered input, each with the array that its input rows index."""
+    leaves, k = len(basis.leaf_stacks), values.shape[1]
+    for i, (q, rows, outputs) in enumerate(basis.steps):
+        source = values if i < leaves else work
+        size = max(1, _PART_BYTES // max(1, rows.shape[1] * k * 8))
+        if size >= rows.shape[0]:  # three slices cost about 2 us, a step about 25
+            yield q, rows, outputs, source
+            continue
+        for lo in range(0, rows.shape[0], size):
+            yield q[lo:lo + size], rows[lo:lo + size], outputs[lo:lo + size], source
+
+
+def _work(basis: SampletBasis, k: int) -> np.ndarray:
+    """The buffer that ``SampletBasis.steps`` indexes, for k columns."""
+    return np.empty((basis.size + int(basis.n_scaling.sum()), k))
+
+
 def _forward_array(basis: SampletBasis, data: np.ndarray) -> np.ndarray:
     """Transform the columns of ``data`` (N or (N, k), original point order)."""
-    out = np.empty_like(data)
-    values, coeffs = (data[:, None], out[:, None]) if data.ndim == 1 else (data, out)
-    scaling = np.empty((int(basis.n_scaling.sum()), values.shape[1]))
-    for q, points, scaling_rows, samplet_rows in basis.leaf_steps:
-        stacked = np.matmul(np.swapaxes(q, 1, 2), values[points])
-        ns = scaling_rows.shape[1]
-        scaling[scaling_rows] = stacked[:, :ns]
-        coeffs[samplet_rows] = stacked[:, ns:]
-    # ``dot`` makes the BLAS call of ``@`` with about 1 us less overhead
-    for q, first, stop, own, ns, lo, hi in basis.interior_steps:
-        step = q.T.dot(scaling[first:stop])
-        scaling[own:own + ns] = step[:ns]
-        coeffs[lo:hi] = step[ns:]
-    ns = basis.n_root_scaling
-    coeffs[:ns] = scaling[:ns]
-    return out
+    values = data.reshape(data.shape[0], -1)
+    work = _work(basis, values.shape[1])
+    for q, rows, outputs, source in _steps(basis, values, work):
+        work[outputs] = np.matmul(np.swapaxes(q, 1, 2), source.take(rows, axis=0))
+    return work[:basis.size].reshape(data.shape).copy()
 
 
 def _inverse_array(basis: SampletBasis, coeffs: np.ndarray) -> np.ndarray:
     """Inverse transform of the columns of ``coeffs``; result in original point order."""
     out = np.empty_like(coeffs)
-    coeffs, values = (coeffs[:, None], out[:, None]) if coeffs.ndim == 1 else (coeffs, out)
-    scaling = np.empty((int(basis.n_scaling.sum()), coeffs.shape[1]))
-    ns = basis.n_root_scaling
-    scaling[:ns] = coeffs[:ns]
-    for q, first, stop, own, ns, lo, hi in reversed(basis.interior_steps):
-        np.dot(q, np.concatenate((scaling[own:own + ns], coeffs[lo:hi])), out=scaling[first:stop])
-    for q, points, scaling_rows, samplet_rows in basis.leaf_steps:
-        ns = scaling_rows.shape[1]
-        stacked = np.empty(points.shape + coeffs.shape[1:])
-        stacked[:, :ns] = scaling[scaling_rows]
-        stacked[:, ns:] = coeffs[samplet_rows]
-        values[points] = np.matmul(q, stacked)
+    values = out.reshape(out.shape[0], -1)
+    work = _work(basis, values.shape[1])
+    work[:basis.size] = coeffs.reshape(values.shape)
+    for q, rows, outputs, target in reversed(list(_steps(basis, values, work))):
+        target[rows] = np.matmul(q, work.take(outputs, axis=0))
     return out
 
 

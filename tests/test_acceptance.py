@@ -129,20 +129,22 @@ def test_a4_linear_cost_transforms():
         basis = build_samplet_basis(cloud, q=2)
         f = rng.normal(size=(n, 1))
         inverse_transform_matrix(basis, forward_transform_matrix(basis, f))  # warm up
-        cases.append((basis, f, max(1, 2 ** 18 // n)))
-    # Round-robin rounds over all sizes: a burst of host load lands on every
-    # size, not on one, and each size keeps its fastest round.  At least 5
-    # rounds, then more while another round still ends within 110 s.
+        cases.append((basis, f))
+    # Round-robin rounds over all sizes, one forward+inverse per size each: a
+    # burst of host load lands on every size, not on one, and each size keeps
+    # its fastest round.  Every timed pass follows a pass over another size's
+    # data, so all sizes start from the same cache state; repeating a small
+    # size back to back would run it from cache while the large ones stream
+    # their Q stacks (about 390 B per point) from memory.  At least 5 rounds,
+    # then more while another round still ends within 110 s.
     times = [math.inf] * len(sizes)
     rounds = round_seconds = 0
     while rounds < 5 or time.perf_counter() - start + round_seconds < 110.0:
         round_start = time.perf_counter()
-        for i, (basis, f, reps) in enumerate(cases):
+        for i, (basis, f) in enumerate(cases):
             t0 = time.perf_counter()
-            for _ in range(reps):
-                c = forward_transform_matrix(basis, f)
-                inverse_transform_matrix(basis, c)
-            times[i] = min(times[i], (time.perf_counter() - t0) / reps)
+            inverse_transform_matrix(basis, forward_transform_matrix(basis, f))
+            times[i] = min(times[i], time.perf_counter() - t0)
         round_seconds = time.perf_counter() - round_start
         rounds += 1
     del cases

@@ -319,23 +319,56 @@ TRANSFORM_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", TRANSFORM_CASES)
-def test_transforms_match_reference(case):
+def transform_case(case):
     d, n, q, leaf_size = TRANSFORM_CASES[case]
     rng = np.random.default_rng(n + q)
     spec = MomentSpec.default(d, q=q)
     tree = build_cluster_tree(PointCloud(rng.uniform(-1, 1, size=(n, d))),
                               leaf_size=leaf_size or spec.default_leaf_size())
+    return tree, spec, rng
+
+
+BYTE_OFFSETS = (0, 8, 24)
+
+
+def transform_shapes(n):
+    return (n,), (n, 1), (n, 3), (n, 7), (n, n)
+
+
+@pytest.mark.parametrize("case", TRANSFORM_CASES)
+def test_transforms_match_reference(case):
+    tree, spec, rng = transform_case(case)
     basis = construct_basis(tree, spec)
-    for shape in ((n,), (n, 1), (n, 3), (n, 7), (n, n)):
+    for shape in transform_shapes(basis.size):
         data = rng.normal(size=shape)
         want_forward = reference_forward(basis, data)
         want_inverse = reference_inverse(basis, data)
-        for offset in (0, 8, 24):
+        for offset in BYTE_OFFSETS:
             copy = at_offset(data, offset)
             assert_same(forward_transform_matrix(basis, copy), want_forward,
                         f"forward of {shape} at offset {offset}")
             assert_same(inverse_transform_matrix(basis, copy), want_inverse,
+                        f"inverse of {shape} at offset {offset}")
+
+
+@pytest.mark.parametrize("case", TRANSFORM_CASES)
+def test_transforms_with_one_cluster_per_stack_give_the_same_bits(case, monkeypatch):
+    """The transforms take one step per stored Q stack; how many clusters a
+    stack holds must not change a bit of their outputs."""
+    tree, spec, rng = transform_case(case)
+    batched = construct_basis(tree, spec)
+    monkeypatch.setattr(basis_module, "_STACK_BYTES", 1)
+    single = construct_basis(tree, spec)
+    assert all(stack.shape[0] == 1 for _, stack in single.interior_stacks)
+    for shape in transform_shapes(batched.size):
+        data = rng.normal(size=shape)
+        for offset in BYTE_OFFSETS:
+            copy = at_offset(data, offset)
+            assert_same(forward_transform_matrix(single, copy),
+                        forward_transform_matrix(batched, copy),
+                        f"forward of {shape} at offset {offset}")
+            assert_same(inverse_transform_matrix(single, copy),
+                        inverse_transform_matrix(batched, copy),
                         f"inverse of {shape} at offset {offset}")
 
 
@@ -352,6 +385,22 @@ def test_leaf_two_scale_matrices_are_views_of_their_stacks():
             assert np.shares_memory(basis.q_matrices[leaf], stack[row])
         stacked += leaves.size
     assert stacked == tree.leaves.size
+
+
+def test_interior_two_scale_matrices_are_views_of_their_stacks():
+    rng = np.random.default_rng(8)
+    spec = MomentSpec.default(2)
+    tree = build_cluster_tree(PointCloud(rng.uniform(-1, 1, size=(1003, 2))), leaf_size=13)
+    basis = construct_basis(tree, spec)
+    stacked = []
+    for fathers, stack in basis.interior_stacks:
+        assert not tree.is_leaf[fathers].any()
+        assert np.all(basis.order[fathers] == stack.shape[-1])
+        for row, father in enumerate(fathers.tolist()):
+            assert basis.q_matrices[father].base is stack
+            assert np.shares_memory(basis.q_matrices[father], stack[row])
+        stacked.extend(fathers.tolist())
+    assert sorted(stacked) == np.flatnonzero(~tree.is_leaf).tolist()
 
 
 def reference_transfers(tree, p):

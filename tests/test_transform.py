@@ -316,3 +316,35 @@ class TestSingularities:
             if tree.is_leaf[hit.cluster]:
                 assert tree.lo[hit.cluster, 0] <= 2 * spacing
                 assert tree.hi[hit.cluster, 0] >= -2 * spacing
+
+
+class TestCountedCost:
+    """Linear cost as a count, beside A4's wall time: each transform step
+    multiplies a stack of b two-scale matrices of order n by b blocks of n
+    rows, b n^2 multiply-adds per column."""
+
+    def test_every_two_scale_matrix_is_in_exactly_one_step(self):
+        rng = np.random.default_rng(8)
+        basis = build_samplet_basis(PointCloud(rng.uniform(-1, 1, size=(1003, 2))), q=2,
+                                    leaf_size=13)
+        tree = basis.tree
+        assert sum(q.shape[0] for q, *_ in basis.steps) == len(basis.q_matrices)
+        step_of = np.empty(len(basis.q_matrices), dtype=np.int64)
+        for c, q in enumerate(basis.q_matrices):
+            holders = [i for i, (stack, *_) in enumerate(basis.steps)
+                       if np.shares_memory(q, stack)]
+            assert len(holders) == 1, f"cluster {c} is in steps {holders}"
+            step_of[c] = holders[0]
+        # the forward pass reaches a father after both of its sons
+        inner = np.flatnonzero(~tree.is_leaf)
+        assert np.all(step_of[inner] > step_of[tree.sons[inner]].max(axis=1))
+
+    def test_multiply_adds_per_point_stay_in_a_band(self):
+        per_point = []
+        for e in range(10, 17):
+            n = 2 ** e
+            rng = np.random.default_rng(e)
+            basis = build_samplet_basis(PointCloud(rng.uniform(-1, 1, size=(n, 2))), q=2)
+            per_point.append(sum(q.shape[0] * q.shape[1] ** 2 for q, *_ in basis.steps) / n)
+        # measured 48.48 ... 48.62 per point at q = 2, 16 points per leaf
+        assert all(44.0 <= c <= 53.0 for c in per_point), per_point
