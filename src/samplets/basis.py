@@ -15,14 +15,16 @@ and the moment matrices well conditioned.  Clusters are the indices of the
 cluster tree; the basis keeps one two-scale matrix per cluster and its
 scaling and samplet counts as arrays indexed the same way.  The basis is
 built one tree level at a time, with one stacked QR per stack of equally
-shaped moment matrices, under a byte budget per stack.  The two-scale
-matrices of all leaves of one size are stored as one stack; each interior
-QR stack is stored as it came out of the QR.  The transforms multiply each
-stored stack in one call (``SampletBasis.steps``).
+shaped moment matrices, under a byte budget per stack.  All two-scale
+matrices live in one buffer, laid out as one stack per leaf size and one
+per tree level and pair of son scaling counts; each QR's output is copied
+into its clusters' rows.  The transforms multiply each stored stack in one
+call (``SampletBasis.steps``): 13 stacks at N = 2^16 in 2-D.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
@@ -32,11 +34,12 @@ import numpy as np
 from .cluster_tree import ClusterTree, PointCloud, build_cluster_tree
 from .errors import InvalidInput, ResourceLimit
 
-# Byte budget of one stack of moment matrices and their two-scale matrices
-# in ``construct_basis``; it bounds the build's temporaries.  On the
-# ``signals-2d`` benchmark (N = 2^16, 2-core x86), 1 MiB stacks built the
-# basis about 8 % faster but raised the peak RSS of repeated builds by
-# 4 %; 64 KiB stacks left it where one array per cluster did.
+# Byte budget of one QR stack in ``construct_basis``: its moment matrices
+# and their two-scale matrices.  It bounds only the build's temporaries; the
+# stored stacks are laid out apart from it.  On the ``signals-2d`` benchmark
+# (N = 2^16, 2-core x86), 1 MiB stacks built the basis about 8 % faster but
+# raised the peak RSS of repeated builds by 4 %; 64 KiB stacks left it where
+# one array per cluster did.
 _STACK_BYTES = 1 << 16
 
 # Cap on the entries of one moment matrix; a leaf's is m_q_leaf x its point
@@ -178,14 +181,15 @@ class SampletBasis:
     (coarse-to-fine) tree order, cluster c's starting at ``samplet_offset[c]``.
     ``leaf_stacks`` holds one (leaves, Q stack) pair per leaf size, leaves
     ascending; ``interior_stacks`` holds one (fathers, Q stack) pair per
-    stacked QR of the build, finest level first.  Every ``q_matrices`` entry
-    is a view into the one stack that holds its cluster.
+    tree level and pair of son scaling counts, finest level first, and
+    fathers ascending within it.  The stacks are consecutive parts of one
+    buffer, and every ``q_matrices`` entry is a view of its row in the one
+    stack that holds its cluster; the list is made on first use.
     """
 
     tree: ClusterTree
     spec: MomentSpec
     frame: NormalizationFrame
-    q_matrices: list[np.ndarray]
     n_scaling: np.ndarray
     samplet_offset: np.ndarray
     leaf_stacks: list[tuple[np.ndarray, np.ndarray]]
@@ -198,6 +202,17 @@ class SampletBasis:
     @property
     def n_root_scaling(self) -> int:
         return int(self.n_scaling[0])
+
+    @cached_property
+    def q_matrices(self) -> list[np.ndarray]:
+        """Every cluster's two-scale matrix, a view of its stack row.  Made
+        on first use: 8191 views take about 1 MB at N = 2^16, and the
+        transforms read only the stacks."""
+        q_matrices = [None] * self.n_scaling.size
+        for clusters, stack in self.leaf_stacks + self.interior_stacks:
+            for c, q in zip(clusters.tolist(), stack):
+                q_matrices[c] = q
+        return q_matrices
 
     @cached_property
     def n_samplets(self) -> np.ndarray:
@@ -221,8 +236,9 @@ class SampletBasis:
         order, so brothers' rows are adjacent.  The root's scaling functions
         are basis elements, and its scaling rows are coefficients 0..ns-1.
         A cluster's output rows are its scaling rows, then its samplets'.
-        A leaf's input rows are its points' original indices into the data;
-        a father's are its sons' scaling rows, one run from the first son's.
+        A leaf's input rows are its points' tree positions, which index the
+        data in tree order; a father's are its sons' scaling rows, one run
+        from the first son's.
         """
         tree, n_scaling = self.tree, self.n_scaling
         scaling_row = self.size + np.cumsum(n_scaling) - n_scaling
@@ -231,7 +247,7 @@ class SampletBasis:
         for clusters, q in self.leaf_stacks + self.interior_stacks:
             n, ns = q.shape[-1], int(n_scaling[clusters[0]])
             if tree.is_leaf[clusters[0]]:
-                rows = tree.permutation[tree.begin[clusters][:, None] + np.arange(n)]
+                rows = tree.begin[clusters][:, None] + np.arange(n)
             else:
                 rows = scaling_row[tree.sons[clusters, 0]][:, None] + np.arange(n)
             outputs = np.concatenate((scaling_row[clusters][:, None] + np.arange(ns),
@@ -255,13 +271,6 @@ def _groups(*keys: np.ndarray):
         yield tuple(int(k[lo]) for k in sorted_keys), order[lo:hi]
 
 
-def _chunks(members: np.ndarray, m: int, n: int):
-    """Split a group of (m x n) moment matrices into stacks of at most
-    ``_STACK_BYTES`` of moments and two-scale matrices (one matrix at least)."""
-    step = max(1, _STACK_BYTES // (8 * n * (m + n)))
-    return (members[i:i + step] for i in range(0, members.size, step))
-
-
 def _check_moment_size(tree: ClusterTree, spec: MomentSpec) -> None:
     """Refuse a build whose moment matrices could exceed ``MAX_MOMENT_ENTRIES``.
 
@@ -282,26 +291,69 @@ def _check_moment_size(tree: ClusterTree, spec: MomentSpec) -> None:
             f"{largest_leaf} points); lower q, q_leaf or the leaf size")
 
 
-def _moment_stacks(tree: ClusterTree, at_level: np.ndarray, points: np.ndarray,
+def _moment_stacks(tree: ClusterTree, clusters: np.ndarray, points: np.ndarray,
                    exponents: np.ndarray, n_scaling: np.ndarray, son_exports: np.ndarray,
                    below: int):
-    """Yield (clusters, moments) over one level: stacks of equally shaped
-    moment matrices, at most ``_STACK_BYTES`` each.
+    """Yield (first, moments): ``clusters``, one level's clusters with equally
+    shaped moment matrices, in stacks of at most ``_STACK_BYTES`` of moments
+    and two-scale matrices (one matrix at least), each with its first
+    position in ``clusters``.
 
     A leaf's moments are its monomials; a father's are the columns its sons
     exported, side by side.  ``son_exports[s - below]`` holds son s's.
     """
-    leaves = at_level[tree.is_leaf[at_level]]
-    for (n,), pos in _groups(tree.size[leaves]):
-        for group in _chunks(leaves[pos], exponents.shape[0], n):
-            yield group, _monomials(points[tree.begin[group][:, None] + np.arange(n)], exponents)
-    inner = at_level[~tree.is_leaf[at_level]]
-    s0, s1 = tree.sons[inner, 0], tree.sons[inner, 1]
-    for (ns0, ns1), pos in _groups(n_scaling[s0], n_scaling[s1]):
-        for chunk in _chunks(pos, son_exports.shape[1], ns0 + ns1):
-            yield inner[chunk], np.concatenate((son_exports[s0[chunk] - below, :, :ns0],
-                                                son_exports[s1[chunk] - below, :, :ns1]),
-                                               axis=-1)
+    leaf = tree.is_leaf[clusters[0]]
+    if leaf:
+        m, n = exponents.shape[0], int(tree.size[clusters[0]])
+    else:
+        ns0, ns1 = n_scaling[tree.sons[clusters[0]]]
+        m, n = son_exports.shape[1], int(ns0 + ns1)
+    step = max(1, _STACK_BYTES // (8 * n * (m + n)))
+    for lo in range(0, clusters.size, step):
+        chunk = clusters[lo:lo + step]
+        if leaf:
+            yield lo, _monomials(points[tree.begin[chunk][:, None] + np.arange(n)], exponents)
+        else:
+            s0, s1 = tree.sons[chunk, 0] - below, tree.sons[chunk, 1] - below
+            yield lo, np.concatenate((son_exports[s0, :, :ns0], son_exports[s1, :, :ns1]),
+                                     axis=-1)
+
+
+def _counts(tree: ClusterTree, m_q: int, m_leaf: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every cluster's moment columns (the order of its two-scale matrix) and
+    scaling count, in one integer pass over the levels, finest first.
+
+    A leaf's columns are its points, a father's its sons' scaling functions;
+    a cluster keeps as many scaling functions as it has moment rows, or
+    columns if fewer.
+    """
+    is_leaf, sons = tree.is_leaf, tree.sons
+    columns = tree.size.copy()
+    n_scaling = np.empty_like(columns)
+    bounds = np.searchsorted(tree.level, np.arange(tree.depth + 2))
+    for level in range(tree.depth, -1, -1):
+        at_level = np.arange(bounds[level], bounds[level + 1])
+        inner = at_level[~is_leaf[at_level]]
+        columns[inner] = n_scaling[sons[inner, 0]] + n_scaling[sons[inner, 1]]
+        n_scaling[at_level] = np.minimum(np.where(is_leaf[at_level], m_leaf, m_q),
+                                         columns[at_level])
+    return columns, n_scaling
+
+
+def _private_pages(count: int) -> np.ndarray:
+    """``count`` zeroed float64 in a private anonymous mapping of their own.
+
+    All two-scale matrices of a basis live in one such buffer, 25 MB at
+    N = 2^16 in 2-D, and it goes back to the system when the basis is freed.
+    From ``np.empty``, glibc's malloc maps a block that large only while its
+    dynamic mmap threshold is below it.  Freeing an earlier basis raises the
+    threshold, so later buffers land on the brk heap, which fragments:
+    ``signals-2d``, whose set-ups build a basis while the last one is alive,
+    read ``peak_rss_mb`` up to 157 MB, against 130.6 with the QR's own
+    stacks and 132.8-134.4 with this mapping (2-core x86).
+    """
+    pages = mmap.mmap(-1, 8 * count, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    return np.frombuffer(pages, dtype=np.float64)
 
 
 def construct_basis(tree: ClusterTree, spec: MomentSpec) -> SampletBasis:
@@ -313,17 +365,17 @@ def construct_basis(tree: ClusterTree, spec: MomentSpec) -> SampletBasis:
     its scaling functions as basis elements, so the total count of scaling
     functions at the root plus samplets everywhere equals N.
 
-    The build runs one tree level at a time, finest first.  A level's
-    clusters with equally shaped moment matrices (leaves of one size, or
-    fathers whose sons carry the same scaling counts) are decomposed in
-    stacks of at most ``_STACK_BYTES``, with one stacked QR and one stacked
-    product each; every cluster gets the bits of a decomposition of its own
-    matrix.  An interior QR stack is kept as it is, in ``interior_stacks``,
-    and its clusters' ``q_matrices`` entries are views into it; a leaf's
-    two-scale matrix is copied into the one stack of all leaves of its size,
-    and its entry is a view into that.  The moments a level exports upward
-    are copied into one array per level, so that no view holds a stack's
-    full product alive.
+    Every cluster's order and scaling count come first, from ``_counts``;
+    they lay out one buffer with a stack of every leaf size and a stack of
+    every level's fathers whose sons carry the same scaling counts.  The
+    build then runs one tree level at a time, finest first.  A level's
+    clusters with equally shaped moment matrices are decomposed in stacks of
+    at most ``_STACK_BYTES``, with one stacked QR and one stacked product
+    each; every cluster gets the bits of a decomposition of its own matrix.
+    Each QR stack is copied into its clusters' rows of their stored stack.
+    The moments
+    a level exports upward are copied into one array per level, so that no
+    view holds a stack's full product alive.
     """
     if spec.dim != tree.cloud.dim:
         raise InvalidInput(f"moment spec dim {spec.dim} != cloud dim {tree.cloud.dim}")
@@ -331,44 +383,39 @@ def construct_basis(tree: ClusterTree, spec: MomentSpec) -> SampletBasis:
     frame = NormalizationFrame.for_cloud(tree.cloud)
     points = frame.normalize(tree.permuted_coords())
     exponents = multi_indices(spec.q_leaf, spec.dim)
-    m_q, m_leaf = spec.m_q, exponents.shape[0]
-    is_leaf, sons, size = tree.is_leaf, tree.sons, tree.size
-    n_clusters = len(tree.clusters)
-    q_matrices: list[np.ndarray | None] = [None] * n_clusters
-    n_scaling = np.empty(n_clusters, dtype=np.int64)
-    columns = np.empty(n_clusters, dtype=np.int64)  # of the moment matrix, and Q's order
+    m_q = spec.m_q
+    columns, n_scaling = _counts(tree, m_q, exponents.shape[0])
+
+    leaves, inner = tree.leaves, np.flatnonzero(~tree.is_leaf)
+    groups = [leaves[pos] for _, pos in _groups(tree.size[leaves])]
+    n_leaf_stacks = len(groups)
+    groups += [inner[pos] for _, pos in _groups(-tree.level[inner],
+                                                n_scaling[tree.sons[inner, 0]],
+                                                n_scaling[tree.sons[inner, 1]])]
+    lengths = [group.size * int(columns[group[0]]) ** 2 for group in groups]
+    buffer = _private_pages(sum(lengths))
+    stacks = []
+    segments = [[] for _ in range(tree.depth + 1)]  # per level: (clusters, their rows)
+    for group, start, length in zip(groups, np.cumsum(lengths) - lengths, lengths):
+        n = int(columns[group[0]])
+        stacks.append(buffer[start:start + length].reshape(group.size, n, n))
+        levels = tree.level[group]  # ascending; leaves of one size can span levels
+        for level in range(levels[0], levels[-1] + 1):
+            lo, hi = np.searchsorted(levels, (level, level + 1))
+            segments[level].append((group[lo:hi], stacks[-1][lo:hi]))
+
     bounds = np.searchsorted(tree.level, np.arange(tree.depth + 2))
-    leaf_stacks, interior_stacks = [], []
-    leaf_row = np.empty(n_clusters, dtype=np.int64)  # a leaf's place in its stack
-    stack_of: dict[int, np.ndarray] = {}
-    for (n,), pos in _groups(size[tree.leaves]):
-        leaves = tree.leaves[pos]
-        leaf_row[leaves] = np.arange(leaves.size)
-        stack_of[n] = np.empty((leaves.size, n, n))
-        leaf_stacks.append((leaves, stack_of[n]))
     son_exports = None
     for level in range(tree.depth, -1, -1):
         first, stop = bounds[level], bounds[level + 1]
-        at_level = np.arange(first, stop)
-        leaves, inner = at_level[is_leaf[at_level]], at_level[~is_leaf[at_level]]
-        columns[leaves] = size[leaves]
-        columns[inner] = n_scaling[sons[inner, 0]] + n_scaling[sons[inner, 1]]
-        n_scaling[at_level] = np.minimum(np.where(is_leaf[at_level], m_leaf, m_q),
-                                         columns[at_level])
-        exports = np.empty((at_level.size, m_q, int(n_scaling[at_level].max())))
-        for group, moment in _moment_stacks(tree, at_level, points, exponents, n_scaling,
-                                            son_exports, stop):
-            qmat, ns = two_scale_decomposition(moment)
-            exports[group - first, :, :ns] = np.matmul(moment, qmat)[:, :m_q, :ns]
-            if is_leaf[group[0]]:  # one level's leaves of one size: consecutive rows
-                row = leaf_row[group[0]]
-                stack = stack_of[qmat.shape[-1]][row:row + group.size]
-                stack[...] = qmat
-                qmat = stack
-            else:
-                interior_stacks.append((group, qmat))
-            for c, q in zip(group.tolist(), qmat):
-                q_matrices[c] = q
+        exports = np.empty((stop - first, m_q, int(n_scaling[first:stop].max())))
+        for clusters, rows in segments[level]:
+            for lo, moment in _moment_stacks(tree, clusters, points, exponents, n_scaling,
+                                             son_exports, stop):
+                qmat, ns = two_scale_decomposition(moment)
+                hi = lo + qmat.shape[0]
+                exports[clusters[lo:hi] - first, :, :ns] = np.matmul(moment, qmat)[:, :m_q, :ns]
+                rows[lo:hi] = qmat
         son_exports = exports
 
     n_samplets = columns - n_scaling
@@ -377,9 +424,10 @@ def construct_basis(tree: ClusterTree, spec: MomentSpec) -> SampletBasis:
     total = n_scaling[0] + n_samplets.sum()
     if total != tree.cloud.count:
         raise AssertionError(f"basis size mismatch: {total} != {tree.cloud.count}")
-    return SampletBasis(tree=tree, spec=spec, frame=frame, q_matrices=q_matrices,
-                        n_scaling=n_scaling, samplet_offset=samplet_offset,
-                        leaf_stacks=leaf_stacks, interior_stacks=interior_stacks)
+    stored = list(zip(groups, stacks))
+    return SampletBasis(tree=tree, spec=spec, frame=frame, n_scaling=n_scaling,
+                        samplet_offset=samplet_offset, leaf_stacks=stored[:n_leaf_stacks],
+                        interior_stacks=stored[n_leaf_stacks:])
 
 
 def build_samplet_basis(cloud: PointCloud, q: int = 2, q_leaf: int | None = None,

@@ -134,6 +134,13 @@ class ClusterTree:
         return np.lexsort((self.level, self.begin))
 
     @cached_property
+    def position(self) -> np.ndarray:
+        """``position[i]`` is the tree position of original point i."""
+        position = np.empty_like(self.permutation)
+        position[self.permutation] = np.arange(self.permutation.size)
+        return position
+
+    @cached_property
     def leaves(self) -> np.ndarray:
         """Indices of the leaf clusters."""
         return np.flatnonzero(self.is_leaf)

@@ -5,26 +5,28 @@ Callers see data in the original point order; the tree permutation is
 applied internally.
 
 A pass takes one step per stored stack of two-scale matrices
-(``SampletBasis.steps``): the stacks of all leaves of one size, then the
-interior stacks of the basis build's stacked QR, finest level first.  Both
-passes work in one buffer: the N coefficients, then every cluster's scaling
-coefficients.  A forward step gathers its input rows (a leaf's points from
-the data through the tree permutation, or a father's sons' scaling rows),
-multiplies them by the transposed stack in one ``np.matmul`` and scatters
-the product to its clusters' scaling and samplet rows.  The inverse runs the
-steps in reverse, from those rows back to the inputs.  A stacked ``matmul``
-calls BLAS once per cluster with the operands of a product on that cluster
-alone, so every cluster keeps its bits.  Steps run in row slices of at most
-``_PART_BYTES`` of gathered input, so many-column transforms hold small
-temporaries.
+(``SampletBasis.steps``): the stacks of all leaves of one size, then one
+stack per tree level and pair of son scaling counts, finest level first;
+13 steps at N = 2^16 in 2-D.  Both passes work in one buffer: the N
+coefficients, then every cluster's scaling coefficients.  The forward pass
+first gathers the data into tree order in one ``take``.  A step gathers its
+input rows (a leaf's points in tree order, or a father's sons' scaling
+rows), multiplies them by the transposed stack in one ``np.matmul`` and
+scatters the product to its clusters' scaling and samplet rows.  The
+inverse runs the steps in reverse, from those rows back to the inputs; its
+leaf steps write the points in tree order, and one ``take`` through
+``ClusterTree.position`` returns them to the original order.  A stacked
+``matmul`` calls BLAS once per cluster with the operands of a product on
+that cluster alone, so every cluster keeps its bits.  Steps run in row
+slices of at most ``_PART_BYTES`` of gathered input, so many-column
+transforms hold small temporaries.
 
 Every pass reads all of Q once, about 390 B per point (2-D, q = 2), so no
-step order keeps it in cache.  Run back to back, forward plus inverse takes
-138 ns per point at N = 2^14, 212 ns at 2^15 (Q grows from 6 to 12 MiB) and
-240 ns at 2^18 (2-core x86, one BLAS thread).  One Q stack per level was
-faster (``signals-2d`` ``job_p90_s`` 0.18-0.19 s against 0.26-0.28 s) but,
-built by concatenating the QR stacks, raised its peak RSS from 130.5 to
-145.6 MB; the interior stacks keep the QR's byte budget.
+step order keeps it in cache.  With one stack per level group,
+``signals-2d`` read ``job_p90_s`` 0.16-0.20 s against 0.24-0.26 s with the
+QR's 64 KiB stacks (355 steps), and ``peak_rss_mb`` 133.4-133.8 against
+130.6 MB (medians of 10 runs each, 2-core x86, one BLAS thread).  The
+stacks share one private mapping (``basis._private_pages``).
 """
 
 from __future__ import annotations
@@ -81,18 +83,17 @@ def _require(vec: CoefficientVector, tag: str, n: int) -> np.ndarray:
     return vec.values
 
 
-def _steps(basis: SampletBasis, values: np.ndarray, work: np.ndarray):
+def _steps(basis: SampletBasis, k: int):
     """Yield the forward pass's steps in row slices of at most ``_PART_BYTES``
-    of gathered input, each with the array that its input rows index."""
-    leaves, k = len(basis.leaf_stacks), values.shape[1]
+    of gathered input, for k columns, each with whether it is a leaf step."""
+    leaves = len(basis.leaf_stacks)
     for i, (q, rows, outputs) in enumerate(basis.steps):
-        source = values if i < leaves else work
         size = max(1, _PART_BYTES // max(1, rows.shape[1] * k * 8))
         if size >= rows.shape[0]:  # three slices cost about 2 us, a step about 25
-            yield q, rows, outputs, source
+            yield q, rows, outputs, i < leaves
             continue
         for lo in range(0, rows.shape[0], size):
-            yield q[lo:lo + size], rows[lo:lo + size], outputs[lo:lo + size], source
+            yield q[lo:lo + size], rows[lo:lo + size], outputs[lo:lo + size], i < leaves
 
 
 def _work(basis: SampletBasis, k: int) -> np.ndarray:
@@ -103,21 +104,26 @@ def _work(basis: SampletBasis, k: int) -> np.ndarray:
 def _forward_array(basis: SampletBasis, data: np.ndarray) -> np.ndarray:
     """Transform the columns of ``data`` (N or (N, k), original point order)."""
     values = data.reshape(data.shape[0], -1)
+    out = values.take(basis.tree.permutation, axis=0)  # the data in tree order
     work = _work(basis, values.shape[1])
-    for q, rows, outputs, source in _steps(basis, values, work):
+    for q, rows, outputs, leaf in _steps(basis, values.shape[1]):
+        source = out if leaf else work
         work[outputs] = np.matmul(np.swapaxes(q, 1, 2), source.take(rows, axis=0))
-    return work[:basis.size].reshape(data.shape).copy()
+    out[...] = work[:basis.size]
+    return out.reshape(data.shape)
 
 
 def _inverse_array(basis: SampletBasis, coeffs: np.ndarray) -> np.ndarray:
     """Inverse transform of the columns of ``coeffs``; result in original point order."""
-    out = np.empty_like(coeffs)
-    values = out.reshape(out.shape[0], -1)
+    values = coeffs.reshape(coeffs.shape[0], -1)
+    points = np.empty_like(values)  # the result in tree order
     work = _work(basis, values.shape[1])
-    work[:basis.size] = coeffs.reshape(values.shape)
-    for q, rows, outputs, target in reversed(list(_steps(basis, values, work))):
+    work[:basis.size] = values
+    for q, rows, outputs, leaf in reversed(list(_steps(basis, values.shape[1]))):
+        target = points if leaf else work
         target[rows] = np.matmul(q, work.take(outputs, axis=0))
-    return out
+    del work  # before the result is allocated
+    return points.take(basis.tree.position, axis=0).reshape(coeffs.shape)
 
 
 def forward_transform(basis: SampletBasis, f_delta: CoefficientVector) -> CoefficientVector:

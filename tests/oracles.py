@@ -5,7 +5,11 @@ points by pushing a unit vector down the tree one cluster at a time,
 independently of the stacked transforms, and ``dense_basis_matrix`` stacks
 all of them into the N x N basis matrix.  ``owner_of`` names the cluster a
 basis element belongs to, and ``leaf_moment_matrix`` evaluates one leaf's
-moment matrix on its own.
+moment matrix on its own.  ``forward_by_cluster`` and ``inverse_by_cluster``
+transform in the work buffer of ``SampletBasis.steps``, with each cluster's
+``q_matrices`` entry applied on its own, as a stack of one.  ``at_offset``
+copies an input to a given byte offset, to show that outputs do not depend
+on where the input lies.
 """
 
 import numpy as np
@@ -71,3 +75,58 @@ def dense_basis_matrix(basis: SampletBasis, cap: int = 4096) -> np.ndarray:
     n = basis.size
     assert n <= cap, f"dense basis matrix guarded to N <= {cap}, got {n}"
     return np.vstack([samplet_as_point_vector(basis, k) for k in range(n)])
+
+
+def _cluster_rows(basis: SampletBasis):
+    """Yield (cluster, Q, input rows, output rows) bottom-up, with the rows of
+    the work buffer that ``SampletBasis.steps`` describes; a leaf's input
+    rows are its points' original indices into the data."""
+    tree, n_scaling = basis.tree, basis.n_scaling
+    scaling_row = basis.size + np.cumsum(n_scaling) - n_scaling
+    scaling_row[0] = 0
+    for c in reversed(tree.clusters):
+        q = basis.q_matrices[c]
+        n, ns = q.shape[0], int(n_scaling[c])
+        if tree.is_leaf[c]:
+            rows = tree.permutation[tree.begin[c]:tree.end[c]]
+        else:
+            rows = scaling_row[tree.sons[c, 0]] + np.arange(n)
+        outputs = np.concatenate((scaling_row[c] + np.arange(ns),
+                                  basis.samplet_offset[c] + np.arange(n - ns)))
+        yield c, q, rows, outputs
+
+
+def forward_by_cluster(basis: SampletBasis, data: np.ndarray) -> np.ndarray:
+    """Forward transform of the columns of ``data``, one stacked product of
+    one two-scale matrix per cluster, sons before fathers."""
+    values = data.reshape(basis.size, -1)
+    work = np.empty((basis.size + int(basis.n_scaling.sum()), values.shape[1]))
+    for c, q, rows, outputs in _cluster_rows(basis):
+        source = values if basis.tree.is_leaf[c] else work
+        work[outputs] = np.matmul(q.T[None], source[rows][None])[0]
+    return work[:basis.size].reshape(data.shape)
+
+
+def inverse_by_cluster(basis: SampletBasis, coeffs: np.ndarray) -> np.ndarray:
+    """Inverse transform of the columns of ``coeffs``, one stacked product of
+    one two-scale matrix per cluster, fathers before sons."""
+    out = np.empty_like(coeffs)
+    values = out.reshape(basis.size, -1)
+    work = np.empty((basis.size + int(basis.n_scaling.sum()), values.shape[1]))
+    work[:basis.size] = coeffs.reshape(values.shape)
+    for c, q, rows, outputs in reversed(list(_cluster_rows(basis))):
+        target = values if basis.tree.is_leaf[c] else work
+        target[rows] = np.matmul(q[None], work[outputs][None])[0]
+    return out
+
+
+BYTE_OFFSETS = (0, 8, 24)
+
+
+def at_offset(a, offset):
+    """A copy of ``a`` that starts ``offset`` bytes past a 64-byte boundary."""
+    buf = np.empty(a.nbytes + 128, dtype=np.uint8)
+    start = -buf.ctypes.data % 64 + offset
+    copy = buf[start:start + a.nbytes].view(np.float64).reshape(a.shape)
+    copy[...] = a
+    return copy

@@ -10,10 +10,13 @@ one point set by the direct broadcast power.  ``reference_forward`` and
 products of one-axis Lagrange matrices, and ``reference_cluster_bases``
 builds every cluster's V as its own array.  The library must reproduce every
 tree array, every moment matrix, every two-scale matrix, every transform,
-every transfer matrix and every V bit for bit, dtypes included.
+every transfer matrix and every V bit for bit, dtypes included.  The stored
+layout is pinned too: one buffer holds all Q, as one stack per leaf size and
+one per tree level and pair of son scaling counts.
 """
 
 import hashlib
+import mmap
 
 import numpy as np
 import pytest
@@ -38,6 +41,8 @@ from samplets.h2 import (
     compute_multiscale_cluster_basis,
 )
 from samplets.transform import forward_transform_matrix, inverse_transform_matrix
+
+from oracles import BYTE_OFFSETS, at_offset, forward_by_cluster, inverse_by_cluster
 
 TREE_ARRAYS = ("permutation", "begin", "end", "lo", "hi", "diameter", "level", "sons")
 
@@ -297,15 +302,6 @@ def reference_inverse(basis, coeffs):
     return out
 
 
-def at_offset(a, offset):
-    """A copy of ``a`` that starts ``offset`` bytes past a 64-byte boundary."""
-    buf = np.empty(a.nbytes + 128, dtype=np.uint8)
-    start = -buf.ctypes.data % 64 + offset
-    copy = buf[start:start + a.nbytes].view(np.float64).reshape(a.shape)
-    copy[...] = a
-    return copy
-
-
 TRANSFORM_CASES = {
     "1-D, q = 0": (1, 500, 0, None),
     "2-D, q = 1": (2, 700, 1, None),
@@ -326,9 +322,6 @@ def transform_case(case):
     tree = build_cluster_tree(PointCloud(rng.uniform(-1, 1, size=(n, d))),
                               leaf_size=leaf_size or spec.default_leaf_size())
     return tree, spec, rng
-
-
-BYTE_OFFSETS = (0, 8, 24)
 
 
 def transform_shapes(n):
@@ -352,55 +345,89 @@ def test_transforms_match_reference(case):
 
 
 @pytest.mark.parametrize("case", TRANSFORM_CASES)
-def test_transforms_with_one_cluster_per_stack_give_the_same_bits(case, monkeypatch):
+def test_transforms_with_one_cluster_per_stack_give_the_same_bits(case):
     """The transforms take one step per stored Q stack; how many clusters a
     stack holds must not change a bit of their outputs."""
     tree, spec, rng = transform_case(case)
-    batched = construct_basis(tree, spec)
-    monkeypatch.setattr(basis_module, "_STACK_BYTES", 1)
-    single = construct_basis(tree, spec)
-    assert all(stack.shape[0] == 1 for _, stack in single.interior_stacks)
-    for shape in transform_shapes(batched.size):
+    basis = construct_basis(tree, spec)
+    for shape in transform_shapes(basis.size):
         data = rng.normal(size=shape)
+        want_forward = forward_by_cluster(basis, data)
+        want_inverse = inverse_by_cluster(basis, data)
         for offset in BYTE_OFFSETS:
             copy = at_offset(data, offset)
-            assert_same(forward_transform_matrix(single, copy),
-                        forward_transform_matrix(batched, copy),
+            assert_same(forward_transform_matrix(basis, copy), want_forward,
                         f"forward of {shape} at offset {offset}")
-            assert_same(inverse_transform_matrix(single, copy),
-                        inverse_transform_matrix(batched, copy),
+            assert_same(inverse_transform_matrix(basis, copy), want_inverse,
                         f"inverse of {shape} at offset {offset}")
 
 
-def test_leaf_two_scale_matrices_are_views_of_their_stacks():
+def stored_basis():
     rng = np.random.default_rng(8)
     spec = MomentSpec.default(2)
     tree = build_cluster_tree(PointCloud(rng.uniform(-1, 1, size=(1003, 2))), leaf_size=13)
-    basis = construct_basis(tree, spec)
+    return construct_basis(tree, spec)
+
+
+def assert_row_views(basis, clusters, stack):
+    for row, c in enumerate(clusters.tolist()):
+        q = basis.q_matrices[c]
+        assert q.base is not None and q.shape == stack.shape[1:]
+        assert np.shares_memory(q, stack[row]) and q.ctypes.data == stack[row].ctypes.data
+
+
+def test_leaf_two_scale_matrices_are_views_of_their_stacks():
+    basis = stored_basis()
+    tree = basis.tree
     stacked = 0
     for leaves, stack in basis.leaf_stacks:
         assert np.all(tree.size[leaves] == stack.shape[-1])
-        for row, leaf in enumerate(leaves.tolist()):
-            assert basis.q_matrices[leaf].base is stack
-            assert np.shares_memory(basis.q_matrices[leaf], stack[row])
+        assert_row_views(basis, leaves, stack)
         stacked += leaves.size
     assert stacked == tree.leaves.size
 
 
 def test_interior_two_scale_matrices_are_views_of_their_stacks():
-    rng = np.random.default_rng(8)
-    spec = MomentSpec.default(2)
-    tree = build_cluster_tree(PointCloud(rng.uniform(-1, 1, size=(1003, 2))), leaf_size=13)
-    basis = construct_basis(tree, spec)
+    basis = stored_basis()
+    tree = basis.tree
     stacked = []
     for fathers, stack in basis.interior_stacks:
         assert not tree.is_leaf[fathers].any()
         assert np.all(basis.order[fathers] == stack.shape[-1])
-        for row, father in enumerate(fathers.tolist()):
-            assert basis.q_matrices[father].base is stack
-            assert np.shares_memory(basis.q_matrices[father], stack[row])
+        assert_row_views(basis, fathers, stack)
         stacked.extend(fathers.tolist())
     assert sorted(stacked) == np.flatnonzero(~tree.is_leaf).tolist()
+
+
+@pytest.mark.parametrize("case", TRANSFORM_CASES)
+def test_one_stored_stack_per_leaf_size_and_son_scaling_group(case):
+    tree, spec, _ = transform_case(case)
+    basis = construct_basis(tree, spec)
+    leaves, inner = tree.leaves, np.flatnonzero(~tree.is_leaf)
+    n_scaling = basis.n_scaling
+    want = [tuple(leaves[tree.size[leaves] == n]) for n in np.unique(tree.size[leaves])]
+    keys = sorted({(-tree.level[c], *n_scaling[tree.sons[c]]) for c in inner.tolist()})
+    want += [tuple(c for c in inner.tolist()
+                   if (-tree.level[c], *n_scaling[tree.sons[c]]) == key) for key in keys]
+    got = [tuple(clusters) for clusters, _ in basis.leaf_stacks + basis.interior_stacks]
+    assert got == want
+    assert len(basis.steps) == len(want)
+    for (clusters, stack), (q, rows, outputs) in zip(
+            basis.leaf_stacks + basis.interior_stacks, basis.steps):
+        assert q is stack and rows.shape == outputs.shape == stack.shape[:2]
+
+
+@pytest.mark.parametrize("case", TRANSFORM_CASES)
+def test_all_two_scale_matrices_live_in_one_buffer(case):
+    tree, spec, _ = transform_case(case)
+    basis = construct_basis(tree, spec)
+    buffer = basis.q_matrices[0].base
+    assert all(q.base is buffer for q in basis.q_matrices)
+    assert buffer.nbytes == 8 * int(np.sum(basis.order ** 2))
+    assert buffer.ctypes.data % mmap.PAGESIZE == 0
+    stacks = [stack for _, stack in basis.leaf_stacks + basis.interior_stacks]
+    starts = [stack.ctypes.data - buffer.ctypes.data for stack in stacks]
+    assert starts == np.cumsum([0] + [s.nbytes for s in stacks[:-1]]).tolist()
 
 
 def reference_transfers(tree, p):
