@@ -27,6 +27,7 @@ from .sparse import (
     add_ridge,
     anz,
     check_key,
+    cholesky_method,
     fill_reducing_order,
     grf_buffer,
     sample_grf,
@@ -293,7 +294,7 @@ def cmd_grf(args) -> int:
         "anz_K": anz(ridged), "anz_L": anz(factor),
         "nnz_K": ridged.nnz_full, "nnz_L": factor.nnz,
         "assembly_seconds": compressed.stats.assembly_seconds,
-        "cholesky_seconds": chol_seconds,
+        "cholesky": cholesky_method(ridged), "cholesky_seconds": chol_seconds,
         "fields": paths,
     }
     _json_dump(metrics, args.metrics)

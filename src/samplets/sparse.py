@@ -1,13 +1,20 @@
 """Sparse symmetric storage, fill-reducing orderings, Cholesky, and field sampling.
 
-Ordering and factorization both run on SciPy's SuperLU in symmetric mode with
-diagonal pivots only.  The fill-reducing ordering is Liu's multiple minimum
-degree on the symmetric pattern, read from SuperLU's symbolic pass (an
-incomplete LU that drops every off-diagonal entry, so it computes no fill).
-The numeric LU runs once, in the Cholesky factorization.  For symmetric A the
-no-pivot LU of the reordered matrix is L D L^T with D the diagonal of U, so
-the factor is L diag(sqrt(D)): U is read once for its diagonal, and SuperLU's
-L is scaled in place, then sorted.
+The fill-reducing ordering is Liu's multiple minimum degree on the symmetric
+pattern, read from SciPy's SuperLU symbolic pass (an incomplete LU that drops
+every off-diagonal entry, so it computes no fill).  The Cholesky factor of the
+reordered matrix takes one of two paths, chosen by the matrix alone:
+
+- **dense**, when at least one eighth of A is stored (``nnz_full(A) >= n²/8``):
+  the lower triangle of P A P^T is scattered into an n-by-n buffer, LAPACK's
+  ``potrf`` factors it in place with BLAS-3 speed, and the nonzeros of L are
+  read out column by column.  Entries outside the elimination pattern of the
+  order stay exactly zero, so L keeps the sparse pattern, and the buffer is at
+  most 8 times the storage of A;
+- **sparse** otherwise: SuperLU in symmetric mode with diagonal pivots only.
+  For symmetric A the no-pivot LU of the reordered matrix is L D L^T with D
+  the diagonal of U, so the factor is L diag(sqrt(D)): U is read once for its
+  diagonal, and SuperLU's L is scaled in place, then sorted.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from math import sqrt
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpotrf
 from scipy.sparse.linalg import spilu, splu
 
 from .errors import InvalidInput, NonPositivePivot, ResourceLimit
@@ -277,6 +285,13 @@ def fill_reducing_order(pattern: SparseSym, method: str = "amd") -> Permutation:
 # ---------------------------------------------------------------------------
 # Cholesky
 
+# A matrix with at least this fraction of its n² entries stored is factored
+# densely.  The n-by-n buffer is then at most 8 times the storage of A, and on
+# compressed kernels in 1-3 D with N up to 4096, LAPACK was faster than
+# SuperLU on every matrix above this density and slower on the large ones
+# below it.
+_DENSE_FRACTION = 1 / 8
+
 
 @dataclass(eq=False)
 class CholeskyFactor:
@@ -347,27 +362,91 @@ class CholeskyFactor:
         return self._substitute(b, "T")
 
 
-def sparse_cholesky(a: SparseSym, perm: Permutation | None = None,
-                    rho: float = 0.0) -> CholeskyFactor:
-    """Sparse Cholesky of P A P^T, from SuperLU's LU without pivoting.
+def cholesky_method(a: SparseSym) -> str:
+    """How ``sparse_cholesky`` factors ``a``: ``"dense"`` with LAPACK when at
+    least ``_DENSE_FRACTION`` of its n² entries are stored, else ``"sparse"``
+    with SuperLU."""
+    return "dense" if a.nnz_full >= _DENSE_FRACTION * a.n * a.n else "sparse"
+
+
+def _dense_buffer(n: int) -> np.ndarray:
+    """A zeroed n-by-n Fortran-order array.
+
+    Raises ResourceLimit when the array cannot be allocated.
+    """
+    try:
+        return np.zeros((n, n), order="F")
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond the address space
+        raise ResourceLimit(f"a dense factor of order {n} needs {8 * n * n} bytes, "
+                            "more than can be allocated") from exc
+
+
+def _dense_cholesky(a: SparseSym, perm: Permutation):
+    """The sorted compressed-column arrays of the Cholesky factor of P A P^T,
+    from LAPACK's ``potrf`` on the lower triangle scattered into a dense buffer.
+
+    Entry (i, j) of A lands at (max, min) of (rank[i], rank[j]).  Entries of L
+    outside the elimination pattern of the order are sums of exact zeros, so
+    reading the nonzeros keeps the sparse pattern.  ``potrf`` stops at a pivot
+    that is not positive but lets NaN through, so the pivots it accepted are
+    checked as well; NonPositivePivot names the first column at fault.
+    """
+    n = a.n
+    c = _dense_buffer(n)
+    rows = perm.rank[a.indices]
+    cols = perm.rank[np.repeat(np.arange(n, dtype=np.int64), np.diff(a.indptr))]
+    c.ravel(order="F")[np.maximum(rows, cols) + n * np.minimum(rows, cols)] = a.values
+    del rows, cols
+    c, info = dpotrf(c, lower=1, clean=0, overwrite_a=1)
+    if info < 0:
+        raise RuntimeError(f"potrf rejected argument {-info}")
+    pivots = np.diagonal(c)[:info - 1 if info > 0 else n]
+    bad = np.flatnonzero(~(pivots > 0.0))
+    if bad.size:
+        raise NonPositivePivot(bad[0], pivots[bad[0]])
+    if info > 0:
+        raise NonPositivePivot(info - 1, c[info - 1, info - 1])
+    flat = c.ravel(order="F")  # flat[i + n*j] is L[i, j]
+    nonzero = np.flatnonzero(flat != 0.0)  # np.nonzero is slow on float arrays
+    indptr = np.searchsorted(nonzero, n * np.arange(n + 1, dtype=np.int64))
+    return indptr, nonzero % n, flat[nonzero]
+
+
+def _superlu_cholesky(a: SparseSym, perm: Permutation):
+    """The sorted compressed-column arrays of the Cholesky factor of P A P^T,
+    from SuperLU's LU without pivoting.
 
     For symmetric A the no-pivot LU is L D L^T with D = diag(U), so the
     Cholesky factor is L diag(sqrt(D)).  SuperLU's L is copied out once and
-    its columns are scaled in place after SuperLU is freed.  Without ``perm``
-    the matrix is factored in its natural order.  ``rho`` only records the
-    ridge already contained in ``a``.  Raises NonPositivePivot when a pivot
-    fails to be positive, reporting the column of the permuted matrix at
-    fault.
+    its columns are scaled in place after SuperLU is freed.
     """
-    if perm is None:
-        perm = Permutation.identity(a.n)
     lu, pivots = _natural_lu(_permuted(a, perm))
     l = lu.L
     del lu
     l.data *= np.repeat(np.sqrt(pivots), np.diff(l.indptr))
     l.sort_indices()  # SuperLU's L is unsorted; the diagonal leads every column
-    return CholeskyFactor(n=a.n, perm=perm, rho=rho, indptr=l.indptr,
-                          indices=l.indices, values=l.data)
+    return l.indptr, l.indices, l.data
+
+
+def sparse_cholesky(a: SparseSym, perm: Permutation | None = None,
+                    rho: float = 0.0) -> CholeskyFactor:
+    """Cholesky factor of P A P^T, by LAPACK or SuperLU as ``cholesky_method``
+    says.
+
+    Without ``perm`` the matrix is factored in its natural order.  ``rho``
+    only records the ridge already contained in ``a``.  Raises
+    NonPositivePivot when a pivot fails to be positive, reporting the column
+    of the permuted matrix at fault, and ResourceLimit when the dense path
+    cannot allocate its buffer.
+    """
+    if perm is None:
+        perm = Permutation.identity(a.n)
+    if perm.n != a.n:
+        raise InvalidInput("permutation size does not match matrix size")
+    factor = _dense_cholesky if cholesky_method(a) == "dense" else _superlu_cholesky
+    indptr, indices, values = factor(a, perm)
+    return CholeskyFactor(n=a.n, perm=perm, rho=rho, indptr=indptr, indices=indices,
+                          values=values)
 
 
 def factorization_residual(a: SparseSym, factor: CholeskyFactor) -> float:

@@ -251,6 +251,16 @@ class TestGrfCommand:
         payload = json.loads(met.read_text())
         assert payload["anz_K"] > 0 and payload["anz_L"] > 0
 
+    @pytest.mark.parametrize("n, dim, method", [(300, 3, "dense"), (1024, 1, "sparse")])
+    def test_metrics_name_the_cholesky_path(self, tmp_path, kernel_json, n, dim, method):
+        met = tmp_path / "m.json"
+        assert main(["grf", "--gen", "uniform-cube", "--n", str(n), "--dim", str(dim),
+                     "--seed", "1", "--kernel", str(kernel_json), "--samples", "1",
+                     "--out-prefix", str(tmp_path / "f"), "--metrics", str(met)]) == 0
+        payload = json.loads(met.read_text())
+        assert payload["cholesky"] == method
+        assert (payload["nnz_K"] >= n * n / 8) == (method == "dense")
+
     def test_ordering_is_not_an_option(self, tmp_path, kernel_json):
         # the ordering is always multiple minimum degree
         assert main(["grf", "--gen", "grid", "--n", "64", "--dim", "1", "--seed", "1",

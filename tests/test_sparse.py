@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dpotrf
 from scipy.sparse.linalg import splu
 
 from samplets.basis import build_samplet_basis
@@ -16,9 +18,13 @@ from samplets.sparse import (
     CholeskyFactor,
     Permutation,
     SparseSym,
+    _dense_buffer,
+    _dense_cholesky,
     _permuted,
+    _superlu_cholesky,
     add_ridge,
     anz,
+    cholesky_method,
     factorization_residual,
     fill_reducing_order,
     normal_stream,
@@ -101,12 +107,40 @@ def reference_cholesky(a: SparseSym, perm: Permutation):
     return l.indptr, l.indices, l.data
 
 
+def dense_reference_cholesky(a: SparseSym, perm: Permutation):
+    """Reference factor arrays: LAPACK's potrf of the dense permuted matrix,
+    its lower triangle's nonzeros converted to sorted CSC."""
+    c, info = dpotrf(np.asfortranarray(permute_sym(a, perm).to_dense()), lower=1)
+    assert info == 0
+    l = sp.csc_matrix(np.tril(c))
+    l.sort_indices()
+    return l.indptr, l.indices, l.data
+
+
+def path_reference_cholesky(a: SparseSym, perm: Permutation):
+    """The reference of the path that ``sparse_cholesky`` takes for a."""
+    if cholesky_method(a) == "dense":
+        return dense_reference_cholesky(a, perm)
+    return reference_cholesky(a, perm)
+
+
+def padded(dense, size=64):
+    """The symmetric matrix ``dense`` as the leading block of an identity of
+    order ``size``: the same leading pivots, and sparse enough for SuperLU
+    once the identity is large."""
+    full = np.eye(size)
+    m = len(dense)
+    full[:m, :m] = dense
+    return SparseSym.from_dense(full)
+
+
 def assert_same_factor(factor, indptr, indices, values):
     for got, want in ((factor.indptr, indptr), (factor.indices, indices),
                       (factor.values, values)):
         np.testing.assert_array_equal(got, want)
 
 
+@functools.lru_cache(maxsize=None)
 def compressed_kernel(d, n):
     """A ridged compressed kernel matrix on n uniform points in d dimensions."""
     cloud = PointCloud(np.random.default_rng(n + d).uniform(-1, 1, size=(n, d)))
@@ -309,17 +343,59 @@ class TestCholesky:
         assert err.value.column == 0
         assert err.value.value == 0.0
 
-    @pytest.mark.parametrize("dense", [
+    SINGULAR = [
         [[1.0, 1.0], [1.0, 1.0]],
         [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
         [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
-    ])
+    ]
+
+    @pytest.mark.parametrize("dense", SINGULAR)
     def test_exactly_singular_reports_column(self, dense):
         a = SparseSym.from_dense(np.array(dense))
         with pytest.raises(NonPositivePivot) as err:
             sparse_cholesky(a)
         assert err.value.column == 1
         assert err.value.value == 0.0
+
+    @pytest.mark.parametrize("dense, column, value", [
+        ([[1.0, 2.0], [2.0, 1.0]], 1, -3.0),
+        ([[0.0, 1.0], [1.0, 0.0]], 0, 0.0),
+    ] + [(dense, 1, 0.0) for dense in SINGULAR], ids=[
+        "indefinite", "zero-pivot", "singular-2", "singular-3", "singular-3-coupled"])
+    def test_failures_report_the_same_column_on_both_paths(self, dense, column, value):
+        """The tiny cases take LAPACK; padded into an identity they take
+        SuperLU, whose exactly singular factors are found by bisection."""
+        for a, method in ((SparseSym.from_dense(np.array(dense)), "dense"),
+                          (padded(dense), "sparse")):
+            assert cholesky_method(a) == method
+            with pytest.raises(NonPositivePivot) as err:
+                sparse_cholesky(a)
+            assert (err.value.column, err.value.value) == (column, value)
+
+    @pytest.mark.parametrize("diagonal, column", [
+        ([1.0, np.nan], 1),
+        ([np.nan, 1.0, -1.0], 0),   # potrf stops at column 2; the NaN comes first
+        ([1.0, 1.0, np.nan, 1.0], 2),
+    ])
+    def test_nan_pivot_reported_on_the_dense_path(self, diagonal, column):
+        a = SparseSym.from_dense(np.diag(diagonal))
+        assert cholesky_method(a) == "dense"
+        with pytest.raises(NonPositivePivot) as err:
+            sparse_cholesky(a)
+        assert err.value.column == column
+        assert np.isnan(err.value.value)
+
+    def test_unallocatable_dense_buffer_is_a_resource_limit(self, monkeypatch):
+        with pytest.raises(ResourceLimit):
+            _dense_buffer(1 << 32)  # 2**67 bytes, beyond the address space
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        a = SparseSym.from_dense(np.array([[4.0, 2.0], [2.0, 3.0]]))
+        monkeypatch.setattr(np, "zeros", no_memory)
+        with pytest.raises(ResourceLimit, match="dense factor of order 2"):
+            sparse_cholesky(a)
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(1, 60), seed=st.integers(0, 10**6))
@@ -344,22 +420,48 @@ class TestCholesky:
         natural = sparse_cholesky(permute_sym(a, perm))
         assert_same_factor(factor, natural.indptr, natural.indices, natural.values)
 
-    @pytest.mark.parametrize("d, n", [(1, 300), (2, 512), (3, 512)])
+    @pytest.mark.parametrize("d, n, method", [
+        (1, 300, "sparse"), (2, 512, "dense"), (3, 512, "dense"), (2, 1024, "dense"),
+        (2, 2048, "sparse")])
+    def test_method_follows_density(self, d, n, method):
+        a = compressed_kernel(d, n)
+        assert cholesky_method(a) == method
+        assert (a.nnz_full >= a.n ** 2 / 8) == (method == "dense")
+
+    @pytest.mark.parametrize("d, n", [(1, 300), (2, 512), (3, 512), (2, 2048)])
     def test_factor_matches_reference_construction(self, d, n):
+        """Bit-for-bit: potrf of the dense permuted matrix on the dense path,
+        SuperLU's L diag(sqrt(diag U)) on the sparse path."""
         a = compressed_kernel(d, n)
         perm = fill_reducing_order(a)
-        assert_same_factor(sparse_cholesky(a, perm), *reference_cholesky(a, perm))
+        assert_same_factor(sparse_cholesky(a, perm), *path_reference_cholesky(a, perm))
+
+    @pytest.mark.parametrize("d, n", [(1, 300), (2, 512), (3, 512), (2, 2048)])
+    def test_paths_agree(self, d, n):
+        """Both paths keep the pattern of the order; values agree to 1e-14 of
+        the largest entry of L."""
+        a = compressed_kernel(d, n)
+        perm = fill_reducing_order(a)
+        indptr, indices, values = _dense_cholesky(a, perm)
+        want_indptr, want_indices, want_values = _superlu_cholesky(a, perm)
+        np.testing.assert_array_equal(indptr, want_indptr)
+        np.testing.assert_array_equal(indices, want_indices)
+        assert np.max(np.abs(values - want_values)) <= 1e-14 * np.max(np.abs(want_values))
 
     @settings(max_examples=25, deadline=None)
-    @given(n=st.integers(1, 40), seed=st.integers(0, 10**6))
-    def test_random_factor_matches_reference_construction(self, n, seed):
+    @given(n=st.integers(1, 40), seed=st.integers(0, 10**6), pad=st.sampled_from([0, 400]))
+    def test_random_factor_matches_reference_construction(self, n, seed, pad):
+        """Unpadded matrices mostly take the dense path; followed by an
+        identity of order 400 they always take the sparse one."""
         rng = np.random.default_rng(seed)
         dense = (rng.random((n, n)) < 0.2) * rng.normal(size=(n, n))
         dense = np.tril(dense, -1) + np.tril(dense, -1).T
         dense += np.diag(np.abs(dense).sum(axis=1) + 1.0)
-        a = SparseSym.from_dense(dense)
-        perm = Permutation.from_order(rng.permutation(n))
-        assert_same_factor(sparse_cholesky(a, perm), *reference_cholesky(a, perm))
+        a = padded(dense, n + pad)
+        if pad:
+            assert cholesky_method(a) == "sparse"
+        perm = Permutation.from_order(rng.permutation(a.n))
+        assert_same_factor(sparse_cholesky(a, perm), *path_reference_cholesky(a, perm))
 
     @pytest.mark.parametrize("lower, overflow", [
         ([[1e-300, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], np.isnan),
