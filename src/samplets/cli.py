@@ -273,6 +273,7 @@ def cmd_grf(args) -> int:
     compressed = assemble_compressed_kernel(basis, cfg, eta=args.eta, p=args.p,
                                             epsilon=args.epsilon)
     ridged = add_ridge(compressed.matrix, args.ridge)
+    t0 = time.perf_counter()
     perm = fill_reducing_order(ridged)
     t1 = time.perf_counter()
     factor = sparse_cholesky(ridged, perm, rho=args.ridge)
@@ -294,6 +295,9 @@ def cmd_grf(args) -> int:
         "anz_K": anz(ridged), "anz_L": anz(factor),
         "nnz_K": ridged.nnz_full, "nnz_L": factor.nnz,
         "assembly_seconds": compressed.stats.assembly_seconds,
+        "peak_block_bytes": compressed.stats.peak_block_bytes,
+        "visited_pairs": compressed.stats.visited_pairs,
+        "ordering_seconds": t1 - t0,
         "cholesky": cholesky_method(ridged), "cholesky_seconds": chol_seconds,
         "fields": paths,
     }

@@ -8,15 +8,20 @@ log-linear time.  One tensor Lagrange evaluator gives both: a leaf's
 interpolation data are its box's Lagrange basis at its points, and a son's
 transfer matrix is its father's Lagrange basis at the son's grid.  The
 cluster bases are built bottom-up into stacks of equal order, the layout the
-assembly reads.  Assembly first lists the cluster pairs it needs, as arrays:
-the block-cluster list of an H^2-matrix (Boerm, *Efficient Numerical Methods
-for Non-local Operators*, EMS 2010).  A pair depends only on pairs whose level
-sum is one higher, so the list is evaluated from the highest level sum down, a
-group of equally shaped blocks at a time with stacked matrix products, and a
-level's blocks are released once the next coarser level has used them.
-Retained entries are the samplet-samplet interactions of inadmissible pairs
-plus the root scaling rows and columns; each group drops its entries below the
-a-posteriori threshold as it is stored, keeping the diagonal.  Clusters are
+assembly reads.
+
+The matrix stores the samplet-samplet interactions of the inadmissible
+cluster pairs, plus the root's scaling rows and columns, and of these only
+the pairs whose samplets do not lie above the diagonal: the lower triangle.
+Assembly first lists, as arrays, the pairs it needs: the stored ones and,
+recursively, the pairs they read.  This is the part of the block-cluster tree
+of an H^2-matrix (Boerm, *Efficient Numerical Methods for Non-local
+Operators*, EMS 2010) that reaches the output.  A pair reads only pairs whose
+level sum is one higher, so the list is evaluated from the highest level sum
+down, a group of equally shaped blocks at a time with stacked matrix products,
+and a level's blocks are released once the next coarser level has used them.
+Each group masks only the stored part of its stored blocks and drops the
+entries below the a-posteriori threshold, keeping the diagonal.  Clusters are
 tree indices throughout: every step gathers from the tree's per-cluster
 arrays (boxes, ranges, sons), the basis's (scaling counts, samplet offsets)
 and the stacks of two-scale matrices and V, through each cluster's order and
@@ -110,26 +115,29 @@ def _lagrange_tensors(lo: np.ndarray, hi: np.ndarray, p: int,
 class InterpolationScheme:
     """Chebyshev grids and son transfer matrices of all clusters of one tree.
 
-    ``nodes[c]`` is cluster c's grid and ``transfers[c]`` maps its father's
+    ``axes[c, k]`` holds cluster c's p+1 Chebyshev points on axis k,
+    ``nodes[c]`` is their tensor grid and ``transfers[c]`` maps its father's
     Lagrange basis to its grid: entry (i, j) is the father's i-th Lagrange
-    polynomial at the son's j-th node.  Both are stacked arrays indexed by
+    polynomial at the son's j-th node.  All are stacked arrays indexed by
     cluster, and the root's transfer entry is NaN.
     """
 
     tree: ClusterTree
     degree: int
+    axes: np.ndarray
     nodes: np.ndarray
     transfers: np.ndarray
 
     @classmethod
     def build(cls, tree: ClusterTree, p: int) -> "InterpolationScheme":
         nodes = _tensor_grids(tree.lo, tree.hi, p)
+        axes = _chebyshev_axes(tree.lo, tree.hi, p)
         transfers = np.full((nodes.shape[0],) + (nodes.shape[1],) * 2, np.nan)
         inner = np.flatnonzero(~tree.is_leaf)
         fathers, sons = np.repeat(inner, 2), tree.sons[inner].ravel()
         transfers[sons] = _lagrange_tensors(tree.lo[fathers], tree.hi[fathers], p,
                                             nodes[sons]).transpose(0, 2, 1)
-        return cls(tree=tree, degree=p, nodes=nodes, transfers=transfers)
+        return cls(tree=tree, degree=p, axes=axes, nodes=nodes, transfers=transfers)
 
 
 @dataclass(eq=False)
@@ -196,12 +204,14 @@ def compute_multiscale_cluster_basis(basis: SampletBasis,
 class AssemblyStats:
     """What one assembly did.
 
-    ``visited_pairs`` counts the distinct blocks computed directly: admissible
-    pairs interpolated and leaf-leaf pairs evaluated exactly; each is computed
-    once.  ``peak_block_bytes`` is the largest total, at any point of the
+    ``visited_pairs`` counts the distinct blocks computed directly among the
+    needed pairs (those stored, and those a needed pair reads): admissible
+    pairs interpolated and leaf-leaf pairs evaluated exactly.  Each is
+    computed once, so the count does not depend on how the columns are
+    batched.  ``peak_block_bytes`` is the largest total, at any point of the
     evaluation, of the block stacks held (the current and the previous level
-    sum, plus the blocks kept for columns above) and the buffered kept
-    triplets (row, column and value arrays).
+    sum, plus the blocks kept for the column batches above) and the buffered
+    kept triplets (row, column and value arrays).
     """
 
     visited_pairs: int
@@ -231,8 +241,8 @@ class CompressedKernelMatrix:
 
 # Kinds of block-list entries.  FAR pairs are interpolated, LEAF pairs are
 # evaluated exactly, ROWS and COLS pairs combine the scaling parts of their
-# row or column sons' blocks, and GIVEN blocks were computed in an earlier
-# batch and are read from it.
+# row or column sons' blocks, and GIVEN blocks were computed in the batch of
+# a son column, which this batch asked for, and are read from it.
 FAR, LEAF, ROWS, COLS, GIVEN = range(5)
 
 # Columns of a subtree with at most this many points are evaluated as one
@@ -252,8 +262,22 @@ def _distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.sqrt(total)
 
 
+def _grid_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``_distances`` of the tensor grids of two stacks of axis points (b, d,
+    m), bit for bit: each axis' squared differences are formed once on its
+    m x m pairs and broadcast, in the grids' order; shape (b, m^d, m^d)."""
+    b, d, m = x.shape
+    total = None
+    for k in range(d):
+        diff = x[:, k, :, None] - y[:, k, None, :]
+        sq = (diff * diff).reshape((b,) + (1,) * k + (m,) + (1,) * (d - 1) + (m,)
+                                   + (1,) * (d - 1 - k))
+        total = sq if total is None else total + sq
+    return np.sqrt(total).reshape(b, m ** d, m ** d)
+
+
 class _Assembly:
-    """Block-list evaluation of one compressed kernel matrix."""
+    """Demand-driven block-list evaluation of one compressed kernel matrix."""
 
     def __init__(self, basis: SampletBasis, mbasis: MultiscaleClusterBasis,
                  cfg: KernelConfig, eta: float, epsilon: float):
@@ -262,7 +286,8 @@ class _Assembly:
         self.tree = tree
         self.n_clusters = len(tree.clusters)
         self.coords = tree.permuted_coords()
-        self.nodes = mbasis.scheme.nodes
+        self.axes = mbasis.scheme.axes
+        self.grid_size = mbasis.scheme.nodes.shape[1]
         # Q and V of all clusters with r rows, stacked: q[r][slot[c]].
         self.rows, self.slot, self.q, self.v = mbasis.order, mbasis.slot, mbasis.q, mbasis.v
         self.n_scaling = basis.n_scaling
@@ -274,171 +299,201 @@ class _Assembly:
         self.triplets: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self.visited_pairs = self.triplet_bytes = self.given_bytes = self.peak_bytes = 0
 
-    def run(self, col: int) -> dict[int, tuple[np.ndarray, bool]]:
-        """Evaluate every pair whose column lies in col's subtree.
+    def run(self, col: int, demand: np.ndarray):
+        """Evaluate every needed pair whose column lies in col's subtree.
 
-        Returns the blocks of the pairs (leaf, col) that col's father needs,
-        keyed like the block list, each with its inadmissible flag.
+        ``demand`` holds the keys of the pairs (leaf, col) that col's father
+        reads; their blocks are returned as (keys, sizes, flat values).  A
+        small subtree is one batch.  A large one lists col's own column
+        first, so that the pairs it reads in its sons' columns are known, and
+        passes them down as the sons' demand before evaluating col's column.
         """
         a = self.tree
         sons = a.sons[col]
         if sons[0] < 0 or a.size[col] <= _BATCH_POINTS:
-            columns, frontier, given = [], np.array([col]), {}
+            columns, frontier = [], np.array([col])
             while frontier.size:
                 columns.append(frontier)
                 frontier = a.sons[frontier[~a.is_leaf[frontier]]].ravel()
-            columns = np.concatenate(columns)
-        else:
-            columns, given = np.array([col]), self.run(sons[0])
-            given.update(self.run(sons[1]))
-        return self.evaluate(columns, given, col)
+            return self.evaluate(self.block_list(np.concatenate(columns), demand), None)
+        levels = self.block_list(np.array([col]), demand)
+        read = np.concatenate([keys[kind == GIVEN] for keys, kind, _, _ in levels])
+        keys, sizes, values = (np.concatenate(part) for part in zip(
+            *(self.run(son, read[read % self.n_clusters == son]) for son in sons.tolist())))
+        order = np.argsort(keys)
+        return self.evaluate(levels, (keys[order], (np.cumsum(sizes) - sizes)[order], values))
 
-    def block_list(self, columns: np.ndarray, given: dict) -> list:
-        """The pairs of one batch, one (keys, kinds) entry per level sum.
+    def block_list(self, columns: np.ndarray, demand: np.ndarray) -> list:
+        """The needed pairs of one batch, one (keys, kinds, stored, demanded)
+        entry per level sum.
 
-        Keys are nu * n_clusters + col, sorted.  The list starts from
-        (root, col) for every batch column and follows the dependencies; a
-        dependency on a column outside the batch is a GIVEN block, or an
-        admissible pair evaluated here.
+        Keys are nu * n_clusters + col, sorted.  A pair is needed when it is
+        stored, demanded, or read by a needed pair.  The stored pairs are
+        found by splitting rows from (root, col) for every batch column, down
+        through the inadmissible pairs: admissibility is inherited by son
+        pairs, so this walk reaches every inadmissible pair, and it computes
+        no block.  A pair read in a column outside the batch is GIVEN.
         """
         a, nc = self.tree, self.n_clusters
         in_batch = np.zeros(nc, dtype=bool)
         in_batch[columns] = True
-        seed_level = a.level[columns]
+        # the root has index 0, so the key of (root, col) is col
+        seeds = np.concatenate([columns, demand])
+        seed_sum = a.level[seeds // nc] + a.level[seeds % nc]
+        from_above = np.arange(seeds.size) >= columns.size
         levels = []
-        pending = np.empty(0, dtype=np.int64)
-        consumed = set()
-        s = int(seed_level.min())
-        while pending.size or s <= seed_level.max():
-            # the root has index 0, so the key of (root, col) is col
-            keys = np.unique(np.concatenate([pending, columns[seed_level == s]]))
+        walk = read = np.empty(0, dtype=np.int64)
+        s = int(seed_sum.min())
+        while walk.size or read.size or s <= seed_sum.max():
+            at = seed_sum == s
+            asked = seeds[at & from_above]
+            walk = np.concatenate([walk, seeds[at & ~from_above]])
+            keys, inverse = np.unique(np.concatenate([walk, read, asked]), return_inverse=True)
+            needed = np.zeros(keys.size, dtype=bool)
+            needed[inverse[walk.size:]] = True
+            demanded = np.zeros(keys.size, dtype=bool)
+            demanded[inverse[inverse.size - asked.size:]] = True
             nu, col = np.divmod(keys, nc)
             far = a.admissible(nu, col, self.eta)
-            kind = np.full(keys.size, FAR, dtype=np.int8)
             leaf_row = a.is_leaf[nu]
+            kind = np.full(keys.size, FAR, dtype=np.int8)
             kind[~far & ~leaf_row] = ROWS
             kind[~far & leaf_row & a.is_leaf[col]] = LEAF
             kind[~far & leaf_row & ~a.is_leaf[col]] = COLS
-            for i in np.flatnonzero(~in_batch[col]):
-                key = int(keys[i])
-                if key in given:
-                    kind[i] = GIVEN
-                    consumed.add(key)
-                elif not far[i]:
-                    raise AssertionError(f"assembly block {divmod(key, nc)} was never computed")
-            rows, cols = kind == ROWS, kind == COLS
-            pending = np.concatenate(
+            inside = in_batch[col]
+            kind[~inside] = GIVEN
+            stored = inside & ~far & (self.offset[nu] >= self.offset[col])
+            needed |= stored
+            split = kind == ROWS
+            rows, cols = split & needed, (kind == COLS) & needed
+            walk = np.concatenate([a.sons[nu[split], k] * nc + col[split] for k in (0, 1)])
+            read = np.concatenate(
                 [a.sons[nu[rows], k] * nc + col[rows] for k in (0, 1)]
                 + [nu[cols] * nc + a.sons[col[cols], k] for k in (0, 1)])
-            levels.append((keys, kind))
+            levels.append((keys[needed], kind[needed], stored[needed], demanded[needed]))
             s += 1
-        unused = [key for key, (_, inadmissible) in given.items()
-                  if inadmissible and key not in consumed]
-        if unused:
-            # admissibility monotonicity guarantees every kept block is consumed
-            raise AssertionError(f"{len(unused)} assembly blocks were never consumed")
         return levels
 
-    def evaluate(self, columns: np.ndarray, given: dict, top: int) -> dict:
-        """Evaluate one batch from the highest level sum down."""
-        nc, is_leaf = self.n_clusters, self.tree.is_leaf
-        kept: dict[int, tuple[np.ndarray, bool]] = {}
+    def evaluate(self, levels: list, given):
+        """Evaluate one batch's list from the highest level sum down, each
+        group straight into the level's flat buffer.
+
+        ``given`` holds the sorted keys, flat offsets and flat values of the
+        GIVEN blocks.  Returns the demanded blocks as (keys, sizes, flat
+        values).
+        """
+        nc = self.n_clusters
+        kept = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))]
         kept_bytes = 0
         finer = None
-        for keys, kind in reversed(self.block_list(columns, given)):
+        for keys, kind, stored, demanded in reversed(levels):
             nu, col = np.divmod(keys, nc)
             sizes = self.rows[nu] * self.rows[col]
             flat = np.empty(int(sizes.sum()))
             offsets = np.empty(keys.size, dtype=np.int64)
             start = 0
-            for (k, r, c), pos in _groups(kind, self.rows[nu], self.rows[col]):
+            skip_r, skip_c = self.skip[nu], self.skip[col]
+            for (k, r, c, sr, sc), pos in _groups(kind, self.rows[nu], self.rows[col],
+                                                  skip_r, skip_c):
                 # per pair: the block and its input, or the interpolation data
-                step = max(1, _CHUNK_BYTES // (8 * (2 * r * c + self.nodes.shape[1] * (r + c))))
+                step = max(1, _CHUNK_BYTES // (8 * (2 * r * c + self.grid_size * (r + c))))
                 for lo in range(0, pos.size, step):
                     sub = pos[lo:lo + step]
-                    f = self.group_blocks(k, r, c, keys[sub], nu[sub], col[sub], given, finer)
+                    f = flat[start:start + sub.size * r * c].reshape(sub.size, r, c)
+                    self.group_blocks(f, k, keys[sub], nu[sub], col[sub], given, finer)
                     offsets[sub] = start + np.arange(sub.size) * (r * c)
-                    flat[start:start + f.size] = f.ravel()
                     start += f.size
-                    if k != FAR and k != GIVEN:
-                        self.emit(f, nu[sub], col[sub])
-            if top != 0:
-                for i in np.flatnonzero((col == top) & is_leaf[nu]):
-                    block = flat[offsets[i]:offsets[i] + sizes[i]]
-                    kept[int(keys[i])] = (block.reshape(self.rows[nu[i]], -1).copy(),
-                                          kind[i] != FAR)
-                    kept_bytes += block.nbytes
+                    if stored[sub].any():
+                        self.emit(f[:, sr:, sc:], nu[sub], col[sub], stored[sub])
+            if demanded.any():
+                size = sizes[demanded]
+                shift = offsets[demanded] - (np.cumsum(size) - size)
+                values = flat[np.repeat(shift, size) + np.arange(size.sum())]
+                kept.append((keys[demanded], size, values))
+                kept_bytes += values.nbytes
             self.visited_pairs += int(np.count_nonzero((kind == FAR) | (kind == LEAF)))
             held = flat.nbytes + (finer[2].nbytes if finer else 0) + kept_bytes
             self.peak_bytes = max(self.peak_bytes,
                                   held + self.given_bytes + self.triplet_bytes)
             finer = keys, offsets, flat
-        self.given_bytes += kept_bytes - sum(b.nbytes for b, _ in given.values())
-        return kept
+        self.given_bytes += kept_bytes - (given[2].nbytes if given else 0)
+        return tuple(np.concatenate(part) for part in zip(*kept))
 
-    def group_blocks(self, kind, r, c, keys, nu, col, given, finer):
-        """The (b, r, c) stack of blocks of one group of equally shaped pairs.
+    def group_blocks(self, out, kind, keys, nu, col, given, finer):
+        """Write the (b, r, c) stack of blocks of one group of equally shaped
+        pairs into ``out``.
 
         ``finer`` holds the keys, flat offsets and flat values of the blocks
         of the next higher level sum, which combine pairs read.
         """
         q, v, slot, nc = self.q, self.v, self.slot, self.n_clusters
         a = self.tree
+        b, r, c = out.shape
         if kind == FAR:
-            s = kernel_radial(self.cfg, _distances(self.nodes[nu], self.nodes[col]))
-            return np.matmul(np.matmul(v[r][slot[nu]], s), v[c][slot[col]].transpose(0, 2, 1))
-        if kind == LEAF:
+            s = kernel_radial(self.cfg, _grid_distances(self.axes[nu], self.axes[col]))
+            np.matmul(np.matmul(v[r][slot[nu]], s), v[c][slot[col]].transpose(0, 2, 1), out=out)
+        elif kind == LEAF:
             x = self.coords[a.begin[nu][:, None] + np.arange(r)]
             y = self.coords[a.begin[col][:, None] + np.arange(c)]
             k = kernel_radial(self.cfg, _distances(x, y))
-            return np.matmul(np.matmul(q[r][slot[nu]].transpose(0, 2, 1), k), q[c][slot[col]])
-        if kind == GIVEN:
-            return np.stack([given[int(key)][0] for key in keys])
-        finer_keys, finer_offsets, finer_flat = finer
-        i = np.arange(r)[None, :, None]
-        j = np.arange(c)[None, None, :]
-        if kind == ROWS:
-            # [F(s0, col)[:ns0]; F(s1, col)[:ns1]], read from the finer level
+            np.matmul(np.matmul(q[r][slot[nu]].transpose(0, 2, 1), k), q[c][slot[col]], out=out)
+        elif kind == GIVEN:
+            given_keys, given_offsets, given_values = given
+            start = given_offsets[np.searchsorted(given_keys, keys)]
+            np.take(given_values, start[:, None, None] + np.arange(r * c).reshape(r, c), out=out)
+        elif kind == ROWS:
+            # [F(s0, col)[:ns0]; F(s1, col)[:ns1]]: row i is a run of c values
+            # of the finer level, so the index is a (b, r, 1) base of row
+            # starts plus one shared run
+            finer_keys, finer_offsets, finer_flat = finer
             s0, s1 = a.sons[nu, 0], a.sons[nu, 1]
-            off0 = finer_offsets[np.searchsorted(finer_keys, s0 * nc + col)][:, None, None]
-            off1 = finer_offsets[np.searchsorted(finer_keys, s1 * nc + col)][:, None, None]
-            ns0 = self.n_scaling[s0][:, None, None]
-            index = np.where(i < ns0, off0 + i * c + j, off1 + (i - ns0) * c + j)
-            return np.matmul(q[r][slot[nu]].transpose(0, 2, 1), finer_flat[index])
-        # COLS: [F(nu, s0)[:, :ns0], F(nu, s1)[:, :ns1]]
-        s0, s1 = a.sons[col, 0], a.sons[col, 1]
-        off0 = finer_offsets[np.searchsorted(finer_keys, nu * nc + s0)][:, None, None]
-        off1 = finer_offsets[np.searchsorted(finer_keys, nu * nc + s1)][:, None, None]
-        w0, w1 = self.rows[s0][:, None, None], self.rows[s1][:, None, None]
-        ns0 = self.n_scaling[s0][:, None, None]
-        index = np.where(j < ns0, off0 + i * w0 + j, off1 + i * w1 + (j - ns0))
-        return np.matmul(finer_flat[index], q[c][slot[col]])
+            off0 = finer_offsets[np.searchsorted(finer_keys, s0 * nc + col)]
+            off1 = finer_offsets[np.searchsorted(finer_keys, s1 * nc + col)]
+            ns0 = self.n_scaling[s0]
+            i = np.arange(r)
+            base = np.where(i < ns0[:, None], off0[:, None], (off1 - ns0 * c)[:, None]) + i * c
+            np.matmul(q[r][slot[nu]].transpose(0, 2, 1),
+                      finer_flat[base[:, :, None] + np.arange(c)], out=out)
+        else:
+            # COLS: [F(nu, s0)[:, :ns0], F(nu, s1)[:, :ns1]]: column j starts
+            # in one son's block and steps down its rows by that block's
+            # width.  The sons in one group can differ in width, so the index
+            # is a (b, 1, c) base of column starts plus the row steps, formed
+            # column by column, where they run contiguously.
+            finer_keys, finer_offsets, finer_flat = finer
+            s0, s1 = a.sons[col, 0], a.sons[col, 1]
+            off0 = finer_offsets[np.searchsorted(finer_keys, nu * nc + s0)]
+            off1 = finer_offsets[np.searchsorted(finer_keys, nu * nc + s1)]
+            ns0 = self.n_scaling[s0]
+            left = np.arange(c) < ns0[:, None]
+            base = np.where(left, off0[:, None], (off1 - ns0)[:, None]) + np.arange(c)
+            width = np.where(left, self.rows[s0][:, None], self.rows[s1][:, None])
+            index = np.empty((b, r, c), dtype=np.int64)
+            np.add(np.multiply.outer(width, np.arange(r)).transpose(0, 2, 1), base[:, None, :],
+                   out=index)
+            np.matmul(finer_flat[index], q[c][slot[col]], out=out)
 
-    def emit(self, f: np.ndarray, nu: np.ndarray, col: np.ndarray):
-        """Buffer the kept stored entries of a stack of inadmissible blocks.
+    def emit(self, f: np.ndarray, nu: np.ndarray, col: np.ndarray, stored: np.ndarray):
+        """Buffer the kept entries of the stored blocks of a stack.
 
-        A pair stores its samplet rows and columns (the root: all of them)
-        when its samplets do not lie above the diagonal; the upper root strip
-        is stored through the root column.  Entries with |value| >= epsilon
-        are kept, and a diagonal block (nu = col) keeps its strict lower
-        triangle plus its whole diagonal.
+        ``f`` is the stored part of each block: its samplet rows and columns
+        (the root's: all of them), f[skip_r:, skip_c:], with the same skips
+        throughout the stack.  Entries with |value| >= epsilon are kept, and
+        a diagonal block (nu = col) keeps its strict lower triangle plus its
+        whole diagonal.
         """
-        stored = self.offset[nu] >= self.offset[col]
-        if not stored.all():
-            f, nu, col = f[stored], nu[stored], col[stored]
-        r, c = f.shape[1:]
-        skip_r, skip_c = self.skip[nu], self.skip[col]
-        keep = np.abs(f) >= self.epsilon
-        keep &= np.arange(r)[:, None] >= skip_r[:, None, None]
-        keep &= np.arange(c) >= skip_c[:, None, None]
+        which = np.flatnonzero(stored)
+        part, nu, col = f[which], nu[which], col[which]
+        keep = np.abs(part) >= self.epsilon
         diagonal = np.flatnonzero(nu == col)
         if diagonal.size:
-            eye = np.eye(r, dtype=bool) & (np.arange(r) >= skip_r[diagonal, None, None])
-            keep[diagonal] = (keep[diagonal] & np.tri(r, k=-1, dtype=bool)) | eye
-        pair, ii, jj = np.nonzero(keep)
-        rows = self.offset[nu][pair] + ii - skip_r[pair]
-        cols = self.offset[col][pair] + jj - skip_c[pair]
-        vals = f[pair, ii, jj]
+            m = part.shape[1]
+            keep[diagonal] = (keep[diagonal] & np.tri(m, k=-1, dtype=bool)) | np.eye(m, dtype=bool)
+        rows = self.offset[nu, None, None] + np.arange(part.shape[1])[:, None]
+        cols = self.offset[col, None, None] + np.arange(part.shape[2])
+        rows = np.broadcast_to(rows, part.shape)[keep]
+        cols = np.broadcast_to(cols, part.shape)[keep]
+        vals = part[keep]
         self.triplets.append((rows, cols, vals))
         self.triplet_bytes += rows.nbytes + cols.nbytes + vals.nbytes
 
@@ -450,18 +505,21 @@ def assemble_compressed_kernel(basis: SampletBasis, cfg: KernelConfig,
 
     F(nu, col) is the interaction of two clusters in their output bases: rows
     are nu's scaling functions followed by its samplets, columns likewise for
-    col.  The block list holds the pairs (nu, col) the matrix needs, starting
-    from (root, col) for every column cluster.  An admissible pair is
-    interpolated as V_nu S V_col^T.  Otherwise an interior row combines its
-    sons' scaling rows, Q_nu^T [F(s0, col)[:ns0]; F(s1, col)[:ns1]]; a
-    leaf-leaf pair is exact, Q_nu^T K Q_col; and a leaf row with an interior
-    column combines the column's sons' scaling columns.  Each pair is computed
-    once, from the highest level sum down, in groups of equally shaped blocks,
-    one column subtree at a time.  Every inadmissible block is stored once:
-    its samplet-samplet part, or the root scaling rows and columns, restricted
-    to the lower triangle.  The same pass drops off-diagonal entries below
-    ``epsilon``; diagonal entries are always kept.  The lower triangle is
-    mirrored, so the result is exactly symmetric.
+    col.  An admissible pair is interpolated as V_nu S V_col^T.  Otherwise an
+    interior row combines its sons' scaling rows,
+    Q_nu^T [F(s0, col)[:ns0]; F(s1, col)[:ns1]]; a leaf-leaf pair is exact,
+    Q_nu^T K Q_col; and a leaf row with an interior column combines the
+    column's sons' scaling columns.  An inadmissible pair is stored when its
+    samplets do not lie above the diagonal (offset[nu] >= offset[col]): its
+    samplet-samplet part, or the root scaling rows and columns, restricted to
+    the lower triangle.  The block list holds the needed pairs: the stored
+    ones, found by splitting rows from (root, col) for every column cluster,
+    and every pair a needed pair reads.  Each needed pair is computed once,
+    from the highest level sum down, in groups of equally shaped blocks, one
+    column subtree at a time; a large subtree's column passes the pairs it
+    reads in its sons' columns down to their batches.  The same pass drops
+    off-diagonal entries below ``epsilon``; diagonal entries are always kept.
+    The lower triangle is mirrored, so the result is exactly symmetric.
     """
     if not 0 <= epsilon < math.inf:
         raise InvalidInput(f"epsilon must be nonnegative and finite, got {epsilon}")
@@ -470,7 +528,7 @@ def assemble_compressed_kernel(basis: SampletBasis, cfg: KernelConfig,
     start = time.perf_counter()
     mbasis = compute_multiscale_cluster_basis(basis, InterpolationScheme.build(basis.tree, p))
     assembly = _Assembly(basis, mbasis, cfg, eta, epsilon)
-    assembly.run(0)
+    assembly.run(0, np.empty(0, dtype=np.int64))
     rows, cols, vals = (np.concatenate(parts) for parts in zip(*assembly.triplets))
     matrix = SparseSym.from_triplets(basis.size, rows, cols, vals)
     stats = AssemblyStats(visited_pairs=assembly.visited_pairs,

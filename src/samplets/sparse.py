@@ -270,14 +270,21 @@ def fill_reducing_order(pattern: SparseSym, method: str = "amd") -> Permutation:
     diagonally dominant, never needs a pivot, and makes the order depend on
     the pattern alone.  ``"amd"`` is the only method; ``sparse_cholesky``
     without a permutation factors in the natural order.
+
+    SuperLU gets the upper triangle only: the stored lower triangle's
+    compressed columns, read as compressed rows.  Its pattern of A + A^T then
+    lists each column's rows in ascending order, as it does for the full
+    matrix, so the order is the same, without forming the full matrix.
     """
     if method != "amd":
         raise InvalidInput(f"unknown ordering method {method!r}")
-    lower = sp.csc_matrix((np.ones(pattern.nnz_lower), pattern.indices, pattern.indptr),
-                          shape=(pattern.n, pattern.n))
-    full = (lower + lower.T).tocsc()
-    full.setdiag(np.diff(full.indptr))
-    ilu = spilu(full, drop_tol=np.inf, fill_factor=1.0, permc_spec="MMD_AT_PLUS_A",
+    n, indptr, indices = pattern.n, pattern.indptr, pattern.indices
+    values = np.ones(indices.size)
+    # each diagonal is its full row count: the column of the lower triangle
+    # plus the row, which counts the diagonal a second time
+    values[indptr[:-1]] = np.diff(indptr) + np.bincount(indices, minlength=n) - 1
+    upper = sp.csr_matrix((values, indices, indptr), shape=(n, n)).tocsc()
+    ilu = spilu(upper, drop_tol=np.inf, fill_factor=1.0, permc_spec="MMD_AT_PLUS_A",
                 diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     return Permutation.from_order(np.argsort(ilu.perm_c))
 

@@ -261,6 +261,20 @@ class TestGrfCommand:
         assert payload["cholesky"] == method
         assert (payload["nnz_K"] >= n * n / 8) == (method == "dense")
 
+    def test_metrics_report_ordering_time_and_assembly_counts(self, tmp_path, kernel_json):
+        # the assembly counts are those kernel-compress reports for the same matrix
+        common = ["--gen", "uniform-cube", "--n", "300", "--dim", "2", "--seed", "5",
+                  "--kernel", str(kernel_json)]
+        assert main(["grf", *common, "--samples", "1", "--out-prefix", str(tmp_path / "f"),
+                     "--metrics", str(tmp_path / "g.json")]) == 0
+        assert main(["kernel-compress", *common, "--out", str(tmp_path / "k.mtx"),
+                     "--metrics", str(tmp_path / "k.json")]) == 0
+        grf = json.loads((tmp_path / "g.json").read_text())
+        compressed = json.loads((tmp_path / "k.json").read_text())
+        assert math.isfinite(grf["ordering_seconds"]) and grf["ordering_seconds"] >= 0.0
+        for key in ("visited_pairs", "peak_block_bytes"):
+            assert grf[key] == compressed[key] > 0
+
     def test_ordering_is_not_an_option(self, tmp_path, kernel_json):
         # the ordering is always multiple minimum degree
         assert main(["grf", "--gen", "grid", "--n", "64", "--dim", "1", "--seed", "1",

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -464,6 +465,39 @@ def visited_pairs(points, leaf_size, eta):
     return compressed.stats.visited_pairs
 
 
+def needed_pair_count(basis, eta):
+    """Brute force over all cluster pairs: the pairs an assembly computes
+    directly.
+
+    A pair is stored when it is inadmissible and its samplets do not lie
+    above the diagonal (the root's outputs start at index 0).  A pair is
+    needed when it is stored or a needed pair reads it: an inadmissible
+    interior row reads its row sons' pairs, and an inadmissible leaf row with
+    an interior column its column sons' pairs.  Counted are the needed pairs
+    that are admissible or leaf-leaf.
+    """
+    tree = basis.tree
+    n = len(tree.clusters)
+    offset = basis.samplet_offset.copy()
+    offset[0] = 0
+    rows, cols = np.divmod(np.arange(n * n), n)
+    inadmissible = ~tree.admissible(rows, cols, eta).reshape(n, n)
+    father = {int(s): c for c in range(n) if not tree.is_leaf[c] for s in tree.sons[c]}
+
+    @functools.cache
+    def needed(nu, col):
+        if inadmissible[nu, col] and offset[nu] >= offset[col]:
+            return True
+        f = father.get(nu)
+        if f is not None and inadmissible[f, col] and needed(f, col):
+            return True
+        f = father.get(col)
+        return bool(tree.is_leaf[nu]) and f is not None and inadmissible[nu, f] and needed(nu, f)
+
+    return sum(needed(nu, col) for nu in range(n) for col in range(n)
+               if not inadmissible[nu, col] or (tree.is_leaf[nu] and tree.is_leaf[col]))
+
+
 class TestPairCounting:
     def test_single_leaf_tree(self):
         # the root is a leaf: one exact leaf-leaf block
@@ -481,12 +515,34 @@ class TestPairCounting:
         assert build_cluster_tree(PointCloud(np.array(pts)[:, None]), leaf_size=1).depth == 2
         # eta=inf: all 16 leaf-leaf blocks are exact
         assert visited_pairs(pts, leaf_size=1, eta=np.inf) == 16
-        # eta=1: only the 4 diagonal leaf blocks are exact.  Interpolated are
-        # the 2 neighbouring singleton pairs in each half, the 2 mid-level
-        # cross pairs and the 8 pairs of a leaf with the far mid-level
-        # cluster, which the row and column combinations above them read:
-        # 18 in all
-        assert visited_pairs(pts, leaf_size=1, eta=1.0) == 18
+        # eta=1: only the 4 diagonal leaf blocks are exact.  Clusters are
+        # root 0, halves 1 and 2, leaves 3, 4 (in 1) and 5, 6 (in 2).  Stored
+        # are the root column, the diagonal and the leaf rows of each half's
+        # column, (3, 1), (4, 1), (5, 2) and (6, 2).  Interpolated are the 2
+        # neighbouring singleton pairs in each half, (3, 4) and (4, 3) for
+        # half 1, which those leaf rows read, and the 4 pairs of a leaf row
+        # with the far half's column, (3, 2), (4, 2), (5, 1) and (6, 1),
+        # which the leaf rows of the root column read: 12 in all.  The 2
+        # cross pairs of the halves and the 4 pairs of a half's row with a
+        # far leaf column lie above the diagonal, and no stored block reads
+        # them.
+        assert visited_pairs(pts, leaf_size=1, eta=1.0) == 12
+
+    @pytest.mark.parametrize("batch_points", [None, 1])
+    @pytest.mark.parametrize("make_basis,eta", [
+        pytest.param(uniform_case(1, 90, 0), 1.0, id="1-90"),
+        pytest.param(uniform_case(2, 200, 1), 1.25, id="2-200"),
+        pytest.param(uniform_case(2, 400, 4, q=2), 1.0, id="2-400-q2"),
+        pytest.param(uniform_case(3, 400, 2), 0.5, id="3-400"),
+    ])
+    def test_visited_pairs_are_the_needed_pairs(self, monkeypatch, make_basis, eta,
+                                                batch_points):
+        basis = make_basis()
+        if batch_points is not None:
+            monkeypatch.setattr(h2, "_BATCH_POINTS", batch_points)
+        compressed = assemble_compressed_kernel(basis, KernelConfig("matern32"), eta=eta,
+                                                p=2, epsilon=0.0)
+        assert compressed.stats.visited_pairs == needed_pair_count(basis, eta)
 
 
 class TestAdmissibility:
