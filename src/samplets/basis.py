@@ -16,10 +16,14 @@ cluster tree; the basis keeps one two-scale matrix per cluster and its
 scaling and samplet counts as arrays indexed the same way.  The basis is
 built one tree level at a time, with one stacked QR per stack of equally
 shaped moment matrices, under a byte budget per stack.  All two-scale
-matrices live in one buffer, laid out as one stack per leaf size and one
-per tree level and pair of son scaling counts; each QR's output is copied
-into its clusters' rows.  The transforms multiply each stored stack in one
-call (``SampletBasis.steps``): 13 stacks at N = 2^16 in 2-D.
+matrices live in one buffer, one region per order (the matrices' size),
+orders ascending; each QR's output is copied into its clusters' rows.  A
+region holds its order's step groups, one stack per leaf size and one per
+tree level and pair of son scaling counts, each a contiguous run.  The
+transforms multiply each stack in one call (``SampletBasis.steps``): 13
+stacks at N = 2^16 in 2-D.  The H^2 assembly reads the same buffer, a
+cluster's Q through its order's region and its row there
+(``SampletBasis.q`` and ``slot``).
 """
 
 from __future__ import annotations
@@ -174,17 +178,18 @@ def two_scale_decomposition(moment: np.ndarray) -> tuple[np.ndarray, int]:
 class SampletBasis:
     """Orthonormal multiscale basis: root scaling functions plus all samplets.
 
-    ``q_matrices[c]`` is cluster c's two-scale matrix [Q_phi | Q_sigma]: its
-    first ``n_scaling[c]`` columns are scaling functions, the rest samplets.
+    ``q[order[c]][slot[c]]`` is cluster c's two-scale matrix
+    [Q_phi | Q_sigma]: its first ``n_scaling[c]`` columns are scaling
+    functions, the rest samplets.  ``q[r]`` is a (count, r, r) view holding
+    every Q of order r, and ``slot`` numbers each order's clusters from 0.
     Global coefficient ordering: indices 0..n_scaling[0]-1 address the root
     scaling functions; samplets follow grouped per cluster in breadth-first
     (coarse-to-fine) tree order, cluster c's starting at ``samplet_offset[c]``.
     ``leaf_stacks`` holds one (leaves, Q stack) pair per leaf size, leaves
     ascending; ``interior_stacks`` holds one (fathers, Q stack) pair per
     tree level and pair of son scaling counts, finest level first, and
-    fathers ascending within it.  The stacks are consecutive parts of one
-    buffer, and every ``q_matrices`` entry is a view of its row in the one
-    stack that holds its cluster; the list is made on first use.
+    fathers ascending within it.  Every stack is a run of consecutive rows
+    of its order's view, and the views tile one buffer, orders ascending.
     """
 
     tree: ClusterTree
@@ -192,6 +197,8 @@ class SampletBasis:
     frame: NormalizationFrame
     n_scaling: np.ndarray
     samplet_offset: np.ndarray
+    q: dict[int, np.ndarray]
+    slot: np.ndarray
     leaf_stacks: list[tuple[np.ndarray, np.ndarray]]
     interior_stacks: list[tuple[np.ndarray, np.ndarray]]
 
@@ -202,17 +209,6 @@ class SampletBasis:
     @property
     def n_root_scaling(self) -> int:
         return int(self.n_scaling[0])
-
-    @cached_property
-    def q_matrices(self) -> list[np.ndarray]:
-        """Every cluster's two-scale matrix, a view of its stack row.  Made
-        on first use: 8191 views take about 1 MB at N = 2^16, and the
-        transforms read only the stacks."""
-        q_matrices = [None] * self.n_scaling.size
-        for clusters, stack in self.leaf_stacks + self.interior_stacks:
-            for c, q in zip(clusters.tolist(), stack):
-                q_matrices[c] = q
-        return q_matrices
 
     @cached_property
     def n_samplets(self) -> np.ndarray:
@@ -366,16 +362,17 @@ def construct_basis(tree: ClusterTree, spec: MomentSpec) -> SampletBasis:
     functions at the root plus samplets everywhere equals N.
 
     Every cluster's order and scaling count come first, from ``_counts``;
-    they lay out one buffer with a stack of every leaf size and a stack of
-    every level's fathers whose sons carry the same scaling counts.  The
-    build then runs one tree level at a time, finest first.  A level's
-    clusters with equally shaped moment matrices are decomposed in stacks of
-    at most ``_STACK_BYTES``, with one stacked QR and one stacked product
-    each; every cluster gets the bits of a decomposition of its own matrix.
-    Each QR stack is copied into its clusters' rows of their stored stack.
-    The moments
-    a level exports upward are copied into one array per level, so that no
-    view holds a stack's full product alive.
+    they lay out one buffer with a region per order.  Inside its order's
+    region lies a stack of every leaf size and a stack of every level's
+    fathers whose sons carry the same scaling counts, in the order of the
+    forward pass.  The build then runs one tree level at a time, finest
+    first.  A level's clusters with equally shaped moment matrices are
+    decomposed in stacks of at most ``_STACK_BYTES``, with one stacked QR
+    and one stacked product each; every cluster gets the bits of a
+    decomposition of its own matrix.  Each QR stack is copied into its
+    clusters' rows of their stored stack.  The moments a level exports
+    upward are copied into one array per level, so that no view holds a
+    stack's full product alive.
     """
     if spec.dim != tree.cloud.dim:
         raise InvalidInput(f"moment spec dim {spec.dim} != cloud dim {tree.cloud.dim}")
@@ -392,17 +389,26 @@ def construct_basis(tree: ClusterTree, spec: MomentSpec) -> SampletBasis:
     groups += [inner[pos] for _, pos in _groups(-tree.level[inner],
                                                 n_scaling[tree.sons[inner, 0]],
                                                 n_scaling[tree.sons[inner, 1]])]
-    lengths = [group.size * int(columns[group[0]]) ** 2 for group in groups]
-    buffer = _private_pages(sum(lengths))
-    stacks = []
+    # one region per order, ascending, holding its groups in forward-pass order
+    step = np.empty_like(columns)
+    for i, group in enumerate(groups):
+        step[group] = i
+    layout = np.lexsort((step, columns))
+    orders, first, counts = np.unique(columns[layout], return_index=True, return_counts=True)
+    slot = np.empty_like(columns)
+    slot[layout] = np.arange(layout.size) - np.repeat(first, counts)
+    buffer = _private_pages(int(np.sum(columns ** 2)))
+    q, start = {}, 0
+    for r, count in zip(orders.tolist(), counts.tolist()):
+        q[r] = buffer[start:start + count * r * r].reshape(count, r, r)
+        start += count * r * r
+    stacks = [q[int(columns[g[0]])][slot[g[0]]:slot[g[0]] + g.size] for g in groups]
     segments = [[] for _ in range(tree.depth + 1)]  # per level: (clusters, their rows)
-    for group, start, length in zip(groups, np.cumsum(lengths) - lengths, lengths):
-        n = int(columns[group[0]])
-        stacks.append(buffer[start:start + length].reshape(group.size, n, n))
+    for group, stack in zip(groups, stacks):
         levels = tree.level[group]  # ascending; leaves of one size can span levels
         for level in range(levels[0], levels[-1] + 1):
             lo, hi = np.searchsorted(levels, (level, level + 1))
-            segments[level].append((group[lo:hi], stacks[-1][lo:hi]))
+            segments[level].append((group[lo:hi], stack[lo:hi]))
 
     bounds = np.searchsorted(tree.level, np.arange(tree.depth + 2))
     son_exports = None
@@ -426,8 +432,8 @@ def construct_basis(tree: ClusterTree, spec: MomentSpec) -> SampletBasis:
         raise AssertionError(f"basis size mismatch: {total} != {tree.cloud.count}")
     stored = list(zip(groups, stacks))
     return SampletBasis(tree=tree, spec=spec, frame=frame, n_scaling=n_scaling,
-                        samplet_offset=samplet_offset, leaf_stacks=stored[:n_leaf_stacks],
-                        interior_stacks=stored[n_leaf_stacks:])
+                        samplet_offset=samplet_offset, q=q, slot=slot,
+                        leaf_stacks=stored[:n_leaf_stacks], interior_stacks=stored[n_leaf_stacks:])
 
 
 def build_samplet_basis(cloud: PointCloud, q: int = 2, q_leaf: int | None = None,

@@ -7,8 +7,9 @@ through transfer matrices, so the whole samplet-compressed matrix assembles in
 log-linear time.  One tensor Lagrange evaluator gives both: a leaf's
 interpolation data are its box's Lagrange basis at its points, and a son's
 transfer matrix is its father's Lagrange basis at the son's grid.  The
-cluster bases are built bottom-up into stacks of equal order, the layout the
-assembly reads.
+cluster bases are built bottom-up into stacks of equal order, laid out like
+the basis's two-scale matrices: cluster c's V is row ``slot[c]`` of its
+order's stack, as its Q is of ``SampletBasis.q``.
 
 The matrix stores the samplet-samplet interactions of the inadmissible
 cluster pairs, plus the root's scaling rows and columns, and of these only
@@ -24,8 +25,9 @@ Each group masks only the stored part of its stored blocks and drops the
 entries below the a-posteriori threshold, keeping the diagonal.  Clusters are
 tree indices throughout: every step gathers from the tree's per-cluster
 arrays (boxes, ranges, sons), the basis's (scaling counts, samplet offsets)
-and the stacks of two-scale matrices and V, through each cluster's order and
-slot.
+and the per-order stacks of two-scale matrices and of V, through the basis's
+``order`` and ``slot``.  The two-scale matrices are read in place, from the
+buffer the transforms use.
 """
 
 from __future__ import annotations
@@ -145,15 +147,13 @@ class MultiscaleClusterBasis:
     """Samplet-transformed nested cluster bases, stacked by cluster order.
 
     A cluster's order is its number of outputs, ``SampletBasis.order``.
-    Cluster c's two-scale matrix is ``q[order[c]][slot[c]]`` and its V is
-    ``v[order[c]][slot[c]]``: the rows of V are c's scaling part V_phi
-    followed by its samplet part V_sigma, ordered like the columns of Q.
+    Cluster c's V is ``v[basis.order[c]][basis.slot[c]]``, in the layout of
+    its two-scale matrix ``basis.q[basis.order[c]][basis.slot[c]]``: the
+    rows of V are c's scaling part V_phi followed by its samplet part
+    V_sigma, ordered like the columns of Q.
     """
 
     scheme: InterpolationScheme
-    order: np.ndarray
-    slot: np.ndarray
-    q: dict[int, np.ndarray]
     v: dict[int, np.ndarray]
 
 
@@ -161,26 +161,20 @@ def compute_multiscale_cluster_basis(basis: SampletBasis,
                                      scheme: InterpolationScheme) -> MultiscaleClusterBasis:
     """Bottom-up pass, one level at a time: leaves transform Lagrange
     evaluations, fathers transform the stacked, transfer-mapped scaling parts
-    of their sons.  The two-scale matrices are stacked by order once, and
-    each group of equally shaped clusters writes its V into the stack of its
-    order with one stacked product."""
+    of their sons.  Each group of equally shaped clusters reads its
+    two-scale matrices from the basis's stack of their order and writes its
+    V into the same slots of the V stack of that order, with one stacked
+    product."""
     if scheme.tree is not basis.tree:
         raise InvalidInput("interpolation scheme was built for a different tree")
     tree = basis.tree
     coords = tree.permuted_coords()
-    order, n_scaling = basis.order, basis.n_scaling
-    slot = np.empty(order.size, dtype=np.int64)
-    q: dict[int, np.ndarray] = {}
-    v: dict[int, np.ndarray] = {}
-    for r in np.unique(order).tolist():
-        members = np.flatnonzero(order == r)
-        slot[members] = np.arange(members.size)
-        q[r] = np.stack([basis.q_matrices[c] for c in members])
-        v[r] = np.empty((members.size, r, scheme.nodes.shape[1]))
+    order, slot, n_scaling = basis.order, basis.slot, basis.n_scaling
+    v = {r: np.empty((q.shape[0], r, scheme.nodes.shape[1])) for r, q in basis.q.items()}
 
     def finish(group: np.ndarray, r: int, v_in: np.ndarray):
         i = slot[group]
-        v[r][i] = np.matmul(q[r][i].transpose(0, 2, 1), v_in)
+        v[r][i] = np.matmul(basis.q[r][i].transpose(0, 2, 1), v_in)
 
     for level in range(tree.depth, -1, -1):
         at_level = np.flatnonzero(tree.level == level)
@@ -197,7 +191,7 @@ def compute_multiscale_cluster_basis(basis: SampletBasis,
             parts = [np.matmul(v[r][slot[s], :ns], scheme.transfers[s].transpose(0, 2, 1))
                      for s, r, ns in ((sons[pos, 0], r0, ns0), (sons[pos, 1], r1, ns1))]
             finish(inner[pos], ns0 + ns1, np.concatenate(parts, axis=1))
-    return MultiscaleClusterBasis(scheme=scheme, order=order, slot=slot, q=q, v=v)
+    return MultiscaleClusterBasis(scheme=scheme, v=v)
 
 
 @dataclass(frozen=True)
@@ -283,17 +277,14 @@ class _Assembly:
                  cfg: KernelConfig, eta: float, epsilon: float):
         tree = basis.tree
         self.cfg, self.eta, self.epsilon = cfg, eta, epsilon
-        self.tree = tree
+        self.tree, self.basis, self.v = tree, basis, mbasis.v
         self.n_clusters = len(tree.clusters)
         self.coords = tree.permuted_coords()
         self.axes = mbasis.scheme.axes
         self.grid_size = mbasis.scheme.nodes.shape[1]
-        # Q and V of all clusters with r rows, stacked: q[r][slot[c]].
-        self.rows, self.slot, self.q, self.v = mbasis.order, mbasis.slot, mbasis.q, mbasis.v
-        self.n_scaling = basis.n_scaling
         # The stored part of a block starts after the scaling rows/columns,
         # at the samplet offset; the root (index 0) stores its scaling ones too.
-        self.skip = self.n_scaling.copy()
+        self.skip = basis.n_scaling.copy()
         self.offset = basis.samplet_offset.copy()
         self.skip[0] = self.offset[0] = 0
         self.triplets: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -382,19 +373,18 @@ class _Assembly:
         GIVEN blocks.  Returns the demanded blocks as (keys, sizes, flat
         values).
         """
-        nc = self.n_clusters
+        nc, order = self.n_clusters, self.basis.order
         kept = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))]
         kept_bytes = 0
         finer = None
         for keys, kind, stored, demanded in reversed(levels):
             nu, col = np.divmod(keys, nc)
-            sizes = self.rows[nu] * self.rows[col]
+            sizes = order[nu] * order[col]
             flat = np.empty(int(sizes.sum()))
             offsets = np.empty(keys.size, dtype=np.int64)
             start = 0
             skip_r, skip_c = self.skip[nu], self.skip[col]
-            for (k, r, c, sr, sc), pos in _groups(kind, self.rows[nu], self.rows[col],
-                                                  skip_r, skip_c):
+            for (k, r, c, sr, sc), pos in _groups(kind, order[nu], order[col], skip_r, skip_c):
                 # per pair: the block and its input, or the interpolation data
                 step = max(1, _CHUNK_BYTES // (8 * (2 * r * c + self.grid_size * (r + c))))
                 for lo in range(0, pos.size, step):
@@ -426,8 +416,8 @@ class _Assembly:
         ``finer`` holds the keys, flat offsets and flat values of the blocks
         of the next higher level sum, which combine pairs read.
         """
-        q, v, slot, nc = self.q, self.v, self.slot, self.n_clusters
-        a = self.tree
+        basis, v, nc, a = self.basis, self.v, self.n_clusters, self.tree
+        q, slot, n_scaling = basis.q, basis.slot, basis.n_scaling
         b, r, c = out.shape
         if kind == FAR:
             s = kernel_radial(self.cfg, _grid_distances(self.axes[nu], self.axes[col]))
@@ -449,7 +439,7 @@ class _Assembly:
             s0, s1 = a.sons[nu, 0], a.sons[nu, 1]
             off0 = finer_offsets[np.searchsorted(finer_keys, s0 * nc + col)]
             off1 = finer_offsets[np.searchsorted(finer_keys, s1 * nc + col)]
-            ns0 = self.n_scaling[s0]
+            ns0 = n_scaling[s0]
             i = np.arange(r)
             base = np.where(i < ns0[:, None], off0[:, None], (off1 - ns0 * c)[:, None]) + i * c
             np.matmul(q[r][slot[nu]].transpose(0, 2, 1),
@@ -464,10 +454,10 @@ class _Assembly:
             s0, s1 = a.sons[col, 0], a.sons[col, 1]
             off0 = finer_offsets[np.searchsorted(finer_keys, nu * nc + s0)]
             off1 = finer_offsets[np.searchsorted(finer_keys, nu * nc + s1)]
-            ns0 = self.n_scaling[s0]
+            ns0 = n_scaling[s0]
             left = np.arange(c) < ns0[:, None]
             base = np.where(left, off0[:, None], (off1 - ns0)[:, None]) + np.arange(c)
-            width = np.where(left, self.rows[s0][:, None], self.rows[s1][:, None])
+            width = np.where(left, basis.order[s0][:, None], basis.order[s1][:, None])
             index = np.empty((b, r, c), dtype=np.int64)
             np.add(np.multiply.outer(width, np.arange(r)).transpose(0, 2, 1), base[:, None, :],
                    out=index)

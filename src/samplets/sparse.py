@@ -29,6 +29,7 @@ from scipy.linalg.lapack import dpotrf
 from scipy.sparse.linalg import spilu, splu
 
 from .errors import InvalidInput, NonPositivePivot, ResourceLimit
+from .transform import inverse_transform_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +524,6 @@ def sample_grf(factor: CholeskyFactor, basis, seed: int, n_samples: int) -> np.n
     if basis.size != n:
         raise InvalidInput("factor and basis sizes differ")
     fields = grf_buffer(n_samples, n)
-    from .transform import inverse_transform_matrix
-
     l_mat = factor.to_scipy()
     for s in range(n_samples):
         z = normal_stream(seed, s, n)

@@ -26,7 +26,9 @@ step order keeps it in cache.  With one stack per level group,
 ``signals-2d`` read ``job_p90_s`` 0.16-0.20 s against 0.24-0.26 s with the
 QR's 64 KiB stacks (355 steps), and ``peak_rss_mb`` 133.4-133.8 against
 130.6 MB (medians of 10 runs each, 2-core x86, one BLAS thread).  The
-stacks share one private mapping (``basis._private_pages``).
+stacks share one private mapping (``basis._private_pages``), laid out by
+order: each stack is a contiguous run of its order's view
+``SampletBasis.q[r]``, which the H^2 assembly reads too.
 """
 
 from __future__ import annotations

@@ -1,9 +1,12 @@
 """Per-element reference code for the samplet basis, shared by the tests.
 
-``samplet_as_point_vector`` expands one basis element over the original
-points by pushing a unit vector down the tree one cluster at a time,
-independently of the stacked transforms, and ``dense_basis_matrix`` stacks
-all of them into the N x N basis matrix.  ``owner_of`` names the cluster a
+``q_matrices`` lists every cluster's two-scale matrix, read from the step
+stacks (``leaf_stacks`` and ``interior_stacks``) rather than through
+``SampletBasis.q`` and ``slot``, so tests comparing the two check the
+layout.  ``samplet_as_point_vector`` expands one basis element over the
+original points by pushing a unit vector down the tree one cluster at a
+time, independently of the stacked transforms, and ``dense_basis_matrix``
+stacks all of them into the N x N basis matrix.  ``owner_of`` names the cluster a
 basis element belongs to, and ``leaf_moment_matrix`` evaluates one leaf's
 moment matrix on its own.  ``forward_by_cluster`` and ``inverse_by_cluster``
 transform in the work buffer of ``SampletBasis.steps``, with each cluster's
@@ -17,6 +20,15 @@ import numpy as np
 from samplets.basis import NormalizationFrame, SampletBasis, _monomials, multi_indices
 from samplets.cluster_tree import ClusterTree
 from samplets.errors import InvalidInput
+
+
+def q_matrices(basis: SampletBasis) -> list[np.ndarray]:
+    """Every cluster's two-scale matrix, a view of its row in its step stack."""
+    q = [None] * basis.n_scaling.size
+    for clusters, stack in basis.leaf_stacks + basis.interior_stacks:
+        for c, qc in zip(clusters.tolist(), stack):
+            q[c] = qc
+    return q
 
 
 def owner_of(basis: SampletBasis, global_index: int) -> int:
@@ -43,7 +55,7 @@ def samplet_as_point_vector(basis: SampletBasis, global_index: int) -> np.ndarra
     The result has unit Euclidean norm and is supported on the owning
     cluster's index range only.
     """
-    tree, q = basis.tree, basis.q_matrices
+    tree, q = basis.tree, q_matrices(basis)
     cluster = owner_of(basis, global_index)
     coeff = np.zeros(q[cluster].shape[1])
     if global_index < basis.n_root_scaling:
@@ -84,8 +96,9 @@ def _cluster_rows(basis: SampletBasis):
     tree, n_scaling = basis.tree, basis.n_scaling
     scaling_row = basis.size + np.cumsum(n_scaling) - n_scaling
     scaling_row[0] = 0
+    q_of = q_matrices(basis)
     for c in reversed(tree.clusters):
-        q = basis.q_matrices[c]
+        q = q_of[c]
         n, ns = q.shape[0], int(n_scaling[c])
         if tree.is_leaf[c]:
             rows = tree.permutation[tree.begin[c]:tree.end[c]]

@@ -16,7 +16,13 @@ from samplets.basis import (
 )
 from samplets.cluster_tree import PointCloud, build_cluster_tree
 
-from oracles import dense_basis_matrix, leaf_moment_matrix, owner_of, samplet_as_point_vector
+from oracles import (
+    dense_basis_matrix,
+    leaf_moment_matrix,
+    owner_of,
+    q_matrices,
+    samplet_as_point_vector,
+)
 
 
 class TestMomentDimension:
@@ -111,7 +117,7 @@ class TestConstruction:
         np.testing.assert_array_equal(basis.n_scaling, [1, 1, 1])
         np.testing.assert_array_equal(basis.n_samplets, [1, 1, 1])
         np.testing.assert_array_equal(basis.samplet_offset, [1, 2, 3])
-        assert [q.shape for q in basis.q_matrices] == [(2, 2)] * 3
+        assert [q.shape for q in q_matrices(basis)] == [(2, 2)] * 3
         # leaf samplets are pair differences
         for leaf in tree.leaves:
             assert owner_of(basis, basis.samplet_offset[leaf]) == leaf
@@ -148,7 +154,7 @@ class TestConstruction:
         rng = np.random.default_rng(seed)
         cloud = PointCloud(rng.uniform(-1, 1, size=(n, d)))
         basis = build_samplet_basis(cloud, q=q)
-        rows = np.array([qm.shape[0] for qm in basis.q_matrices])
+        rows = np.array([qm.shape[0] for qm in q_matrices(basis)])
         np.testing.assert_array_equal(basis.n_samplets, rows - basis.n_scaling)
         assert basis.n_root_scaling + basis.n_samplets.sum() == n
         # samplet blocks tile [n_root_scaling, n) in breadth-first order

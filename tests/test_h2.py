@@ -16,7 +16,7 @@ from samplets.h2 import (
 )
 from samplets.kernels import KernelConfig, dense_kernel_matrix, kernel_cross
 
-from oracles import samplet_as_point_vector
+from oracles import q_matrices, samplet_as_point_vector
 
 
 def box(lo, hi):
@@ -38,9 +38,9 @@ def lagrange(b, p, points):
     return h2._lagrange_tensors(*b, p, np.asarray(points, float)[None])[0]
 
 
-def v_of(mb, c):
-    """Cluster c's V, read from the stack of its order."""
-    return mb.v[mb.order[c]][mb.slot[c]]
+def v_of(basis, mb, c):
+    """Cluster c's V, read from the stack of its order at the slot of its Q."""
+    return mb.v[basis.order[c]][basis.slot[c]]
 
 
 def coupling(cfg, a, b, p):
@@ -61,7 +61,7 @@ def distance(tree, a, b):
 
 def expand_cluster_outputs(basis, cluster):
     """Test oracle: every output of a cluster expanded over its own points."""
-    tree, q = basis.tree, basis.q_matrices
+    tree, q = basis.tree, q_matrices(basis)
     n_out = q[cluster].shape[1]
     rows = np.zeros((n_out, tree.size[cluster]))
 
@@ -168,8 +168,8 @@ class TestMultiscaleBasis:
         mb = compute_multiscale_cluster_basis(basis, scheme)
         assert len(basis.tree.clusters) == 1
         v_delta = lagrange(cluster_box(basis.tree, 0), 2, basis.tree.permuted_coords())
-        expected = basis.q_matrices[0].T @ v_delta
-        np.testing.assert_allclose(v_of(mb, 0), expected, atol=1e-12)
+        expected = q_matrices(basis)[0].T @ v_delta
+        np.testing.assert_allclose(v_of(basis, mb, 0), expected, atol=1e-12)
 
     def test_constant_reproduction_kills_samplet_rows(self):
         rng = np.random.default_rng(3)
@@ -179,7 +179,7 @@ class TestMultiscaleBasis:
         mb = compute_multiscale_cluster_basis(basis, scheme)
         m = (2 + 1) ** 2
         for c in basis.tree.clusters:
-            v_sigma = v_of(mb, c)[basis.n_scaling[c]:]
+            v_sigma = v_of(basis, mb, c)[basis.n_scaling[c]:]
             if v_sigma.size:
                 assert np.max(np.abs(v_sigma @ np.ones(m))) < 1e-9
 
@@ -196,7 +196,7 @@ class TestMultiscaleBasis:
             w = expand_cluster_outputs(basis, c)
             v_delta = lagrange(cluster_box(tree, c), p, coords[tree.begin[c]:tree.end[c]])
             expected = w @ v_delta
-            np.testing.assert_allclose(v_of(mb, c), expected, atol=1e-10)
+            np.testing.assert_allclose(v_of(basis, mb, c), expected, atol=1e-10)
 
 
 def two_leaf_basis(points, leaf_size=2, q=0):
@@ -234,7 +234,8 @@ def exact_leaf_block(basis, cfg, a, b):
     k_exact = dense_kernel_matrix(cfg, tree.cloud)
     perm = tree.permutation
     sub = k_exact[np.ix_(perm[tree.begin[a]:tree.end[a]], perm[tree.begin[b]:tree.end[b]])]
-    return basis.q_matrices[a].T @ sub @ basis.q_matrices[b]
+    q = q_matrices(basis)
+    return q[a].T @ sub @ q[b]
 
 
 def far_field_block(basis, cfg, a, b, p):
@@ -242,7 +243,7 @@ def far_field_block(basis, cfg, a, b, p):
     tree = basis.tree
     mb = compute_multiscale_cluster_basis(basis, InterpolationScheme.build(tree, p))
     s = coupling(cfg, cluster_box(tree, a), cluster_box(tree, b), p)
-    return v_of(mb, a) @ s @ v_of(mb, b).T
+    return v_of(basis, mb, a) @ s @ v_of(basis, mb, b).T
 
 
 def reference_assembly(basis, cfg, eta, p, epsilon):
@@ -255,7 +256,7 @@ def reference_assembly(basis, cfg, eta, p, epsilon):
     tree = basis.tree
     mb = compute_multiscale_cluster_basis(basis, InterpolationScheme.build(tree, p))
     coords = tree.permuted_coords()
-    q, ns = basis.q_matrices, basis.n_scaling
+    q, ns = q_matrices(basis), basis.n_scaling
     memo = {}
 
     def points(c):
@@ -266,7 +267,7 @@ def reference_assembly(basis, cfg, eta, p, epsilon):
         if key not in memo:
             if admits(tree, nu, col, eta):
                 s = coupling(cfg, cluster_box(tree, nu), cluster_box(tree, col), p)
-                f = v_of(mb, nu) @ s @ v_of(mb, col).T
+                f = v_of(basis, mb, nu) @ s @ v_of(basis, mb, col).T
             elif not tree.is_leaf[nu]:
                 f = q[nu].T @ np.vstack([block(s, col)[:ns[s]] for s in tree.sons[nu]])
             elif tree.is_leaf[col]:

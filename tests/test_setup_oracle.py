@@ -11,8 +11,9 @@ products of one-axis Lagrange matrices, and ``reference_cluster_bases``
 builds every cluster's V as its own array.  The library must reproduce every
 tree array, every moment matrix, every two-scale matrix, every transform,
 every transfer matrix and every V bit for bit, dtypes included.  The stored
-layout is pinned too: one buffer holds all Q, as one stack per leaf size and
-one per tree level and pair of son scaling counts.
+layout is pinned too: one buffer holds all Q, one region per order, and each
+region holds its order's stacks, one per leaf size and one per tree level
+and pair of son scaling counts.
 """
 
 import hashlib
@@ -42,7 +43,7 @@ from samplets.h2 import (
 )
 from samplets.transform import forward_transform_matrix, inverse_transform_matrix
 
-from oracles import BYTE_OFFSETS, at_offset, forward_by_cluster, inverse_by_cluster
+from oracles import BYTE_OFFSETS, at_offset, forward_by_cluster, inverse_by_cluster, q_matrices
 
 TREE_ARRAYS = ("permutation", "begin", "end", "lo", "hi", "diameter", "level", "sons")
 
@@ -113,7 +114,7 @@ def reference_basis(tree, spec):
     frame = NormalizationFrame.for_cloud(tree.cloud)
     exponents = multi_indices(spec.q_leaf, spec.dim)
     n_clusters = tree.begin.size
-    q_matrices = [None] * n_clusters
+    two_scale = [None] * n_clusters
     n_scaling = np.empty(n_clusters, dtype=np.int64)
     exported = [None] * n_clusters
     for c in reversed(tree.preorder.tolist()):
@@ -123,11 +124,11 @@ def reference_basis(tree, spec):
         else:
             s0, s1 = tree.sons[c]
             moment = np.hstack([exported[s0], exported[s1]])
-        q_matrices[c], n_scaling[c] = _reference_two_scale(moment)
-        exported[c] = (moment @ q_matrices[c])[:spec.m_q, :n_scaling[c]]
-    n_samplets = np.array([q.shape[0] for q in q_matrices], dtype=np.int64) - n_scaling
+        two_scale[c], n_scaling[c] = _reference_two_scale(moment)
+        exported[c] = (moment @ two_scale[c])[:spec.m_q, :n_scaling[c]]
+    n_samplets = np.array([q.shape[0] for q in two_scale], dtype=np.int64) - n_scaling
     samplet_offset = n_scaling[0] + np.cumsum(n_samplets) - n_samplets
-    return q_matrices, n_scaling, samplet_offset
+    return two_scale, n_scaling, samplet_offset
 
 
 def assert_same(got, want, what):
@@ -147,13 +148,13 @@ def assert_matches_reference(coords, q, leaf_size=None, q_leaf=None):
         assert_same(getattr(tree, name), want, name)
     basis = construct_basis(tree, spec)
     got_n_scaling, got_offset = basis.n_scaling, basis.samplet_offset
-    got_q = [digest(q) for q in basis.q_matrices]
+    got_q = [digest(q) for q in q_matrices(basis)]
     del basis  # a leaf of n points has an n x n two-scale matrix; hold one copy
-    q_matrices, n_scaling, samplet_offset = reference_basis(tree, spec)
+    want_q, n_scaling, samplet_offset = reference_basis(tree, spec)
     assert_same(got_n_scaling, n_scaling, "n_scaling")
     assert_same(got_offset, samplet_offset, "samplet_offset")
-    assert len(got_q) == len(q_matrices)
-    for c, (got, want) in enumerate(zip(got_q, q_matrices)):
+    assert len(got_q) == len(want_q)
+    for c, (got, want) in enumerate(zip(got_q, want_q)):
         assert got == digest(want), f"Q of cluster {c} differs (dtype, shape or bits)"
 
 
@@ -260,22 +261,22 @@ def test_one_cluster_per_stack_gives_the_same_bits(monkeypatch):
     assert stack_sizes == [1] * len(tree.clusters)  # one QR per cluster
     assert_same(single.n_scaling, batched.n_scaling, "n_scaling")
     assert_same(single.samplet_offset, batched.samplet_offset, "samplet_offset")
-    for c, (got, want) in enumerate(zip(single.q_matrices, batched.q_matrices)):
+    for c, (got, want) in enumerate(zip(q_matrices(single), q_matrices(batched))):
         assert_same(got, want, f"Q of cluster {c}")
 
 
 def reference_forward(basis, data):
     """Forward transform of the columns of ``data``, one product per cluster."""
-    tree, q_matrices, n_scaling = basis.tree, basis.q_matrices, basis.n_scaling
+    tree, q, n_scaling = basis.tree, q_matrices(basis), basis.n_scaling
     out = np.empty_like(data)
     permuted = data[tree.permutation]
     scaling = [None] * tree.begin.size
     for c in reversed(tree.preorder.tolist()):
         s0, s1 = tree.sons[c]
         if s0 < 0:
-            coeffs = q_matrices[c].T @ permuted[tree.begin[c]:tree.end[c]]
+            coeffs = q[c].T @ permuted[tree.begin[c]:tree.end[c]]
         else:
-            coeffs = q_matrices[c].T @ np.concatenate((scaling[s0], scaling[s1]))
+            coeffs = q[c].T @ np.concatenate((scaling[s0], scaling[s1]))
         offset = basis.samplet_offset[c]
         out[offset:offset + basis.n_samplets[c]] = coeffs[n_scaling[c]:]
         scaling[c] = coeffs[:n_scaling[c]]
@@ -285,13 +286,13 @@ def reference_forward(basis, data):
 
 def reference_inverse(basis, coeffs):
     """Inverse transform of the columns of ``coeffs``, one product per cluster."""
-    tree, q_matrices, n_scaling = basis.tree, basis.q_matrices, basis.n_scaling
+    tree, q, n_scaling = basis.tree, q_matrices(basis), basis.n_scaling
     out = np.empty_like(coeffs)
     scaling = [None] * tree.begin.size
     scaling[0] = coeffs[:n_scaling[0]]
     for c in tree.preorder.tolist():
         offset = basis.samplet_offset[c]
-        incoming = q_matrices[c] @ np.concatenate(
+        incoming = q[c] @ np.concatenate(
             (scaling[c], coeffs[offset:offset + basis.n_samplets[c]]))
         s0, s1 = tree.sons[c]
         if s0 < 0:
@@ -371,7 +372,7 @@ def stored_basis():
 
 def assert_row_views(basis, clusters, stack):
     for row, c in enumerate(clusters.tolist()):
-        q = basis.q_matrices[c]
+        q = basis.q[basis.order[c]][basis.slot[c]]
         assert q.base is not None and q.shape == stack.shape[1:]
         assert np.shares_memory(q, stack[row]) and q.ctypes.data == stack[row].ctypes.data
 
@@ -419,15 +420,32 @@ def test_one_stored_stack_per_leaf_size_and_son_scaling_group(case):
 
 @pytest.mark.parametrize("case", TRANSFORM_CASES)
 def test_all_two_scale_matrices_live_in_one_buffer(case):
+    """One page-aligned buffer holds every Q: the per-order views tile it,
+    orders ascending; every step stack is a contiguous run of its order's
+    view; and ``slot`` numbers each order's clusters, naming their rows."""
     tree, spec, _ = transform_case(case)
     basis = construct_basis(tree, spec)
-    buffer = basis.q_matrices[0].base
-    assert all(q.base is buffer for q in basis.q_matrices)
+    q_of = q_matrices(basis)
+    buffer = q_of[0].base
+    assert all(q.base is buffer for q in q_of)
     assert buffer.nbytes == 8 * int(np.sum(basis.order ** 2))
     assert buffer.ctypes.data % mmap.PAGESIZE == 0
-    stacks = [stack for _, stack in basis.leaf_stacks + basis.interior_stacks]
-    starts = [stack.ctypes.data - buffer.ctypes.data for stack in stacks]
-    assert starts == np.cumsum([0] + [s.nbytes for s in stacks[:-1]]).tolist()
+    orders = sorted(basis.q)
+    views = [basis.q[r] for r in orders]
+    assert orders == np.unique(basis.order).tolist()
+    assert all(view.base is buffer and view.shape[1:] == (r, r) for r, view in zip(orders, views))
+    starts = [view.ctypes.data - buffer.ctypes.data for view in views]
+    assert starts == np.cumsum([0] + [view.nbytes for view in views[:-1]]).tolist()
+    assert starts[-1] + views[-1].nbytes == buffer.nbytes
+    for r, view in zip(orders, views):
+        assert sorted(basis.slot[basis.order == r].tolist()) == list(range(view.shape[0]))
+    for clusters, stack in basis.leaf_stacks + basis.interior_stacks:
+        view = basis.q[stack.shape[-1]]
+        start = stack.ctypes.data - view.ctypes.data
+        assert stack.flags.c_contiguous and start % stack[0].nbytes == 0
+        assert 0 <= start and start + stack.nbytes <= view.nbytes
+        for row, c in enumerate(clusters.tolist()):
+            assert basis.q[basis.order[c]][basis.slot[c]].ctypes.data == stack[row].ctypes.data
 
 
 def reference_transfers(tree, p):
@@ -455,11 +473,11 @@ def reference_cluster_bases(basis, p):
     tree = basis.tree
     transfers = reference_transfers(tree, p)
     coords = tree.permuted_coords()
-    q_matrices, n_scaling = basis.q_matrices, basis.n_scaling
-    v = [None] * len(q_matrices)
+    q_of, n_scaling = q_matrices(basis), basis.n_scaling
+    v = [None] * len(q_of)
 
     def finish(group, v_in):
-        q = np.stack([q_matrices[c] for c in group])
+        q = np.stack([q_of[c] for c in group])
         for c, vc in zip(group, np.matmul(q.transpose(0, 2, 1), v_in)):
             v[c] = vc
 
@@ -501,9 +519,10 @@ def test_cluster_bases_match_reference(case):
     mb = compute_multiscale_cluster_basis(basis, scheme)
     transfers, v = reference_cluster_bases(basis, p)
     assert_same(scheme.transfers[1:], transfers[1:], "transfer matrices")  # the root's are NaN
+    q_of, order, slot = q_matrices(basis), basis.order, basis.slot
     for c in tree.clusters:
-        assert_same(mb.q[mb.order[c]][mb.slot[c]], basis.q_matrices[c], f"Q of cluster {c}")
-        assert_same(mb.v[mb.order[c]][mb.slot[c]], v[c], f"V of cluster {c}")
+        assert_same(basis.q[order[c]][slot[c]], q_of[c], f"Q of cluster {c}")
+        assert_same(mb.v[order[c]][slot[c]], v[c], f"V of cluster {c}")
 
 
 @pytest.mark.parametrize("p", [0, 1, 2, 3, 5])

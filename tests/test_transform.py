@@ -20,7 +20,7 @@ from samplets.transform import (
     threshold_coefficients,
 )
 
-from oracles import dense_basis_matrix, samplet_as_point_vector
+from oracles import dense_basis_matrix, q_matrices, samplet_as_point_vector
 
 
 @pytest.fixture(scope="module")
@@ -327,10 +327,10 @@ class TestCountedCost:
         rng = np.random.default_rng(8)
         basis = build_samplet_basis(PointCloud(rng.uniform(-1, 1, size=(1003, 2))), q=2,
                                     leaf_size=13)
-        tree = basis.tree
-        assert sum(q.shape[0] for q, *_ in basis.steps) == len(basis.q_matrices)
-        step_of = np.empty(len(basis.q_matrices), dtype=np.int64)
-        for c, q in enumerate(basis.q_matrices):
+        tree, q_of = basis.tree, q_matrices(basis)
+        assert sum(q.shape[0] for q, *_ in basis.steps) == len(q_of)
+        step_of = np.empty(len(q_of), dtype=np.int64)
+        for c, q in enumerate(q_of):
             holders = [i for i, (stack, *_) in enumerate(basis.steps)
                        if np.shares_memory(q, stack)]
             assert len(holders) == 1, f"cluster {c} is in steps {holders}"
