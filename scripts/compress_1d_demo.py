@@ -43,7 +43,7 @@ def main():
     print(f"{'i':>3} {'tau':>12} {'ratio':>9} {'l2_error':>12} {'linf_error':>12}")
     for i in (1, 2, 3, 4):
         tau = relative_threshold(coeffs, i)
-        recon, rep = reconstruction_error(basis, fv, tau)
+        recon, rep = reconstruction_error(basis, fv, coeffs, tau)
         columns.append(recon.values)
         print(f"{i:>3} {tau:>12.4e} {rep.compression_ratio:>9.4f} "
               f"{rep.l2_error:>12.4e} {rep.linf_error:>12.4e}")

@@ -13,17 +13,19 @@ monomials are evaluated in globally normalized coordinates (the root bounding
 box mapped onto [-1, 1]^d), which keeps son-to-father moment propagation exact
 and the moment matrices well conditioned.  Clusters are the indices of the
 cluster tree; the basis keeps one two-scale matrix per cluster and its
-scaling and samplet counts as arrays indexed the same way.  The basis is
-built one tree level at a time, with one stacked QR per stack of equally
-shaped moment matrices, under a byte budget per stack.  All two-scale
-matrices live in one buffer, one region per order (the matrices' size),
-orders ascending; each QR's output is copied into its clusters' rows.  A
-region holds its order's step groups, one stack per leaf size and one per
-tree level and pair of son scaling counts, each a contiguous run.  The
-transforms multiply each stack in one call (``SampletBasis.steps``): 13
-stacks at N = 2^16 in 2-D.  The H^2 assembly reads the same buffer, a
-cluster's Q through its order's region and its row there
-(``SampletBasis.q`` and ``slot``).
+scaling and samplet counts as arrays indexed the same way.
+
+All two-scale matrices live in one buffer, one region per order (the
+matrices' size), orders ascending.  A region holds its order's step groups,
+one stack per leaf size and one per tree level and pair of son scaling
+counts, each a contiguous run.  Taken in the order of the forward pass (the
+leaf stacks, then the interior stacks, finest level first) every son's
+stack comes before its father's, so these stacks are the one bottom-up
+schedule: the build walks them with stacked QRs under a byte budget, the
+transforms multiply each in one call (``SampletBasis.steps``; 13 stacks at
+N = 2^16 in 2-D), and the H^2 cluster bases follow them too.  The H^2
+assembly reads the same buffer, a cluster's Q through its order's region
+and its row there (``SampletBasis.q`` and ``slot``).
 """
 
 from __future__ import annotations
@@ -287,32 +289,21 @@ def _check_moment_size(tree: ClusterTree, spec: MomentSpec) -> None:
             f"{largest_leaf} points); lower q, q_leaf or the leaf size")
 
 
-def _moment_stacks(tree: ClusterTree, clusters: np.ndarray, points: np.ndarray,
-                   exponents: np.ndarray, n_scaling: np.ndarray, son_exports: np.ndarray,
-                   below: int):
-    """Yield (first, moments): ``clusters``, one level's clusters with equally
-    shaped moment matrices, in stacks of at most ``_STACK_BYTES`` of moments
-    and two-scale matrices (one matrix at least), each with its first
-    position in ``clusters``.
+def _carried_rows(tree: ClusterTree, n_scaling: np.ndarray) -> np.ndarray:
+    """Each cluster's first row in an array with one row per tree position,
+    which carries data of scaling functions up the tree: ``n_scaling[c]``
+    rows from there are cluster c's.
 
-    A leaf's moments are its monomials; a father's are the columns its sons
-    exported, side by side.  ``son_exports[s - below]`` holds son s's.
+    A cluster has at most as many scaling functions as points, so its rows
+    lie in its own range of positions: a left son's end where its range
+    ends, any other cluster's start where its range starts.  Brothers' rows
+    are then one run, and a father, done after its sons, overwrites only
+    rows its sons carried up to it.
     """
-    leaf = tree.is_leaf[clusters[0]]
-    if leaf:
-        m, n = exponents.shape[0], int(tree.size[clusters[0]])
-    else:
-        ns0, ns1 = n_scaling[tree.sons[clusters[0]]]
-        m, n = son_exports.shape[1], int(ns0 + ns1)
-    step = max(1, _STACK_BYTES // (8 * n * (m + n)))
-    for lo in range(0, clusters.size, step):
-        chunk = clusters[lo:lo + step]
-        if leaf:
-            yield lo, _monomials(points[tree.begin[chunk][:, None] + np.arange(n)], exponents)
-        else:
-            s0, s1 = tree.sons[chunk, 0] - below, tree.sons[chunk, 1] - below
-            yield lo, np.concatenate((son_exports[s0, :, :ns0], son_exports[s1, :, :ns1]),
-                                     axis=-1)
+    first = tree.begin.copy()
+    left = tree.sons[~tree.is_leaf, 0]
+    first[left] = tree.end[left] - n_scaling[left]
+    return first
 
 
 def _counts(tree: ClusterTree, m_q: int, m_leaf: int) -> tuple[np.ndarray, np.ndarray]:
@@ -364,15 +355,14 @@ def construct_basis(tree: ClusterTree, spec: MomentSpec) -> SampletBasis:
     Every cluster's order and scaling count come first, from ``_counts``;
     they lay out one buffer with a region per order.  Inside its order's
     region lies a stack of every leaf size and a stack of every level's
-    fathers whose sons carry the same scaling counts, in the order of the
-    forward pass.  The build then runs one tree level at a time, finest
-    first.  A level's clusters with equally shaped moment matrices are
-    decomposed in stacks of at most ``_STACK_BYTES``, with one stacked QR
-    and one stacked product each; every cluster gets the bits of a
-    decomposition of its own matrix.  Each QR stack is copied into its
-    clusters' rows of their stored stack.  The moments a level exports
-    upward are copied into one array per level, so that no view holds a
-    stack's full product alive.
+    fathers whose sons carry the same scaling counts.  The build walks these
+    stacks once, in the order of the forward pass, so every son is done
+    before its father.  A stack is decomposed in chunks of at most
+    ``_STACK_BYTES``, with one stacked QR and one stacked product each;
+    every cluster gets the bits of a decomposition of its own matrix.  Each
+    chunk's QR is copied into its clusters' rows of the stored stack, and
+    the moments it exports upward into one array of ``_carried_rows``, so
+    that no view holds a chunk's full product alive.
     """
     if spec.dim != tree.cloud.dim:
         raise InvalidInput(f"moment spec dim {spec.dim} != cloud dim {tree.cloud.dim}")
@@ -394,35 +384,32 @@ def construct_basis(tree: ClusterTree, spec: MomentSpec) -> SampletBasis:
     for i, group in enumerate(groups):
         step[group] = i
     layout = np.lexsort((step, columns))
-    orders, first, counts = np.unique(columns[layout], return_index=True, return_counts=True)
+    orders, starts, counts = np.unique(columns[layout], return_index=True, return_counts=True)
     slot = np.empty_like(columns)
-    slot[layout] = np.arange(layout.size) - np.repeat(first, counts)
+    slot[layout] = np.arange(layout.size) - np.repeat(starts, counts)
     buffer = _private_pages(int(np.sum(columns ** 2)))
     q, start = {}, 0
     for r, count in zip(orders.tolist(), counts.tolist()):
         q[r] = buffer[start:start + count * r * r].reshape(count, r, r)
         start += count * r * r
     stacks = [q[int(columns[g[0]])][slot[g[0]]:slot[g[0]] + g.size] for g in groups]
-    segments = [[] for _ in range(tree.depth + 1)]  # per level: (clusters, their rows)
-    for group, stack in zip(groups, stacks):
-        levels = tree.level[group]  # ascending; leaves of one size can span levels
-        for level in range(levels[0], levels[-1] + 1):
-            lo, hi = np.searchsorted(levels, (level, level + 1))
-            segments[level].append((group[lo:hi], stack[lo:hi]))
 
-    bounds = np.searchsorted(tree.level, np.arange(tree.depth + 2))
-    son_exports = None
-    for level in range(tree.depth, -1, -1):
-        first, stop = bounds[level], bounds[level + 1]
-        exports = np.empty((stop - first, m_q, int(n_scaling[first:stop].max())))
-        for clusters, rows in segments[level]:
-            for lo, moment in _moment_stacks(tree, clusters, points, exponents, n_scaling,
-                                             son_exports, stop):
-                qmat, ns = two_scale_decomposition(moment)
-                hi = lo + qmat.shape[0]
-                exports[clusters[lo:hi] - first, :, :ns] = np.matmul(moment, qmat)[:, :m_q, :ns]
-                rows[lo:hi] = qmat
-        son_exports = exports
+    first = _carried_rows(tree, n_scaling)
+    exports = np.empty((tree.cloud.count, m_q))  # the moments clusters export
+    for group, stack in zip(groups, stacks):
+        n, leaf = stack.shape[-1], tree.is_leaf[group[0]]
+        size = max(1, _STACK_BYTES // (8 * n * (n + (exponents.shape[0] if leaf else m_q))))
+        for lo in range(0, group.size, size):
+            chunk = group[lo:lo + size]
+            if leaf:
+                moment = _monomials(points[tree.begin[chunk][:, None] + np.arange(n)], exponents)
+            else:  # the sons' exports side by side: brothers' rows are one run
+                rows = exports[first[tree.sons[chunk, 0]][:, None] + np.arange(n)]
+                moment = np.ascontiguousarray(np.swapaxes(rows, 1, 2))
+            qmat, ns = two_scale_decomposition(moment)
+            stack[lo:lo + size] = qmat
+            exports[first[chunk][:, None] + np.arange(ns)] = np.swapaxes(
+                np.matmul(moment, qmat)[:, :m_q, :ns], 1, 2)
 
     n_samplets = columns - n_scaling
     # samplets follow the root scaling functions in breadth-first cluster order

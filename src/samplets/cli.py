@@ -200,7 +200,7 @@ def cmd_compress(args) -> int:
     basis = _build_basis(cloud, args)
     coeffs = forward_transform(basis, CoefficientVector(data, POINT_BASIS))
     tau = _resolve_threshold(args, coeffs)
-    recon, rep = reconstruction_error(basis, CoefficientVector(data, POINT_BASIS),
+    recon, rep = reconstruction_error(basis, CoefficientVector(data, POINT_BASIS), coeffs,
                                       tau, args.protect_scaling)
     if args.out:
         _write_vector(args.out, recon.values, args.format)

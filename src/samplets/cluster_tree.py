@@ -124,16 +124,6 @@ class ClusterTree:
         return self.sons[:, 0] < 0
 
     @cached_property
-    def preorder(self) -> np.ndarray:
-        """All cluster indices depth-first, each father before its sons' subtrees.
-
-        Sorting by first tree position puts a subtree after the clusters left
-        of it; a father shares its first position with its left son and comes
-        first by level.
-        """
-        return np.lexsort((self.level, self.begin))
-
-    @cached_property
     def position(self) -> np.ndarray:
         """``position[i]`` is the tree position of original point i."""
         position = np.empty_like(self.permutation)

@@ -7,9 +7,10 @@ through transfer matrices, so the whole samplet-compressed matrix assembles in
 log-linear time.  One tensor Lagrange evaluator gives both: a leaf's
 interpolation data are its box's Lagrange basis at its points, and a son's
 transfer matrix is its father's Lagrange basis at the son's grid.  The
-cluster bases are built bottom-up into stacks of equal order, laid out like
-the basis's two-scale matrices: cluster c's V is row ``slot[c]`` of its
-order's stack, as its Q is of ``SampletBasis.q``.
+cluster bases are built bottom-up over the basis's step stacks, the schedule
+of its build and of the transforms, into stacks of equal order laid out like
+the two-scale matrices: cluster c's V is row ``slot[c]`` of its order's
+stack, as its Q is of ``SampletBasis.q``.
 
 The matrix stores the samplet-samplet interactions of the inadmissible
 cluster pairs, plus the root's scaling rows and columns, and of these only
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import SampletBasis, _groups
+from .basis import SampletBasis, _carried_rows, _groups
 from .cluster_tree import ClusterTree
 from .errors import InvalidInput, ResourceLimit
 from .kernels import KernelConfig, dense_kernel_matrix, kernel_radial
@@ -159,38 +160,33 @@ class MultiscaleClusterBasis:
 
 def compute_multiscale_cluster_basis(basis: SampletBasis,
                                      scheme: InterpolationScheme) -> MultiscaleClusterBasis:
-    """Bottom-up pass, one level at a time: leaves transform Lagrange
-    evaluations, fathers transform the stacked, transfer-mapped scaling parts
-    of their sons.  Each group of equally shaped clusters reads its
-    two-scale matrices from the basis's stack of their order and writes its
-    V into the same slots of the V stack of that order, with one stacked
-    product."""
+    """Bottom-up pass over the basis's step stacks, in the order of the
+    forward pass, so sons come before fathers.  A leaf's V transforms its
+    Lagrange evaluations, a father's its sons' scaling parts mapped onto its
+    grid.  Each stack reads its two-scale matrices in place and writes its V
+    into the same run of the V stack of its order with one stacked product.
+    Every cluster's scaling part, mapped onto its father's grid, goes into
+    one array of ``basis._carried_rows``, where a father's input is one run
+    of rows from its first son's."""
     if scheme.tree is not basis.tree:
         raise InvalidInput("interpolation scheme was built for a different tree")
-    tree = basis.tree
+    tree, n_scaling = basis.tree, basis.n_scaling
     coords = tree.permuted_coords()
-    order, slot, n_scaling = basis.order, basis.slot, basis.n_scaling
-    v = {r: np.empty((q.shape[0], r, scheme.nodes.shape[1])) for r, q in basis.q.items()}
-
-    def finish(group: np.ndarray, r: int, v_in: np.ndarray):
-        i = slot[group]
-        v[r][i] = np.matmul(basis.q[r][i].transpose(0, 2, 1), v_in)
-
-    for level in range(tree.depth, -1, -1):
-        at_level = np.flatnonzero(tree.level == level)
-        leaves = at_level[tree.is_leaf[at_level]]
-        for (n,), pos in _groups(tree.size[leaves]):
-            group = leaves[pos]
-            points = coords[tree.begin[group][:, None] + np.arange(n)]
-            finish(group, n, _lagrange_tensors(tree.lo[group], tree.hi[group],
-                                               scheme.degree, points))
-        inner = at_level[~tree.is_leaf[at_level]]
-        sons = tree.sons[inner]
-        keys = (n_scaling[sons[:, 0]], n_scaling[sons[:, 1]], order[sons[:, 0]], order[sons[:, 1]])
-        for (ns0, ns1, r0, r1), pos in _groups(*keys):
-            parts = [np.matmul(v[r][slot[s], :ns], scheme.transfers[s].transpose(0, 2, 1))
-                     for s, r, ns in ((sons[pos, 0], r0, ns0), (sons[pos, 1], r1, ns1))]
-            finish(inner[pos], ns0 + ns1, np.concatenate(parts, axis=1))
+    grid = scheme.nodes.shape[1]
+    v = {r: np.empty((q.shape[0], r, grid)) for r, q in basis.q.items()}
+    first = _carried_rows(tree, n_scaling)
+    lifted = np.empty((tree.cloud.count, grid))
+    for clusters, q in basis.leaf_stacks + basis.interior_stacks:
+        n, ns, i = q.shape[-1], n_scaling[clusters[0]], basis.slot[clusters[0]]
+        if tree.is_leaf[clusters[0]]:
+            points = coords[tree.begin[clusters][:, None] + np.arange(n)]
+            v_in = _lagrange_tensors(tree.lo[clusters], tree.hi[clusters], scheme.degree, points)
+        else:
+            v_in = lifted[first[tree.sons[clusters, 0]][:, None] + np.arange(n)]
+        out = np.matmul(q.transpose(0, 2, 1), v_in, out=v[n][i:i + clusters.size])
+        if clusters[0] > 0:  # the root has no father
+            lifted[first[clusters][:, None] + np.arange(ns)] = np.matmul(
+                out[:, :ns], scheme.transfers[clusters].transpose(0, 2, 1))
     return MultiscaleClusterBasis(scheme=scheme, v=v)
 
 

@@ -345,10 +345,15 @@ class CholeskyFactor:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve A x = b where A is the matrix this factor was computed from.
 
-        Raises InvalidInput when either substitution gives a value that is not
-        finite, such as an overflow on a nearly singular factor.
+        ``b`` is an n-vector or an (n, k) array of right-hand sides.  Raises
+        InvalidInput when it has another row count, or when either
+        substitution gives a value that is not finite, such as an overflow on
+        a nearly singular factor.
         """
         b = np.asarray(b, dtype=np.float64)
+        if b.shape[:1] != (self.n,):
+            raise InvalidInput(f"right-hand side of shape {b.shape} does not match a "
+                               f"factor of order {self.n}")
         y = self.solve_lower(b[self.perm.order])
         y = self.solve_lower_transpose(y)
         return y[self.perm.rank]

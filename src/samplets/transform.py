@@ -202,16 +202,16 @@ class ReconstructionReport:
 
 
 def reconstruction_error(basis: SampletBasis, f_delta: CoefficientVector,
-                         tau: float, protect_scaling: bool = True
+                         f_sigma: CoefficientVector, tau: float, protect_scaling: bool = True
                          ) -> tuple[CoefficientVector, ReconstructionReport]:
-    """Run forward -> threshold -> inverse and report the reconstruction errors.
+    """Threshold -> inverse, and report the reconstruction errors against the data.
 
-    By orthonormality the Euclidean error equals the norm of the dropped
-    coefficients exactly.
+    ``f_sigma`` is ``forward_transform(basis, f_delta)``, which callers hold
+    already, having chosen ``tau`` from it.  By orthonormality the Euclidean
+    error equals the norm of the dropped coefficients exactly.
     """
     data = _require(f_delta, POINT_BASIS, basis.size)
-    coeffs = forward_transform(basis, f_delta)
-    kept_vec, report = threshold_coefficients(basis, coeffs, tau, protect_scaling)
+    kept_vec, report = threshold_coefficients(basis, f_sigma, tau, protect_scaling)
     recon = inverse_transform(basis, kept_vec)
     diff = recon.values - data
     rep = ReconstructionReport(

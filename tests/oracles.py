@@ -10,9 +10,10 @@ stacks all of them into the N x N basis matrix.  ``owner_of`` names the cluster 
 basis element belongs to, and ``leaf_moment_matrix`` evaluates one leaf's
 moment matrix on its own.  ``forward_by_cluster`` and ``inverse_by_cluster``
 transform in the work buffer of ``SampletBasis.steps``, with each cluster's
-``q_matrices`` entry applied on its own, as a stack of one.  ``at_offset``
-copies an input to a given byte offset, to show that outputs do not depend
-on where the input lies.
+``q_matrices`` entry applied on its own, as a stack of one.  ``preorder``
+lists the clusters depth-first, the order of per-cluster reference
+recursions.  ``at_offset`` copies an input to a given byte offset, to show
+that outputs do not depend on where the input lies.
 """
 
 import numpy as np
@@ -29,6 +30,16 @@ def q_matrices(basis: SampletBasis) -> list[np.ndarray]:
         for c, qc in zip(clusters.tolist(), stack):
             q[c] = qc
     return q
+
+
+def preorder(tree: ClusterTree) -> np.ndarray:
+    """All cluster indices depth-first, each father before its sons' subtrees.
+
+    Sorting by first tree position puts a subtree after the clusters left of
+    it; a father shares its first position with its left son and comes first
+    by level.
+    """
+    return np.lexsort((tree.level, tree.begin))
 
 
 def owner_of(basis: SampletBasis, global_index: int) -> int:

@@ -168,7 +168,7 @@ def test_a5_data_compression():
     coeffs = forward_transform(basis, fv)
     tau = relative_threshold(coeffs, 3)
     kept, _ = threshold_coefficients(basis, coeffs, tau)
-    _, rep = reconstruction_error(basis, fv, tau)
+    _, rep = reconstruction_error(basis, fv, coeffs, tau)
     assert rep.compression_ratio >= 0.95
     dropped_norm = float(np.linalg.norm(coeffs.values - kept.values))
     assert abs(rep.l2_error - dropped_norm) <= 1e-10 * max(dropped_norm, 1.0)

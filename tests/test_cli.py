@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from samplets import cli
+from samplets import cli, transform
 from samplets import io as sio
+from samplets.basis import build_samplet_basis
 from samplets.cli import main
 from samplets.cluster_tree import PointCloud
 
@@ -90,6 +91,40 @@ class TestCompressCommand:
         line = json.loads(rep.read_text().splitlines()[0])
         assert set(line) == {"threshold", "kept", "ratio", "l2_error", "linf_error"}
         assert 0 <= line["ratio"] <= 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    def test_one_forward_pass_and_the_pipeline_result(self, tmp_path, monkeypatch, points_1d,
+                                                      data_1d, fmt):
+        """The threshold and the errors come from one forward transform, and
+        the report and output equal forward -> threshold -> inverse byte for
+        byte."""
+        passes = []
+        forward = transform._forward_array
+
+        def counting(basis, data):
+            passes.append(data.shape)
+            return forward(basis, data)
+
+        monkeypatch.setattr(transform, "_forward_array", counting)
+        rep, out = tmp_path / "report.jsonl", tmp_path / f"recon.{fmt}"
+        assert main(["compress", "--points", str(points_1d), "--data", str(data_1d),
+                     "--threshold-rel", "2", "--report", str(rep), "--out", str(out),
+                     "--format", fmt]) == 0
+        assert passes == [(256,)]
+
+        data = sio.read_vector(data_1d)
+        basis = build_samplet_basis(sio.read_points(points_1d), q=2)
+        coeffs = transform.forward_transform(basis, transform.CoefficientVector(data, "point"))
+        tau = transform.relative_threshold(coeffs, 2)
+        kept, report = transform.threshold_coefficients(basis, coeffs, tau)
+        recon = transform.inverse_transform(basis, kept).values
+        want = tmp_path / f"want.{fmt}"
+        (sio.write_vector_binary if fmt == "bin" else sio.write_vector_csv)(want, recon)
+        assert out.read_bytes() == want.read_bytes()
+        line = {"threshold": tau, "kept": report.kept, "ratio": report.compression_ratio,
+                "l2_error": float(np.linalg.norm(recon - data)),
+                "linf_error": float(np.max(np.abs(recon - data)))}
+        assert rep.read_text() == json.dumps(line, sort_keys=True) + "\n"
 
 
 class TestDetectCommand:

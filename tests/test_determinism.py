@@ -5,29 +5,46 @@ Each thread count runs in its own process, since OpenBLAS reads
 ``OPENBLAS_NUM_THREADS`` once, when NumPy loads it.  The process builds a
 2-D basis of 4096 points at q = 2 and prints the SHA-256 of the forward and
 inverse transforms of 1 and 4 columns, with the input copied to each of
-``BYTE_OFFSETS``.
+``BYTE_OFFSETS``.  For each of ``SETUP_CASES`` it also prints the SHA-256 of
+the set-up and the assembly: every two-scale matrix, every H^2 cluster basis
+V and the compressed kernel matrix K.
 """
 
+import functools
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from samplets.basis import build_samplet_basis
 from samplets.cluster_tree import PointCloud
+from samplets.h2 import (InterpolationScheme, assemble_compressed_kernel,
+                         compute_multiscale_cluster_basis)
+from samplets.kernels import KernelConfig
 from samplets.transform import forward_transform_matrix, inverse_transform_matrix
 
 from oracles import BYTE_OFFSETS, at_offset
 
 TESTS = Path(__file__).resolve().parent
+SETUP_CASES = ((2, 4096), (3, 2048))  # d, N; q = 2, p = 3
 
 
-def transform_digests() -> None:
-    """Print {"k/offset/direction": SHA-256} as JSON."""
+def sha256(*arrays: np.ndarray) -> str:
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+def print_digests() -> None:
+    """Print {"k/offset/direction": SHA-256} for the transforms and
+    {"Q|V|K d-D N": SHA-256} for the set-up and assembly, as JSON."""
     rng = np.random.default_rng(4096)
     basis = build_samplet_basis(PointCloud(rng.uniform(-1, 1, size=(4096, 2))), q=2)
     digests = {}
@@ -38,16 +55,25 @@ def transform_digests() -> None:
             for name, transform in (("forward", forward_transform_matrix),
                                     ("inverse", inverse_transform_matrix)):
                 out = transform(basis, copy)
-                digests[f"{k}/{offset}/{name}"] = hashlib.sha256(out.tobytes()).hexdigest()
+                digests[f"{k}/{offset}/{name}"] = sha256(out)
+    for d, n in SETUP_CASES:
+        basis = build_samplet_basis(PointCloud(rng.uniform(-1, 1, size=(n, d))), q=2)
+        mbasis = compute_multiscale_cluster_basis(basis, InterpolationScheme.build(basis.tree, 3))
+        kernel = KernelConfig("scaled-exponential", distance_scale=10.0 / math.sqrt(d))
+        k = assemble_compressed_kernel(basis, kernel, eta=1.25, p=3, epsilon=1e-4).matrix
+        digests[f"Q {d}-D {n}"] = sha256(*(basis.q[r] for r in sorted(basis.q)))
+        digests[f"V {d}-D {n}"] = sha256(*(mbasis.v[r] for r in sorted(mbasis.v)))
+        digests[f"K {d}-D {n}"] = sha256(k.indptr, k.indices, k.values)
     print(json.dumps(digests))
 
 
+@functools.cache
 def digests_with_threads(threads: int) -> dict:
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
     env["PYTHONPATH"] = os.pathsep.join(
         [str(TESTS), str(TESTS.parent / "src"), env.get("PYTHONPATH", "")])
     run = subprocess.run(
-        [sys.executable, "-c", "import test_determinism as t; t.transform_digests()"],
+        [sys.executable, "-c", "import test_determinism as t; t.print_digests()"],
         env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr[-4000:]
     return json.loads(run.stdout)
@@ -55,8 +81,18 @@ def digests_with_threads(threads: int) -> dict:
 
 def test_transforms_do_not_depend_on_threads_or_input_offset():
     runs = {threads: digests_with_threads(threads) for threads in (1, 2)}
-    assert runs[1] == runs[2]
+    for key in runs[1]:
+        if "/" in key:
+            assert runs[1][key] == runs[2][key], f"{key} depends on the thread count"
     for k in (1, 4):
         for name in ("forward", "inverse"):
             assert len({runs[1][f"{k}/{offset}/{name}"] for offset in BYTE_OFFSETS}) == 1, (
                 f"{name} of {k} columns depends on the input's byte offset")
+
+
+@pytest.mark.parametrize("d, n", SETUP_CASES)
+def test_setup_and_assembly_do_not_depend_on_threads(d, n):
+    runs = {threads: digests_with_threads(threads) for threads in (1, 2)}
+    for what in ("Q", "V", "K"):
+        key = f"{what} {d}-D {n}"
+        assert runs[1][key] == runs[2][key], f"{key} depends on the thread count"

@@ -1,4 +1,4 @@
-"""The level-batched set-up and the stacked transforms against per-cluster
+"""The stack-batched set-up and the stacked transforms against per-cluster
 reference code.
 
 ``reference_tree`` and ``reference_basis`` build the cluster tree and the
@@ -43,7 +43,8 @@ from samplets.h2 import (
 )
 from samplets.transform import forward_transform_matrix, inverse_transform_matrix
 
-from oracles import BYTE_OFFSETS, at_offset, forward_by_cluster, inverse_by_cluster, q_matrices
+from oracles import (BYTE_OFFSETS, at_offset, forward_by_cluster, inverse_by_cluster, preorder,
+                     q_matrices)
 
 TREE_ARRAYS = ("permutation", "begin", "end", "lo", "hi", "diameter", "level", "sons")
 
@@ -117,7 +118,7 @@ def reference_basis(tree, spec):
     two_scale = [None] * n_clusters
     n_scaling = np.empty(n_clusters, dtype=np.int64)
     exported = [None] * n_clusters
-    for c in reversed(tree.preorder.tolist()):
+    for c in reversed(preorder(tree).tolist()):
         if tree.is_leaf[c]:
             pts = frame.normalize(tree.cloud.coords[tree.permutation[tree.begin[c]:tree.end[c]]])
             moment = reference_monomials(pts, exponents)
@@ -271,7 +272,7 @@ def reference_forward(basis, data):
     out = np.empty_like(data)
     permuted = data[tree.permutation]
     scaling = [None] * tree.begin.size
-    for c in reversed(tree.preorder.tolist()):
+    for c in reversed(preorder(tree).tolist()):
         s0, s1 = tree.sons[c]
         if s0 < 0:
             coeffs = q[c].T @ permuted[tree.begin[c]:tree.end[c]]
@@ -290,7 +291,7 @@ def reference_inverse(basis, coeffs):
     out = np.empty_like(coeffs)
     scaling = [None] * tree.begin.size
     scaling[0] = coeffs[:n_scaling[0]]
-    for c in tree.preorder.tolist():
+    for c in preorder(tree).tolist():
         offset = basis.samplet_offset[c]
         incoming = q[c] @ np.concatenate(
             (scaling[c], coeffs[offset:offset + basis.n_samplets[c]]))
@@ -498,23 +499,29 @@ def reference_cluster_bases(basis, p):
     return transfers, v
 
 
-H2_CASES = {  # d, n, seed, q, p, leaf size (None: the default), its leaf sizes
-    "1-D, q = 0, p = 5": (1, 333, 333, 0, 5, None, None),
-    "one leaf": (2, 6, 2, 0, 2, 8, [6]),
-    "2-D, mixed leaves": (2, 61, 3, 2, 3, None, [15, 16, 30]),
-    "3-D": (3, 1000, 1000, 2, 3, None, None),
+H2_CASES = {  # d, n, seed, q, p, leaf size (None: the default), its leaf sizes,
+    # the levels of the first leaf stack
+    "1-D, q = 0, p = 5": (1, 333, 333, 0, 5, None, None, None),
+    "one leaf": (2, 6, 2, 0, 2, 8, [6], [0]),
+    "2-D, mixed leaves": (2, 61, 3, 2, 3, None, [15, 16, 30], None),
+    "3-D": (3, 1000, 1000, 2, 3, None, None, None),
+    # its size-1 leaves lie at levels 6 and 7, in one leaf stack
+    "2-D, leaf stack on two levels": (2, 100, 100, 1, 2, 1, [1], [6, 7]),
 }
 
 
 @pytest.mark.parametrize("case", H2_CASES)
 def test_cluster_bases_match_reference(case):
-    d, n, seed, q, p, leaf_size, leaf_sizes = H2_CASES[case]
+    d, n, seed, q, p, leaf_size, leaf_sizes, stack_levels = H2_CASES[case]
     rng = np.random.default_rng(seed)
     basis = build_samplet_basis(PointCloud(rng.uniform(-1, 1, size=(n, d))), q=q,
                                 leaf_size=leaf_size)
     tree = basis.tree
     if leaf_sizes is not None:
         assert sorted(set(tree.size[tree.leaves].tolist())) == leaf_sizes
+    if stack_levels is not None:
+        leaves = basis.leaf_stacks[0][0]
+        assert sorted(set(tree.level[leaves].tolist())) == stack_levels
     scheme = InterpolationScheme.build(tree, p)
     mb = compute_multiscale_cluster_basis(basis, scheme)
     transfers, v = reference_cluster_bases(basis, p)

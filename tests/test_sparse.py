@@ -478,6 +478,18 @@ class TestCholesky:
         with pytest.raises(InvalidInput, match="non-finite"):
             factor.solve(ones)
 
+    @pytest.mark.parametrize("shape", [(5,), (2,), (2, 4), (4, 1), ()])
+    def test_solve_rejects_a_right_hand_side_of_the_wrong_length(self, shape):
+        factor = sparse_cholesky(SparseSym.from_dense(np.diag([4.0, 9.0, 16.0])))
+        with pytest.raises(InvalidInput, match="does not match a factor of order 3"):
+            factor.solve(np.ones(shape))
+
+    def test_solve_takes_columns(self):
+        dense = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+        factor = sparse_cholesky(SparseSym.from_dense(dense))
+        b = np.arange(6.0).reshape(3, 2)
+        np.testing.assert_allclose(dense @ factor.solve(b), b, atol=1e-13)
+
     def test_permutation_round_trip(self):
         perm = Permutation.from_order([2, 0, 3, 1])
         np.testing.assert_array_equal(perm.rank[perm.order], np.arange(4))
