@@ -1,6 +1,11 @@
 """Command-line front end for the transform / compression / sampling pipelines.
 
 Subcommands: transform, compress, detect, kernel-compress, grf, info.
+Each flag is declared once, in one of four shared groups: inputs (--points,
+--gen, --n, --dim, --seed, --q, --q-leaf, --leaf-size; every subcommand),
+data (--data and the threshold flags; transform, compress, detect), kernel
+(--kernel, --eta, --p, --epsilon, --metrics; kernel-compress, grf) and
+--format (transform, compress, grf), or by the one subcommand that reads it.
 Exit codes: 0 on success, 1 on numerical failure (non-positive pivot), 2 on
 I/O or validation errors.  All data artifacts are deterministic given the
 same inputs, flags, and seed; metric sidecars additionally carry wall times.
@@ -103,9 +108,9 @@ def generate_points(kind: str, n: int, dim: int, seed: int | None) -> PointCloud
 
 
 def _load_points(args) -> PointCloud:
-    if getattr(args, "gen", None):
+    if args.gen:
         return generate_points(args.gen, args.n, args.dim, args.seed)
-    if not getattr(args, "points", None):
+    if not args.points:
         raise InvalidInput("provide --points FILE or --gen KIND with --n/--dim")
     return sio.read_points(args.points)
 
@@ -113,6 +118,14 @@ def _load_points(args) -> PointCloud:
 def _build_basis(cloud: PointCloud, args):
     return build_samplet_basis(cloud, q=args.q, q_leaf=args.q_leaf,
                                leaf_size=args.leaf_size)
+
+
+def _load_data(args):
+    """The point cloud, the data vector and the basis of transform, compress
+    and detect."""
+    cloud = _load_points(args)
+    data = sio.read_vector(args.data)
+    return cloud, data, _build_basis(cloud, args)
 
 
 def _load_kernel(args) -> KernelConfig:
@@ -142,36 +155,8 @@ def _resolve_threshold(args, coeffs: CoefficientVector) -> float:
     return tau
 
 
-def _basis_flags(parser) -> None:
-    parser.add_argument("--q", type=int, default=2, help="vanishing moments minus one")
-    parser.add_argument("--q-leaf", dest="q_leaf", type=int, default=None,
-                        help="enriched polynomial degree at leaves")
-    parser.add_argument("--leaf-size", dest="leaf_size", type=int, default=None)
-
-
-def _generator_flags(parser) -> None:
-    parser.add_argument("--points", help="point file (CSV or SMPLPTS1 binary)")
-    parser.add_argument("--gen", choices=("uniform-cube", "grid"),
-                        help="generate points instead of reading a file")
-    parser.add_argument("--n", type=int, default=1024,
-                        help="generated point count (side**dim for grid)")
-    parser.add_argument("--dim", type=int, default=2, help="generated dimension")
-
-
-def _threshold_flags(parser) -> None:
-    parser.add_argument("--threshold", type=float, default=None,
-                        help="absolute coefficient threshold")
-    parser.add_argument("--threshold-rel", dest="threshold_rel", type=float, default=None,
-                        help="exponent i for the relative threshold 1e-i * max|coeff|")
-    parser.add_argument("--no-protect-scaling", dest="protect_scaling",
-                        action="store_false", default=True,
-                        help="allow thresholding of root scaling coefficients")
-
-
 def cmd_transform(args) -> int:
-    cloud = _load_points(args)
-    data = sio.read_vector(args.data)
-    basis = _build_basis(cloud, args)
+    cloud, data, basis = _load_data(args)
     report: dict = {"schema": SCHEMA_VERSION, "command": "transform",
                     "n": cloud.count, "dim": cloud.dim,
                     "q": basis.spec.q, "q_leaf": basis.spec.q_leaf,
@@ -195,9 +180,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_compress(args) -> int:
-    cloud = _load_points(args)
-    data = sio.read_vector(args.data)
-    basis = _build_basis(cloud, args)
+    _, data, basis = _load_data(args)
     coeffs = forward_transform(basis, CoefficientVector(data, POINT_BASIS))
     tau = _resolve_threshold(args, coeffs)
     recon, rep = reconstruction_error(basis, CoefficientVector(data, POINT_BASIS), coeffs,
@@ -212,9 +195,7 @@ def cmd_compress(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    cloud = _load_points(args)
-    data = sio.read_vector(args.data)
-    basis = _build_basis(cloud, args)
+    _, data, basis = _load_data(args)
     coeffs = forward_transform(basis, CoefficientVector(data, POINT_BASIS))
     tau = _resolve_threshold(args, coeffs)
     hits = detect_singularities(basis, coeffs, tau)
@@ -230,27 +211,33 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def cmd_kernel_compress(args) -> int:
-    cloud = _load_points(args)
-    cfg = _load_kernel(args)
+def _compressed_kernel(args, cloud: PointCloud, cfg: KernelConfig):
+    """Basis, compressed kernel matrix (plus --ridge when given) and the
+    metrics that kernel-compress and grf share."""
     basis = _build_basis(cloud, args)
     compressed = assemble_compressed_kernel(basis, cfg, eta=args.eta, p=args.p,
                                             epsilon=args.epsilon)
     matrix = compressed.matrix
     if args.ridge is not None:
         matrix = add_ridge(matrix, args.ridge)
-    sio.write_matrix_market(args.out, matrix)
     metrics = {
-        "schema": SCHEMA_VERSION, "command": "kernel-compress",
+        "schema": SCHEMA_VERSION, "command": args.command,
         "N": cloud.count, "d": cloud.dim, "eta": _eta_field(args.eta), "p": args.p,
-        "q": basis.spec.q, "q_leaf": basis.spec.q_leaf, "epsilon": args.epsilon,
-        "ridge": args.ridge, "anz": anz(matrix),
-        "nnz": matrix.nnz_full,
+        "q": basis.spec.q, "epsilon": args.epsilon, "ridge": args.ridge,
         "assembly_seconds": compressed.stats.assembly_seconds,
         "peak_block_bytes": compressed.stats.peak_block_bytes,
         "visited_pairs": compressed.stats.visited_pairs,
-        "kernel": json.loads(cfg.to_json()),
     }
+    return basis, matrix, metrics
+
+
+def cmd_kernel_compress(args) -> int:
+    cloud = _load_points(args)
+    cfg = _load_kernel(args)
+    basis, matrix, metrics = _compressed_kernel(args, cloud, cfg)
+    sio.write_matrix_market(args.out, matrix)
+    metrics.update(q_leaf=basis.spec.q_leaf, anz=anz(matrix), nnz=matrix.nnz_full,
+                   kernel=json.loads(cfg.to_json()))
     if args.dense_oracle:
         oracle = dense_compressed_oracle(cfg, basis)
         if args.ridge is not None:
@@ -269,38 +256,26 @@ def cmd_grf(args) -> int:
         raise InvalidInput("grf requires --seed for reproducible sampling")
     check_key(args.seed, "--seed")
     grf_buffer(args.samples, cloud.count)  # refuse a bad or unallocatable count before any work
-    basis = _build_basis(cloud, args)
-    compressed = assemble_compressed_kernel(basis, cfg, eta=args.eta, p=args.p,
-                                            epsilon=args.epsilon)
-    ridged = add_ridge(compressed.matrix, args.ridge)
+    basis, ridged, metrics = _compressed_kernel(args, cloud, cfg)
     t0 = time.perf_counter()
     perm = fill_reducing_order(ridged)
     t1 = time.perf_counter()
     factor = sparse_cholesky(ridged, perm, rho=args.ridge)
     chol_seconds = time.perf_counter() - t1
     fields = sample_grf(factor, basis, seed=args.seed, n_samples=args.samples)
-    ext = "bin" if args.format == "bin" else "csv"
     paths = []
     for s in range(args.samples):
-        path = f"{args.out_prefix}_{s:03d}.{ext}"
+        path = f"{args.out_prefix}_{s:03d}.{args.format}"
         _write_vector(path, fields[s], args.format)
         paths.append(path)
     if args.factor_out:
         sio.write_factor(args.factor_out, factor)
-    metrics = {
-        "schema": SCHEMA_VERSION, "command": "grf",
-        "N": cloud.count, "d": cloud.dim, "eta": _eta_field(args.eta), "p": args.p,
-        "q": basis.spec.q, "epsilon": args.epsilon, "ridge": args.ridge,
-        "seed": args.seed, "samples": args.samples,
-        "anz_K": anz(ridged), "anz_L": anz(factor),
-        "nnz_K": ridged.nnz_full, "nnz_L": factor.nnz,
-        "assembly_seconds": compressed.stats.assembly_seconds,
-        "peak_block_bytes": compressed.stats.peak_block_bytes,
-        "visited_pairs": compressed.stats.visited_pairs,
-        "ordering_seconds": t1 - t0,
-        "cholesky": cholesky_method(ridged), "cholesky_seconds": chol_seconds,
-        "fields": paths,
-    }
+    metrics.update(seed=args.seed, samples=args.samples,
+                   anz_K=anz(ridged), anz_L=anz(factor),
+                   nnz_K=ridged.nnz_full, nnz_L=factor.nnz,
+                   ordering_seconds=t1 - t0,
+                   cholesky=cholesky_method(ridged), cholesky_seconds=chol_seconds,
+                   fields=paths)
     _json_dump(metrics, args.metrics)
     return 0
 
@@ -332,76 +307,78 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_tr = sub.add_parser("transform", help="forward or inverse samplet transform")
-    _generator_flags(p_tr)
-    _basis_flags(p_tr)
-    _threshold_flags(p_tr)
-    p_tr.add_argument("--data", required=True, help="data vector file")
+    # the flag groups, each a parent parser of the subcommands that share it
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--points", help="point file (CSV or SMPLPTS1 binary)")
+    inputs.add_argument("--gen", choices=("uniform-cube", "grid"),
+                        help="generate points instead of reading a file")
+    inputs.add_argument("--n", type=int, default=1024,
+                        help="generated point count (side**dim for grid)")
+    inputs.add_argument("--dim", type=int, default=2, help="generated dimension")
+    inputs.add_argument("--seed", type=int, default=None)
+    inputs.add_argument("--q", type=int, default=2, help="vanishing moments minus one")
+    inputs.add_argument("--q-leaf", dest="q_leaf", type=int, default=None,
+                        help="enriched polynomial degree at leaves")
+    inputs.add_argument("--leaf-size", dest="leaf_size", type=int, default=None)
+
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--data", required=True, help="data vector file")
+    data.add_argument("--threshold", type=float, default=None,
+                      help="absolute coefficient threshold")
+    data.add_argument("--threshold-rel", dest="threshold_rel", type=float, default=None,
+                      help="exponent i for the relative threshold 1e-i * max|coeff|")
+    data.add_argument("--no-protect-scaling", dest="protect_scaling",
+                      action="store_false", default=True,
+                      help="allow thresholding of root scaling coefficients")
+
+    kernel = argparse.ArgumentParser(add_help=False)
+    kernel.add_argument("--kernel", required=True, help="kernel config JSON file")
+    kernel.add_argument("--eta", type=float, default=1.25)
+    kernel.add_argument("--p", type=int, default=3)
+    kernel.add_argument("--epsilon", type=float, default=1e-3)
+    kernel.add_argument("--metrics", help="metrics JSON path (stdout if omitted)")
+
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("csv", "bin"), default="csv")
+
+    p_tr = sub.add_parser("transform", parents=[inputs, data, fmt],
+                          help="forward or inverse samplet transform")
     p_tr.add_argument("--out", required=True, help="output vector file")
     p_tr.add_argument("--inverse", action="store_true")
-    p_tr.add_argument("--format", choices=("csv", "bin"), default="csv")
     p_tr.add_argument("--report", help="metrics JSON path (stdout if omitted)")
     p_tr.set_defaults(func=cmd_transform)
 
-    p_cp = sub.add_parser("compress", help="threshold coefficients and report errors")
-    _generator_flags(p_cp)
-    _basis_flags(p_cp)
-    _threshold_flags(p_cp)
-    p_cp.add_argument("--data", required=True)
+    p_cp = sub.add_parser("compress", parents=[inputs, data, fmt],
+                          help="threshold coefficients and report errors")
     p_cp.add_argument("--out", help="reconstruction output vector")
-    p_cp.add_argument("--format", choices=("csv", "bin"), default="csv")
     p_cp.add_argument("--report", help="JSON-lines report path (stdout if omitted)")
     p_cp.set_defaults(func=cmd_compress)
 
-    p_dt = sub.add_parser("detect", help="list clusters with large coefficients")
-    _generator_flags(p_dt)
-    _basis_flags(p_dt)
-    _threshold_flags(p_dt)
-    p_dt.add_argument("--data", required=True)
+    p_dt = sub.add_parser("detect", parents=[inputs, data],
+                          help="list clusters with large coefficients")
     p_dt.add_argument("--out", help="JSON-lines output (stdout if omitted)")
     p_dt.set_defaults(func=cmd_detect)
 
-    p_kc = sub.add_parser("kernel-compress", help="assemble the compressed kernel matrix")
-    _generator_flags(p_kc)
-    _basis_flags(p_kc)
-    p_kc.add_argument("--kernel", required=True, help="kernel config JSON file")
+    p_kc = sub.add_parser("kernel-compress", parents=[inputs, kernel],
+                          help="assemble the compressed kernel matrix")
     p_kc.add_argument("--out", required=True, help="Matrix Market output path")
-    p_kc.add_argument("--metrics", help="metrics JSON path (stdout if omitted)")
-    p_kc.add_argument("--eta", type=float, default=1.25)
-    p_kc.add_argument("--p", type=int, default=3)
-    p_kc.add_argument("--epsilon", type=float, default=1e-3)
     p_kc.add_argument("--ridge", type=float, default=None)
     p_kc.add_argument("--dense-oracle", dest="dense_oracle", action="store_true",
                       help="also compare against the dense transform oracle")
-    p_kc.add_argument("--seed", type=int, default=None)
     p_kc.set_defaults(func=cmd_kernel_compress)
 
-    p_gr = sub.add_parser("grf", help="sample Gaussian random fields")
-    _generator_flags(p_gr)
-    _basis_flags(p_gr)
-    p_gr.add_argument("--kernel", required=True)
+    p_gr = sub.add_parser("grf", parents=[inputs, kernel, fmt],
+                          help="sample Gaussian random fields")
     p_gr.add_argument("--out-prefix", dest="out_prefix", required=True)
-    p_gr.add_argument("--metrics")
     p_gr.add_argument("--samples", type=int, default=4)
-    p_gr.add_argument("--seed", type=int, default=None)
-    p_gr.add_argument("--eta", type=float, default=1.25)
-    p_gr.add_argument("--p", type=int, default=3)
-    p_gr.add_argument("--epsilon", type=float, default=1e-3)
     p_gr.add_argument("--ridge", type=float, default=1.0)
-    p_gr.add_argument("--format", choices=("csv", "bin"), default="csv")
     p_gr.add_argument("--factor-out", dest="factor_out", help="save the factor (binary)")
     p_gr.set_defaults(func=cmd_grf)
 
-    p_in = sub.add_parser("info", help="report tree and basis statistics")
-    _generator_flags(p_in)
-    _basis_flags(p_in)
-    p_in.add_argument("--seed", type=int, default=None)
+    p_in = sub.add_parser("info", parents=[inputs],
+                          help="report tree and basis statistics")
     p_in.add_argument("--report", help="JSON output path (stdout if omitted)")
     p_in.set_defaults(func=cmd_info)
-
-    for cmd in (p_tr, p_cp, p_dt):
-        cmd.add_argument("--seed", type=int, default=None)
-
     return parser
 
 

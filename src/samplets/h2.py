@@ -211,18 +211,10 @@ class AssemblyStats:
 
 @dataclass(eq=False)
 class CompressedKernelMatrix:
-    """Sparse samplet-compressed kernel matrix K with its assembly parameters."""
+    """Sparse samplet-compressed kernel matrix K with its assembly statistics."""
 
     matrix: SparseSym
-    kernel: KernelConfig
-    eta: float
-    p: int
-    epsilon: float
     stats: AssemblyStats
-
-    @property
-    def n(self) -> int:
-        return self.matrix.n
 
     @property
     def anz(self) -> float:
@@ -520,8 +512,7 @@ def assemble_compressed_kernel(basis: SampletBasis, cfg: KernelConfig,
     stats = AssemblyStats(visited_pairs=assembly.visited_pairs,
                           assembly_seconds=time.perf_counter() - start,
                           peak_block_bytes=int(assembly.peak_bytes))
-    return CompressedKernelMatrix(matrix=matrix, kernel=cfg, eta=eta, p=p,
-                                  epsilon=epsilon, stats=stats)
+    return CompressedKernelMatrix(matrix=matrix, stats=stats)
 
 
 def dense_compressed_oracle(cfg: KernelConfig, basis: SampletBasis,

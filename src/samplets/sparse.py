@@ -350,17 +350,22 @@ class CholeskyFactor:
         substitution gives a value that is not finite, such as an overflow on
         a nearly singular factor.
         """
+        y = self.solve_lower(self._right_hand_side(b)[self.perm.order])
+        y = self.solve_lower_transpose(y)
+        return y[self.perm.rank]
+
+    def _right_hand_side(self, b: np.ndarray) -> np.ndarray:
+        """``b`` as float64; InvalidInput unless it has n rows."""
         b = np.asarray(b, dtype=np.float64)
         if b.shape[:1] != (self.n,):
             raise InvalidInput(f"right-hand side of shape {b.shape} does not match a "
                                f"factor of order {self.n}")
-        y = self.solve_lower(b[self.perm.order])
-        y = self.solve_lower_transpose(y)
-        return y[self.perm.rank]
+        return b
 
     def _substitute(self, b: np.ndarray, trans: str) -> np.ndarray:
-        """One triangular solve; a non-finite result raises InvalidInput."""
-        x = self._triangular_lu.solve(np.asarray(b, dtype=np.float64), trans=trans)
+        """One triangular solve; a right-hand side without n rows or a
+        non-finite result raises InvalidInput."""
+        x = self._triangular_lu.solve(self._right_hand_side(b), trans=trans)
         if not np.isfinite(x).all():
             raise InvalidInput("a triangular solve with the factor gave a non-finite "
                                "result")

@@ -1,5 +1,10 @@
+import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -518,3 +523,134 @@ class TestStrictJsonOutput:
             parsed = [_strict_json(doc) for doc in documents]
             if argv[0] in ("kernel-compress", "grf"):
                 assert parsed[0]["eta"] == "inf"
+
+
+def _flag_table(parser):
+    """Every subcommand's flags as {option strings: (dest, default, required,
+    choices, type, action)}."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {tuple(a.option_strings): (
+        a.dest, a.default, a.required, a.choices, getattr(a.type, "__name__", a.type),
+        type(a).__name__) for a in command._actions}
+        for name, command in sub.choices.items()}
+
+
+_HELP = {("-h", "--help"): ("help", argparse.SUPPRESS, False, None, None, "_HelpAction")}
+_INPUT_FLAGS = {
+    ("--points",): ("points", None, False, None, None, "_StoreAction"),
+    ("--gen",): ("gen", None, False, ("uniform-cube", "grid"), None, "_StoreAction"),
+    ("--n",): ("n", 1024, False, None, "int", "_StoreAction"),
+    ("--dim",): ("dim", 2, False, None, "int", "_StoreAction"),
+    ("--seed",): ("seed", None, False, None, "int", "_StoreAction"),
+    ("--q",): ("q", 2, False, None, "int", "_StoreAction"),
+    ("--q-leaf",): ("q_leaf", None, False, None, "int", "_StoreAction"),
+    ("--leaf-size",): ("leaf_size", None, False, None, "int", "_StoreAction"),
+}
+_DATA_FLAGS = {
+    ("--data",): ("data", None, True, None, None, "_StoreAction"),
+    ("--threshold",): ("threshold", None, False, None, "float", "_StoreAction"),
+    ("--threshold-rel",): ("threshold_rel", None, False, None, "float", "_StoreAction"),
+    ("--no-protect-scaling",): ("protect_scaling", True, False, None, None,
+                                "_StoreFalseAction"),
+}
+_KERNEL_FLAGS = {
+    ("--kernel",): ("kernel", None, True, None, None, "_StoreAction"),
+    ("--eta",): ("eta", 1.25, False, None, "float", "_StoreAction"),
+    ("--p",): ("p", 3, False, None, "int", "_StoreAction"),
+    ("--epsilon",): ("epsilon", 1e-3, False, None, "float", "_StoreAction"),
+    ("--metrics",): ("metrics", None, False, None, None, "_StoreAction"),
+}
+_FORMAT_FLAG = {("--format",): ("format", "csv", False, ("csv", "bin"), None, "_StoreAction")}
+
+
+def _path_flag(dest, required=False):
+    return {(f"--{dest.replace('_', '-')}",): (dest, None, required, None, None,
+                                               "_StoreAction")}
+
+
+def test_flag_tables_are_pinned():
+    # option strings, dest, default, required, choices, type and action of
+    # every flag of every subcommand
+    common = {**_HELP, **_INPUT_FLAGS}
+    store_true = {("--inverse",): ("inverse", False, False, None, None, "_StoreTrueAction"),
+                  ("--dense-oracle",): ("dense_oracle", False, False, None, None,
+                                        "_StoreTrueAction")}
+    assert _flag_table(cli.build_parser()) == {
+        "transform": {**common, **_DATA_FLAGS, **_FORMAT_FLAG, **_path_flag("out", True),
+                      **_path_flag("report"), ("--inverse",): store_true[("--inverse",)]},
+        "compress": {**common, **_DATA_FLAGS, **_FORMAT_FLAG, **_path_flag("out"),
+                     **_path_flag("report")},
+        "detect": {**common, **_DATA_FLAGS, **_path_flag("out")},
+        "kernel-compress": {
+            **common, **_KERNEL_FLAGS, **_path_flag("out", True),
+            ("--ridge",): ("ridge", None, False, None, "float", "_StoreAction"),
+            ("--dense-oracle",): store_true[("--dense-oracle",)]},
+        "grf": {
+            **common, **_KERNEL_FLAGS, **_FORMAT_FLAG, **_path_flag("out_prefix", True),
+            **_path_flag("factor_out"),
+            ("--samples",): ("samples", 4, False, None, "int", "_StoreAction"),
+            ("--ridge",): ("ridge", 1.0, False, None, "float", "_StoreAction")},
+        "info": {**common, **_path_flag("report")},
+    }
+
+
+def test_every_subcommand_reports_its_keys(tmp_path, points_1d, data_1d, kernel_json):
+    pts, dat, ker = str(points_1d), str(data_1d), str(kernel_json)
+    assembly = {"schema", "command", "N", "d", "eta", "p", "q", "epsilon", "ridge",
+                "assembly_seconds", "peak_block_bytes", "visited_pairs"}
+    runs = {
+        "transform": (["--data", dat, "--out", str(tmp_path / "c.csv"),
+                       "--threshold-rel", "3"],
+                      {"schema", "command", "n", "dim", "q", "q_leaf", "leaf_size",
+                       "direction", "threshold", "kept", "ratio", "max_abs_coefficient"}),
+        "compress": (["--data", dat, "--threshold-rel", "2"],
+                     {"threshold", "kept", "ratio", "l2_error", "linf_error"}),
+        "detect": (["--data", dat, "--threshold-rel", "2"],
+                   {"level", "is_leaf", "lo", "hi", "size", "max_abs_coefficient"}),
+        "kernel-compress": (["--kernel", ker, "--out", str(tmp_path / "k.mtx"),
+                             "--dense-oracle"],
+                            assembly | {"q_leaf", "anz", "nnz", "kernel",
+                                        "rel_frobenius_error"}),
+        "grf": (["--kernel", ker, "--out-prefix", str(tmp_path / "f"), "--seed", "3",
+                 "--samples", "1"],
+                assembly | {"seed", "samples", "anz_K", "anz_L", "nnz_K", "nnz_L",
+                            "ordering_seconds", "cholesky", "cholesky_seconds", "fields"}),
+        "info": ([], {"schema", "command", "n", "dim", "tree_depth", "clusters", "leaves",
+                      "leaf_size", "q", "q_leaf", "m_q", "m_q_leaf",
+                      "root_scaling_functions", "samplets"}),
+    }
+    for command, (flags, keys) in runs.items():
+        out = tmp_path / "out.json"
+        target = {"detect": "--out", "kernel-compress": "--metrics",
+                  "grf": "--metrics"}.get(command, "--report")
+        assert main([command, "--points", pts, *flags, target, str(out)]) == 0, command
+        lines = out.read_text().splitlines() if command in ("compress", "detect") else [
+            out.read_text()]
+        assert lines, command
+        for line in lines:
+            assert set(json.loads(line)) == keys, command
+
+
+def _run_module(*argv):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", "samplets.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestProcessEntryPoint:
+    def test_info_prints_json(self):
+        done = _run_module("info", "--gen", "grid", "--n", "64", "--dim", "2")
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["n"] == 64
+
+    @pytest.mark.parametrize("argv", [
+        ["info", "--gen", "grid", "--n", "64", "--dim", "2", "--no-such-flag"],
+        ["info", "--gen", "uniform-cube", "--n", "64", "--dim", "2", "--seed", "-1"],
+    ], ids=["unknown-flag", "negative-seed"])
+    def test_bad_arguments_exit_2(self, argv):
+        done = _run_module(*argv)
+        assert done.returncode == 2
+        assert done.stdout == "" and "error" in done.stderr

@@ -484,6 +484,21 @@ class TestCholesky:
         with pytest.raises(InvalidInput, match="does not match a factor of order 3"):
             factor.solve(np.ones(shape))
 
+    @pytest.mark.parametrize("half", ["solve_lower", "solve_lower_transpose"])
+    @pytest.mark.parametrize("length", [5, 2])
+    def test_substitutions_reject_a_right_hand_side_of_the_wrong_length(self, half, length):
+        factor = sparse_cholesky(SparseSym.from_dense(np.diag([4.0, 9.0, 16.0])))
+        with pytest.raises(InvalidInput, match="does not match a factor of order 3"):
+            getattr(factor, half)(np.ones(length))
+
+    def test_substitutions_take_columns(self):
+        dense = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+        factor = sparse_cholesky(SparseSym.from_dense(dense))
+        lower = factor.to_scipy().toarray()
+        b = np.arange(6.0).reshape(3, 2)
+        np.testing.assert_allclose(lower @ factor.solve_lower(b), b, atol=1e-13)
+        np.testing.assert_allclose(lower.T @ factor.solve_lower_transpose(b), b, atol=1e-13)
+
     def test_solve_takes_columns(self):
         dense = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
         factor = sparse_cholesky(SparseSym.from_dense(dense))
