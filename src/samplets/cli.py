@@ -32,6 +32,7 @@ from .sparse import (
     add_ridge,
     anz,
     check_key,
+    check_ridge,
     cholesky_method,
     fill_reducing_order,
     grf_buffer,
@@ -91,7 +92,6 @@ def generate_points(kind: str, n: int, dim: int, seed: int | None) -> PointCloud
     if kind == "uniform-cube":
         if seed is None:
             raise InvalidInput("--gen uniform-cube requires --seed")
-        check_key(seed, "--seed")
         bits = np.random.Generator(np.random.Philox(key=np.array([seed, 0x5EED], dtype=np.uint64)))
         return PointCloud(bits.random((n, dim)) * 2.0 - 1.0)
     if kind == "grid":
@@ -108,6 +108,8 @@ def generate_points(kind: str, n: int, dim: int, seed: int | None) -> PointCloud
 
 
 def _load_points(args) -> PointCloud:
+    if args.seed is not None:
+        check_key(args.seed, "--seed")
     if args.gen:
         return generate_points(args.gen, args.n, args.dim, args.seed)
     if not args.points:
@@ -214,6 +216,8 @@ def cmd_detect(args) -> int:
 def _compressed_kernel(args, cloud: PointCloud, cfg: KernelConfig):
     """Basis, compressed kernel matrix (plus --ridge when given) and the
     metrics that kernel-compress and grf share."""
+    if args.ridge is not None:
+        check_ridge(args.ridge)  # before the basis and the assembly, not after them
     basis = _build_basis(cloud, args)
     compressed = assemble_compressed_kernel(basis, cfg, eta=args.eta, p=args.p,
                                             epsilon=args.epsilon)
@@ -254,7 +258,6 @@ def cmd_grf(args) -> int:
     cfg = _load_kernel(args)
     if args.seed is None:
         raise InvalidInput("grf requires --seed for reproducible sampling")
-    check_key(args.seed, "--seed")
     grf_buffer(args.samples, cloud.count)  # refuse a bad or unallocatable count before any work
     basis, ridged, metrics = _compressed_kernel(args, cloud, cfg)
     t0 = time.perf_counter()

@@ -2,22 +2,26 @@
 
 Binary formats are little-endian with a magic header; CSV formats are UTF-8,
 use '.' as the decimal separator and detect an optional header row by failing
-to parse the first row as numbers.  Matrix Market files are written and parsed
-by SciPy's C++ reader and writer (``scipy.io.mmwrite``/``mmread``).
+to parse the first row as numbers.  Matrix Market files are written by SciPy's
+C++ writer (``scipy.io.mmwrite``).  Every text number, in CSV and Matrix
+Market files alike, is parsed by NumPy's ``loadtxt``, so it follows NumPy's
+grammar: an optional sign, digits with an optional point and exponent, or
+``nan``/``inf``; no ``_``, non-ASCII digits, hex or junk after a number.
 """
 
 from __future__ import annotations
 
 import io
-import re
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
 import scipy.io
+import scipy.sparse as sp
 
 from .cluster_tree import PointCloud
-from .errors import InvalidInput
+from .errors import InvalidInput, ResourceLimit
 from .sparse import CholeskyFactor, Permutation, SparseSym
 
 POINTS_MAGIC = b"SMPLPTS1"
@@ -54,26 +58,21 @@ def _parse_csv_rows(raw: bytes, path) -> np.ndarray:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InvalidInput(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
-    rows = [line.strip() for line in text.splitlines()]
-    rows = [r for r in rows if r]
+    rows = [r for r in map(str.strip, text.replace(";", ",").splitlines()) if r]
     if not rows:
         raise InvalidInput(f"{path}: file contains no data")
-    parsed = []
     try:
-        parsed.append([float(tok) for tok in rows[0].replace(";", ",").split(",")])
+        np.loadtxt(rows[:1], delimiter=",", comments=None)
     except ValueError:
-        pass  # header row, skipped
-    for line in rows[1:]:
-        try:
-            parsed.append([float(tok) for tok in line.replace(";", ",").split(",")])
-        except ValueError as exc:
-            raise InvalidInput(f"{path}: cannot parse row {line!r}") from exc
-    if not parsed:
+        rows = rows[1:]  # header row, skipped
+    if not rows:
         raise InvalidInput(f"{path}: file holds a header row but no data")
-    width = len(parsed[0])
-    if any(len(r) != width for r in parsed):
-        raise InvalidInput(f"{path}: rows have inconsistent column counts")
-    return np.asarray(parsed, dtype=np.float64)
+    try:
+        return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        what = ("rows have inconsistent column counts" if len({r.count(",") for r in rows}) > 1
+                else f"a data row is not decimal numbers ({exc})")
+        raise InvalidInput(f"{path}: {what}") from exc
 
 
 def read_points(path) -> PointCloud:
@@ -159,113 +158,65 @@ def write_matrix_market(path, a: SparseSym) -> None:
         scipy.io.mmwrite(fh, a.to_scipy_full().tocoo(), symmetry="general")
 
 
-# Byte classes of a Matrix Market data section, one bit each, and per byte
-# the classes that may not follow it in a decimal number or between two.
-_BLANK, _DIGIT, _SIGN, _POINT, _EXP, _OTHER = (1 << k for k in range(6))
-_MEMBERS = ((b" \t\r\n", _BLANK, _EXP),       # no exponent without a mantissa
-            (b"0123456789", _DIGIT, _SIGN),     # no sign after a digit
-            (b"+-", _SIGN, _BLANK | _SIGN | _EXP),  # a sign precedes digits
-            (b".", _POINT, _SIGN | _POINT),
-            (b"eE", _EXP, _BLANK | _POINT | _EXP))  # an exponent has digits
-_CLASS = bytearray([_OTHER]) * 256
-_BAD_NEXT = bytearray(256)
-for _chars, _cls, _bad in _MEMBERS:
-    for _ch in _chars:
-        _CLASS[_ch], _BAD_NEXT[_ch] = _cls, _bad | _OTHER
-_CLASS, _BAD_NEXT = bytes(_CLASS), bytes(_BAD_NEXT)
-_CHECK_BYTES = 1 << 16  # body bytes per run of the token check
-_LEADING_PLUS = re.compile(rb"(?<![^ \t\r\n])\+")  # a plus sign that starts a token
-
-
-def _check_entry_tokens(path: Path, body: bytes, entries: int) -> None:
-    """Every token after the size line is a decimal number, three per entry.
-
-    SciPy's reader takes the longest numeric prefix of a value token and
-    ignores the rest (``12,5`` reads as 12, ``0x10`` as 0), and it reads
-    ``nan`` and ``inf``.  A number here is ``[sign] (digits [. [digits]] |
-    . digits) [(e|E) [sign] digits]``.  The test runs on byte classes in a
-    few array passes: no byte may follow one that forbids its class, a
-    point needs a digit beside it, and with the digits removed, no point may
-    follow a point, nor a point or exponent follow an exponent.  Tokens do
-    not cross lines, so the body is checked in cache-sized runs of lines.
-    """
-    tokens = 0
-    start = 0  # body[start - 1] ends a line, or start is 0
-    while start < len(body):
-        stop = body.rfind(b"\n", start, start + _CHECK_BYTES) + 1
-        if stop == 0:  # one line longer than a run
-            stop = body.index(b"\n", start) + 1
-        lines = b"\n" + body[start:stop]
-        cls = np.frombuffer(lines.translate(_CLASS), dtype=np.uint8)
-        bad_next = np.frombuffer(lines.translate(_BAD_NEXT), dtype=np.uint8)
-        marks = np.frombuffer(lines.translate(_CLASS, b"0123456789"), dtype=np.uint8)
-        after_exp = marks[:-1] == _EXP
-        after_exp[1:] |= (marks[:-2] == _EXP) & (marks[1:-1] == _SIGN)
-        if ((bad_next[:-1] & cls[1:]).any()
-                or ((cls[1:-1] == _POINT) & ((cls[:-2] | cls[2:]) & _DIGIT == 0)).any()
-                or ((marks[:-1] == _POINT) & (marks[1:] == _POINT)).any()
-                or (after_exp & (marks[1:] & (_POINT | _EXP) != 0)).any()):
-            raise InvalidInput(f"{path}: an entry token is not a decimal number")
-        tokens += np.count_nonzero((cls[:-1] == _BLANK) & (cls[1:] != _BLANK))
-        start = stop
-    if tokens != 3 * entries:
-        raise InvalidInput(f"{path}: {tokens} entry tokens for {entries} entries; "
-                           "expected three per entry")
-
-
 def read_matrix_market(path) -> SparseSym:
     """Read a square coordinate real matrix and keep its lower triangle.
 
-    Symmetric files are mirrored; general files must hold both triangles with
-    equal values.  Every entry is three decimal numbers and every value is
-    finite; comment lines may hold anything.  Malformed files raise
-    ``InvalidInput``.
+    The banner names a ``general`` or ``symmetric`` matrix.  Symmetric files
+    are mirrored; general files must hold both triangles with equal values.
+    Every entry line is three numbers (two 1-based indices and a finite
+    value) and comment lines before the size line may hold anything.
+    Malformed files raise ``InvalidInput``.
     """
     path = Path(path)
     if not path.exists():
         raise InvalidInput(f"{path}: no such file")
-    # SciPy gets an in-memory stream, not the path or an open file: a path
-    # ending in .gz or .bz2 would turn on decompression, and SciPy's read
-    # cursor can outlive a failed call (through the traceback) and abort the
-    # interpreter once its file is closed.  SciPy 1.17.1 also segfaults on a
-    # NUL byte and on a last line with trailing characters but no newline.
-    raw = path.read_bytes()
-    if b"\0" in raw:
-        raise InvalidInput(f"{path}: NUL byte in a Matrix Market file")
-    if not raw.endswith(b"\n"):
-        raw += b"\n"
-    stream = io.BytesIO(raw)
-    banner = stream.readline()
-    if not banner.startswith(b"%%MatrixMarket"):
-        raise InvalidInput(f"{path}: missing MatrixMarket banner")
-    tokens = banner.lower().split()
-    if b"coordinate" not in tokens or b"real" not in tokens:
-        raise InvalidInput(f"{path}: only coordinate real matrices are supported")
-    size_line = stream.readline()  # comment and blank lines come before it
+    # A carriage return separates tokens, as in a CRLF line end; loadtxt
+    # would end the line at a lone one.
+    raw = path.read_bytes().replace(b"\r", b" ")
+    fh = io.BytesIO(raw)
+    kind = b" ".join(fh.readline().lower().split()[:5])
+    if kind not in (b"%%matrixmarket matrix coordinate real general",
+                    b"%%matrixmarket matrix coordinate real symmetric"):
+        raise InvalidInput(f"{path}: not a coordinate real general or symmetric matrix")
+    size_line = fh.readline()  # comment and blank lines come before it
     while size_line and (size_line.startswith(b"%") or not size_line.strip()):
-        size_line = stream.readline()
-    body_start = stream.tell()
-    body = raw[body_start:]
-    if b"+" in body:  # SciPy refuses a leading plus sign, as in "1 1 +2"
-        stream = io.BytesIO(raw[:body_start] + _LEADING_PLUS.sub(b"", body))
-    stream.seek(0)
-    # An index beyond int64 raises OverflowError, and the declared entry count
-    # is allocated before the body is read, so an absurd one raises MemoryError.
-    try:
-        coo = scipy.io.mmread(stream)
-    except (ValueError, OverflowError, MemoryError) as exc:
-        raise InvalidInput(f"{path}: {exc}") from exc
-    _check_entry_tokens(path, body, int(size_line.split()[2]))
-    if not np.isfinite(coo.data).all():
+        size_line = fh.readline()
+    body_start = fh.tell()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # on empty input, refused or counted below
+        try:
+            n, n_cols, count = np.loadtxt([size_line.decode("ascii")], dtype=np.int64,
+                                          comments=None, ndmin=1)
+        except ValueError as exc:
+            raise InvalidInput(f"{path}: the size line is not three integers") from exc
+        if not 0 < n == n_cols:
+            raise InvalidInput(f"{path}: a {n}x{n_cols} matrix is not square and nonempty")
+        try:
+            entries = np.loadtxt(fh, dtype="i8,i8,f8", comments=None, ndmin=1, encoding="ascii")
+        except ValueError as exc:
+            tokens = {len(line.split()) for line in raw[body_start:].splitlines()} - {0}
+            what = ("an entry line is not three tokens; expected three per entry"
+                    if tokens - {3} else "an entry token is not a decimal number")
+            raise InvalidInput(f"{path}: {what} ({exc})") from exc
+    if entries.size != count:
+        raise InvalidInput(f"{path}: {entries.size} entries where the size line declares {count}")
+    rows, cols, values = entries["f0"] - 1, entries["f1"] - 1, entries["f2"]
+    if ((rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)).any():
+        raise InvalidInput(f"{path}: an entry index lies outside [1, {n}]")
+    if not np.isfinite(values).all():
         raise InvalidInput(f"{path}: matrix entries must be finite")
-    n_rows, n_cols = coo.shape
-    if n_rows != n_cols:
-        raise InvalidInput(f"{path}: matrix is not square ({n_rows}x{n_cols})")
-    full = coo.tocsr()
+    if kind.endswith(b"symmetric"):
+        off = rows != cols
+        rows, cols = np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])
+        values = np.concatenate([values, values[off]])
+    try:
+        full = sp.csr_matrix((values, (rows, cols)), shape=(n, n))
+    except MemoryError as exc:
+        raise ResourceLimit(f"{path}: a {n}x{n} matrix is too large to hold") from exc
     if abs(full - full.T).max() > 0:
         raise InvalidInput(f"{path}: matrix is not symmetric")
-    keep = coo.row >= coo.col
-    return SparseSym.from_triplets(n_rows, coo.row[keep], coo.col[keep], coo.data[keep])
+    keep = rows >= cols
+    return SparseSym.from_triplets(int(n), rows[keep], cols[keep], values[keep])
 
 
 # ---------------------------------------------------------------------------

@@ -141,10 +141,15 @@ class SparseSym:
         return sqrt(total)
 
 
-def add_ridge(a: SparseSym, rho: float) -> SparseSym:
-    """Shift the diagonal by a finite rho > 0; the sparsity pattern is unchanged."""
+def check_ridge(rho: float) -> None:
+    """Raise InvalidInput unless ``rho`` is a ridge parameter: finite and > 0."""
     if not 0 < rho < np.inf:
         raise InvalidInput(f"ridge parameter must be positive and finite, got {rho}")
+
+
+def add_ridge(a: SparseSym, rho: float) -> SparseSym:
+    """Shift the diagonal by a finite rho > 0; the sparsity pattern is unchanged."""
+    check_ridge(rho)
     values = a.values.copy()
     values[a.indptr[:-1]] += rho
     return SparseSym(n=a.n, indptr=a.indptr.copy(), indices=a.indices.copy(), values=values)

@@ -257,6 +257,14 @@ class TestKernelCompressCommand:
         assert rc == 2
         assert "not UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ridge", ["0", "-1", "nan", "inf"])
+    def test_bad_ridge_exit_code(self, tmp_path, kernel_json, capsys, monkeypatch, ridge):
+        out = tmp_path / "k.mtx"
+        argv = ["kernel-compress", "--gen", "grid", "--n", "64", "--dim", "1",
+                "--kernel", str(kernel_json), "--out", str(out), f"--ridge={ridge}"]
+        TestGrfCommand.refuse_bad_argument(monkeypatch, capsys, tmp_path, argv, "ridge")
+        assert not out.exists()
+
 
 class TestGrfCommand:
     def test_samples_written_and_deterministic(self, tmp_path, kernel_json):
@@ -368,6 +376,13 @@ class TestGrfCommand:
                 "--out-prefix", str(tmp_path / "f")]
         self.refuse_bad_argument(monkeypatch, capsys, tmp_path, argv + [flag, value], word)
 
+    @pytest.mark.parametrize("ridge", ["0", "-1", "nan", "inf"])
+    def test_bad_ridge_exit_code(self, tmp_path, kernel_json, capsys, monkeypatch, ridge):
+        argv = ["grf", "--gen", "grid", "--n", "64", "--dim", "1", "--seed", "1",
+                "--kernel", str(kernel_json), "--out-prefix", str(tmp_path / "f"),
+                f"--ridge={ridge}"]
+        self.refuse_bad_argument(monkeypatch, capsys, tmp_path, argv, "ridge")
+
     def test_non_positive_pivot_exit_code_and_hint(self, tmp_path, capsys):
         # a long-length-scale smooth kernel has a fast-decaying spectrum, so
         # compression noise makes the matrix indefinite for a negligible ridge
@@ -417,6 +432,19 @@ class TestInfoCommand:
         assert main(["info", "--gen", "uniform-cube", "--n", "64", "--dim", "2",
                      "--seed", seed]) == 2
         assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["info", "kernel-compress"])
+    @pytest.mark.parametrize("source", ["grid", "points"])
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_checked_for_every_point_source(self, tmp_path, points_1d, kernel_json,
+                                                 capsys, monkeypatch, command, source, seed):
+        points = (["--gen", "grid", "--n", "64", "--dim", "2"] if source == "grid"
+                  else ["--points", str(points_1d)])
+        extra = {"info": [],
+                 "kernel-compress": ["--kernel", str(kernel_json),
+                                     "--out", str(tmp_path / "k.mtx")]}[command]
+        argv = [command, *points, "--seed", seed, *extra]
+        TestGrfCommand.refuse_bad_argument(monkeypatch, capsys, tmp_path, argv, "seed")
 
     def test_grid_size_mismatch_rejected(self, capsys):
         assert main(["info", "--gen", "grid", "--n", "1000", "--dim", "2"]) == 2

@@ -7,10 +7,10 @@ digit runs) and reads the result.  The reader must either raise
 exception fails the test.  Examples are derandomized, so a run is
 reproducible.
 
-SciPy's Matrix Market parser has crashed the interpreter on malformed input
-before, and SuperLU has crashed on malformed factors, so those fuzz loops run
-in a subprocess: a crash fails that test only.  A factor that reads must also
-solve to finite values.
+The Matrix Market and factor fuzz loops run in a subprocess, so a crash
+fails that test only.  The text readers parse with NumPy's ``loadtxt``; the
+remaining crash risk is SuperLU, which has crashed on malformed factors: a
+factor that reads must also solve to finite values.
 """
 
 import json

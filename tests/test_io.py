@@ -1,12 +1,15 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from samplets import io as sio
 from samplets.basis import build_samplet_basis
 from samplets.cluster_tree import PointCloud
-from samplets.errors import InvalidInput
+from samplets.errors import InvalidInput, ResourceLimit
 from samplets.h2 import assemble_compressed_kernel
-from samplets.kernels import KernelConfig
+from samplets.kernels import SCALED_EXPONENTIAL, KernelConfig
 from samplets.sparse import (
     Permutation,
     SparseSym,
@@ -34,6 +37,34 @@ class TestPointFiles:
         path.write_text("x,y\n0.5,1.5\n-2.0,3.25\n")
         cloud = sio.read_points(path)
         np.testing.assert_allclose(cloud.coords, [[0.5, 1.5], [-2.0, 3.25]])
+
+    @pytest.mark.parametrize("text", [
+        "x,y\n  \n0.5,1.5\n \t \n-2.0,3.25\n\n",
+        "x,y\r\n0.5,1.5\r\n-2.0,3.25\r\n",
+        "0.5;1.5\n-2.0;3.25\n",
+        "x;y\n0.5 ; 1.5\n-2.0,3.25",
+    ], ids=["blank-lines", "crlf", "semicolons", "mixed-separators"])
+    def test_csv_layouts_read_alike(self, tmp_path, text):
+        path = tmp_path / "pts.csv"
+        path.write_bytes(text.encode())
+        np.testing.assert_array_equal(sio.read_points(path).coords,
+                                      [[0.5, 1.5], [-2.0, 3.25]])
+
+    @pytest.mark.parametrize("reader,row", [
+        (sio.read_points, "1_000,2"), (sio.read_points, "\u0661\u0662,3"),
+        (sio.read_points, "1,2 # note"), (sio.read_points, "1,2,"),
+        (sio.read_points, "0x10,1"), (sio.read_vector, "1_000"),
+        (sio.read_vector, "\u0661\u0662"), (sio.read_vector, "# note"),
+        (sio.read_vector, "1,"),
+    ], ids=["underscore", "arabic-indic-digits", "comment", "trailing-comma", "hex",
+            "vector-underscore", "vector-arabic-indic-digits", "vector-comment",
+            "vector-trailing-comma"])
+    def test_csv_non_numbers_rejected(self, tmp_path, reader, row):
+        first = "0.5,1.5" if reader is sio.read_points else "0.5"
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{first}\n{row}\n", encoding="utf-8")
+        with pytest.raises(InvalidInput, match="not decimal numbers|inconsistent"):
+            reader(path)
 
     def test_binary_round_trip(self, tmp_path, cloud):
         path = tmp_path / "pts.bin"
@@ -142,6 +173,43 @@ class TestMatrixMarket:
         a = sio.read_matrix_market(path)
         np.testing.assert_allclose(a.to_dense(), [[4.0, 1.0], [1.0, 3.0]])
 
+    @pytest.mark.parametrize("symmetry", ["skew-symmetric", "hermitian"])
+    def test_only_general_and_symmetric_banners(self, tmp_path, symmetry):
+        path = tmp_path / "s.mtx"
+        path.write_text(f"%%MatrixMarket matrix coordinate real {symmetry}\n"
+                        "2 2 2\n1 1 0.0\n2 1 1.0\n")
+        with pytest.raises(InvalidInput, match="general or symmetric"):
+            sio.read_matrix_market(path)
+
+    def test_no_entries_read_as_the_zero_matrix(self, tmp_path):
+        path = tmp_path / "z.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n3 3 0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = sio.read_matrix_market(path)
+        np.testing.assert_array_equal(a.to_dense(), np.zeros((3, 3)))
+
+    def test_dimension_beyond_memory_is_a_resource_limit(self, tmp_path):
+        path = tmp_path / "huge.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        "1000000000000 1000000000000 1\n1 1 1.0\n")
+        with pytest.raises(ResourceLimit, match="too large"):
+            sio.read_matrix_market(path)
+
+    def test_compressed_kernel_reads_back_bit_identical(self, tmp_path):
+        """The 3-D N = 512 compressed kernel of the kernel-3d benchmark (seed 1,
+        first point set)."""
+        bits = np.random.Generator(np.random.Philox(key=np.array([1, 2], dtype=np.uint64)))
+        basis = build_samplet_basis(PointCloud(bits.random((512, 3)) * 2.0 - 1.0), q=2)
+        cfg = KernelConfig(SCALED_EXPONENTIAL, distance_scale=10.0 / math.sqrt(3))
+        k = assemble_compressed_kernel(basis, cfg, eta=1.25, p=3, epsilon=1e-3).matrix
+        path = tmp_path / "k.mtx"
+        sio.write_matrix_market(path, k)
+        again = sio.read_matrix_market(path)
+        assert again.n == 512 and again.nnz_lower > 10 * 512
+        for field in ("indptr", "indices", "values"):
+            np.testing.assert_array_equal(getattr(again, field), getattr(k, field))
+
     def test_asymmetric_general_rejected(self, tmp_path):
         path = tmp_path / "bad.mtx"
         path.write_text("%%MatrixMarket matrix coordinate real general\n"
@@ -162,9 +230,11 @@ class TestMatrixMarket:
         b"%%MatrixMarket matrix coordinate real general\n2 2 1000000000000000000\n1 1 1.0\n",
         b"%%MatrixMarket matrix coordinate real general\n2 2 1\n99999999999999999999 1 1.0\n",
         b"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 1\x00\n",
+        b"%%MatrixMarket matrix coordinate real general\n0 0 0\n",
     ], ids=["non-integer-index", "empty-body", "two-tokens", "index-out-of-range",
             "entry-missing", "entry-extra", "non-ascii-banner", "array-format",
-            "integer-field", "absurd-entry-count", "index-beyond-int64", "nul-byte"])
+            "integer-field", "absurd-entry-count", "index-beyond-int64", "nul-byte",
+            "no-rows"])
     def test_malformed_rejected(self, tmp_path, text):
         path = tmp_path / "bad.mtx"
         path.write_bytes(text)
