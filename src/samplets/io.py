@@ -2,11 +2,14 @@
 
 Binary formats are little-endian with a magic header; CSV formats are UTF-8,
 use '.' as the decimal separator and detect an optional header row by failing
-to parse the first row as numbers.  Matrix Market files are written by SciPy's
-C++ writer (``scipy.io.mmwrite``).  Every text number, in CSV and Matrix
-Market files alike, is parsed by NumPy's ``loadtxt``, so it follows NumPy's
-grammar: an optional sign, digits with an optional point and exponent, or
-``nan``/``inf``; no ``_``, non-ASCII digits, hex or junk after a number.
+to parse the first row as numbers; a parse error names the file line.  Matrix
+Market files are written by SciPy's C++ writer (``scipy.io.mmwrite``) as
+coordinate real symmetric: the stored lower triangle, each entry once.  The
+reader takes ``general`` and ``symmetric`` files.  Every text number, in CSV
+and Matrix Market files alike, is parsed by NumPy's ``loadtxt``, so it
+follows NumPy's grammar: an optional sign, digits with an optional point and
+exponent, or ``nan``/``inf``; no ``_``, non-ASCII digits, hex or junk after a
+number.
 """
 
 from __future__ import annotations
@@ -58,21 +61,40 @@ def _parse_csv_rows(raw: bytes, path) -> np.ndarray:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InvalidInput(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
-    rows = [r for r in map(str.strip, text.replace(";", ",").splitlines()) if r]
+    stripped = [r.strip() for r in text.replace(";", ",").splitlines()]
+    lines = [k for k, r in enumerate(stripped, 1) if r]  # the file line of each kept row
+    rows = [stripped[k - 1] for k in lines]
     if not rows:
         raise InvalidInput(f"{path}: file contains no data")
     try:
         np.loadtxt(rows[:1], delimiter=",", comments=None)
     except ValueError:
-        rows = rows[1:]  # header row, skipped
+        lines, rows = lines[1:], rows[1:]  # header row, skipped
     if not rows:
         raise InvalidInput(f"{path}: file holds a header row but no data")
     try:
         return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
-        what = ("rows have inconsistent column counts" if len({r.count(",") for r in rows}) > 1
-                else f"a data row is not decimal numbers ({exc})")
-        raise InvalidInput(f"{path}: {what}") from exc
+        bad = _first_bad_row(rows)
+        row = rows[bad]
+        what = ("rows have inconsistent column counts" if row.count(",") != rows[0].count(",")
+                else f"a data row is not decimal numbers ({row[:60]!r})")
+        raise InvalidInput(f"{path}: line {lines[bad]}: {what}") from exc
+
+
+def _first_bad_row(rows: list[str]) -> int:
+    """The index of the first row that ``np.loadtxt`` refuses in ``rows``,
+    which it refuses as a whole.  A prefix of rows parses exactly when it
+    ends before that row, so the row is found by bisection."""
+    good, bad = 0, len(rows)  # rows[:good] parse, rows[:bad] do not
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            np.loadtxt(rows[:mid], delimiter=",", comments=None, ndmin=2)
+            good = mid
+        except ValueError:
+            bad = mid
+    return bad - 1
 
 
 def read_points(path) -> PointCloud:
@@ -148,24 +170,29 @@ def read_vector(path) -> np.ndarray:
 
 
 def write_matrix_market(path, a: SparseSym) -> None:
-    """Write the full symmetric pattern as coordinate real general.
+    """Write the stored lower triangle as coordinate real symmetric.
 
-    Entries go out in column-major order, each value as the shortest string
-    that reads back to the same double (for example ``1.4281303977065004E1``).
+    Each stored entry is written once; readers of the format mirror the
+    strictly lower entries.  Entries go out in column-major order, each value
+    as the shortest string that reads back to the same double (for example
+    ``1.4281303977065004E1``).
     """
+    lower = sp.csc_matrix((a.values, a.indices, a.indptr), shape=(a.n, a.n))
     # SciPy appends ".mtx" to a path without that suffix, so hand it a handle.
     with open(path, "wb") as fh:
-        scipy.io.mmwrite(fh, a.to_scipy_full().tocoo(), symmetry="general")
+        scipy.io.mmwrite(fh, lower, symmetry="symmetric")
 
 
 def read_matrix_market(path) -> SparseSym:
     """Read a square coordinate real matrix and keep its lower triangle.
 
-    The banner names a ``general`` or ``symmetric`` matrix.  Symmetric files
-    are mirrored; general files must hold both triangles with equal values.
-    Every entry line is three numbers (two 1-based indices and a finite
-    value) and comment lines before the size line may hold anything.
-    Malformed files raise ``InvalidInput``.
+    The banner names a ``general`` or ``symmetric`` matrix.  A symmetric
+    file's entries go into the lower triangle as they stand: an upper entry
+    counts as its mirror, and duplicates are summed.  General files must
+    hold both triangles with equal values.  Every entry line is three numbers
+    (two 1-based indices and a finite value) and comment lines before the
+    size line may hold anything.  Malformed files raise ``InvalidInput``, and
+    a matrix too large to hold raises ``ResourceLimit``.
     """
     path = Path(path)
     if not path.exists():
@@ -205,18 +232,16 @@ def read_matrix_market(path) -> SparseSym:
         raise InvalidInput(f"{path}: an entry index lies outside [1, {n}]")
     if not np.isfinite(values).all():
         raise InvalidInput(f"{path}: matrix entries must be finite")
-    if kind.endswith(b"symmetric"):
-        off = rows != cols
-        rows, cols = np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])
-        values = np.concatenate([values, values[off]])
     try:
-        full = sp.csr_matrix((values, (rows, cols)), shape=(n, n))
+        if kind.endswith(b"general"):
+            full = sp.csr_matrix((values, (rows, cols)), shape=(n, n))
+            if abs(full - full.T).max() > 0:
+                raise InvalidInput(f"{path}: matrix is not symmetric")
+            keep = rows >= cols
+            rows, cols, values = rows[keep], cols[keep], values[keep]
+        return SparseSym.from_triplets(int(n), rows, cols, values)
     except MemoryError as exc:
         raise ResourceLimit(f"{path}: a {n}x{n} matrix is too large to hold") from exc
-    if abs(full - full.T).max() > 0:
-        raise InvalidInput(f"{path}: matrix is not symmetric")
-    keep = rows >= cols
-    return SparseSym.from_triplets(int(n), rows[keep], cols[keep], values[keep])
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.io
+import scipy.sparse as sp
 
 from samplets import cli, transform
 from samplets import io as sio
@@ -208,6 +210,19 @@ class TestKernelCompressCommand:
                      "--ridge", "0.5"]) == 0
         a = sio.read_matrix_market(out)
         np.testing.assert_allclose(a.to_dense(), [[1.5]])
+
+    def test_symmetric_file_holds_the_full_matrix_for_other_readers(self, tmp_path,
+                                                                    kernel_json):
+        out = tmp_path / "K.mtx"
+        assert main(["kernel-compress", "--gen", "uniform-cube", "--n", "300", "--dim", "2",
+                     "--seed", "5", "--kernel", str(kernel_json), "--out", str(out)]) == 0
+        lines = out.read_bytes().splitlines()
+        assert lines[0] == b"%%MatrixMarket matrix coordinate real symmetric"
+        header = 1 + sum(line.startswith(b"%") for line in lines)  # and the size line
+        full = sio.read_matrix_market(out)
+        assert len(lines) == header + full.nnz_lower
+        external = sp.csc_matrix(scipy.io.mmread(out))
+        assert external.shape == (300, 300) and (external != full.to_scipy_full()).nnz == 0
 
     def test_metrics_and_oracle_error(self, tmp_path, kernel_json):
         out = tmp_path / "k.mtx"

@@ -140,14 +140,16 @@ def test_kernel_config_fuzz(index, mutations):
 def _matrix_market_seeds() -> list[bytes]:
     lower = SparseSym.from_triplets(3, np.array([0, 1, 2, 2]), np.array([0, 1, 0, 2]),
                                     np.array([4.0, 2.5, -1.0, 3.0]))
-    general = _seed_files([lambda p: sio.write_matrix_market(p, lower)])[0]
+    written = _seed_files([lambda p: sio.write_matrix_market(p, lower)])[0]
     symmetric = (b"%%MatrixMarket matrix coordinate real symmetric\n% a comment\n"
                  b"3 3 4\n1 1 4\n2 2 2.5\n3 1 -1\n3 3 3e0\n")
-    return [general, symmetric]
+    general = (b"%%MatrixMarket matrix coordinate real general\n"
+               b"3 3 5\n1 1 4\n3 1 -1.0\n2 2 2.5\n1 3 -1\n3 3 3\n")
+    return [written, symmetric, general]
 
 
 @FUZZ
-@given(index=st.integers(0, 1), mutations=MUTATIONS)
+@given(index=st.integers(0, 2), mutations=MUTATIONS)
 def matrix_market_fuzz(index, mutations):
     """The Matrix Market fuzz loop; ``test_read_matrix_market_fuzz`` runs it
     in a subprocess."""

@@ -66,6 +66,17 @@ class TestPointFiles:
         with pytest.raises(InvalidInput, match="not decimal numbers|inconsistent"):
             reader(path)
 
+    @pytest.mark.parametrize("text,line,what", [
+        ("x,y\n\n1,2\n1_000,2\n", 4, "not decimal numbers"),
+        ("1,2\n\n\n3,4\n5,zz\n", 5, "not decimal numbers"),
+        ("x,y\n1,2\n\n3,4\n\n5,6,7\n8,9\n", 6, "inconsistent"),
+    ], ids=["after-header-and-blank", "after-blanks", "column-count"])
+    def test_csv_parse_error_names_the_file_line(self, tmp_path, text, line, what):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidInput, match=f": line {line}: .*{what}"):
+            sio.read_points(path)
+
     def test_binary_round_trip(self, tmp_path, cloud):
         path = tmp_path / "pts.bin"
         sio.write_points_binary(path, cloud)
@@ -162,7 +173,7 @@ class TestMatrixMarket:
         path = tmp_path / "k.mtx"
         sio.write_matrix_market(path, a)
         header = path.read_text().splitlines()[0]
-        assert header == "%%MatrixMarket matrix coordinate real general"
+        assert header == "%%MatrixMarket matrix coordinate real symmetric"
         again = sio.read_matrix_market(path)
         np.testing.assert_array_equal(again.to_dense(), dense)
 
@@ -209,6 +220,94 @@ class TestMatrixMarket:
         assert again.n == 512 and again.nnz_lower > 10 * 512
         for field in ("indptr", "indices", "values"):
             np.testing.assert_array_equal(getattr(again, field), getattr(k, field))
+
+    def test_grf_kernel_reads_back_bit_identical(self, tmp_path):
+        """The 2-D N = 512 compressed kernel of the grf-2d benchmark (seed 1,
+        first point set), with and without its ridge; the file holds one
+        line per stored entry after the banner, comment and size lines."""
+        bits = np.random.Generator(np.random.Philox(key=np.array([1, 1], dtype=np.uint64)))
+        basis = build_samplet_basis(PointCloud(bits.random((512, 2)) * 2.0 - 1.0), q=2)
+        cfg = KernelConfig(SCALED_EXPONENTIAL, distance_scale=10.0 / math.sqrt(2))
+        k = assemble_compressed_kernel(basis, cfg, eta=1.25, p=3, epsilon=1e-3).matrix
+        path = tmp_path / "k.mtx"
+        for a in (k, add_ridge(k, 1.0)):
+            sio.write_matrix_market(path, a)
+            assert len(path.read_bytes().splitlines()) == 3 + a.nnz_lower
+            again = sio.read_matrix_market(path)
+            for field in ("indptr", "indices", "values"):
+                np.testing.assert_array_equal(getattr(again, field), getattr(a, field))
+
+    def test_symmetric_dimension_beyond_memory_is_a_resource_limit(self, tmp_path):
+        path = tmp_path / "huge.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                        "1000000000000 1000000000000 1\n1 1 1.0\n")
+        with pytest.raises(ResourceLimit, match="too large"):
+            sio.read_matrix_market(path)
+
+    @staticmethod
+    def read_symmetric(tmp_path, rows, cols, values) -> np.ndarray:
+        """The dense matrix of a 6 x 6 symmetric file with these 0-based entries."""
+        body = "".join(f"{i + 1} {j + 1} {float(v)!r}\n" for i, j, v in zip(rows, cols, values))
+        path = tmp_path / "dup.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                        f"6 6 {len(values)}\n{body}")
+        return sio.read_matrix_market(path).to_dense()
+
+    def test_symmetric_duplicates_are_summed(self, tmp_path):
+        """Quarter-integer values sum exactly in any order."""
+        rng = np.random.default_rng(4)
+        rows, cols = rng.integers(0, 6, (2, 400))
+        rows, cols = np.maximum(rows, cols), np.minimum(rows, cols)
+        values = rng.integers(-40, 41, 400) / 4
+        dense = self.read_symmetric(tmp_path, rows, cols, values)
+        for i, j in zip(rows, cols):
+            total = math.fsum(values[(rows == i) & (cols == j)])
+            assert dense[i, j] == dense[j, i] == total
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_symmetric_duplicates_of_wide_range_read(self, tmp_path, seed):
+        """Duplicates that cancel at 1e16 sum with rounding that depends on
+        their order; the file still reads, to within that rounding."""
+        rng = np.random.default_rng(seed)
+        rows, cols = rng.integers(0, 6, (2, 400))
+        rows, cols = np.maximum(rows, cols), np.minimum(rows, cols)
+        values = (rng.choice([1e16, -1e16, 1.0, 3.5, -2.25e-3], 400)
+                  * rng.choice([1.0, 0.5, 3.0], 400))
+        dense = self.read_symmetric(tmp_path, rows, cols, values)
+        np.testing.assert_array_equal(dense, dense.T)
+        for i, j in zip(rows, cols):
+            terms = values[(rows == i) & (cols == j)]
+            bound = terms.size * np.finfo(float).eps * np.abs(terms).sum()
+            assert abs(dense[i, j] - math.fsum(terms)) <= bound
+
+    def test_symmetric_upper_entry_is_mirrored(self, tmp_path):
+        path = tmp_path / "u.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                        "3 3 4\n1 1 2.0\n1 3 -1.5\n3 3 4.0\n3 2 0.5\n")
+        a = sio.read_matrix_market(path)
+        np.testing.assert_array_equal(a.indptr, [0, 2, 4, 5])
+        np.testing.assert_array_equal(a.indices, [0, 2, 1, 2, 2])
+        np.testing.assert_array_equal(a.values, [2.0, -1.5, 0.0, 0.5, 4.0])
+
+    def test_general_with_unequal_mirror_entries_rejected(self, tmp_path):
+        path = tmp_path / "bad.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        "2 2 4\n1 1 1.0\n2 1 2.0\n1 2 2.5\n2 2 1.0\n")
+        with pytest.raises(InvalidInput, match="not symmetric"):
+            sio.read_matrix_market(path)
+
+    @pytest.mark.parametrize("body", [
+        "2 2 1\nx 1 1.0\n", "", "2 2 1\n1 1\n", "2 2 1\n1 3 1.0\n", "2 2 2\n1 1 1.0\n",
+        "2 2 1\n1 1 1.0\n2 2 1.0\n", "2 2 1\n1 1 nan\n", "2 2 1\n1 2 inf\n",
+        "2 2 1\n1 1 1.0 7\n", "2 3 1\n1 1 1.0\n", "0 0 0\n", "2 2 1\n0 1 1.0\n",
+    ], ids=["non-integer-index", "empty-body", "two-tokens", "upper-index-out-of-range",
+            "entry-missing", "entry-extra", "nan", "upper-inf", "four-tokens",
+            "not-square", "no-rows", "zero-index"])
+    def test_malformed_symmetric_rejected(self, tmp_path, body):
+        path = tmp_path / "bad.mtx"
+        path.write_text(f"%%MatrixMarket matrix coordinate real symmetric\n{body}")
+        with pytest.raises(InvalidInput):
+            sio.read_matrix_market(path)
 
     def test_asymmetric_general_rejected(self, tmp_path):
         path = tmp_path / "bad.mtx"
