@@ -25,7 +25,7 @@ import numpy as np
 from . import io as sio
 from .basis import build_samplet_basis
 from .cluster_tree import PointCloud
-from .errors import InvalidInput, NonPositivePivot, ResourceLimit
+from .errors import InvalidInput, NonPositivePivot, ResourceLimit, allocate
 from .h2 import assemble_compressed_kernel, dense_compressed_oracle
 from .kernels import KernelConfig
 from .sparse import (
@@ -93,7 +93,11 @@ def generate_points(kind: str, n: int, dim: int, seed: int | None) -> PointCloud
         if seed is None:
             raise InvalidInput("--gen uniform-cube requires --seed")
         bits = np.random.Generator(np.random.Philox(key=np.array([seed, 0x5EED], dtype=np.uint64)))
-        return PointCloud(bits.random((n, dim)) * 2.0 - 1.0)
+        coords = allocate(np.empty, (n, dim), f"{n} points in {dim}-D")
+        bits.random(out=coords)
+        coords *= 2.0
+        coords -= 1.0
+        return PointCloud(coords)
     if kind == "grid":
         side = round(n ** (1.0 / dim))
         if side ** dim != n:
@@ -101,9 +105,11 @@ def generate_points(kind: str, n: int, dim: int, seed: int | None) -> PointCloud
                           key=lambda count: abs(count - n))
             raise InvalidInput(f"--gen grid needs --n = side**{dim} for --dim {dim}; "
                                f"the nearest such count is {nearest}")
-        axes = [np.linspace(-1.0, 1.0, side) for _ in range(dim)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return PointCloud(np.stack([g.ravel() for g in grids], axis=1))
+        coords = allocate(np.empty, (n, dim), f"{n} points in {dim}-D")
+        axis = np.linspace(-1.0, 1.0, side)
+        for k in range(dim):  # axis k runs over the middle index, first axis slowest
+            coords.reshape(side ** k, side, -1, dim)[..., k] = axis[:, None]
+        return PointCloud(coords)
     raise InvalidInput(f"unknown generator {kind!r}; use uniform-cube or grid")
 
 

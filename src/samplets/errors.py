@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the guarded allocation
+that turns an array too large to allocate into ResourceLimit."""
+
+import math
 
 
 class InvalidInput(ValueError):
@@ -24,3 +27,14 @@ class NonPositivePivot(ArithmeticError):
             f"non-positive pivot {value:.6e} in column {column}; "
             "increase the ridge parameter or decrease the entry threshold"
         )
+
+
+def allocate(make, shape: tuple, what: str, **kwargs):
+    """``make(shape, **kwargs)`` for a NumPy float64 array constructor such as
+    ``np.empty``; raises ResourceLimit, naming ``what``, when the array cannot
+    be allocated."""
+    try:
+        return make(shape, **kwargs)
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond the address space
+        raise ResourceLimit(f"{what} would take {8 * math.prod(shape)} bytes, "
+                            "more than can be allocated") from exc

@@ -4,9 +4,12 @@ Admissible cluster pairs (``cluster_tree.admissible``, the cut-off criterion)
 are evaluated through a tensor Chebyshev interpolant of the kernel, all other
 pairs exactly.  Nested cluster bases connect interpolation data across levels
 through transfer matrices, so the whole samplet-compressed matrix assembles in
-log-linear time.  One tensor Lagrange evaluator gives both: a leaf's
-interpolation data are its box's Lagrange basis at its points, and a son's
-transfer matrix is its father's Lagrange basis at the son's grid.  The
+log-linear time.  The interpolation data are kept per axis: every cluster
+stores its box's p+1 Chebyshev points on each axis, and no tensor grid is
+stored.  A leaf's interpolation data are its box's tensor Lagrange basis at
+its points, a son's transfer matrix is the Kronecker product over the axes of
+its father's one-axis Lagrange matrices at the son's axis points, and a far
+pair's kernel values on the two grids come from per-axis distances.  The
 cluster bases are built bottom-up over the basis's step stacks, the schedule
 of its build and of the transforms, into stacks of equal order laid out like
 the two-scale matrices: cluster c's V is row ``slot[c]`` of its order's
@@ -41,7 +44,7 @@ import numpy as np
 
 from .basis import SampletBasis, _carried_rows, _groups
 from .cluster_tree import ClusterTree
-from .errors import InvalidInput, ResourceLimit
+from .errors import InvalidInput, ResourceLimit, allocate
 from .kernels import KernelConfig, dense_kernel_matrix, kernel_radial
 from .sparse import SparseSym
 from .transform import forward_transform_matrix
@@ -51,23 +54,10 @@ _DEGENERATE_WIDTH = 1e-300
 
 def _chebyshev_axes(lo: np.ndarray, hi: np.ndarray, p: int) -> np.ndarray:
     """p+1 ascending Chebyshev points of the first kind on each interval
-    [lo, hi]; shape lo.shape + (p+1,)."""
+    [lo, hi] of two float64 arrays; shape lo.shape + (p+1,)."""
     k = np.arange(p + 1)
     ref = -np.cos((2 * k + 1) * np.pi / (2 * (p + 1)))
-    lo = np.asarray(lo, dtype=np.float64)[..., None]
-    hi = np.asarray(hi, dtype=np.float64)[..., None]
-    return (lo + hi) / 2.0 + (hi - lo) / 2.0 * ref
-
-
-def _tensor_grids(lo: np.ndarray, hi: np.ndarray, p: int) -> np.ndarray:
-    """Tensor grids of (p+1)^d Chebyshev points in boxes given by (n, d)
-    corners, first axis slowest; shape (n, (p+1)^d, d)."""
-    if p < 0:
-        raise InvalidInput(f"interpolation degree must be >= 0, got {p}")
-    axes = _chebyshev_axes(lo, hi, p)
-    d = lo.shape[1]
-    digits = np.indices((p + 1,) * d).reshape(d, -1)
-    return np.stack([axes[:, k, digits[k]] for k in range(d)], axis=2)
+    return (lo + hi)[..., None] / 2.0 + (hi - lo)[..., None] / 2.0 * ref
 
 
 def _lagrange(nodes: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -101,46 +91,53 @@ def _lagrange(nodes: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lagrange_tensors(lo: np.ndarray, hi: np.ndarray, p: int,
-                      points: np.ndarray) -> np.ndarray:
-    """Tensor Lagrange basis values of n boxes at n point sets (n, t, d);
-    shape (n, t, (p+1)^d)."""
+def _lagrange_tensors(axes: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Tensor Lagrange basis values of n boxes, given by their (n, d, m) axis
+    points, at n point sets (n, t, d), first axis slowest; shape (n, t, m^d)."""
     n, t, d = points.shape
-    axes = _chebyshev_axes(lo, hi, p)
     values = _lagrange(axes[:, 0], points[:, :, 0])
     for k in range(1, d):
         a = _lagrange(axes[:, k], points[:, :, k])
-        values = (values[:, :, :, None] * a[:, :, None, :]).reshape(n, t, (p + 1) ** (k + 1))
+        values = (values[:, :, :, None] * a[:, :, None, :]).reshape(n, t, -1)
     return values
 
 
 @dataclass(eq=False)
 class InterpolationScheme:
-    """Chebyshev grids and son transfer matrices of all clusters of one tree.
+    """Chebyshev axis points and son transfer matrices of all clusters of one
+    tree.
 
-    ``axes[c, k]`` holds cluster c's p+1 Chebyshev points on axis k,
-    ``nodes[c]`` is their tensor grid and ``transfers[c]`` maps its father's
-    Lagrange basis to its grid: entry (i, j) is the father's i-th Lagrange
-    polynomial at the son's j-th node.  All are stacked arrays indexed by
-    cluster, and the root's transfer entry is NaN.
+    ``axes[c, k]`` holds cluster c's p+1 Chebyshev points on axis k; its
+    interpolation grid is their tensor product, first axis slowest, and is
+    never stored.  ``transfers[c]`` maps its father's Lagrange basis to its
+    grid: entry (i, j) is the father's i-th Lagrange polynomial at the son's
+    j-th node.  It is the Kronecker product over the axes of the father's
+    one-axis Lagrange matrices at the son's axis points.  Both are stacked
+    arrays indexed by cluster, and the root's transfer entry is NaN.
     """
 
     tree: ClusterTree
-    degree: int
     axes: np.ndarray
-    nodes: np.ndarray
     transfers: np.ndarray
 
     @classmethod
     def build(cls, tree: ClusterTree, p: int) -> "InterpolationScheme":
-        nodes = _tensor_grids(tree.lo, tree.hi, p)
+        if p < 0:
+            raise InvalidInput(f"interpolation degree must be >= 0, got {p}")
+        n, d = tree.lo.shape
+        m = (p + 1) ** d
+        transfers = allocate(np.full, (n, m, m), "the transfer matrices", fill_value=np.nan)
         axes = _chebyshev_axes(tree.lo, tree.hi, p)
-        transfers = np.full((nodes.shape[0],) + (nodes.shape[1],) * 2, np.nan)
         inner = np.flatnonzero(~tree.is_leaf)
         fathers, sons = np.repeat(inner, 2), tree.sons[inner].ravel()
-        transfers[sons] = _lagrange_tensors(tree.lo[fathers], tree.hi[fathers], p,
-                                            nodes[sons]).transpose(0, 2, 1)
-        return cls(tree=tree, degree=p, axes=axes, nodes=nodes, transfers=transfers)
+        # a one-leaf tree has no sons, so every size is given, none inferred
+        t = np.ones((sons.size, 1, 1))
+        for k in range(d):
+            a = _lagrange(axes[fathers, k], axes[sons, k]).transpose(0, 2, 1)
+            t = (t[:, :, None, :, None] * a[:, None, :, None, :]).reshape(
+                sons.size, t.shape[1] * (p + 1), t.shape[2] * (p + 1))
+        transfers[sons] = t
+        return cls(tree=tree, axes=axes, transfers=transfers)
 
 
 @dataclass(eq=False)
@@ -172,7 +169,7 @@ def compute_multiscale_cluster_basis(basis: SampletBasis,
         raise InvalidInput("interpolation scheme was built for a different tree")
     tree, n_scaling = basis.tree, basis.n_scaling
     coords = tree.permuted_coords()
-    grid = scheme.nodes.shape[1]
+    grid = scheme.transfers.shape[1]
     v = {r: np.empty((q.shape[0], r, grid)) for r, q in basis.q.items()}
     first = _carried_rows(tree, n_scaling)
     lifted = np.empty((tree.cloud.count, grid))
@@ -180,7 +177,7 @@ def compute_multiscale_cluster_basis(basis: SampletBasis,
         n, ns, i = q.shape[-1], n_scaling[clusters[0]], basis.slot[clusters[0]]
         if tree.is_leaf[clusters[0]]:
             points = coords[tree.begin[clusters][:, None] + np.arange(n)]
-            v_in = _lagrange_tensors(tree.lo[clusters], tree.hi[clusters], scheme.degree, points)
+            v_in = _lagrange_tensors(scheme.axes[clusters], points)
         else:
             v_in = lifted[first[tree.sons[clusters, 0]][:, None] + np.arange(n)]
         out = np.matmul(q.transpose(0, 2, 1), v_in, out=v[n][i:i + clusters.size])
@@ -269,7 +266,7 @@ class _Assembly:
         self.n_clusters = len(tree.clusters)
         self.coords = tree.permuted_coords()
         self.axes = mbasis.scheme.axes
-        self.grid_size = mbasis.scheme.nodes.shape[1]
+        self.grid_size = mbasis.scheme.transfers.shape[1]
         # The stored part of a block starts after the scaling rows/columns,
         # at the samplet offset; the root (index 0) stores its scaling ones too.
         self.skip = basis.n_scaling.copy()

@@ -39,6 +39,8 @@ class KernelConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "KernelConfig":
+        """Parse ``{"family": ..., <its scale key>: ...}``; the scale is
+        optional, and any other key is refused."""
         # Python's JSON parser raises a bare ValueError on an integer of more
         # than 4300 digits and RecursionError on deeply nested arrays.
         try:
@@ -47,23 +49,29 @@ class KernelConfig:
             raise InvalidInput(f"kernel config is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict) or "family" not in payload:
             raise InvalidInput('kernel config must be an object with a "family" key')
-        kwargs = {"family": payload["family"]}
-        for key in ("length_scale", "distance_scale"):
-            if key in payload:
-                try:
-                    kwargs[key] = float(payload[key])
-                except (TypeError, ValueError, OverflowError) as exc:
-                    raise InvalidInput(f"kernel {key} must be a number, "
-                                       f"got {payload[key]!r}") from exc
-        return cls(**kwargs)
+        family = cls(payload["family"]).family
+        key = _scale_key(family)
+        unread = sorted(payload.keys() - {"family", key})
+        if unread:
+            raise InvalidInput(f"kernel config key {unread[0]!r} is not read by family "
+                               f"{family!r}, which reads only \"family\" and {key!r}")
+        if key not in payload:
+            return cls(family)
+        try:
+            scale = float(payload[key])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidInput(f"kernel {key} must be a number, got {payload[key]!r}") from exc
+        return cls(family, **{key: scale})
 
     def to_json(self) -> str:
-        payload = {"family": self.family}
-        if self.family == SCALED_EXPONENTIAL:
-            payload["distance_scale"] = self.distance_scale
-        else:
-            payload["length_scale"] = self.length_scale
-        return json.dumps(payload, sort_keys=True)
+        key = _scale_key(self.family)
+        return json.dumps({"family": self.family, key: getattr(self, key)}, sort_keys=True)
+
+
+def _scale_key(family: str) -> str:
+    """The one scale a family reads: c for the scaled exponential, the
+    length scale otherwise."""
+    return "distance_scale" if family == SCALED_EXPONENTIAL else "length_scale"
 
 
 def kernel_radial(cfg: KernelConfig, r: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dpotrf
 from scipy.sparse.linalg import spilu, splu
 
-from .errors import InvalidInput, NonPositivePivot, ResourceLimit
+from .errors import InvalidInput, NonPositivePivot, allocate
 from .transform import inverse_transform_matrix
 
 
@@ -397,11 +397,7 @@ def _dense_buffer(n: int) -> np.ndarray:
 
     Raises ResourceLimit when the array cannot be allocated.
     """
-    try:
-        return np.zeros((n, n), order="F")
-    except (MemoryError, ValueError) as exc:  # ValueError: beyond the address space
-        raise ResourceLimit(f"a dense factor of order {n} needs {8 * n * n} bytes, "
-                            "more than can be allocated") from exc
+    return allocate(np.zeros, (n, n), f"a dense factor of order {n}", order="F")
 
 
 def _dense_cholesky(a: SparseSym, perm: Permutation):
@@ -500,11 +496,7 @@ def grf_buffer(n_samples: int, n: int) -> np.ndarray:
     """
     if n_samples < 0:
         raise InvalidInput(f"sample count must be nonnegative, got {n_samples}")
-    try:
-        return np.empty((n_samples, n))
-    except (MemoryError, ValueError) as exc:  # ValueError: beyond the address space
-        raise ResourceLimit(f"{n_samples} samples of {n} points need {8 * n_samples * n} "
-                            "bytes, more than can be allocated") from exc
+    return allocate(np.empty, (n_samples, n), f"{n_samples} samples of {n} points")
 
 
 def normal_stream(seed: int, stream: int, n: int) -> np.ndarray:

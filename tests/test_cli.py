@@ -272,6 +272,32 @@ class TestKernelCompressCommand:
         assert rc == 2
         assert "not UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, key", [
+        ({"family": "scaled-exponential", "length_scale": 0.1}, "length_scale"),
+        ({"family": "matern32", "lengthscale": 0.1}, "lengthscale"),
+    ], ids=["other-family-scale", "misspelt-scale"])
+    def test_unread_kernel_key_exit_code(self, tmp_path, points_1d, capsys, config, key):
+        kern = tmp_path / "unread.json"
+        kern.write_text(json.dumps(config))
+        out = tmp_path / "k.mtx"
+        rc = main(["kernel-compress", "--points", str(points_1d), "--kernel", str(kern),
+                   "--out", str(out)])
+        assert rc == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("degree, message", [("-1", "degree"), ("200", "allocated")])
+    def test_bad_interpolation_degree_exit_code(self, tmp_path, kernel_json, capsys,
+                                                degree, message):
+        # p = 200 in 3-D: 7 clusters' transfer matrices of 201**3 squared entries,
+        # 1.41 PiB, beyond any address space, so nothing is allocated
+        rc = main(["kernel-compress", "--gen", "uniform-cube", "--n", "64", "--dim", "3",
+                   "--seed", "1", "--kernel", str(kernel_json), "--p", degree,
+                   "--out", str(tmp_path / "k.mtx")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
     @pytest.mark.parametrize("ridge", ["0", "-1", "nan", "inf"])
     def test_bad_ridge_exit_code(self, tmp_path, kernel_json, capsys, monkeypatch, ridge):
         out = tmp_path / "k.mtx"
@@ -464,6 +490,24 @@ class TestInfoCommand:
     def test_grid_size_mismatch_rejected(self, capsys):
         assert main(["info", "--gen", "grid", "--n", "1000", "--dim", "2"]) == 2
         assert "1024" in capsys.readouterr().err
+
+    # every array lies beyond the 128 TiB user address space, so the tests
+    # allocate nothing, whatever the host's overcommit setting
+    @pytest.mark.parametrize("argv", [
+        ["--gen", "uniform-cube", "--n", str(10 ** 14), "--dim", "2", "--seed", "1"],
+        ["--gen", "grid", "--n", str(10 ** 14), "--dim", "2"],
+        ["--gen", "uniform-cube", "--n", str(2 ** 62), "--dim", "4", "--seed", "1"],
+    ], ids=["uniform-cube-1.42PiB", "grid-728TiB", "uniform-cube-beyond-int64"])
+    def test_unallocatable_point_count_exit_code(self, capsys, argv):
+        assert main(["info", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "allocated" in err
+
+    def test_grid_generator_beyond_numpys_dimension_limit(self, tmp_path):
+        rep = tmp_path / "info.json"
+        assert main(["info", "--gen", "grid", "--n", "1", "--dim", "100",
+                     "--report", str(rep)]) == 0
+        assert json.loads(rep.read_text())["dim"] == 100
 
 
 def _threshold_argv(command, points, data, tmp_path):

@@ -7,7 +7,8 @@ Each thread count runs in its own process, since OpenBLAS reads
 inverse transforms of 1 and 4 columns, with the input copied to each of
 ``BYTE_OFFSETS``.  For each of ``SETUP_CASES`` it also prints the SHA-256 of
 the set-up and the assembly: every two-scale matrix, every H^2 cluster basis
-V and the compressed kernel matrix K.
+V and the compressed kernel matrix K.  The leaf moments of one large 1-D
+leaf are compared across ``BYTE_OFFSETS`` in the test process itself.
 """
 
 import functools
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from samplets.basis import build_samplet_basis
+from samplets.basis import _monomials, build_samplet_basis, multi_indices
 from samplets.cluster_tree import PointCloud
 from samplets.h2 import (InterpolationScheme, assemble_compressed_kernel,
                          compute_multiscale_cluster_basis)
@@ -96,3 +97,14 @@ def test_setup_and_assembly_do_not_depend_on_threads(d, n):
     for what in ("Q", "V", "K"):
         key = f"{what} {d}-D {n}"
         assert runs[1][key] == runs[2][key], f"{key} depends on the thread count"
+
+
+def test_leaf_moments_do_not_depend_on_input_offset():
+    # NumPy runs ``**`` on a 1-D leaf of thousands of points through another
+    # inner loop than on a small one; the bits must still follow the values
+    # alone, not where the points lie in memory
+    points = np.random.default_rng(8192).uniform(-1, 1, size=(1, 8192, 1))
+    exponents = multi_indices(4, 1)
+    digests = {sha256(_monomials(at_offset(points, offset), exponents))
+               for offset in BYTE_OFFSETS}
+    assert len(digests) == 1, "the leaf moments depend on the points' byte offset"

@@ -29,13 +29,14 @@ def cluster_box(tree, c):
 
 
 def grid(b, p):
-    """Tensor Chebyshev grid of one box."""
-    return h2._tensor_grids(*b, p)[0]
+    """Tensor Chebyshev grid of one box, first axis slowest; shape ((p+1)^d, d)."""
+    axes = h2._chebyshev_axes(*b, p)[0]
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
 def lagrange(b, p, points):
     """Tensor Lagrange basis values of one box at the given points."""
-    return h2._lagrange_tensors(*b, p, np.asarray(points, float)[None])[0]
+    return h2._lagrange_tensors(h2._chebyshev_axes(*b, p), np.asarray(points, float)[None])[0]
 
 
 def v_of(basis, mb, c):
@@ -90,22 +91,27 @@ def expand_cluster_outputs(basis, cluster):
 
 class TestChebyshev:
     def test_p0_is_box_center(self):
-        pts = grid(box([0, 2], [4, 6]), 0)
-        np.testing.assert_allclose(pts, [[2.0, 4.0]])
+        axes = h2._chebyshev_axes(*box([0, 2], [4, 6]), 0)
+        np.testing.assert_allclose(axes, [[[2.0], [4.0]]])
 
     def test_p1_nodes_on_reference_interval(self):
-        pts = grid(box([-1], [1]), 1)
+        axes = h2._chebyshev_axes(*box([-1], [1]), 1)
         s = math.sqrt(2) / 2
-        np.testing.assert_allclose(pts.ravel(), [-s, s], atol=1e-15)
+        np.testing.assert_allclose(axes, [[[-s, s]]], atol=1e-15)
 
     def test_tensor_structure_2d(self):
-        pts = grid(box([-1, 0], [1, 1]), 1)
-        assert pts.shape == (4, 2)
+        # the basis at its own grid, listed first axis slowest, is the identity
+        b = box([-1, 0], [1, 1])
+        axis0, axis1 = h2._chebyshev_axes(*b, 1)[0]
         s = math.sqrt(2) / 2
-        axis0 = np.array([-s, s])
-        axis1 = 0.5 + 0.5 * axis0
-        expected = [[axis0[i], axis1[j]] for i in range(2) for j in range(2)]
-        np.testing.assert_allclose(pts, expected, atol=1e-15)
+        np.testing.assert_allclose(axis0, [-s, s], atol=1e-15)
+        np.testing.assert_allclose(axis1, 0.5 + 0.5 * axis0, atol=1e-15)
+        own_grid = [[axis0[i], axis1[j]] for i in range(2) for j in range(2)]
+        np.testing.assert_array_equal(lagrange(b, 1, own_grid), np.eye(4))
+        b3 = box([0, -1, 2], [1, 1, 5])
+        x, y, z = h2._chebyshev_axes(*b3, 2)[0]
+        own_grid = [[x[i], y[j], z[k]] for i in range(3) for j in range(3) for k in range(3)]
+        np.testing.assert_array_equal(lagrange(b3, 2, own_grid), np.eye(27))
 
     def test_polynomial_reproduction_through_interpolation(self):
         rng = np.random.default_rng(0)
@@ -141,6 +147,23 @@ class TestChebyshev:
         vals = lagrange(b, 2, [[1.0, 0.7]])
         assert vals.shape == (1, 9)
         assert abs(vals.sum() - 1.0) < 1e-12  # partition of unity survives
+
+
+class TestInterpolationScheme:
+    @pytest.mark.parametrize("d, p", [(1, 0), (2, 2), (3, 1)])
+    def test_one_leaf_tree_has_only_the_roots_nan_transfer(self, d, p):
+        rng = np.random.default_rng(d)
+        tree = build_cluster_tree(PointCloud(rng.uniform(-1, 1, size=(5, d))), leaf_size=8)
+        assert len(tree.clusters) == 1
+        scheme = InterpolationScheme.build(tree, p)
+        assert scheme.transfers.shape == (1, (p + 1) ** d, (p + 1) ** d)
+        assert np.isnan(scheme.transfers).all()
+        assert scheme.axes.shape == (1, d, p + 1)
+
+    def test_negative_degree_rejected(self):
+        tree = build_cluster_tree(PointCloud(np.zeros((3, 2))))
+        with pytest.raises(InvalidInput, match="degree"):
+            InterpolationScheme.build(tree, -1)
 
 
 class TestCoupling:

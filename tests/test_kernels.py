@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -51,6 +52,16 @@ class TestPointwise:
     def test_malformed_json_rejected(self, text):
         with pytest.raises(InvalidInput):
             KernelConfig.from_json(text)
+
+    @pytest.mark.parametrize("config, key", [
+        ({"family": "scaled-exponential", "length_scale": 0.1}, "length_scale"),
+        ({"family": "matern32", "lengthscale": 0.1}, "lengthscale"),
+        ({"family": "matern12", "length_scale": 1e-3, "distance_scale": 2}, "distance_scale"),
+        ({"family": "matern52", "name": "k"}, "name"),
+    ])
+    def test_keys_the_family_does_not_read_rejected(self, config, key):
+        with pytest.raises(InvalidInput, match=repr(key)):
+            KernelConfig.from_json(json.dumps(config))
 
     def test_unknown_family_rejected(self):
         with pytest.raises(InvalidInput):
@@ -121,6 +132,7 @@ class TestRadialShape:
         cfg = KernelConfig("scaled-exponential", distance_scale=10 / math.sqrt(2))
         again = KernelConfig.from_json(cfg.to_json())
         assert again == cfg
+        assert KernelConfig.from_json('{"family": "matern32"}') == KernelConfig("matern32")
         with pytest.raises(InvalidInput):
             KernelConfig.from_json("not json")
         with pytest.raises(InvalidInput):

@@ -7,13 +7,14 @@ product per cluster, and ``reference_monomials`` evaluates the monomials of
 one point set by the direct broadcast power.  ``reference_forward`` and
 ``reference_inverse`` transform with one product per cluster, depth-first.
 ``reference_transfers`` builds the H^2 transfer matrices as Kronecker
-products of one-axis Lagrange matrices, and ``reference_cluster_bases``
-builds every cluster's V as its own array.  The library must reproduce every
-tree array, every moment matrix, every two-scale matrix, every transform,
-every transfer matrix and every V bit for bit, dtypes included.  The stored
-layout is pinned too: one buffer holds all Q, one region per order, and each
-region holds its order's stacks, one per leaf size and one per tree level
-and pair of son scaling counts.
+products of one-axis Lagrange matrices, ``tensor_grid_transfers`` as the
+father's tensor Lagrange basis at the son's tensor grid, and
+``reference_cluster_bases`` builds every cluster's V as its own array.  The
+library must reproduce every tree array, every moment matrix, every
+two-scale matrix, every transform, every transfer matrix and every V bit for
+bit, dtypes included.  The stored layout is pinned too: one buffer holds all
+Q, one region per order, and each region holds its order's stacks, one per
+leaf size and one per tree level and pair of son scaling counts.
 """
 
 import hashlib
@@ -468,6 +469,23 @@ def reference_transfers(tree, p):
     return transfers
 
 
+def tensor_grid_transfers(tree, p):
+    """Transfer matrices of every son, indexed by cluster (NaN at the root):
+    the father's tensor Lagrange basis evaluated at the son's tensor grid,
+    first axis slowest."""
+    d = tree.lo.shape[1]
+    m = (p + 1) ** d
+    transfers = np.full((tree.begin.size, m, m), np.nan)
+    inner = np.flatnonzero(~tree.is_leaf)
+    fathers, sons = np.repeat(inner, 2), tree.sons[inner].ravel()
+    son = _chebyshev_axes(tree.lo[sons], tree.hi[sons], p)
+    digits = np.indices((p + 1,) * d).reshape(d, -1)
+    grids = np.stack([son[:, k, digits[k]] for k in range(d)], axis=2)
+    father = _chebyshev_axes(tree.lo[fathers], tree.hi[fathers], p)
+    transfers[sons] = _lagrange_tensors(father, grids).transpose(0, 2, 1)
+    return transfers
+
+
 def reference_cluster_bases(basis, p):
     """Every cluster's V as its own array, one level at a time, sons before
     fathers, with the transfer matrices of ``reference_transfers``."""
@@ -488,7 +506,8 @@ def reference_cluster_bases(basis, p):
         for (n,), pos in _groups(tree.size[leaves]):
             group = leaves[pos]
             points = coords[tree.begin[group][:, None] + np.arange(n)]
-            finish(group, _lagrange_tensors(tree.lo[group], tree.hi[group], p, points))
+            finish(group, _lagrange_tensors(_chebyshev_axes(tree.lo[group], tree.hi[group], p),
+                                            points))
         inner = at_level[~tree.is_leaf[at_level]]
         sons = tree.sons[inner]
         for (ns0, ns1), pos in _groups(n_scaling[sons[:, 0]], n_scaling[sons[:, 1]]):
@@ -542,3 +561,5 @@ def test_transfers_match_reference(d, p):
     tree = build_cluster_tree(PointCloud(coords), leaf_size=20)
     assert_same(InterpolationScheme.build(tree, p).transfers[1:],
                 reference_transfers(tree, p)[1:], "transfer matrices")
+    assert_same(InterpolationScheme.build(tree, p).transfers[1:],
+                tensor_grid_transfers(tree, p)[1:], "transfer matrices at the son grids")
