@@ -164,6 +164,10 @@ def _resolve_threshold(args, coeffs: CoefficientVector) -> float:
 
 
 def cmd_transform(args) -> int:
+    if args.inverse and (args.threshold is not None or args.threshold_rel is not None
+                         or not args.protect_scaling):
+        raise InvalidInput("--inverse takes no --threshold, --threshold-rel or "
+                           "--no-protect-scaling")
     cloud, data, basis = _load_data(args)
     report: dict = {"schema": SCHEMA_VERSION, "command": "transform",
                     "n": cloud.count, "dim": cloud.dim,

@@ -13,7 +13,10 @@ pair's kernel values on the two grids come from per-axis distances.  The
 cluster bases are built bottom-up over the basis's step stacks, the schedule
 of its build and of the transforms, into stacks of equal order laid out like
 the two-scale matrices: cluster c's V is row ``slot[c]`` of its order's
-stack, as its Q is of ``SampletBasis.q``.
+stack, as its Q is of ``SampletBasis.q``.  ``compute_multiscale_cluster_basis``
+returns these V stacks, and it is the only reader of the transfer matrices:
+the assembly keeps the V stacks and the axis points and releases the scheme,
+with its (C, (p+1)^d, (p+1)^d) transfer stack, before it evaluates any block.
 
 The matrix stores the samplet-samplet interactions of the inadmissible
 cluster pairs, plus the root's scaling rows and columns, and of these only
@@ -140,31 +143,25 @@ class InterpolationScheme:
         return cls(tree=tree, axes=axes, transfers=transfers)
 
 
-@dataclass(eq=False)
-class MultiscaleClusterBasis:
-    """Samplet-transformed nested cluster bases, stacked by cluster order.
+def compute_multiscale_cluster_basis(basis: SampletBasis,
+                                     scheme: InterpolationScheme) -> dict[int, np.ndarray]:
+    """Samplet-transformed nested cluster bases: the V stacks, by cluster order.
 
     A cluster's order is its number of outputs, ``SampletBasis.order``.
     Cluster c's V is ``v[basis.order[c]][basis.slot[c]]``, in the layout of
-    its two-scale matrix ``basis.q[basis.order[c]][basis.slot[c]]``: the
-    rows of V are c's scaling part V_phi followed by its samplet part
-    V_sigma, ordered like the columns of Q.
-    """
+    its two-scale matrix ``basis.q[basis.order[c]][basis.slot[c]]``: the rows
+    of V are c's scaling part V_phi followed by its samplet part V_sigma,
+    ordered like the columns of Q.  Only this pass reads the scheme's
+    transfer matrices.
 
-    scheme: InterpolationScheme
-    v: dict[int, np.ndarray]
-
-
-def compute_multiscale_cluster_basis(basis: SampletBasis,
-                                     scheme: InterpolationScheme) -> MultiscaleClusterBasis:
-    """Bottom-up pass over the basis's step stacks, in the order of the
-    forward pass, so sons come before fathers.  A leaf's V transforms its
-    Lagrange evaluations, a father's its sons' scaling parts mapped onto its
-    grid.  Each stack reads its two-scale matrices in place and writes its V
-    into the same run of the V stack of its order with one stacked product.
-    Every cluster's scaling part, mapped onto its father's grid, goes into
-    one array of ``basis._carried_rows``, where a father's input is one run
-    of rows from its first son's."""
+    Bottom-up pass over the basis's step stacks, in the order of the forward
+    pass, so sons come before fathers.  A leaf's V transforms its Lagrange
+    evaluations, a father's its sons' scaling parts mapped onto its grid.
+    Each stack reads its two-scale matrices in place and writes its V into
+    the same run of the V stack of its order with one stacked product.  Every
+    cluster's scaling part, mapped onto its father's grid, goes into one
+    array of ``basis._carried_rows``, where a father's input is one run of
+    rows from its first son's."""
     if scheme.tree is not basis.tree:
         raise InvalidInput("interpolation scheme was built for a different tree")
     tree, n_scaling = basis.tree, basis.n_scaling
@@ -184,7 +181,7 @@ def compute_multiscale_cluster_basis(basis: SampletBasis,
         if clusters[0] > 0:  # the root has no father
             lifted[first[clusters][:, None] + np.arange(ns)] = np.matmul(
                 out[:, :ns], scheme.transfers[clusters].transpose(0, 2, 1))
-    return MultiscaleClusterBasis(scheme=scheme, v=v)
+    return v
 
 
 @dataclass(frozen=True)
@@ -258,15 +255,14 @@ def _grid_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 class _Assembly:
     """Demand-driven block-list evaluation of one compressed kernel matrix."""
 
-    def __init__(self, basis: SampletBasis, mbasis: MultiscaleClusterBasis,
+    def __init__(self, basis: SampletBasis, v: dict[int, np.ndarray], axes: np.ndarray,
                  cfg: KernelConfig, eta: float, epsilon: float):
         tree = basis.tree
         self.cfg, self.eta, self.epsilon = cfg, eta, epsilon
-        self.tree, self.basis, self.v = tree, basis, mbasis.v
+        self.tree, self.basis, self.v, self.axes = tree, basis, v, axes
         self.n_clusters = len(tree.clusters)
         self.coords = tree.permuted_coords()
-        self.axes = mbasis.scheme.axes
-        self.grid_size = mbasis.scheme.transfers.shape[1]
+        self.grid_size = axes.shape[2] ** axes.shape[1]
         # The stored part of a block starts after the scaling rows/columns,
         # at the samplet offset; the root (index 0) stores its scaling ones too.
         self.skip = basis.n_scaling.copy()
@@ -280,18 +276,16 @@ class _Assembly:
 
         ``demand`` holds the keys of the pairs (leaf, col) that col's father
         reads; their blocks are returned as (keys, sizes, flat values).  A
-        small subtree is one batch.  A large one lists col's own column
+        small subtree is one batch, whose columns are the clusters whose
+        position range lies inside col's.  A large one lists col's own column
         first, so that the pairs it reads in its sons' columns are known, and
         passes them down as the sons' demand before evaluating col's column.
         """
         a = self.tree
         sons = a.sons[col]
         if sons[0] < 0 or a.size[col] <= _BATCH_POINTS:
-            columns, frontier = [], np.array([col])
-            while frontier.size:
-                columns.append(frontier)
-                frontier = a.sons[frontier[~a.is_leaf[frontier]]].ravel()
-            return self.evaluate(self.block_list(np.concatenate(columns), demand), None)
+            columns = np.flatnonzero((a.begin >= a.begin[col]) & (a.end <= a.end[col]))
+            return self.evaluate(self.block_list(columns, demand), None)
         levels = self.block_list(np.array([col]), demand)
         read = np.concatenate([keys[kind == GIVEN] for keys, kind, _, _ in levels])
         keys, sizes, values = (np.concatenate(part) for part in zip(
@@ -494,15 +488,20 @@ def assemble_compressed_kernel(basis: SampletBasis, cfg: KernelConfig,
     column subtree at a time; a large subtree's column passes the pairs it
     reads in its sons' columns down to their batches.  The same pass drops
     off-diagonal entries below ``epsilon``; diagonal entries are always kept.
-    The lower triangle is mirrored, so the result is exactly symmetric.
+    The lower triangle is mirrored, so the result is exactly symmetric.  The
+    interpolation scheme serves only to build the V stacks and is released
+    before the block evaluation, so its transfer stack adds nothing to the
+    evaluation's peak memory.
     """
     if not 0 <= epsilon < math.inf:
         raise InvalidInput(f"epsilon must be nonnegative and finite, got {epsilon}")
     if not eta > 0:
         raise InvalidInput(f"eta must be positive, got {eta}")
     start = time.perf_counter()
-    mbasis = compute_multiscale_cluster_basis(basis, InterpolationScheme.build(basis.tree, p))
-    assembly = _Assembly(basis, mbasis, cfg, eta, epsilon)
+    scheme = InterpolationScheme.build(basis.tree, p)
+    assembly = _Assembly(basis, compute_multiscale_cluster_basis(basis, scheme), scheme.axes,
+                         cfg, eta, epsilon)
+    del scheme  # frees the transfer stack before any block is evaluated
     assembly.run(0, np.empty(0, dtype=np.int64))
     rows, cols, vals = (np.concatenate(parts) for parts in zip(*assembly.triplets))
     matrix = SparseSym.from_triplets(basis.size, rows, cols, vals)

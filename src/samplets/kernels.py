@@ -40,7 +40,7 @@ class KernelConfig:
     @classmethod
     def from_json(cls, text: str) -> "KernelConfig":
         """Parse ``{"family": ..., <its scale key>: ...}``; the scale is
-        optional, and any other key is refused."""
+        optional and must be a JSON number, and any other key is refused."""
         # Python's JSON parser raises a bare ValueError on an integer of more
         # than 4300 digits and RecursionError on deeply nested arrays.
         try:
@@ -57,10 +57,14 @@ class KernelConfig:
                                f"{family!r}, which reads only \"family\" and {key!r}")
         if key not in payload:
             return cls(family)
+        value = payload[key]
+        # a JSON number parses to exactly int or float; true is a bool, "0.5" a str
+        if type(value) not in (int, float):
+            raise InvalidInput(f"kernel {key} must be a JSON number, got {value!r}")
         try:
-            scale = float(payload[key])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidInput(f"kernel {key} must be a number, got {payload[key]!r}") from exc
+            scale = float(value)
+        except OverflowError as exc:  # an integer beyond the float range
+            raise InvalidInput(f"kernel {key} must be a finite number, got {value!r}") from exc
         return cls(family, **{key: scale})
 
     def to_json(self) -> str:

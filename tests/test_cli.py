@@ -88,6 +88,24 @@ class TestTransformCommand:
                    "--threshold", "0.1", "--threshold-rel", "2"])
         assert rc == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--threshold-rel", "3"], ["--threshold", "-5"],
+        ["--threshold", "1", "--threshold-rel", "2"], ["--no-protect-scaling"],
+    ], ids=["relative", "negative", "both", "no-protect-scaling"])
+    def test_inverse_refuses_threshold_flags(self, tmp_path, points_1d, data_1d, capsys,
+                                             monkeypatch, flags):
+        def no_basis(*args, **kwargs):
+            raise AssertionError("the basis was built before the flags were checked")
+
+        monkeypatch.setattr(cli, "build_samplet_basis", no_basis)
+        out = tmp_path / "o.csv"
+        rc = main(["transform", "--points", str(points_1d), "--data", str(data_1d),
+                   "--out", str(out), "--inverse", *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--inverse" in err
+        assert not out.exists()
+
 
 class TestCompressCommand:
     def test_report_fields(self, tmp_path, points_1d, data_1d):
@@ -255,6 +273,18 @@ class TestKernelCompressCommand:
                    "--out", str(tmp_path / "k.mtx")])
         assert rc == 2
         assert "length_scale" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", [True, "0.5", " 0.5 ", None],
+                             ids=["bool", "string", "padded-string", "null"])
+    def test_scale_not_a_json_number_exit_code(self, tmp_path, points_1d, capsys, scale):
+        kern = tmp_path / "bad.json"
+        kern.write_text(json.dumps({"family": "matern12", "length_scale": scale}))
+        out = tmp_path / "k.mtx"
+        rc = main(["kernel-compress", "--points", str(points_1d), "--kernel", str(kern),
+                   "--out", str(out)])
+        assert rc == 2
+        assert "length_scale" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("scale", ["1" + "0" * 400, "1" + "0" * 5000],
                              ids=["float-overflow", "over-4300-digits"])

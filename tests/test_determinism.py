@@ -63,7 +63,7 @@ def print_digests() -> None:
         kernel = KernelConfig("scaled-exponential", distance_scale=10.0 / math.sqrt(d))
         k = assemble_compressed_kernel(basis, kernel, eta=1.25, p=3, epsilon=1e-4).matrix
         digests[f"Q {d}-D {n}"] = sha256(*(basis.q[r] for r in sorted(basis.q)))
-        digests[f"V {d}-D {n}"] = sha256(*(mbasis.v[r] for r in sorted(mbasis.v)))
+        digests[f"V {d}-D {n}"] = sha256(*(mbasis[r] for r in sorted(mbasis)))
         digests[f"K {d}-D {n}"] = sha256(k.indptr, k.indices, k.values)
     print(json.dumps(digests))
 

@@ -1,5 +1,6 @@
 import functools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ def lagrange(b, p, points):
 
 def v_of(basis, mb, c):
     """Cluster c's V, read from the stack of its order at the slot of its Q."""
-    return mb.v[basis.order[c]][basis.slot[c]]
+    return mb[basis.order[c]][basis.slot[c]]
 
 
 def coupling(cfg, a, b, p):
@@ -428,6 +429,29 @@ class TestAssembly:
         compressed = assemble_compressed_kernel(basis, KernelConfig("matern12"),
                                                 eta=np.inf, p=2, epsilon=1e-4)
         assert compressed.stats.visited_pairs == len(basis.tree.leaves) ** 2
+
+    def test_scheme_released_before_blocks_are_evaluated(self, monkeypatch):
+        # the transfer stack is read only by the cluster bases; the scheme
+        # that holds it must be unreachable once the block evaluation starts
+        build, run = h2.InterpolationScheme.build, h2._Assembly.run
+        schemes, runs = [], []
+
+        def recording_build(tree, p):
+            scheme = build(tree, p)
+            schemes.append(weakref.ref(scheme))
+            return scheme
+
+        def checked_run(self, col, demand):
+            assert schemes[0]() is None, "the interpolation scheme is still alive"
+            runs.append(col)
+            return run(self, col, demand)
+
+        monkeypatch.setattr(h2.InterpolationScheme, "build", staticmethod(recording_build))
+        monkeypatch.setattr(h2._Assembly, "run", checked_run)
+        monkeypatch.setattr(h2, "_BATCH_POINTS", 64)
+        basis = uniform_case(2, 300, 4)()
+        assemble_compressed_kernel(basis, KernelConfig("matern32"), eta=1.25, p=2, epsilon=0.0)
+        assert len(schemes) == 1 and len(runs) > 1
 
     def test_golden_matrix(self):
         # nnz_lower and the Frobenius norm of the memoised block recursion

@@ -63,6 +63,18 @@ class TestPointwise:
         with pytest.raises(InvalidInput, match=repr(key)):
             KernelConfig.from_json(json.dumps(config))
 
+    @pytest.mark.parametrize("scale", [True, False, "0.5", " 0.5 ", None],
+                             ids=["true", "false", "string", "padded-string", "null"])
+    @pytest.mark.parametrize("family, key", [("matern12", "length_scale"),
+                                             ("scaled-exponential", "distance_scale")])
+    def test_scale_must_be_a_json_number(self, family, key, scale):
+        with pytest.raises(InvalidInput, match=key):
+            KernelConfig.from_json(json.dumps({"family": family, key: scale}))
+
+    def test_integer_scale_accepted(self):
+        assert KernelConfig.from_json('{"family": "matern12", "length_scale": 2}') == \
+            KernelConfig("matern12", length_scale=2.0)
+
     def test_unknown_family_rejected(self):
         with pytest.raises(InvalidInput):
             KernelConfig("cauchy")

@@ -548,7 +548,7 @@ def test_cluster_bases_match_reference(case):
     q_of, order, slot = q_matrices(basis), basis.order, basis.slot
     for c in tree.clusters:
         assert_same(basis.q[order[c]][slot[c]], q_of[c], f"Q of cluster {c}")
-        assert_same(mb.v[order[c]][slot[c]], v[c], f"V of cluster {c}")
+        assert_same(mb[order[c]][slot[c]], v[c], f"V of cluster {c}")
 
 
 @pytest.mark.parametrize("p", [0, 1, 2, 3, 5])
