@@ -10,6 +10,11 @@ stored.  A leaf's interpolation data are its box's tensor Lagrange basis at
 its points, a son's transfer matrix is the Kronecker product over the axes of
 its father's one-axis Lagrange matrices at the son's axis points, and a far
 pair's kernel values on the two grids come from per-axis distances.  The
+one-axis Lagrange basis is evaluated as a product of ratios of coordinate
+differences, so it is exact at the nodes, and scaling the points by a power
+of two (with the kernel's length) leaves every ratio, and so every transfer
+matrix, V and K, unchanged bit for bit; an axis on which a box has collapsed,
+so that two of its nodes coincide, is interpolated by a constant.  The
 cluster bases are built bottom-up over the basis's step stacks, the schedule
 of its build and of the transforms, into stacks of equal order laid out like
 the two-scale matrices: cluster c's V is row ``slot[c]`` of its order's
@@ -52,8 +57,6 @@ from .kernels import KernelConfig, dense_kernel_matrix, kernel_radial
 from .sparse import SparseSym
 from .transform import forward_transform_matrix
 
-_DEGENERATE_WIDTH = 1e-300
-
 
 def _chebyshev_axes(lo: np.ndarray, hi: np.ndarray, p: int) -> np.ndarray:
     """p+1 ascending Chebyshev points of the first kind on each interval
@@ -64,33 +67,31 @@ def _chebyshev_axes(lo: np.ndarray, hi: np.ndarray, p: int) -> np.ndarray:
 
 
 def _lagrange(nodes: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Barycentric Lagrange basis values for stacks of node sets.
+    """Lagrange basis values for stacks of ascending node sets.
 
     ``nodes`` has shape (n, m) and ``targets`` (n, t); the result has shape
-    (n, t, m).  Collapsed node sets (zero-width axis) fall back to constant
-    interpolation: the first basis function is 1, the others 0.
+    (n, t, m).  Basis function j at t is the product over k != j of the
+    ratios (t - x_k) / (x_j - x_k), multiplied one ratio at a time in
+    ascending k.  A ratio does not change when nodes and targets are scaled
+    by a power of two, so neither does the result, for boxes of any width
+    whose differences stay normal numbers.  At t = x_j every ratio is exactly
+    1, and at another node one factor is exactly 0, so the nodes are
+    reproduced exactly; for m = 1 the product is empty and the value 1.  A
+    node set in which two nodes coincide (an axis on which the box has
+    collapsed) falls back to constant interpolation: the first basis
+    function is 1, the others 0.
     """
     n, m = nodes.shape
-    out = np.zeros((n, targets.shape[1], m))
-    if m == 1:
-        out[..., 0] = 1.0
-        return out
-    others = np.array([[k for k in range(m) if k != j] for j in range(m)])
-    gaps = nodes[:, :, None] - nodes[:, others]
+    out = np.ones((n, targets.shape[1], m))
     with np.errstate(divide="ignore", invalid="ignore"):
-        prod = gaps[..., 0]
-        for k in range(1, m - 1):
-            prod = prod * gaps[..., k]
-        weights = 1.0 / prod
-        diff = targets[:, :, None] - nodes[:, None, :]
-        exact = diff == 0.0
-        terms = weights[:, None, :] / np.where(exact, 1.0, diff)
-        out[:] = terms / terms.sum(axis=2, keepdims=True)
-    hit = exact.any(axis=2)
-    out[hit] = exact[hit]
-    degenerate = np.ptp(nodes, axis=1) <= _DEGENERATE_WIDTH
-    out[degenerate] = 0.0
-    out[degenerate, :, 0] = 1.0
+        for k in range(m):
+            ratio = ((targets - nodes[:, k, None])[:, :, None]
+                     / (nodes - nodes[:, k, None])[:, None, :])
+            ratio[:, :, k] = 1.0  # basis function k has no factor k
+            out *= ratio
+    collapsed = (np.diff(nodes, axis=1) == 0).any(axis=1)
+    out[collapsed] = 0.0
+    out[collapsed, :, 0] = 1.0
     return out
 
 
@@ -447,13 +448,13 @@ class _Assembly:
 
         ``f`` is the stored part of each block: its samplet rows and columns
         (the root's: all of them), f[skip_r:, skip_c:], with the same skips
-        throughout the stack.  Entries with |value| >= epsilon are kept, and
-        a diagonal block (nu = col) keeps its strict lower triangle plus its
-        whole diagonal.
+        throughout the stack.  Entries whose size is not below epsilon are
+        kept, a NaN too, so that the assembly can refuse it; a diagonal block
+        (nu = col) keeps its strict lower triangle plus its whole diagonal.
         """
         which = np.flatnonzero(stored)
         part, nu, col = f[which], nu[which], col[which]
-        keep = np.abs(part) >= self.epsilon
+        keep = ~(np.abs(part) < self.epsilon)
         diagonal = np.flatnonzero(nu == col)
         if diagonal.size:
             m = part.shape[1]
@@ -488,6 +489,8 @@ def assemble_compressed_kernel(basis: SampletBasis, cfg: KernelConfig,
     column subtree at a time; a large subtree's column passes the pairs it
     reads in its sons' columns down to their batches.  The same pass drops
     off-diagonal entries below ``epsilon``; diagonal entries are always kept.
+    A non-finite entry is never dropped: it raises ``InvalidInput``, as do
+    points whose root box is too wide for its squared diameter to be finite.
     The lower triangle is mirrored, so the result is exactly symmetric.  The
     interpolation scheme serves only to build the V stacks and is released
     before the block evaluation, so its transfer stack adds nothing to the
@@ -497,6 +500,9 @@ def assemble_compressed_kernel(basis: SampletBasis, cfg: KernelConfig,
         raise InvalidInput(f"epsilon must be nonnegative and finite, got {epsilon}")
     if not eta > 0:
         raise InvalidInput(f"eta must be positive, got {eta}")
+    if not math.isfinite(basis.tree.diameter[0]):
+        raise InvalidInput("the points span more than about 1e154: their squared distances "
+                           "overflow")
     start = time.perf_counter()
     scheme = InterpolationScheme.build(basis.tree, p)
     assembly = _Assembly(basis, compute_multiscale_cluster_basis(basis, scheme), scheme.axes,
@@ -504,6 +510,8 @@ def assemble_compressed_kernel(basis: SampletBasis, cfg: KernelConfig,
     del scheme  # frees the transfer stack before any block is evaluated
     assembly.run(0, np.empty(0, dtype=np.int64))
     rows, cols, vals = (np.concatenate(parts) for parts in zip(*assembly.triplets))
+    if not np.isfinite(vals).all():
+        raise InvalidInput(f"kernel {cfg.to_json()} gives non-finite values on these points")
     matrix = SparseSym.from_triplets(basis.size, rows, cols, vals)
     stats = AssemblyStats(visited_pairs=assembly.visited_pairs,
                           assembly_seconds=time.perf_counter() - start,

@@ -175,8 +175,11 @@ def write_matrix_market(path, a: SparseSym) -> None:
     Each stored entry is written once; readers of the format mirror the
     strictly lower entries.  Entries go out in column-major order, each value
     as the shortest string that reads back to the same double (for example
-    ``1.4281303977065004E1``).
+    ``1.4281303977065004E1``).  Non-finite values are refused, as the
+    reader refuses them.
     """
+    if not np.isfinite(a.values).all():
+        raise InvalidInput(f"{path}: matrix entries must be finite")
     lower = sp.csc_matrix((a.values, a.indices, a.indptr), shape=(a.n, a.n))
     # SciPy appends ".mtx" to a path without that suffix, so hand it a handle.
     with open(path, "wb") as fh:

@@ -245,7 +245,9 @@ def _natural_lu(mat: sp.csc_matrix):
     Raises NonPositivePivot at the first column of the elimination whose pivot
     is not positive.  SuperLU does not say where an exactly singular factor
     broke down, but leading blocks share the pivots of the full elimination,
-    so the smallest singular leading block ends at the zero pivot.
+    so the smallest singular leading block ends at the zero pivot.  SuperLU
+    also calls a NaN pivot exactly singular, so the pivot is reported as NaN
+    when that block holds a non-finite entry.
     """
     n = mat.shape[0]
     factored = _leading_lu(mat, n)
@@ -258,7 +260,7 @@ def _natural_lu(mat: sp.csc_matrix):
             hi = mid
         else:
             lo = mid + 1
-    raise NonPositivePivot(lo - 1, 0.0)
+    raise NonPositivePivot(lo - 1, 0.0 if np.isfinite(mat[:lo, :lo].data).all() else np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -350,27 +352,28 @@ class CholeskyFactor:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve A x = b where A is the matrix this factor was computed from.
 
-        ``b`` is an n-vector or an (n, k) array of right-hand sides.  Raises
-        InvalidInput when it has another row count, or when either
-        substitution gives a value that is not finite, such as an overflow on
-        a nearly singular factor.
+        ``b`` is a real n-vector or a real (n, k) array of right-hand sides.
+        Raises InvalidInput for any other shape or a complex ``b``, or when
+        either substitution gives a value that is not finite, such as an
+        overflow on a nearly singular factor.
         """
-        y = self.solve_lower(self._right_hand_side(b)[self.perm.order])
-        y = self.solve_lower_transpose(y)
-        return y[self.perm.rank]
+        y = self._substitute(self._right_hand_side(b)[self.perm.order], "N")
+        return self._substitute(y, "T")[self.perm.rank]
 
     def _right_hand_side(self, b: np.ndarray) -> np.ndarray:
-        """``b`` as float64; InvalidInput unless it has n rows."""
-        b = np.asarray(b, dtype=np.float64)
-        if b.shape[:1] != (self.n,):
-            raise InvalidInput(f"right-hand side of shape {b.shape} does not match a "
-                               f"factor of order {self.n}")
-        return b
+        """``b`` as float64; InvalidInput unless it is a real n-vector or a
+        real (n, k) array."""
+        b = np.asarray(b)
+        if np.iscomplexobj(b) or b.ndim not in (1, 2) or b.shape[0] != self.n:
+            raise InvalidInput(f"right-hand side of shape {b.shape} and type {b.dtype} does "
+                               f"not match a factor of order {self.n}, which solves a real "
+                               f"{self.n}-vector or a real ({self.n}, k) array")
+        return b.astype(np.float64, copy=False)
 
     def _substitute(self, b: np.ndarray, trans: str) -> np.ndarray:
-        """One triangular solve; a right-hand side without n rows or a
-        non-finite result raises InvalidInput."""
-        x = self._triangular_lu.solve(self._right_hand_side(b), trans=trans)
+        """One triangular solve of a checked right-hand side; a non-finite
+        result raises InvalidInput."""
+        x = self._triangular_lu.solve(b, trans=trans)
         if not np.isfinite(x).all():
             raise InvalidInput("a triangular solve with the factor gave a non-finite "
                                "result")
@@ -378,11 +381,11 @@ class CholeskyFactor:
 
     def solve_lower(self, b: np.ndarray) -> np.ndarray:
         """Forward substitution L y = b (in permuted coordinates)."""
-        return self._substitute(b, "N")
+        return self._substitute(self._right_hand_side(b), "N")
 
     def solve_lower_transpose(self, b: np.ndarray) -> np.ndarray:
         """Backward substitution L^T x = b (in permuted coordinates)."""
-        return self._substitute(b, "T")
+        return self._substitute(self._right_hand_side(b), "T")
 
 
 def cholesky_method(a: SparseSym) -> str:

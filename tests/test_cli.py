@@ -573,6 +573,45 @@ class TestNonFiniteParameters:
         assert not metrics.exists()
 
 
+class TestNonFiniteKernelValues:
+    """kernel-compress and grf exit 2, with no output, when a kernel value is
+    not finite or the points span too far for their squared distances."""
+
+    @staticmethod
+    def wide_points(tmp_path):
+        rng = np.random.default_rng(3)
+        coords = np.vstack([rng.uniform(0, 1e159, size=(100, 2)),
+                            1e160 + rng.uniform(0, 1e159, size=(100, 2))])
+        path = tmp_path / "wide.csv"
+        sio.write_points_csv(path, PointCloud(coords))
+        return ["--points", str(path)]
+
+    @pytest.mark.parametrize("command", ["kernel-compress", "grf"])
+    @pytest.mark.parametrize("case", ["tiny-length-scale", "wide-points"])
+    def test_exit_code_and_no_output(self, tmp_path, capsys, command, case):
+        if case == "tiny-length-scale":
+            config = {"family": "matern32", "length_scale": 1e-320}
+            points = ["--gen", "uniform-cube", "--n", "64", "--dim", "2"]
+            word = "non-finite"
+        else:
+            config = {"family": "matern12", "length_scale": 1e160}
+            points = self.wide_points(tmp_path)
+            word = "1e154"
+        kern = tmp_path / "kernel.json"
+        kern.write_text(json.dumps(config))
+        out = {"kernel-compress": ["--out", str(tmp_path / "K.mtx")],
+               "grf": ["--out-prefix", str(tmp_path / "f")]}[command]
+        metrics = tmp_path / "m.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main([command, *points, "--seed", "1", "--kernel", str(kern),
+                       "--metrics", str(metrics), *out])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert word in err and err.count("\n") == 1
+        assert not metrics.exists()
+        assert not (tmp_path / "K.mtx").exists() and not list(tmp_path.glob("f_*"))
+
+
 class TestMalformedFiles:
     def test_binary_points_with_partial_value_exit_code(self, tmp_path, data_1d, capsys):
         pts = tmp_path / "pts.bin"

@@ -143,6 +143,31 @@ class TestChebyshev:
                                        lagrange(cluster_box(tree, son), p, x)
                                        @ transfers[son].T, atol=1e-10)
 
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("exponent", [-300, -100, 100, 300])
+    def test_monomials_reproduced_on_boxes_of_any_width(self, p, exponent):
+        # the box [3w, 4w] of width w = 2^exponent, where barycentric weights
+        # of size w^-p would overflow or underflow
+        w = 2.0 ** exponent
+        lo, hi = np.array([3.0 * w]), np.array([4.0 * w])
+        nodes = h2._chebyshev_axes(lo, hi, p)
+        ref = np.linspace(-1.0, 1.0, 41)
+        targets = 3.5 * w + 0.5 * w * ref
+        values = h2._lagrange(nodes, targets[None])[0]
+        assert np.isfinite(values).all()
+        node_ref = (nodes[0] - 3.5 * w) / (0.5 * w)
+        for degree in range(p + 1):
+            np.testing.assert_allclose(values @ node_ref ** degree, ref ** degree,
+                                       rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("lo, hi", [(2.5, 2.5), (1.0, 1.0 + 2.0 ** -52)],
+                             ids=["zero-width", "one-ulp-wide"])
+    def test_collapsed_node_set_is_constant(self, lo, hi):
+        # two or more of the box's p+1 nodes coincide
+        nodes = h2._chebyshev_axes(np.array([lo]), np.array([hi]), 3)
+        values = h2._lagrange(nodes, np.array([[lo, hi, 7.0]]))
+        np.testing.assert_array_equal(values, [[[1.0, 0.0, 0.0, 0.0]] * 3])
+
     def test_degenerate_axis_constant_convention(self):
         b = box([1.0, 0.0], [1.0, 2.0])  # zero width on axis 0
         vals = lagrange(b, 2, [[1.0, 0.7]])
@@ -463,6 +488,49 @@ class TestAssembly:
         assert compressed.matrix.nnz_lower == 34350
         assert compressed.matrix.frobenius_norm() == pytest.approx(48.85745230154519,
                                                                    rel=1e-12)
+
+    @pytest.mark.parametrize("p", [3, 15])
+    @pytest.mark.parametrize("family", ["scaled-exponential", "matern32"])
+    def test_scaling_by_a_power_of_two_gives_the_same_matrix(self, family, p):
+        # points times 2^k with the kernel's length times 2^k: every ratio
+        # the assembly forms is unchanged, so K is bit for bit the same
+        points = np.random.default_rng(5).uniform(size=(300, 2))
+
+        def compressed(k):
+            if family == "scaled-exponential":
+                cfg = KernelConfig(family, distance_scale=5.0 * 2.0 ** -k)
+            else:
+                cfg = KernelConfig(family, length_scale=0.4 * 2.0 ** k)
+            basis = build_samplet_basis(PointCloud(points * 2.0 ** k), q=2)
+            return assemble_compressed_kernel(basis, cfg, p=p, epsilon=1e-4).matrix
+
+        want = compressed(0)
+        for k in (-250, -100, 100, 250):
+            got = compressed(k)
+            for name in ("indptr", "indices", "values"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    def test_non_finite_kernel_values_are_refused(self):
+        # r / length_scale overflows, and the Matern factor (1 + s) e^-s is inf * 0
+        basis = uniform_case(2, 64, 1, q=2)()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidInput, match="matern32.*non-finite"):
+                assemble_compressed_kernel(basis, KernelConfig("matern32",
+                                                               length_scale=1e-320))
+
+    def test_points_whose_squared_distances_overflow_are_refused(self):
+        rng = np.random.default_rng(3)
+        points = np.vstack([rng.uniform(0, 1e159, size=(100, 2)),
+                            1e160 + rng.uniform(0, 1e159, size=(100, 2))])
+        with np.errstate(over="ignore"):  # the root's squared diameter
+            basis = build_samplet_basis(PointCloud(points), q=2)
+        with pytest.raises(InvalidInput, match="1e154"):
+            assemble_compressed_kernel(basis, KernelConfig("matern12", length_scale=1e160))
+        scale = 2.0 ** -600  # the same geometry, with distances in range
+        basis = build_samplet_basis(PointCloud(points * scale), q=2)
+        k = assemble_compressed_kernel(basis, KernelConfig("matern12",
+                                                           length_scale=1e160 * scale))
+        assert np.isfinite(k.matrix.values).all() and k.matrix.nnz_lower > 200
 
     @pytest.mark.parametrize("epsilon", [-1e-3, np.nan, np.inf])
     def test_bad_epsilon_rejected(self, epsilon):

@@ -391,6 +391,16 @@ class TestMatrixMarket:
         again = sio.read_matrix_market(path)
         np.testing.assert_array_equal(again.to_dense(), np.diag([4.0, 3.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_not_written(self, tmp_path, bad):
+        # the reader refuses them, so the writer does too, before opening the file
+        a = SparseSym.from_triplets(2, np.array([0, 1, 1]), np.array([0, 0, 1]),
+                                    np.array([1.0, bad, 2.0]))
+        path = tmp_path / "k.mtx"
+        with pytest.raises(InvalidInput, match="finite"):
+            sio.write_matrix_market(path, a)
+        assert not path.exists()
+
     def test_writes_exactly_the_given_path(self, tmp_path):
         sio.write_matrix_market(tmp_path / "k.txt", SparseSym.from_dense(np.eye(2)))
         assert [p.name for p in tmp_path.iterdir()] == ["k.txt"]

@@ -372,14 +372,26 @@ class TestCholesky:
                 sparse_cholesky(a)
             assert (err.value.column, err.value.value) == (column, value)
 
-    @pytest.mark.parametrize("diagonal, column", [
+    NAN_PIVOTS = [
         ([1.0, np.nan], 1),
         ([np.nan, 1.0, -1.0], 0),   # potrf stops at column 2; the NaN comes first
         ([1.0, 1.0, np.nan, 1.0], 2),
-    ])
+    ]
+
+    @pytest.mark.parametrize("diagonal, column", NAN_PIVOTS)
     def test_nan_pivot_reported_on_the_dense_path(self, diagonal, column):
         a = SparseSym.from_dense(np.diag(diagonal))
         assert cholesky_method(a) == "dense"
+        with pytest.raises(NonPositivePivot) as err:
+            sparse_cholesky(a)
+        assert err.value.column == column
+        assert np.isnan(err.value.value)
+
+    @pytest.mark.parametrize("diagonal, column", NAN_PIVOTS)
+    def test_nan_pivot_reported_on_the_sparse_path(self, diagonal, column):
+        # SuperLU calls a NaN pivot exactly singular; the bisection finds its column
+        a = padded(np.diag(diagonal))
+        assert cholesky_method(a) == "sparse"
         with pytest.raises(NonPositivePivot) as err:
             sparse_cholesky(a)
         assert err.value.column == column
@@ -478,11 +490,18 @@ class TestCholesky:
         with pytest.raises(InvalidInput, match="non-finite"):
             factor.solve(ones)
 
-    @pytest.mark.parametrize("shape", [(5,), (2,), (2, 4), (4, 1), ()])
+    @pytest.mark.parametrize("shape", [(5,), (2,), (2, 4), (4, 1), (), (3, 2, 2)])
     def test_solve_rejects_a_right_hand_side_of_the_wrong_length(self, shape):
         factor = sparse_cholesky(SparseSym.from_dense(np.diag([4.0, 9.0, 16.0])))
         with pytest.raises(InvalidInput, match="does not match a factor of order 3"):
             factor.solve(np.ones(shape))
+
+    @pytest.mark.parametrize("half", ["solve", "solve_lower", "solve_lower_transpose"])
+    @pytest.mark.parametrize("shape", [(3,), (3, 2)])
+    def test_a_complex_right_hand_side_is_refused(self, half, shape):
+        factor = sparse_cholesky(SparseSym.from_dense(np.diag([4.0, 9.0, 16.0])))
+        with pytest.raises(InvalidInput, match="complex128 does not match"):
+            getattr(factor, half)(np.full(shape, 1.0 + 2.0j))
 
     @pytest.mark.parametrize("half", ["solve_lower", "solve_lower_transpose"])
     @pytest.mark.parametrize("length", [5, 2])
