@@ -21,11 +21,14 @@ one stack per leaf size and one per tree level and pair of son scaling
 counts, each a contiguous run.  Taken in the order of the forward pass (the
 leaf stacks, then the interior stacks, finest level first) every son's
 stack comes before its father's, so these stacks are the one bottom-up
-schedule: the build walks them with stacked QRs under a byte budget, the
-transforms multiply each in one call (``SampletBasis.steps``; 13 stacks at
-N = 2^16 in 2-D), and the H^2 cluster bases follow them too.  The H^2
-assembly reads the same buffer, a cluster's Q through its order's region
-and its row there (``SampletBasis.q`` and ``slot``).
+schedule, ``SampletBasis.steps`` (13 steps at N = 2^16 in 2-D), with one
+row layout: the transforms' work buffer of the N coefficients, then every
+cluster's scaling coefficients.  The build walks it with stacked QRs under
+a byte budget, the transforms multiply each step in one call, and the H^2
+cluster bases follow it too; the build and the H^2 bases carry their
+scaling data in the scaling region of that buffer.  The H^2 assembly reads
+the same Q buffer, a cluster's Q through its order's region and its row
+there (``SampletBasis.q`` and ``slot``).
 """
 
 from __future__ import annotations
@@ -187,11 +190,11 @@ class SampletBasis:
     Global coefficient ordering: indices 0..n_scaling[0]-1 address the root
     scaling functions; samplets follow grouped per cluster in breadth-first
     (coarse-to-fine) tree order, cluster c's starting at ``samplet_offset[c]``.
-    ``leaf_stacks`` holds one (leaves, Q stack) pair per leaf size, leaves
-    ascending; ``interior_stacks`` holds one (fathers, Q stack) pair per
-    tree level and pair of son scaling counts, finest level first, and
-    fathers ascending within it.  Every stack is a run of consecutive rows
-    of its order's view, and the views tile one buffer, orders ascending.
+    ``stacks`` holds one (clusters, Q stack) pair per step of the forward
+    pass: one per leaf size, leaves ascending, then one per tree level and
+    pair of son scaling counts, finest level first, fathers ascending within
+    it.  Every stack is a run of consecutive rows of its order's view, and
+    the views tile one buffer, orders ascending.
     """
 
     tree: ClusterTree
@@ -201,8 +204,7 @@ class SampletBasis:
     samplet_offset: np.ndarray
     q: dict[int, np.ndarray]
     slot: np.ndarray
-    leaf_stacks: list[tuple[np.ndarray, np.ndarray]]
-    interior_stacks: list[tuple[np.ndarray, np.ndarray]]
+    stacks: list[tuple[np.ndarray, np.ndarray]]
 
     @property
     def size(self) -> int:
@@ -224,35 +226,14 @@ class SampletBasis:
         return self.n_scaling + self.n_samplets
 
     @cached_property
-    def steps(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """One step per stored Q stack (b, n, n), in the order of the forward
-        pass: ``leaf_stacks``, then ``interior_stacks``.  A step holds the
-        stack, its clusters' input rows (b, n) and their output rows (b, n).
-
-        The rows index the transforms' work buffer: the N coefficients in
-        global order, then every cluster's scaling coefficients in cluster
-        order, so brothers' rows are adjacent.  The root's scaling functions
-        are basis elements, and its scaling rows are coefficients 0..ns-1.
-        A cluster's output rows are its scaling rows, then its samplets'.
-        A leaf's input rows are its points' tree positions, which index the
-        data in tree order; a father's are its sons' scaling rows, one run
-        from the first son's.
-        """
-        tree, n_scaling = self.tree, self.n_scaling
-        scaling_row = self.size + np.cumsum(n_scaling) - n_scaling
-        scaling_row[0] = 0
-        steps = []
-        for clusters, q in self.leaf_stacks + self.interior_stacks:
-            n, ns = q.shape[-1], int(n_scaling[clusters[0]])
-            if tree.is_leaf[clusters[0]]:
-                rows = tree.begin[clusters][:, None] + np.arange(n)
-            else:
-                rows = scaling_row[tree.sons[clusters, 0]][:, None] + np.arange(n)
-            outputs = np.concatenate((scaling_row[clusters][:, None] + np.arange(ns),
-                                      self.samplet_offset[clusters][:, None] + np.arange(n - ns)),
-                                     axis=1)
-            steps.append((q, rows, outputs))
-        return steps
+    def steps(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """One step per stored stack, in the order of the forward pass: its
+        clusters, its Q stack (b, n, n) and their input and output rows
+        (b, n) from ``_step_rows``."""
+        rows = _step_rows(self.tree, self.n_scaling, self.samplet_offset,
+                          [clusters for clusters, _ in self.stacks])
+        return [(clusters, q, inputs, outputs)
+                for (clusters, q), (inputs, outputs) in zip(self.stacks, rows)]
 
 
 def _groups(*keys: np.ndarray):
@@ -289,21 +270,32 @@ def _check_moment_size(tree: ClusterTree, spec: MomentSpec) -> None:
             f"{largest_leaf} points); lower q, q_leaf or the leaf size")
 
 
-def _carried_rows(tree: ClusterTree, n_scaling: np.ndarray) -> np.ndarray:
-    """Each cluster's first row in an array with one row per tree position,
-    which carries data of scaling functions up the tree: ``n_scaling[c]``
-    rows from there are cluster c's.
+def _step_rows(tree: ClusterTree, n_scaling: np.ndarray, samplet_offset: np.ndarray,
+               groups: list[np.ndarray]):
+    """Yield the input rows (b, n) and output rows (b, n) of each group of b
+    clusters of one order n, a step of the bottom-up schedule.
 
-    A cluster has at most as many scaling functions as points, so its rows
-    lie in its own range of positions: a left son's end where its range
-    ends, any other cluster's start where its range starts.  Brothers' rows
-    are then one run, and a father, done after its sons, overwrites only
-    rows its sons carried up to it.
+    The rows index the transforms' work buffer: the N coefficients in
+    global order, then every cluster's scaling coefficients in cluster
+    order, so brothers' rows are adjacent.  The root's scaling functions
+    are basis elements, and its scaling rows are coefficients 0..ns-1.
+    A cluster's output rows are its scaling rows, then its samplets'.
+    A leaf's input rows are its points' tree positions, which index the
+    data in tree order; a father's are its sons' scaling rows, one run
+    from the first son's.
     """
-    first = tree.begin.copy()
-    left = tree.sons[~tree.is_leaf, 0]
-    first[left] = tree.end[left] - n_scaling[left]
-    return first
+    scaling_row = tree.cloud.count + np.cumsum(n_scaling) - n_scaling
+    scaling_row[0] = 0
+    for clusters in groups:
+        c = clusters[0]
+        ns = n_scaling[c]
+        if tree.is_leaf[c]:
+            first, n = tree.begin[clusters], tree.size[c]
+        else:
+            first, n = scaling_row[tree.sons[clusters, 0]], n_scaling[tree.sons[c]].sum()
+        yield first[:, None] + np.arange(n), np.concatenate(
+            (scaling_row[clusters][:, None] + np.arange(ns),
+             samplet_offset[clusters][:, None] + np.arange(n - ns)), axis=1)
 
 
 def _counts(tree: ClusterTree, m_q: int, m_leaf: int) -> tuple[np.ndarray, np.ndarray]:
@@ -361,8 +353,8 @@ def construct_basis(tree: ClusterTree, spec: MomentSpec) -> SampletBasis:
     ``_STACK_BYTES``, with one stacked QR and one stacked product each;
     every cluster gets the bits of a decomposition of its own matrix.  Each
     chunk's QR is copied into its clusters' rows of the stored stack, and
-    the moments it exports upward into one array of ``_carried_rows``, so
-    that no view holds a chunk's full product alive.
+    the moments it exports upward into the scaling region of the rows of
+    ``_step_rows``, so that no view holds a chunk's full product alive.
     """
     if spec.dim != tree.cloud.dim:
         raise InvalidInput(f"moment spec dim {spec.dim} != cloud dim {tree.cloud.dim}")
@@ -375,7 +367,6 @@ def construct_basis(tree: ClusterTree, spec: MomentSpec) -> SampletBasis:
 
     leaves, inner = tree.leaves, np.flatnonzero(~tree.is_leaf)
     groups = [leaves[pos] for _, pos in _groups(tree.size[leaves])]
-    n_leaf_stacks = len(groups)
     groups += [inner[pos] for _, pos in _groups(-tree.level[inner],
                                                 n_scaling[tree.sons[inner, 0]],
                                                 n_scaling[tree.sons[inner, 1]])]
@@ -394,33 +385,33 @@ def construct_basis(tree: ClusterTree, spec: MomentSpec) -> SampletBasis:
         start += count * r * r
     stacks = [q[int(columns[g[0]])][slot[g[0]]:slot[g[0]] + g.size] for g in groups]
 
-    first = _carried_rows(tree, n_scaling)
-    exports = np.empty((tree.cloud.count, m_q))  # the moments clusters export
-    for group, stack in zip(groups, stacks):
-        n, leaf = stack.shape[-1], tree.is_leaf[group[0]]
-        size = max(1, _STACK_BYTES // (8 * n * (n + (exponents.shape[0] if leaf else m_q))))
-        for lo in range(0, group.size, size):
-            chunk = group[lo:lo + size]
-            if leaf:
-                moment = _monomials(points[tree.begin[chunk][:, None] + np.arange(n)], exponents)
-            else:  # the sons' exports side by side: brothers' rows are one run
-                rows = exports[first[tree.sons[chunk, 0]][:, None] + np.arange(n)]
-                moment = np.ascontiguousarray(np.swapaxes(rows, 1, 2))
-            qmat, ns = two_scale_decomposition(moment)
-            stack[lo:lo + size] = qmat
-            exports[first[chunk][:, None] + np.arange(ns)] = np.swapaxes(
-                np.matmul(moment, qmat)[:, :m_q, :ns], 1, 2)
-
     n_samplets = columns - n_scaling
     # samplets follow the root scaling functions in breadth-first cluster order
     samplet_offset = n_scaling[0] + np.cumsum(n_samplets) - n_samplets
     total = n_scaling[0] + n_samplets.sum()
     if total != tree.cloud.count:
         raise AssertionError(f"basis size mismatch: {total} != {tree.cloud.count}")
-    stored = list(zip(groups, stacks))
+
+    n_points = tree.cloud.count
+    exports = np.empty((int(n_scaling.sum()), m_q))  # row i is step row N + i
+    for group, stack, (inputs, outputs) in zip(
+            groups, stacks, _step_rows(tree, n_scaling, samplet_offset, groups)):
+        n, leaf = stack.shape[-1], tree.is_leaf[group[0]]
+        size = max(1, _STACK_BYTES // (8 * n * (n + (exponents.shape[0] if leaf else m_q))))
+        for lo in range(0, group.size, size):
+            rows = inputs[lo:lo + size]
+            if leaf:
+                moment = _monomials(points[rows], exponents)
+            else:  # the sons' exports side by side
+                moment = np.ascontiguousarray(np.swapaxes(exports[rows - n_points], 1, 2))
+            qmat, ns = two_scale_decomposition(moment)
+            stack[lo:lo + size] = qmat
+            if group[0] > 0:  # the root has no father
+                exports[outputs[lo:lo + size, :ns] - n_points] = np.swapaxes(
+                    np.matmul(moment, qmat)[:, :m_q, :ns], 1, 2)
     return SampletBasis(tree=tree, spec=spec, frame=frame, n_scaling=n_scaling,
                         samplet_offset=samplet_offset, q=q, slot=slot,
-                        leaf_stacks=stored[:n_leaf_stacks], interior_stacks=stored[n_leaf_stacks:])
+                        stacks=list(zip(groups, stacks)))
 
 
 def build_samplet_basis(cloud: PointCloud, q: int = 2, q_leaf: int | None = None,

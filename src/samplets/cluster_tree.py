@@ -51,9 +51,12 @@ def _norms(v: np.ndarray) -> np.ndarray:
     """Euclidean norms over the last axis.
 
     Each row's squared norm is one BLAS dot product, so a row of a batch
-    gives the same bits as ``math.sqrt(v @ v)`` for that row alone.
+    gives the same bits as ``math.sqrt(v @ v)`` for that row alone.  A norm
+    beyond about 1.3e154 overflows to inf, silently; kernel compression
+    refuses a tree whose diameter is inf.
     """
-    return np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])
 
 
 def _box_gap(lo_a: np.ndarray, hi_a: np.ndarray, lo_b: np.ndarray,

@@ -15,10 +15,12 @@ differences, so it is exact at the nodes, and scaling the points by a power
 of two (with the kernel's length) leaves every ratio, and so every transfer
 matrix, V and K, unchanged bit for bit; an axis on which a box has collapsed,
 so that two of its nodes coincide, is interpolated by a constant.  The
-cluster bases are built bottom-up over the basis's step stacks, the schedule
-of its build and of the transforms, into stacks of equal order laid out like
-the two-scale matrices: cluster c's V is row ``slot[c]`` of its order's
-stack, as its Q is of ``SampletBasis.q``.  ``compute_multiscale_cluster_basis``
+cluster bases are built bottom-up over ``SampletBasis.steps``, the one
+schedule and row layout of the basis build and of the transforms, into
+stacks of equal order laid out like the two-scale matrices: cluster c's V is
+row ``slot[c]`` of its order's stack, as its Q is of ``SampletBasis.q``.
+Scaling parts pass from sons to fathers through the step rows' scaling
+region.  ``compute_multiscale_cluster_basis``
 returns these V stacks, and it is the only reader of the transfer matrices:
 the assembly keeps the V stacks and the axis points and releases the scheme,
 with its (C, (p+1)^d, (p+1)^d) transfer stack, before it evaluates any block.
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import SampletBasis, _carried_rows, _groups
+from .basis import SampletBasis, _groups
 from .cluster_tree import ClusterTree
 from .errors import InvalidInput, ResourceLimit, allocate
 from .kernels import KernelConfig, dense_kernel_matrix, kernel_radial
@@ -155,32 +157,30 @@ def compute_multiscale_cluster_basis(basis: SampletBasis,
     ordered like the columns of Q.  Only this pass reads the scheme's
     transfer matrices.
 
-    Bottom-up pass over the basis's step stacks, in the order of the forward
-    pass, so sons come before fathers.  A leaf's V transforms its Lagrange
-    evaluations, a father's its sons' scaling parts mapped onto its grid.
-    Each stack reads its two-scale matrices in place and writes its V into
-    the same run of the V stack of its order with one stacked product.  Every
-    cluster's scaling part, mapped onto its father's grid, goes into one
-    array of ``basis._carried_rows``, where a father's input is one run of
-    rows from its first son's."""
+    Bottom-up pass over the basis's steps (``SampletBasis.steps``), in the
+    order of the forward pass, so sons come before fathers.  A leaf's V
+    transforms its Lagrange evaluations, a father's its sons' scaling parts
+    mapped onto its grid.  Each step reads its two-scale matrices in place
+    and writes its V into the same run of the V stack of its order with one
+    stacked product.  Every cluster's scaling part, mapped onto its father's
+    grid, goes to the step's scaling output rows in the scaling region of
+    the transforms' work buffer, where the father's input rows read it."""
     if scheme.tree is not basis.tree:
         raise InvalidInput("interpolation scheme was built for a different tree")
-    tree, n_scaling = basis.tree, basis.n_scaling
+    tree = basis.tree
     coords = tree.permuted_coords()
     grid = scheme.transfers.shape[1]
     v = {r: np.empty((q.shape[0], r, grid)) for r, q in basis.q.items()}
-    first = _carried_rows(tree, n_scaling)
-    lifted = np.empty((tree.cloud.count, grid))
-    for clusters, q in basis.leaf_stacks + basis.interior_stacks:
-        n, ns, i = q.shape[-1], n_scaling[clusters[0]], basis.slot[clusters[0]]
+    lifted = np.empty((int(basis.n_scaling.sum()), grid))  # row i is step row N + i
+    for clusters, q, rows, outputs in basis.steps:
+        n, ns, i = q.shape[-1], basis.n_scaling[clusters[0]], basis.slot[clusters[0]]
         if tree.is_leaf[clusters[0]]:
-            points = coords[tree.begin[clusters][:, None] + np.arange(n)]
-            v_in = _lagrange_tensors(scheme.axes[clusters], points)
+            v_in = _lagrange_tensors(scheme.axes[clusters], coords[rows])
         else:
-            v_in = lifted[first[tree.sons[clusters, 0]][:, None] + np.arange(n)]
+            v_in = lifted[rows - basis.size]
         out = np.matmul(q.transpose(0, 2, 1), v_in, out=v[n][i:i + clusters.size])
         if clusters[0] > 0:  # the root has no father
-            lifted[first[clusters][:, None] + np.arange(ns)] = np.matmul(
+            lifted[outputs[:, :ns] - basis.size] = np.matmul(
                 out[:, :ns], scheme.transfers[clusters].transpose(0, 2, 1))
     return v
 
@@ -490,7 +490,9 @@ def assemble_compressed_kernel(basis: SampletBasis, cfg: KernelConfig,
     reads in its sons' columns down to their batches.  The same pass drops
     off-diagonal entries below ``epsilon``; diagonal entries are always kept.
     A non-finite entry is never dropped: it raises ``InvalidInput``, as do
-    points whose root box is too wide for its squared diameter to be finite.
+    points whose root box is too wide for its squared diameter to be finite
+    and, before any block is evaluated, a kernel that is not finite at
+    distance 0 or at the root's diameter.
     The lower triangle is mirrored, so the result is exactly symmetric.  The
     interpolation scheme serves only to build the V stacks and is released
     before the block evaluation, so its transfer stack adds nothing to the
@@ -503,6 +505,11 @@ def assemble_compressed_kernel(basis: SampletBasis, cfg: KernelConfig,
     if not math.isfinite(basis.tree.diameter[0]):
         raise InvalidInput("the points span more than about 1e154: their squared distances "
                            "overflow")
+    non_finite = f"kernel {cfg.to_json()} gives non-finite values on these points"
+    with np.errstate(all="ignore"):  # at both ends of the distances K reads
+        ends = kernel_radial(cfg, np.array([0.0, basis.tree.diameter[0]]))
+    if not np.isfinite(ends).all():
+        raise InvalidInput(non_finite)
     start = time.perf_counter()
     scheme = InterpolationScheme.build(basis.tree, p)
     assembly = _Assembly(basis, compute_multiscale_cluster_basis(basis, scheme), scheme.axes,
@@ -511,7 +518,7 @@ def assemble_compressed_kernel(basis: SampletBasis, cfg: KernelConfig,
     assembly.run(0, np.empty(0, dtype=np.int64))
     rows, cols, vals = (np.concatenate(parts) for parts in zip(*assembly.triplets))
     if not np.isfinite(vals).all():
-        raise InvalidInput(f"kernel {cfg.to_json()} gives non-finite values on these points")
+        raise InvalidInput(non_finite)
     matrix = SparseSym.from_triplets(basis.size, rows, cols, vals)
     stats = AssemblyStats(visited_pairs=assembly.visited_pairs,
                           assembly_seconds=time.perf_counter() - start,

@@ -354,38 +354,22 @@ class CholeskyFactor:
 
         ``b`` is a real n-vector or a real (n, k) array of right-hand sides.
         Raises InvalidInput for any other shape or a complex ``b``, or when
-        either substitution gives a value that is not finite, such as an
-        overflow on a nearly singular factor.
+        the two substitutions give a value that is not finite, such as an
+        overflow on a nearly singular factor.  A non-finite value of the
+        first substitution stays non-finite through the second.
         """
-        y = self._substitute(self._right_hand_side(b)[self.perm.order], "N")
-        return self._substitute(y, "T")[self.perm.rank]
-
-    def _right_hand_side(self, b: np.ndarray) -> np.ndarray:
-        """``b`` as float64; InvalidInput unless it is a real n-vector or a
-        real (n, k) array."""
         b = np.asarray(b)
         if np.iscomplexobj(b) or b.ndim not in (1, 2) or b.shape[0] != self.n:
             raise InvalidInput(f"right-hand side of shape {b.shape} and type {b.dtype} does "
                                f"not match a factor of order {self.n}, which solves a real "
                                f"{self.n}-vector or a real ({self.n}, k) array")
-        return b.astype(np.float64, copy=False)
-
-    def _substitute(self, b: np.ndarray, trans: str) -> np.ndarray:
-        """One triangular solve of a checked right-hand side; a non-finite
-        result raises InvalidInput."""
-        x = self._triangular_lu.solve(b, trans=trans)
+        lu = self._triangular_lu
+        y = lu.solve(b.astype(np.float64, copy=False)[self.perm.order], trans="N")
+        x = lu.solve(y, trans="T")
         if not np.isfinite(x).all():
             raise InvalidInput("a triangular solve with the factor gave a non-finite "
                                "result")
-        return x
-
-    def solve_lower(self, b: np.ndarray) -> np.ndarray:
-        """Forward substitution L y = b (in permuted coordinates)."""
-        return self._substitute(self._right_hand_side(b), "N")
-
-    def solve_lower_transpose(self, b: np.ndarray) -> np.ndarray:
-        """Backward substitution L^T x = b (in permuted coordinates)."""
-        return self._substitute(self._right_hand_side(b), "T")
+        return x[self.perm.rank]
 
 
 def cholesky_method(a: SparseSym) -> str:

@@ -4,20 +4,22 @@ Both transforms run in linear time; the inverse mirrors the forward pass.
 Callers see data in the original point order; the tree permutation is
 applied internally.
 
-A pass takes one step per stored stack of two-scale matrices
-(``SampletBasis.steps``): the stacks of all leaves of one size, then one
-stack per tree level and pair of son scaling counts, finest level first;
-13 steps at N = 2^16 in 2-D.  Both passes work in one buffer: the N
-coefficients, then every cluster's scaling coefficients.  The forward pass
-first gathers the data into tree order in one ``take``.  A step gathers its
-input rows (a leaf's points in tree order, or a father's sons' scaling
-rows), multiplies them by the transposed stack in one ``np.matmul`` and
-scatters the product to its clusters' scaling and samplet rows.  The
-inverse runs the steps in reverse, from those rows back to the inputs; its
-leaf steps write the points in tree order, and one ``take`` through
-``ClusterTree.position`` returns them to the original order.  A stacked
-``matmul`` calls BLAS once per cluster with the operands of a product on
-that cluster alone, so every cluster keeps its bits.  Steps run in row
+A pass walks the basis's one bottom-up schedule, ``SampletBasis.steps``,
+one step per stored stack of two-scale matrices: the stacks of all leaves
+of one size, then one stack per tree level and pair of son scaling counts,
+finest level first; 13 steps at N = 2^16 in 2-D.  Both passes work in one
+buffer, the one row layout of the steps, which the basis build and the H^2
+cluster bases use too: the N coefficients, then every cluster's scaling
+coefficients.  The forward pass first gathers the data into tree order in
+one ``take``.  A step gathers its input rows (a leaf's points in tree
+order, or a father's sons' scaling rows), multiplies them by the transposed
+stack in one ``np.matmul`` and scatters the product to its clusters'
+scaling and samplet rows.  The inverse runs the steps in reverse, from
+those rows back to the inputs; its leaf steps write the points in tree
+order, and one ``take`` through ``ClusterTree.position`` returns them to
+the original order.  A stacked ``matmul`` calls BLAS once per cluster with
+the operands of a product on that cluster alone, so every cluster keeps
+its bits.  Steps run in row
 slices of at most ``_PART_BYTES`` of gathered input, so many-column
 transforms hold small temporaries.
 
@@ -88,14 +90,14 @@ def _require(vec: CoefficientVector, tag: str, n: int) -> np.ndarray:
 def _steps(basis: SampletBasis, k: int):
     """Yield the forward pass's steps in row slices of at most ``_PART_BYTES``
     of gathered input, for k columns, each with whether it is a leaf step."""
-    leaves = len(basis.leaf_stacks)
-    for i, (q, rows, outputs) in enumerate(basis.steps):
+    for clusters, q, rows, outputs in basis.steps:
         size = max(1, _PART_BYTES // max(1, rows.shape[1] * k * 8))
+        leaf = basis.tree.is_leaf[clusters[0]]
         if size >= rows.shape[0]:  # three slices cost about 2 us, a step about 25
-            yield q, rows, outputs, i < leaves
+            yield q, rows, outputs, leaf
             continue
         for lo in range(0, rows.shape[0], size):
-            yield q[lo:lo + size], rows[lo:lo + size], outputs[lo:lo + size], i < leaves
+            yield q[lo:lo + size], rows[lo:lo + size], outputs[lo:lo + size], leaf
 
 
 def _work(basis: SampletBasis, k: int) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Per-element reference code for the samplet basis, shared by the tests.
 
 ``q_matrices`` lists every cluster's two-scale matrix, read from the step
-stacks (``leaf_stacks`` and ``interior_stacks``) rather than through
+stacks (``SampletBasis.stacks``) rather than through
 ``SampletBasis.q`` and ``slot``, so tests comparing the two check the
 layout.  ``samplet_as_point_vector`` expands one basis element over the
 original points by pushing a unit vector down the tree one cluster at a
@@ -26,7 +26,7 @@ from samplets.errors import InvalidInput
 def q_matrices(basis: SampletBasis) -> list[np.ndarray]:
     """Every cluster's two-scale matrix, a view of its row in its step stack."""
     q = [None] * basis.n_scaling.size
-    for clusters, stack in basis.leaf_stacks + basis.interior_stacks:
+    for clusters, stack in basis.stacks:
         for c, qc in zip(clusters.tolist(), stack):
             q[c] = qc
     return q

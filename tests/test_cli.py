@@ -602,14 +602,26 @@ class TestNonFiniteKernelValues:
         out = {"kernel-compress": ["--out", str(tmp_path / "K.mtx")],
                "grf": ["--out-prefix", str(tmp_path / "f")]}[command]
         metrics = tmp_path / "m.json"
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = main([command, *points, "--seed", "1", "--kernel", str(kern),
-                       "--metrics", str(metrics), *out])
+        rc = main([command, *points, "--seed", "1", "--kernel", str(kern),
+                   "--metrics", str(metrics), *out])
         assert rc == 2
         err = capsys.readouterr().err
         assert word in err and err.count("\n") == 1
         assert not metrics.exists()
         assert not (tmp_path / "K.mtx").exists() and not list(tmp_path.glob("f_*"))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["info", "compress"])
+    def test_wide_points_print_nothing_to_stderr(self, tmp_path, capsys, command):
+        """The tree's infinite diameters overflow without a NumPy warning,
+        which in a process of its own would go to stderr."""
+        points = self.wide_points(tmp_path)
+        extra = {"info": ["--report", str(tmp_path / "r.json")],
+                 "compress": ["--data", str(tmp_path / "f.csv"), "--threshold", "0",
+                              "--report", str(tmp_path / "r.jsonl")]}[command]
+        sio.write_vector_csv(tmp_path / "f.csv", np.linspace(0.0, 1.0, 200))
+        assert main([command, *points, *extra]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestMalformedFiles:

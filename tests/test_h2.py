@@ -510,20 +510,31 @@ class TestAssembly:
             for name in ("indptr", "indices", "values"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
-    def test_non_finite_kernel_values_are_refused(self):
-        # r / length_scale overflows, and the Matern factor (1 + s) e^-s is inf * 0
+    def test_non_finite_kernel_values_are_refused(self, monkeypatch):
+        # r / length_scale overflows, and the Matern factor (1 + s) e^-s is
+        # inf * 0 at the root's diameter
+        self.assert_refused_before_any_block(monkeypatch,
+                                             KernelConfig("matern32", length_scale=1e-320))
+
+    def test_a_kernel_not_finite_at_distance_zero_is_refused(self, monkeypatch):
+        # 2 length_scale^2 underflows to 0, and at r = 0 the exponent is 0 / 0
+        self.assert_refused_before_any_block(
+            monkeypatch, KernelConfig("squared-exponential", length_scale=1e-170))
+
+    @staticmethod
+    def assert_refused_before_any_block(monkeypatch, cfg):
         basis = uniform_case(2, 64, 1, q=2)()
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(InvalidInput, match="matern32.*non-finite"):
-                assemble_compressed_kernel(basis, KernelConfig("matern32",
-                                                               length_scale=1e-320))
+        monkeypatch.setattr(h2._Assembly, "run",
+                            lambda *args: pytest.fail("a block was evaluated"))
+        with pytest.raises(InvalidInput, match=f"{cfg.family}.*non-finite"):
+            assemble_compressed_kernel(basis, cfg)
 
     def test_points_whose_squared_distances_overflow_are_refused(self):
         rng = np.random.default_rng(3)
         points = np.vstack([rng.uniform(0, 1e159, size=(100, 2)),
                             1e160 + rng.uniform(0, 1e159, size=(100, 2))])
-        with np.errstate(over="ignore"):  # the root's squared diameter
-            basis = build_samplet_basis(PointCloud(points), q=2)
+        basis = build_samplet_basis(PointCloud(points), q=2)
+        assert basis.tree.diameter[0] == np.inf
         with pytest.raises(InvalidInput, match="1e154"):
             assemble_compressed_kernel(basis, KernelConfig("matern12", length_scale=1e160))
         scale = 2.0 ** -600  # the same geometry, with distances in range

@@ -383,8 +383,10 @@ def test_leaf_two_scale_matrices_are_views_of_their_stacks():
     basis = stored_basis()
     tree = basis.tree
     stacked = 0
-    for leaves, stack in basis.leaf_stacks:
-        assert np.all(tree.size[leaves] == stack.shape[-1])
+    for leaves, stack in basis.stacks:
+        if not tree.is_leaf[leaves[0]]:
+            continue
+        assert tree.is_leaf[leaves].all() and np.all(tree.size[leaves] == stack.shape[-1])
         assert_row_views(basis, leaves, stack)
         stacked += leaves.size
     assert stacked == tree.leaves.size
@@ -394,7 +396,9 @@ def test_interior_two_scale_matrices_are_views_of_their_stacks():
     basis = stored_basis()
     tree = basis.tree
     stacked = []
-    for fathers, stack in basis.interior_stacks:
+    for fathers, stack in basis.stacks:
+        if tree.is_leaf[fathers[0]]:
+            continue
         assert not tree.is_leaf[fathers].any()
         assert np.all(basis.order[fathers] == stack.shape[-1])
         assert_row_views(basis, fathers, stack)
@@ -412,12 +416,32 @@ def test_one_stored_stack_per_leaf_size_and_son_scaling_group(case):
     keys = sorted({(-tree.level[c], *n_scaling[tree.sons[c]]) for c in inner.tolist()})
     want += [tuple(c for c in inner.tolist()
                    if (-tree.level[c], *n_scaling[tree.sons[c]]) == key) for key in keys]
-    got = [tuple(clusters) for clusters, _ in basis.leaf_stacks + basis.interior_stacks]
-    assert got == want
+    assert [tuple(clusters) for clusters, _ in basis.stacks] == want
     assert len(basis.steps) == len(want)
-    for (clusters, stack), (q, rows, outputs) in zip(
-            basis.leaf_stacks + basis.interior_stacks, basis.steps):
-        assert q is stack and rows.shape == outputs.shape == stack.shape[:2]
+    n = basis.size
+    covered = np.zeros(n + int(n_scaling.sum()), dtype=np.int64)
+    scaling_rows = {}  # each cluster's scaling output rows
+    for (clusters, stack), (step_clusters, q, rows, outputs) in zip(basis.stacks, basis.steps):
+        assert step_clusters is clusters and q is stack
+        assert rows.shape == outputs.shape == stack.shape[:2]
+        for c, inputs, out in zip(clusters.tolist(), rows, outputs):
+            ns = n_scaling[c]
+            if tree.is_leaf[c]:  # its tree positions
+                assert inputs.tolist() == list(range(tree.begin[c], tree.end[c]))
+            else:  # its sons' scaling rows, in son order
+                left, right = tree.sons[c]
+                assert inputs.tolist() == scaling_rows[left] + scaling_rows[right]
+            offset = basis.samplet_offset[c]
+            assert out[ns:].tolist() == list(range(offset, offset + stack.shape[-1] - ns))
+            scaling_rows[c] = out[:ns].tolist()
+            covered[out] += 1
+    # every row once, except that the root's scaling rows are coefficients
+    # 0..ns-1 and its rows of the scaling region stay unused
+    assert scaling_rows[0] == list(range(n_scaling[0]))
+    assert np.all(covered[:n] == 1)
+    root_rows = np.arange(n, n + n_scaling[0])
+    assert np.all(covered[root_rows] == 0)
+    assert np.all(np.delete(covered[n:], root_rows - n) == 1)
 
 
 @pytest.mark.parametrize("case", TRANSFORM_CASES)
@@ -441,7 +465,7 @@ def test_all_two_scale_matrices_live_in_one_buffer(case):
     assert starts[-1] + views[-1].nbytes == buffer.nbytes
     for r, view in zip(orders, views):
         assert sorted(basis.slot[basis.order == r].tolist()) == list(range(view.shape[0]))
-    for clusters, stack in basis.leaf_stacks + basis.interior_stacks:
+    for clusters, stack in basis.stacks:
         view = basis.q[stack.shape[-1]]
         start = stack.ctypes.data - view.ctypes.data
         assert stack.flags.c_contiguous and start % stack[0].nbytes == 0
@@ -539,7 +563,7 @@ def test_cluster_bases_match_reference(case):
     if leaf_sizes is not None:
         assert sorted(set(tree.size[tree.leaves].tolist())) == leaf_sizes
     if stack_levels is not None:
-        leaves = basis.leaf_stacks[0][0]
+        leaves = basis.stacks[0][0]
         assert sorted(set(tree.level[leaves].tolist())) == stack_levels
     scheme = InterpolationScheme.build(tree, p)
     mb = compute_multiscale_cluster_basis(basis, scheme)

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dpotrf
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import splu, spsolve_triangular
 
 from samplets.basis import build_samplet_basis
 from samplets.cluster_tree import PointCloud
@@ -496,27 +496,19 @@ class TestCholesky:
         with pytest.raises(InvalidInput, match="does not match a factor of order 3"):
             factor.solve(np.ones(shape))
 
-    @pytest.mark.parametrize("half", ["solve", "solve_lower", "solve_lower_transpose"])
+    @pytest.mark.parametrize("half", ["solve"])
     @pytest.mark.parametrize("shape", [(3,), (3, 2)])
     def test_a_complex_right_hand_side_is_refused(self, half, shape):
         factor = sparse_cholesky(SparseSym.from_dense(np.diag([4.0, 9.0, 16.0])))
         with pytest.raises(InvalidInput, match="complex128 does not match"):
             getattr(factor, half)(np.full(shape, 1.0 + 2.0j))
 
-    @pytest.mark.parametrize("half", ["solve_lower", "solve_lower_transpose"])
+    @pytest.mark.parametrize("half", ["solve"])
     @pytest.mark.parametrize("length", [5, 2])
     def test_substitutions_reject_a_right_hand_side_of_the_wrong_length(self, half, length):
         factor = sparse_cholesky(SparseSym.from_dense(np.diag([4.0, 9.0, 16.0])))
         with pytest.raises(InvalidInput, match="does not match a factor of order 3"):
             getattr(factor, half)(np.ones(length))
-
-    def test_substitutions_take_columns(self):
-        dense = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
-        factor = sparse_cholesky(SparseSym.from_dense(dense))
-        lower = factor.to_scipy().toarray()
-        b = np.arange(6.0).reshape(3, 2)
-        np.testing.assert_allclose(lower @ factor.solve_lower(b), b, atol=1e-13)
-        np.testing.assert_allclose(lower.T @ factor.solve_lower_transpose(b), b, atol=1e-13)
 
     def test_solve_takes_columns(self):
         dense = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
@@ -606,7 +598,7 @@ class TestGrf:
         factor = sparse_cholesky(a, perm, rho=1.0)
         fields = sample_grf(factor, basis, seed=3, n_samples=5)
         coeffs = forward_transform_matrix(basis, fields.T)
-        z = factor.solve_lower(coeffs[factor.perm.order])
+        z = spsolve_triangular(factor.to_scipy(), coeffs[factor.perm.order])
         expected = np.column_stack([normal_stream(3, s, 40) for s in range(5)])
         np.testing.assert_allclose(z, expected, atol=1e-8)
 

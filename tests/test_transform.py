@@ -329,10 +329,10 @@ class TestCountedCost:
         basis = build_samplet_basis(PointCloud(rng.uniform(-1, 1, size=(1003, 2))), q=2,
                                     leaf_size=13)
         tree, q_of = basis.tree, q_matrices(basis)
-        assert sum(q.shape[0] for q, *_ in basis.steps) == len(q_of)
+        assert sum(q.shape[0] for _, q, *_ in basis.steps) == len(q_of)
         step_of = np.empty(len(q_of), dtype=np.int64)
         for c, q in enumerate(q_of):
-            holders = [i for i, (stack, *_) in enumerate(basis.steps)
+            holders = [i for i, (_, stack, *_) in enumerate(basis.steps)
                        if np.shares_memory(q, stack)]
             assert len(holders) == 1, f"cluster {c} is in steps {holders}"
             step_of[c] = holders[0]
@@ -346,6 +346,6 @@ class TestCountedCost:
             n = 2 ** e
             rng = np.random.default_rng(e)
             basis = build_samplet_basis(PointCloud(rng.uniform(-1, 1, size=(n, 2))), q=2)
-            per_point.append(sum(q.shape[0] * q.shape[1] ** 2 for q, *_ in basis.steps) / n)
+            per_point.append(sum(q.shape[0] * q.shape[1] ** 2 for _, q, *_ in basis.steps) / n)
         # measured 48.48 ... 48.62 per point at q = 2, 16 points per leaf
         assert all(44.0 <= c <= 53.0 for c in per_point), per_point
