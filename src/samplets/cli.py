@@ -8,7 +8,8 @@ data (--data and the threshold flags; transform, compress, detect), kernel
 --format (transform, compress, grf), or by the one subcommand that reads it.
 Exit codes: 0 on success, 1 on numerical failure (non-positive pivot), 2 on
 I/O or validation errors.  All data artifacts are deterministic given the
-same inputs, flags, and seed; metric sidecars additionally carry wall times.
+same inputs, flags, and seed, at any worker count; metric sidecars
+additionally carry wall times and the worker count.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as sio
+from . import workers
 from .basis import build_samplet_basis
 from .cluster_tree import PointCloud
 from .errors import InvalidInput, NonPositivePivot, ResourceLimit, allocate
@@ -241,6 +243,7 @@ def _compressed_kernel(args, cloud: PointCloud, cfg: KernelConfig):
         "assembly_seconds": compressed.stats.assembly_seconds,
         "peak_block_bytes": compressed.stats.peak_block_bytes,
         "visited_pairs": compressed.stats.visited_pairs,
+        "workers": workers.count(),
     }
     return basis, matrix, metrics
 

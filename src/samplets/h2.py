@@ -35,7 +35,12 @@ Operators*, EMS 2010) that reaches the output.  A pair reads only pairs whose
 level sum is one higher, so the list is evaluated from the highest level sum
 down, a group of equally shaped blocks at a time with stacked matrix products,
 and a level's blocks are released once the next coarser level has used them.
-Each group masks only the stored part of its stored blocks and drops the
+The columns are evaluated by subtrees: a subtree of at most
+``_BATCH_POINTS`` points is one batch, and a larger one evaluates its two
+sons' subtrees, which read nothing of each other, on the worker threads
+(``workers.map_parts``) before its own column.  Each subtree returns its
+kept triplets and counts, merged in son order, so K and the statistics are
+the same at any worker count.  Each group masks only the stored part of its stored blocks and drops the
 entries below the a-posteriori threshold, keeping the diagonal.  Clusters are
 tree indices throughout: every step gathers from the tree's per-cluster
 arrays (boxes, ranges, sons), the basis's (scaling counts, samplet offsets)
@@ -49,9 +54,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from . import workers
 from .basis import SampletBasis, _groups
 from .cluster_tree import ClusterTree
 from .errors import InvalidInput, ResourceLimit, allocate
@@ -196,7 +203,11 @@ class AssemblyStats:
     batched.  ``peak_block_bytes`` is the largest total, at any point of the
     evaluation, of the block stacks held (the current and the previous level
     sum, plus the blocks kept for the column batches above) and the buffered
-    kept triplets (row, column and value arrays).
+    kept triplets (row, column and value arrays).  The two sons' subtrees of
+    a split column may run at once, so it counts them as alive together,
+    each at its own peak: the sum bounds what is held at any worker count
+    and does not depend on it.  With fewer workers than subtrees, less is
+    held at once.
     """
 
     visited_pairs: int
@@ -227,6 +238,24 @@ FAR, LEAF, ROWS, COLS, GIVEN = range(5)
 _BATCH_POINTS = 1024
 # Target size of the temporaries of one stacked product.
 _CHUNK_BYTES = 1 << 22
+
+
+class _Subtree(NamedTuple):
+    """What the evaluation of a batch or of a column subtree leaves.
+
+    ``blocks`` holds the demanded blocks as (keys, sizes, flat values);
+    ``triplets`` the kept entries as (rows, columns, values) arrays, in
+    evaluation order; ``visited`` the blocks computed directly.  ``peak`` is
+    the most bytes held at once and ``held`` the bytes still held at the end
+    (the blocks' values and the triplets), both counted from the start of
+    the evaluation.
+    """
+
+    blocks: tuple
+    triplets: list
+    visited: int
+    peak: int
+    held: int
 
 
 def _distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -269,18 +298,20 @@ class _Assembly:
         self.skip = basis.n_scaling.copy()
         self.offset = basis.samplet_offset.copy()
         self.skip[0] = self.offset[0] = 0
-        self.triplets: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self.visited_pairs = self.triplet_bytes = self.given_bytes = self.peak_bytes = 0
 
-    def run(self, col: int, demand: np.ndarray):
+    def run(self, col: int, demand: np.ndarray) -> _Subtree:
         """Evaluate every needed pair whose column lies in col's subtree.
 
         ``demand`` holds the keys of the pairs (leaf, col) that col's father
-        reads; their blocks are returned as (keys, sizes, flat values).  A
-        small subtree is one batch, whose columns are the clusters whose
-        position range lies inside col's.  A large one lists col's own column
-        first, so that the pairs it reads in its sons' columns are known, and
-        passes them down as the sons' demand before evaluating col's column.
+        reads; their blocks are returned in the result.  A small subtree is
+        one batch, whose columns are the clusters whose position range lies
+        inside col's.  A large one lists col's own column first, so that the
+        pairs it reads in its sons' columns are known, passes them down as
+        the sons' demand, evaluates the sons' subtrees on the workers
+        (``workers.map_parts``) and then col's column.  The sons' triplets
+        come first, in son order, and their counts add up, so the result does
+        not depend on the worker count.  Both sons may be alive at once, each
+        at its peak, so the sum of their peaks enters col's peak.
         """
         a = self.tree
         sons = a.sons[col]
@@ -289,10 +320,17 @@ class _Assembly:
             return self.evaluate(self.block_list(columns, demand), None)
         levels = self.block_list(np.array([col]), demand)
         read = np.concatenate([keys[kind == GIVEN] for keys, kind, _, _ in levels])
-        keys, sizes, values = (np.concatenate(part) for part in zip(
-            *(self.run(son, read[read % self.n_clusters == son]) for son in sons.tolist())))
+        below = workers.map_parts(
+            lambda son: self.run(son, read[read % self.n_clusters == son]), sons.tolist())
+        keys, sizes, values = (np.concatenate(part) for part in zip(*(s.blocks for s in below)))
         order = np.argsort(keys)
-        return self.evaluate(levels, (keys[order], (np.cumsum(sizes) - sizes)[order], values))
+        own = self.evaluate(levels, (keys[order], (np.cumsum(sizes) - sizes)[order], values))
+        held = sum(s.held for s in below)
+        return _Subtree(blocks=own.blocks,
+                        triplets=[t for s in below for t in s.triplets] + own.triplets,
+                        visited=sum(s.visited for s in below) + own.visited,
+                        peak=max(sum(s.peak for s in below), held + own.peak),
+                        held=held - values.nbytes + own.held)
 
     def block_list(self, columns: np.ndarray, demand: np.ndarray) -> list:
         """The needed pairs of one batch, one (keys, kinds, stored, demanded)
@@ -345,17 +383,17 @@ class _Assembly:
             s += 1
         return levels
 
-    def evaluate(self, levels: list, given):
+    def evaluate(self, levels: list, given) -> _Subtree:
         """Evaluate one batch's list from the highest level sum down, each
         group straight into the level's flat buffer.
 
         ``given`` holds the sorted keys, flat offsets and flat values of the
-        GIVEN blocks.  Returns the demanded blocks as (keys, sizes, flat
-        values).
+        GIVEN blocks, which the caller counts as held.
         """
         nc, order = self.n_clusters, self.basis.order
         kept = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))]
-        kept_bytes = 0
+        triplets = []
+        kept_bytes = triplet_bytes = visited = peak = 0
         finer = None
         for keys, kind, stored, demanded in reversed(levels):
             nu, col = np.divmod(keys, nc)
@@ -374,20 +412,22 @@ class _Assembly:
                     offsets[sub] = start + np.arange(sub.size) * (r * c)
                     start += f.size
                     if stored[sub].any():
-                        self.emit(f[:, sr:, sc:], nu[sub], col[sub], stored[sub])
+                        triplets.append(self.emit(f[:, sr:, sc:], nu[sub], col[sub],
+                                                  stored[sub]))
+                        triplet_bytes += sum(array.nbytes for array in triplets[-1])
             if demanded.any():
                 size = sizes[demanded]
                 shift = offsets[demanded] - (np.cumsum(size) - size)
                 values = flat[np.repeat(shift, size) + np.arange(size.sum())]
                 kept.append((keys[demanded], size, values))
                 kept_bytes += values.nbytes
-            self.visited_pairs += int(np.count_nonzero((kind == FAR) | (kind == LEAF)))
+            visited += int(np.count_nonzero((kind == FAR) | (kind == LEAF)))
             held = flat.nbytes + (finer[2].nbytes if finer else 0) + kept_bytes
-            self.peak_bytes = max(self.peak_bytes,
-                                  held + self.given_bytes + self.triplet_bytes)
+            peak = max(peak, held + triplet_bytes)
             finer = keys, offsets, flat
-        self.given_bytes += kept_bytes - (given[2].nbytes if given else 0)
-        return tuple(np.concatenate(part) for part in zip(*kept))
+        return _Subtree(blocks=tuple(np.concatenate(part) for part in zip(*kept)),
+                        triplets=triplets, visited=visited, peak=peak,
+                        held=kept_bytes + triplet_bytes)
 
     def group_blocks(self, out, kind, keys, nu, col, given, finer):
         """Write the (b, r, c) stack of blocks of one group of equally shaped
@@ -444,7 +484,8 @@ class _Assembly:
             np.matmul(finer_flat[index], q[c][slot[col]], out=out)
 
     def emit(self, f: np.ndarray, nu: np.ndarray, col: np.ndarray, stored: np.ndarray):
-        """Buffer the kept entries of the stored blocks of a stack.
+        """The kept entries of the stored blocks of a stack, as (rows,
+        columns, values).
 
         ``f`` is the stored part of each block: its samplet rows and columns
         (the root's: all of them), f[skip_r:, skip_c:], with the same skips
@@ -463,9 +504,7 @@ class _Assembly:
         cols = self.offset[col, None, None] + np.arange(part.shape[2])
         rows = np.broadcast_to(rows, part.shape)[keep]
         cols = np.broadcast_to(cols, part.shape)[keep]
-        vals = part[keep]
-        self.triplets.append((rows, cols, vals))
-        self.triplet_bytes += rows.nbytes + cols.nbytes + vals.nbytes
+        return rows, cols, part[keep]
 
 
 def assemble_compressed_kernel(basis: SampletBasis, cfg: KernelConfig,
@@ -485,10 +524,11 @@ def assemble_compressed_kernel(basis: SampletBasis, cfg: KernelConfig,
     the lower triangle.  The block list holds the needed pairs: the stored
     ones, found by splitting rows from (root, col) for every column cluster,
     and every pair a needed pair reads.  Each needed pair is computed once,
-    from the highest level sum down, in groups of equally shaped blocks, one
-    column subtree at a time; a large subtree's column passes the pairs it
-    reads in its sons' columns down to their batches.  The same pass drops
-    off-diagonal entries below ``epsilon``; diagonal entries are always kept.
+    from the highest level sum down, in groups of equally shaped blocks, by
+    column subtrees; a large subtree's column passes the pairs it reads in
+    its sons' columns down to their batches, and the sons' subtrees run on
+    the worker threads.  The same pass drops off-diagonal entries below
+    ``epsilon``; diagonal entries are always kept.
     A non-finite entry is never dropped: it raises ``InvalidInput``, as do
     points whose root box is too wide for its squared diameter to be finite
     and, before any block is evaluated, a kernel that is not finite at
@@ -515,14 +555,14 @@ def assemble_compressed_kernel(basis: SampletBasis, cfg: KernelConfig,
     assembly = _Assembly(basis, compute_multiscale_cluster_basis(basis, scheme), scheme.axes,
                          cfg, eta, epsilon)
     del scheme  # frees the transfer stack before any block is evaluated
-    assembly.run(0, np.empty(0, dtype=np.int64))
-    rows, cols, vals = (np.concatenate(parts) for parts in zip(*assembly.triplets))
+    result = assembly.run(0, np.empty(0, dtype=np.int64))
+    rows, cols, vals = (np.concatenate(parts) for parts in zip(*result.triplets))
     if not np.isfinite(vals).all():
         raise InvalidInput(non_finite)
     matrix = SparseSym.from_triplets(basis.size, rows, cols, vals)
-    stats = AssemblyStats(visited_pairs=assembly.visited_pairs,
+    stats = AssemblyStats(visited_pairs=result.visited,
                           assembly_seconds=time.perf_counter() - start,
-                          peak_block_bytes=int(assembly.peak_bytes))
+                          peak_block_bytes=result.peak)
     return CompressedKernelMatrix(matrix=matrix, stats=stats)
 
 

@@ -380,8 +380,11 @@ class TestGrfCommand:
         assert payload["cholesky"] == method
         assert (payload["nnz_K"] >= n * n / 8) == (method == "dense")
 
-    def test_metrics_report_ordering_time_and_assembly_counts(self, tmp_path, kernel_json):
-        # the assembly counts are those kernel-compress reports for the same matrix
+    def test_metrics_report_ordering_time_and_assembly_counts(self, tmp_path, kernel_json,
+                                                             monkeypatch):
+        # the assembly counts are those kernel-compress reports for the same
+        # matrix, and the worker count is the CPUs the process may run on
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         common = ["--gen", "uniform-cube", "--n", "300", "--dim", "2", "--seed", "5",
                   "--kernel", str(kernel_json)]
         assert main(["grf", *common, "--samples", "1", "--out-prefix", str(tmp_path / "f"),
@@ -393,6 +396,7 @@ class TestGrfCommand:
         assert math.isfinite(grf["ordering_seconds"]) and grf["ordering_seconds"] >= 0.0
         for key in ("visited_pairs", "peak_block_bytes"):
             assert grf[key] == compressed[key] > 0
+        assert grf["workers"] == compressed["workers"] == 3
 
     def test_ordering_is_not_an_option(self, tmp_path, kernel_json):
         # the ordering is always multiple minimum degree
@@ -765,7 +769,7 @@ def test_flag_tables_are_pinned():
 def test_every_subcommand_reports_its_keys(tmp_path, points_1d, data_1d, kernel_json):
     pts, dat, ker = str(points_1d), str(data_1d), str(kernel_json)
     assembly = {"schema", "command", "N", "d", "eta", "p", "q", "epsilon", "ridge",
-                "assembly_seconds", "peak_block_bytes", "visited_pairs"}
+                "assembly_seconds", "peak_block_bytes", "visited_pairs", "workers"}
     runs = {
         "transform": (["--data", dat, "--out", str(tmp_path / "c.csv"),
                        "--threshold-rel", "3"],

@@ -496,19 +496,11 @@ class TestCholesky:
         with pytest.raises(InvalidInput, match="does not match a factor of order 3"):
             factor.solve(np.ones(shape))
 
-    @pytest.mark.parametrize("half", ["solve"])
     @pytest.mark.parametrize("shape", [(3,), (3, 2)])
-    def test_a_complex_right_hand_side_is_refused(self, half, shape):
+    def test_a_complex_right_hand_side_is_refused(self, shape):
         factor = sparse_cholesky(SparseSym.from_dense(np.diag([4.0, 9.0, 16.0])))
         with pytest.raises(InvalidInput, match="complex128 does not match"):
-            getattr(factor, half)(np.full(shape, 1.0 + 2.0j))
-
-    @pytest.mark.parametrize("half", ["solve"])
-    @pytest.mark.parametrize("length", [5, 2])
-    def test_substitutions_reject_a_right_hand_side_of_the_wrong_length(self, half, length):
-        factor = sparse_cholesky(SparseSym.from_dense(np.diag([4.0, 9.0, 16.0])))
-        with pytest.raises(InvalidInput, match="does not match a factor of order 3"):
-            getattr(factor, half)(np.ones(length))
+            factor.solve(np.full(shape, 1.0 + 2.0j))
 
     def test_solve_takes_columns(self):
         dense = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
