@@ -502,6 +502,13 @@ class TestCholesky:
         with pytest.raises(InvalidInput, match="complex128 does not match"):
             factor.solve(np.full(shape, 1.0 + 2.0j))
 
+    @pytest.mark.parametrize("half", ["solve"])
+    @pytest.mark.parametrize("length", [5, 2])
+    def test_substitutions_reject_a_right_hand_side_of_the_wrong_length(self, half, length):
+        factor = sparse_cholesky(SparseSym.from_dense(np.diag([4.0, 9.0, 16.0])))
+        with pytest.raises(InvalidInput, match="does not match a factor of order 3"):
+            getattr(factor, half)(np.ones(length))
+
     def test_solve_takes_columns(self):
         dense = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
         factor = sparse_cholesky(SparseSym.from_dense(dense))
