@@ -36,12 +36,12 @@ from __future__ import annotations
 import mmap
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
 from .cluster_tree import ClusterTree, PointCloud, build_cluster_tree
-from .errors import InvalidInput, ResourceLimit
+from .errors import InvalidInput, ResourceLimit, allocate
 
 # Byte budget of one QR stack in ``construct_basis``: its moment matrices
 # and their two-scale matrices.  It bounds only the build's temporaries; the
@@ -168,11 +168,17 @@ def two_scale_decomposition(moment: np.ndarray) -> tuple[np.ndarray, int]:
     alone.  Returns the orthogonal (..., n, n) matrices and the number of
     scaling columns min(m, n).  Column k annihilates the first k-1 moment
     rows, so every column beyond the scaling block annihilates all m rows.
+    Raises ResourceLimit when the QR cannot allocate them.
     """
     m, n = moment.shape[-2:]
     if n < 1:
         raise InvalidInput("moment matrix needs at least one column")
-    qmat, rmat = np.linalg.qr(np.swapaxes(moment, -1, -2), mode="complete")
+    try:
+        qmat, rmat = np.linalg.qr(np.swapaxes(moment, -1, -2), mode="complete")
+    except MemoryError as exc:
+        raise ResourceLimit(f"two-scale matrices of order {n} would take "
+                            f"{8 * prod(moment.shape[:-2]) * n * n} bytes, more than can "
+                            "be allocated") from exc
     k = min(m, n)
     diagonal = np.diagonal(rmat, axis1=-2, axis2=-1)[..., None, :k]
     qmat[..., :k] *= np.where(diagonal < 0, -1.0, 1.0)
@@ -199,7 +205,6 @@ class SampletBasis:
 
     tree: ClusterTree
     spec: MomentSpec
-    frame: NormalizationFrame
     n_scaling: np.ndarray
     samplet_offset: np.ndarray
     q: dict[int, np.ndarray]
@@ -248,26 +253,6 @@ def _groups(*keys: np.ndarray):
     cuts = np.flatnonzero(np.any(sorted_keys[:, 1:] != sorted_keys[:, :-1], axis=0)) + 1
     for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, order.size]):
         yield tuple(int(k[lo]) for k in sorted_keys), order[lo:hi]
-
-
-def _check_moment_size(tree: ClusterTree, spec: MomentSpec) -> None:
-    """Refuse a build whose moment matrices could exceed ``MAX_MOMENT_ENTRIES``.
-
-    A leaf's moment matrix is m_q_leaf x (its points).  A father's has m_q
-    rows and one column per scaling function of its sons; a son has at most
-    its point count of them, and at most max(m_q, largest leaf).  The bound
-    is taken from binomials, before any monomial is enumerated.
-    """
-    largest_leaf = int(tree.size[tree.leaves].max())
-    entries = spec.m_q_leaf * largest_leaf
-    if not tree.is_leaf[0]:
-        columns = min(tree.cloud.count, 2 * max(spec.m_q, largest_leaf))
-        entries = max(entries, spec.m_q * columns)
-    if entries > MAX_MOMENT_ENTRIES:
-        raise ResourceLimit(
-            f"moment matrices of up to {entries} entries exceed the cap of "
-            f"{MAX_MOMENT_ENTRIES} (q={spec.q}, q_leaf={spec.q_leaf}, largest leaf "
-            f"{largest_leaf} points); lower q, q_leaf or the leaf size")
 
 
 def _step_rows(tree: ClusterTree, n_scaling: np.ndarray, samplet_offset: np.ndarray,
@@ -319,8 +304,8 @@ def _counts(tree: ClusterTree, m_q: int, m_leaf: int) -> tuple[np.ndarray, np.nd
     return columns, n_scaling
 
 
-def _private_pages(count: int) -> np.ndarray:
-    """``count`` zeroed float64 in a private anonymous mapping of their own.
+def _private_pages(shape: tuple[int, ...]) -> np.ndarray:
+    """A zeroed float64 array in a private anonymous mapping of its own.
 
     All two-scale matrices of a basis live in one such buffer, 25 MB at
     N = 2^16 in 2-D, and it goes back to the system when the basis is freed.
@@ -331,8 +316,8 @@ def _private_pages(count: int) -> np.ndarray:
     read ``peak_rss_mb`` up to 157 MB, against 130.6 with the QR's own
     stacks and 132.8-134.4 with this mapping (2-core x86).
     """
-    pages = mmap.mmap(-1, 8 * count, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-    return np.frombuffer(pages, dtype=np.float64)
+    pages = mmap.mmap(-1, 8 * prod(shape), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    return np.frombuffer(pages, dtype=np.float64).reshape(shape)
 
 
 def construct_basis(tree: ClusterTree, spec: MomentSpec) -> SampletBasis:
@@ -344,8 +329,10 @@ def construct_basis(tree: ClusterTree, spec: MomentSpec) -> SampletBasis:
     its scaling functions as basis elements, so the total count of scaling
     functions at the root plus samplets everywhere equals N.
 
-    Every cluster's order and scaling count come first, from ``_counts``;
-    they lay out one buffer with a region per order.  Inside its order's
+    Every cluster's order and scaling count come first, from ``_counts``.
+    They give every moment matrix's size, and a build whose largest exceeds
+    ``MAX_MOMENT_ENTRIES`` is refused before any monomial is enumerated.
+    They also lay out one buffer with a region per order.  Inside its order's
     region lies a stack of every leaf size and a stack of every level's
     fathers whose sons carry the same scaling counts.  The build walks these
     stacks once, in the order of the forward pass, so every son is done
@@ -358,12 +345,20 @@ def construct_basis(tree: ClusterTree, spec: MomentSpec) -> SampletBasis:
     """
     if spec.dim != tree.cloud.dim:
         raise InvalidInput(f"moment spec dim {spec.dim} != cloud dim {tree.cloud.dim}")
-    _check_moment_size(tree, spec)
-    frame = NormalizationFrame.for_cloud(tree.cloud)
-    points = frame.normalize(tree.permuted_coords())
+    # More moment rows than points change no count; clamped, none overflows.
+    n_points = tree.cloud.count
+    columns, n_scaling = _counts(tree, min(spec.m_q, n_points), min(spec.m_q_leaf, n_points))
+    largest_leaf = int(columns[tree.leaves].max())  # a leaf's columns are its points
+    entries = max(spec.m_q_leaf * largest_leaf,
+                  spec.m_q * int(columns[~tree.is_leaf].max(initial=0)))
+    if entries > MAX_MOMENT_ENTRIES:
+        raise ResourceLimit(
+            f"moment matrices of up to {entries} entries exceed the cap of "
+            f"{MAX_MOMENT_ENTRIES} (q={spec.q}, q_leaf={spec.q_leaf}, largest leaf "
+            f"{largest_leaf} points); lower q, q_leaf or the leaf size")
+    points = NormalizationFrame.for_cloud(tree.cloud).normalize(tree.permuted_coords())
     exponents = multi_indices(spec.q_leaf, spec.dim)
     m_q = spec.m_q
-    columns, n_scaling = _counts(tree, m_q, exponents.shape[0])
 
     leaves, inner = tree.leaves, np.flatnonzero(~tree.is_leaf)
     groups = [leaves[pos] for _, pos in _groups(tree.size[leaves])]
@@ -378,7 +373,7 @@ def construct_basis(tree: ClusterTree, spec: MomentSpec) -> SampletBasis:
     orders, starts, counts = np.unique(columns[layout], return_index=True, return_counts=True)
     slot = np.empty_like(columns)
     slot[layout] = np.arange(layout.size) - np.repeat(starts, counts)
-    buffer = _private_pages(int(np.sum(columns ** 2)))
+    buffer = allocate(_private_pages, (int(np.sum(columns ** 2)),), "the two-scale matrices")
     q, start = {}, 0
     for r, count in zip(orders.tolist(), counts.tolist()):
         q[r] = buffer[start:start + count * r * r].reshape(count, r, r)
@@ -392,7 +387,6 @@ def construct_basis(tree: ClusterTree, spec: MomentSpec) -> SampletBasis:
     if total != tree.cloud.count:
         raise AssertionError(f"basis size mismatch: {total} != {tree.cloud.count}")
 
-    n_points = tree.cloud.count
     exports = np.empty((int(n_scaling.sum()), m_q))  # row i is step row N + i
     for group, stack, (inputs, outputs) in zip(
             groups, stacks, _step_rows(tree, n_scaling, samplet_offset, groups)):
@@ -409,7 +403,7 @@ def construct_basis(tree: ClusterTree, spec: MomentSpec) -> SampletBasis:
             if group[0] > 0:  # the root has no father
                 exports[outputs[lo:lo + size, :ns] - n_points] = np.swapaxes(
                     np.matmul(moment, qmat)[:, :m_q, :ns], 1, 2)
-    return SampletBasis(tree=tree, spec=spec, frame=frame, n_scaling=n_scaling,
+    return SampletBasis(tree=tree, spec=spec, n_scaling=n_scaling,
                         samplet_offset=samplet_offset, q=q, slot=slot,
                         stacks=list(zip(groups, stacks)))
 

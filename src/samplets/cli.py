@@ -138,19 +138,6 @@ def _load_data(args):
     return cloud, data, _build_basis(cloud, args)
 
 
-def _load_kernel(args) -> KernelConfig:
-    if not args.kernel:
-        raise InvalidInput("provide --kernel FILE (JSON kernel config)")
-    path = Path(args.kernel)
-    if not path.exists():
-        raise InvalidInput(f"{path}: no such file")
-    try:
-        text = path.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise InvalidInput(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
-    return KernelConfig.from_json(text)
-
-
 def _resolve_threshold(args, coeffs: CoefficientVector) -> float:
     if args.threshold is not None and args.threshold_rel is not None:
         raise InvalidInput("use either --threshold or --threshold-rel, not both")
@@ -250,7 +237,7 @@ def _compressed_kernel(args, cloud: PointCloud, cfg: KernelConfig):
 
 def cmd_kernel_compress(args) -> int:
     cloud = _load_points(args)
-    cfg = _load_kernel(args)
+    cfg = sio.read_kernel(args.kernel)
     basis, matrix, metrics = _compressed_kernel(args, cloud, cfg)
     sio.write_matrix_market(args.out, matrix)
     metrics.update(q_leaf=basis.spec.q_leaf, anz=anz(matrix), nnz=matrix.nnz_full,
@@ -268,7 +255,7 @@ def cmd_kernel_compress(args) -> int:
 
 def cmd_grf(args) -> int:
     cloud = _load_points(args)
-    cfg = _load_kernel(args)
+    cfg = sio.read_kernel(args.kernel)
     if args.seed is None:
         raise InvalidInput("grf requires --seed for reproducible sampling")
     grf_buffer(args.samples, cloud.count)  # refuse a bad or unallocatable count before any work

@@ -30,11 +30,12 @@ class NonPositivePivot(ArithmeticError):
 
 
 def allocate(make, shape: tuple, what: str, **kwargs):
-    """``make(shape, **kwargs)`` for a NumPy float64 array constructor such as
+    """``make(shape, **kwargs)`` for a float64 array constructor such as
     ``np.empty``; raises ResourceLimit, naming ``what``, when the array cannot
     be allocated."""
     try:
         return make(shape, **kwargs)
-    except (MemoryError, ValueError) as exc:  # ValueError: beyond the address space
+    # ValueError: beyond the address space; OSError: a memory mapping refused
+    except (MemoryError, OSError, ValueError) as exc:
         raise ResourceLimit(f"{what} would take {8 * math.prod(shape)} bytes, "
                             "more than can be allocated") from exc

@@ -1,15 +1,23 @@
-"""File formats: point clouds, data vectors, Matrix Market, factor snapshots.
+"""File formats: point clouds, data vectors, kernel configs, Matrix Market,
+factor snapshots.
 
-Binary formats are little-endian with a magic header; CSV formats are UTF-8,
-use '.' as the decimal separator and detect an optional header row by failing
-to parse the first row as numbers; a parse error names the file line.  Matrix
-Market files are written by SciPy's C++ writer (``scipy.io.mmwrite``) as
-coordinate real symmetric: the stored lower triangle, each entry once.  The
-reader takes ``general`` and ``symmetric`` files.  Every text number, in CSV
-and Matrix Market files alike, is parsed by NumPy's ``loadtxt``, so it
+Every input file is read here, one rule per helper: ``_read`` refuses a
+missing file, ``_utf8`` text that is not UTF-8, and ``_read_binary`` reads
+the one binary frame of points, vectors and factors, which ``_write_binary``
+writes: an 8-byte magic, a little-endian header, then little-endian 8-byte
+arrays that fill the rest of the file exactly.  CSV formats are UTF-8, use
+'.' as the decimal separator and detect an optional header row by failing to
+parse the first row as numbers; a parse error names the file line.  CSV
+numbers are written as ``%.17g``, which reads back to the same double.
+Kernel configs are UTF-8 JSON, as ``KernelConfig.from_json`` parses it.
+Matrix Market files are written by SciPy's C++ writer (``scipy.io.mmwrite``)
+as coordinate real symmetric: the stored lower triangle, each entry once.
+The reader takes ``general`` and ``symmetric`` files.  Every text number, in
+CSV and Matrix Market files alike, is parsed by NumPy's ``loadtxt``, so it
 follows NumPy's grammar: an optional sign, digits with an optional point and
 exponent, or ``nan``/``inf``; no ``_``, non-ASCII digits, hex or junk after a
-number.
+number.  A reader refuses a malformed file with ``InvalidInput``, or a matrix
+too large to hold with ``ResourceLimit``, and names the file.
 """
 
 from __future__ import annotations
@@ -25,15 +33,67 @@ import scipy.sparse as sp
 
 from .cluster_tree import PointCloud
 from .errors import InvalidInput, ResourceLimit
+from .kernels import KernelConfig
 from .sparse import CholeskyFactor, Permutation, SparseSym
 
 POINTS_MAGIC = b"SMPLPTS1"
 VECTOR_MAGIC = b"SMPLVEC1"
 FACTOR_MAGIC = b"SMPLCHOL"
+_KINDS = {POINTS_MAGIC: "point", VECTOR_MAGIC: "vector", FACTOR_MAGIC: "factor"}
 
 
-def _float_repr(x: float) -> str:
-    return format(float(x), ".17g")
+def _read(path) -> tuple[Path, bytes]:
+    """The path and the bytes of its file; a missing file is refused."""
+    path = Path(path)
+    try:
+        return path, path.read_bytes()
+    except FileNotFoundError as exc:
+        raise InvalidInput(f"{path}: no such file") from exc
+
+
+def _utf8(raw: bytes, path: Path) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidInput(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
+def _write_binary(path, magic: bytes, header: bytes, *arrays) -> None:
+    """The magic, the packed header, then the bytes of each (array, dtype)."""
+    with open(path, "wb") as fh:
+        fh.write(magic + header)
+        for array, dtype in arrays:
+            fh.write(np.ascontiguousarray(array, dtype=dtype).tobytes())
+
+
+def _read_binary(raw: bytes, path: Path, kind: str, header: str, counts, dtypes, what: str):
+    """The header fields and the arrays of a binary ``kind`` file.
+
+    The magic is followed by the struct ``header`` and by one array of each
+    8-byte dtype of ``dtypes``, of the lengths ``counts(*fields)``, which
+    fill the file exactly; ``what`` names their entries when they do not.
+    """
+    if _KINDS.get(raw[:8]) != kind:
+        raise InvalidInput(f"{path}: not a {kind} file (wrong magic)")
+    offset = 8 + struct.calcsize(header)
+    if len(raw) < offset:
+        raise InvalidInput(f"{path}: truncated {kind} header")
+    fields = struct.unpack_from(header, raw, 8)
+    sizes = counts(*fields)
+    if len(raw) != offset + 8 * sum(sizes):
+        raise InvalidInput(f"{path}: expected {sum(sizes)} {what} ({8 * sum(sizes)} bytes), "
+                           f"found {len(raw) - offset} bytes")
+    arrays = []
+    for size, dtype in zip(sizes, dtypes):
+        arrays.append(np.frombuffer(raw, dtype=dtype, count=size, offset=offset).copy())
+        offset += 8 * size
+    return fields, arrays
+
+
+def _write_csv(path, table: np.ndarray, header: str = "") -> None:
+    # through a handle: np.savetxt would gzip a file whose name ends in ".gz"
+    with open(path, "w") as fh:
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 # ---------------------------------------------------------------------------
@@ -41,27 +101,16 @@ def _float_repr(x: float) -> str:
 
 
 def write_points_csv(path, cloud: PointCloud, header: bool = False) -> None:
-    lines = []
-    if header:
-        lines.append(",".join(f"x{k}" for k in range(cloud.dim)))
-    for row in cloud.coords:
-        lines.append(",".join(_float_repr(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, cloud.coords, ",".join(f"x{k}" for k in range(cloud.dim)) if header else "")
 
 
 def write_points_binary(path, cloud: PointCloud) -> None:
-    with open(path, "wb") as fh:
-        fh.write(POINTS_MAGIC)
-        fh.write(struct.pack("<II", cloud.dim, cloud.count))
-        fh.write(np.ascontiguousarray(cloud.coords, dtype="<f8").tobytes())
+    _write_binary(path, POINTS_MAGIC, struct.pack("<II", cloud.dim, cloud.count),
+                  (cloud.coords, "<f8"))
 
 
-def _parse_csv_rows(raw: bytes, path) -> np.ndarray:
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise InvalidInput(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
-    stripped = [r.strip() for r in text.replace(";", ",").splitlines()]
+def _parse_csv_rows(raw: bytes, path: Path) -> np.ndarray:
+    stripped = [r.strip() for r in _utf8(raw, path).replace(";", ",").splitlines()]
     lines = [k for k, r in enumerate(stripped, 1) if r]  # the file line of each kept row
     rows = [stripped[k - 1] for k in lines]
     if not rows:
@@ -99,21 +148,11 @@ def _first_bad_row(rows: list[str]) -> int:
 
 def read_points(path) -> PointCloud:
     """Read a point cloud from CSV or the binary point format (sniffed)."""
-    path = Path(path)
-    if not path.exists():
-        raise InvalidInput(f"{path}: no such file")
-    raw = path.read_bytes()
-    if raw[:8] == POINTS_MAGIC:
-        if len(raw) < 16:
-            raise InvalidInput(f"{path}: truncated point header")
-        d, n = struct.unpack("<II", raw[8:16])
-        if len(raw) != 16 + 8 * n * d:
-            raise InvalidInput(f"{path}: expected {n * d} coordinates ({8 * n * d} bytes), "
-                               f"found {len(raw) - 16} bytes")
-        data = np.frombuffer(raw, dtype="<f8", offset=16)
-        return PointCloud(data.reshape(n, d).copy())
-    if raw[:8] == VECTOR_MAGIC or raw[:8] == FACTOR_MAGIC:
-        raise InvalidInput(f"{path}: not a point file (wrong magic)")
+    path, raw = _read(path)
+    if raw[:8] in _KINDS:
+        (d, n), (coords,) = _read_binary(raw, path, "point", "<II", lambda d, n: (n * d,),
+                                         ("<f8",), "coordinates")
+        return PointCloud(coords.reshape(n, d))
     return PointCloud(_parse_csv_rows(raw, path))
 
 
@@ -122,16 +161,12 @@ def read_points(path) -> PointCloud:
 
 
 def write_vector_csv(path, values: np.ndarray) -> None:
-    values = np.asarray(values, dtype=np.float64).ravel()
-    Path(path).write_text("\n".join(_float_repr(v) for v in values) + "\n")
+    _write_csv(path, np.asarray(values, dtype=np.float64).ravel())
 
 
 def write_vector_binary(path, values: np.ndarray) -> None:
     values = np.asarray(values, dtype=np.float64).ravel()
-    with open(path, "wb") as fh:
-        fh.write(VECTOR_MAGIC)
-        fh.write(struct.pack("<I", values.size))
-        fh.write(values.astype("<f8").tobytes())
+    _write_binary(path, VECTOR_MAGIC, struct.pack("<I", values.size), (values, "<f8"))
 
 
 def read_vector(path) -> np.ndarray:
@@ -139,20 +174,10 @@ def read_vector(path) -> np.ndarray:
 
     Every value must be finite: NaN or an infinity raises ``InvalidInput``.
     """
-    path = Path(path)
-    if not path.exists():
-        raise InvalidInput(f"{path}: no such file")
-    raw = path.read_bytes()
-    if raw[:8] == VECTOR_MAGIC:
-        if len(raw) < 12:
-            raise InvalidInput(f"{path}: truncated vector header")
-        (n,) = struct.unpack("<I", raw[8:12])
-        if len(raw) != 12 + 8 * n:
-            raise InvalidInput(f"{path}: expected {n} values ({8 * n} bytes), "
-                               f"found {len(raw) - 12} bytes")
-        values = np.frombuffer(raw, dtype="<f8", offset=12).astype(np.float64)
-    elif raw[:8] == POINTS_MAGIC or raw[:8] == FACTOR_MAGIC:
-        raise InvalidInput(f"{path}: not a vector file (wrong magic)")
+    path, raw = _read(path)
+    if raw[:8] in _KINDS:
+        _, (values,) = _read_binary(raw, path, "vector", "<I", lambda n: (n,), ("<f8",),
+                                    "values")
     else:
         table = _parse_csv_rows(raw, path)
         if table.shape[1] != 1:
@@ -163,6 +188,20 @@ def read_vector(path) -> np.ndarray:
         raise InvalidInput(f"{path}: value {bad[0]} is {values[bad[0]]}; "
                            f"data values must be finite")
     return values
+
+
+# ---------------------------------------------------------------------------
+# kernel configs
+
+
+def read_kernel(path) -> KernelConfig:
+    """Read a kernel config: UTF-8 JSON that ``KernelConfig.from_json`` takes."""
+    path, raw = _read(path)
+    text = _utf8(raw, path)
+    try:
+        return KernelConfig.from_json(text)
+    except InvalidInput as exc:
+        raise InvalidInput(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +236,10 @@ def read_matrix_market(path) -> SparseSym:
     size line may hold anything.  Malformed files raise ``InvalidInput``, and
     a matrix too large to hold raises ``ResourceLimit``.
     """
-    path = Path(path)
-    if not path.exists():
-        raise InvalidInput(f"{path}: no such file")
+    path, raw = _read(path)
     # A carriage return separates tokens, as in a CRLF line end; loadtxt
     # would end the line at a lone one.
-    raw = path.read_bytes().replace(b"\r", b" ")
+    raw = raw.replace(b"\r", b" ")
     fh = io.BytesIO(raw)
     kind = b" ".join(fh.readline().lower().split()[:5])
     if kind not in (b"%%matrixmarket matrix coordinate real general",
@@ -252,42 +289,20 @@ def read_matrix_market(path) -> SparseSym:
 
 
 def write_factor(path, factor: CholeskyFactor) -> None:
-    with open(path, "wb") as fh:
-        fh.write(FACTOR_MAGIC)
-        fh.write(struct.pack("<I", 1))  # version
-        fh.write(struct.pack("<QQd", factor.n, factor.nnz, factor.rho))
-        fh.write(factor.perm.order.astype("<i8").tobytes())
-        fh.write(factor.indptr.astype("<i8").tobytes())
-        fh.write(factor.indices.astype("<i8").tobytes())
-        fh.write(factor.values.astype("<f8").tobytes())
+    """The factor file, version 1: n, nnz and the ridge, then the permutation
+    and L's compressed columns."""
+    _write_binary(path, FACTOR_MAGIC, struct.pack("<IQQd", 1, factor.n, factor.nnz, factor.rho),
+                  (factor.perm.order, "<i8"), (factor.indptr, "<i8"),
+                  (factor.indices, "<i8"), (factor.values, "<f8"))
 
 
 def read_factor(path) -> CholeskyFactor:
-    path = Path(path)
-    if not path.exists():
-        raise InvalidInput(f"{path}: no such file")
-    raw = path.read_bytes()
-    if raw[:8] != FACTOR_MAGIC:
-        raise InvalidInput(f"{path}: not a factor file (wrong magic)")
-    if len(raw) < 36:
-        raise InvalidInput(f"{path}: truncated factor header")
-    (version,) = struct.unpack("<I", raw[8:12])
+    path, raw = _read(path)
+    (version, n, _, rho), (order, indptr, indices, values) = _read_binary(
+        raw, path, "factor", "<IQQd", lambda version, n, nnz, rho: (n, n + 1, nnz, nnz),
+        ("<i8", "<i8", "<i8", "<f8"), "permutation, column, row and value entries")
     if version != 1:
         raise InvalidInput(f"{path}: unsupported factor version {version}")
-    n, nnz, rho = struct.unpack("<QQd", raw[12:36])
-    offset = 36
-    counts = (n, n + 1, nnz, nnz)
-    expected = offset + 8 * sum(counts)
-    if len(raw) != expected:
-        raise InvalidInput(f"{path}: expected {expected} bytes for n={n}, nnz={nnz}, "
-                           f"found {len(raw)}")
-    dtypes = ("<i8", "<i8", "<i8", "<f8")
-    arrays = []
-    for cnt, dt in zip(counts, dtypes):
-        nbytes = cnt * 8
-        arrays.append(np.frombuffer(raw, dtype=dt, count=cnt, offset=offset).copy())
-        offset += nbytes
-    order, indptr, indices, values = arrays
     try:
         return CholeskyFactor(n=int(n), perm=Permutation.from_order(order), rho=float(rho),
                               indptr=indptr, indices=indices, values=values)

@@ -25,7 +25,11 @@ DENSE_CAP = 2 ** 14
 @dataclass(frozen=True)
 class KernelConfig:
     """A radial kernel: half-integer Matern family, its smooth limit, or a plain
-    exponential k(r) = exp(-c r) parameterized by the distance scale c."""
+    exponential k(r) = exp(-c r) parameterized by the distance scale c.
+
+    A family reads one scale, ``distance_scale`` for the scaled exponential
+    and ``length_scale`` for the others; the other one must keep its default.
+    """
 
     family: str
     length_scale: float = 1.0
@@ -36,6 +40,11 @@ class KernelConfig:
             raise InvalidInput(f"unknown kernel family {self.family!r}; choose from {FAMILIES}")
         if not (0 < self.length_scale < np.inf and 0 < self.distance_scale < np.inf):
             raise InvalidInput("kernel scales must be positive and finite")
+        key = _scale_key(self.family)
+        unread = "length_scale" if key == "distance_scale" else "distance_scale"
+        if getattr(self, unread) != 1.0:
+            raise InvalidInput(f"kernel family {self.family!r} does not read {unread!r}, "
+                               f"only {key!r}")
 
     @classmethod
     def from_json(cls, text: str) -> "KernelConfig":

@@ -88,10 +88,18 @@ class SparseSym:
 
     @classmethod
     def from_triplets(cls, n: int, rows, cols, vals) -> "SparseSym":
-        """Build from coordinate data; upper entries are mirrored, duplicates summed."""
+        """Build from coordinate data; upper entries are mirrored, duplicates summed.
+
+        Raises InvalidInput unless rows, cols and vals are 1-D arrays of one
+        length and every index lies in [0, n).
+        """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
+        if not rows.shape == cols.shape == vals.shape == (vals.size,):
+            raise InvalidInput("rows, cols and values must be 1-D arrays of one length")
+        if np.any((rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)):
+            raise InvalidInput(f"an entry index lies outside [0, {n})")
         swap = rows < cols
         rows2 = np.where(swap, cols, rows)
         cols2 = np.where(swap, rows, cols)
@@ -106,12 +114,12 @@ class SparseSym:
                    indices=mat.indices.astype(np.int64), values=mat.data)
 
     @classmethod
-    def from_dense(cls, a: np.ndarray, tol: float = 0.0) -> "SparseSym":
+    def from_dense(cls, a: np.ndarray) -> "SparseSym":
         a = np.asarray(a, dtype=np.float64)
         n = a.shape[0]
         if a.shape != (n, n):
             raise InvalidInput("dense input must be square")
-        if np.max(np.abs(a - a.T)) > tol:
+        if np.max(np.abs(a - a.T)) > 0.0:
             raise InvalidInput("dense input is not symmetric")
         rows, cols = np.nonzero(np.tril(a))
         return cls.from_triplets(n, rows, cols, a[rows, cols])
@@ -182,6 +190,8 @@ class Permutation:
     @classmethod
     def from_order(cls, order) -> "Permutation":
         order = np.asarray(order, dtype=np.int64)
+        if order.ndim != 1:
+            raise InvalidInput(f"order must be 1-D, got shape {order.shape}")
         n = order.size
         if np.any((order < 0) | (order >= n)):
             raise InvalidInput(f"order holds entries outside [0, {n})")
@@ -333,8 +343,7 @@ class CholeskyFactor:
             raise InvalidInput("factor values must be finite")
         if not np.all(self.values[self.indptr[:-1]] > 0.0):
             raise InvalidInput("factor diagonal must be positive")
-        if not 0 <= self.rho < np.inf:
-            raise InvalidInput(f"ridge must be finite and nonnegative, got {self.rho}")
+        _check_recorded_ridge(self.rho)
 
     @property
     def nnz(self) -> int:
@@ -370,6 +379,13 @@ class CholeskyFactor:
             raise InvalidInput("a triangular solve with the factor gave a non-finite "
                                "result")
         return x[self.perm.rank]
+
+
+def _check_recorded_ridge(rho: float) -> None:
+    """Raise InvalidInput unless ``rho`` is a ridge a factor records: finite
+    and >= 0."""
+    if not 0 <= rho < np.inf:
+        raise InvalidInput(f"ridge must be finite and nonnegative, got {rho}")
 
 
 def cholesky_method(a: SparseSym) -> str:
@@ -440,11 +456,13 @@ def sparse_cholesky(a: SparseSym, perm: Permutation | None = None,
     says.
 
     Without ``perm`` the matrix is factored in its natural order.  ``rho``
-    only records the ridge already contained in ``a``.  Raises
-    NonPositivePivot when a pivot fails to be positive, reporting the column
-    of the permuted matrix at fault, and ResourceLimit when the dense path
-    cannot allocate its buffer.
+    only records the ridge already contained in ``a``; it must be finite and
+    nonnegative, and is checked before any work.  Raises NonPositivePivot
+    when a pivot fails to be positive, reporting the column of the permuted
+    matrix at fault, and ResourceLimit when the dense path cannot allocate
+    its buffer.
     """
+    _check_recorded_ridge(rho)
     if perm is None:
         perm = Permutation.identity(a.n)
     if perm.n != a.n:

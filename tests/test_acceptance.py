@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from samplets.basis import build_samplet_basis, multi_indices
+from samplets.basis import NormalizationFrame, build_samplet_basis, multi_indices
 from samplets.cluster_tree import PointCloud
 from samplets.h2 import assemble_compressed_kernel, dense_compressed_oracle
 from samplets.kernels import KernelConfig, dense_kernel_matrix
@@ -72,7 +72,7 @@ def test_a2_vanishing_moments():
     n, d = 700, 2
     cloud = PointCloud(rng.uniform(-1, 1, size=(n, d)))
     basis = build_samplet_basis(cloud, q=2)
-    x = basis.frame.normalize(cloud.coords)
+    x = NormalizationFrame.for_cloud(cloud).normalize(cloud.coords)
 
     poly_q = np.zeros(n)
     for alpha in multi_indices(basis.spec.q, d):

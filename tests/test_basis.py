@@ -197,7 +197,7 @@ class TestBasisProperties:
         cloud = PointCloud(rng.uniform(-1, 1, size=(n, d)))
         basis = build_samplet_basis(cloud, q=1)  # q_leaf=2 in 2d (m: 3 -> 6)
         spec = basis.spec
-        x_norm = basis.frame.normalize(cloud.coords)
+        x_norm = NormalizationFrame.for_cloud(cloud).normalize(cloud.coords)
         for k in range(basis.n_root_scaling, n):
             omega = samplet_as_point_vector(basis, k)
             owner = owner_of(basis, k)
@@ -214,10 +214,11 @@ class TestBasisProperties:
         n, d, q = 300, 2, 2
         cloud = PointCloud(rng.uniform(-1, 1, size=(n, d)))
         basis = build_samplet_basis(cloud, q=q)
-        x_norm = basis.frame.normalize(cloud.coords)
+        frame = NormalizationFrame.for_cloud(cloud)
+        x_norm = frame.normalize(cloud.coords)
         f = np.exp(x_norm.sum(axis=1))
         c_norm = math.e ** d
-        halfwidth = basis.frame.halfwidth
+        halfwidth = frame.halfwidth
         for k in range(basis.n_root_scaling, n):
             omega = samplet_as_point_vector(basis, k)
             owner = owner_of(basis, k)
@@ -248,6 +249,48 @@ def test_moment_size_cap(monkeypatch):
     monkeypatch.setattr(basis_module, "MAX_MOMENT_ENTRIES", 49)
     with pytest.raises(ResourceLimit):
         construct_basis(tree, spec)
+
+
+def test_moment_size_cap_is_the_largest_moment_matrix(monkeypatch):
+    # a father's moment matrix has m_q rows and its order's columns, a
+    # leaf's m_q_leaf rows and a column per point; the cap admits the
+    # largest exactly
+    import samplets.basis as basis_module
+    from samplets.errors import ResourceLimit
+
+    tree = build_cluster_tree(PointCloud(np.random.default_rng(2).uniform(-1, 1, (200, 2))),
+                              leaf_size=12)
+    spec = MomentSpec(dim=2, q=2, q_leaf=2)
+    rows = np.where(tree.is_leaf, spec.m_q_leaf, spec.m_q)
+    largest = int(np.max(rows * construct_basis(tree, spec).order))
+    monkeypatch.setattr(basis_module, "MAX_MOMENT_ENTRIES", largest)
+    construct_basis(tree, spec)
+    monkeypatch.setattr(basis_module, "MAX_MOMENT_ENTRIES", largest - 1)
+    with pytest.raises(ResourceLimit):
+        construct_basis(tree, spec)
+
+
+@pytest.mark.parametrize("failing", ["mapping", "qr"])
+def test_two_scale_matrices_that_cannot_be_allocated_are_a_resource_limit(monkeypatch,
+                                                                           failing):
+    import errno
+    import mmap
+
+    from samplets.errors import ResourceLimit
+
+    def mapping(*args, **kwargs):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+    def qr(*args, **kwargs):
+        raise MemoryError
+
+    tree = build_cluster_tree(PointCloud(np.linspace(0, 1, 40)[:, None]), leaf_size=8)
+    if failing == "mapping":
+        monkeypatch.setattr(mmap, "mmap", mapping)
+    else:
+        monkeypatch.setattr(np.linalg, "qr", qr)
+    with pytest.raises(ResourceLimit, match="two-scale matrices"):
+        construct_basis(tree, MomentSpec.default(1))
 
 
 def test_build_cost_grows_linearly():

@@ -494,6 +494,15 @@ class TestInfoCommand:
         assert main(["info", "--points", str(pts)]) == 2
         assert "UTF-8" in capsys.readouterr().err
 
+    def test_unallocatable_two_scale_matrices_exit_code(self, monkeypatch, capsys):
+        def qr(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(np.linalg, "qr", qr)
+        assert main(["info", "--gen", "uniform-cube", "--n", "64", "--dim", "2",
+                     "--seed", "1"]) == 2
+        assert "two-scale matrices" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags", [["--q", "200"], ["--q-leaf", "400"]])
     def test_huge_moment_degree_exit_code(self, tmp_path, capsys, flags):
         pts = tmp_path / "p3.csv"

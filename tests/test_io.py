@@ -1,4 +1,5 @@
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from samplets.errors import InvalidInput, ResourceLimit
 from samplets.h2 import assemble_compressed_kernel
 from samplets.kernels import SCALED_EXPONENTIAL, KernelConfig
 from samplets.sparse import (
+    CholeskyFactor,
     Permutation,
     SparseSym,
     add_ridge,
@@ -515,3 +517,65 @@ class TestFactorFiles:
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(InvalidInput, match="expected"):
             sio.read_factor(path)
+
+
+_CLOUD = PointCloud(np.array([[0.5, -1.25], [0.1, 1e-300], [-0.0, 3e20]]))
+_VALUES = np.array([1.0, -2.5, 0.1, 1 / 3])
+_MATRIX = SparseSym.from_triplets(2, [0, 1, 1], [0, 0, 1], [4.0, 2.0, 3.0])
+_FACTOR = CholeskyFactor(n=2, perm=Permutation.from_order([1, 0]), rho=0.25,
+                         indptr=[0, 2, 3], indices=[0, 1, 1], values=[2.0, 1.0, 2.0])
+
+
+def _f8(*values) -> bytes:
+    return np.array(values, dtype="<f8").tobytes()
+
+
+@pytest.mark.parametrize("write, want", [
+    (lambda p: sio.write_points_csv(p, _CLOUD),
+     b"0.5,-1.25\n0.10000000000000001,1e-300\n-0,3e+20\n"),
+    (lambda p: sio.write_points_csv(p, _CLOUD, header=True),
+     b"x0,x1\n0.5,-1.25\n0.10000000000000001,1e-300\n-0,3e+20\n"),
+    (lambda p: sio.write_points_binary(p, _CLOUD),
+     b"SMPLPTS1" + struct.pack("<II", 2, 3) + _f8(0.5, -1.25, 0.1, 1e-300, -0.0, 3e20)),
+    (lambda p: sio.write_vector_csv(p, _VALUES),
+     b"1\n-2.5\n0.10000000000000001\n0.33333333333333331\n"),
+    (lambda p: sio.write_vector_binary(p, _VALUES),
+     b"SMPLVEC1" + struct.pack("<I", 4) + _f8(1.0, -2.5, 0.1, 1 / 3)),
+    (lambda p: sio.write_factor(p, _FACTOR),
+     b"SMPLCHOL" + struct.pack("<IQQd", 1, 2, 3, 0.25)
+     + np.array([1, 0, 0, 2, 3, 0, 1, 1], dtype="<i8").tobytes() + _f8(2.0, 1.0, 2.0)),
+    (lambda p: sio.write_matrix_market(p, _MATRIX),
+     b"%%MatrixMarket matrix coordinate real symmetric\n%\n2 2 3\n1 1 4\n2 1 2\n2 2 3\n"),
+], ids=["points-csv", "points-csv-header", "points-binary", "vector-csv", "vector-binary",
+        "factor", "matrix-market"])
+def test_written_bytes(tmp_path, write, want):
+    """Every writer's bytes on a small input."""
+    path = tmp_path / "out"
+    write(path)
+    assert path.read_bytes() == want
+
+
+class TestKernelFiles:
+    def test_round_trip(self, tmp_path):
+        cfg = KernelConfig(SCALED_EXPONENTIAL, distance_scale=7.5)
+        path = tmp_path / "kernel.json"
+        path.write_text(cfg.to_json())
+        assert sio.read_kernel(path) == cfg
+
+    @pytest.mark.parametrize("raw, message", [
+        (b'{"family": "cauchy"}', "unknown kernel family"),
+        (b"\xff\xfe{}", "not UTF-8"),
+    ], ids=["unknown-family", "not-utf8"])
+    def test_refusal_names_the_file(self, tmp_path, raw, message):
+        path = tmp_path / "kernel.json"
+        path.write_bytes(raw)
+        with pytest.raises(InvalidInput, match=f"kernel.json: {message}"):
+            sio.read_kernel(path)
+
+
+@pytest.mark.parametrize("reader", [sio.read_points, sio.read_vector, sio.read_kernel,
+                                    sio.read_matrix_market, sio.read_factor],
+                         ids=["points", "vector", "kernel", "matrix-market", "factor"])
+def test_a_missing_file_is_refused(tmp_path, reader):
+    with pytest.raises(InvalidInput, match="no-such.dat: no such file"):
+        reader(tmp_path / "no-such.dat")

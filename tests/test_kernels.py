@@ -8,6 +8,7 @@ from samplets.cluster_tree import PointCloud
 from samplets.errors import InvalidInput, ResourceLimit
 from samplets.kernels import (
     FAMILIES,
+    SCALED_EXPONENTIAL,
     KernelConfig,
     dense_kernel_matrix,
     kernel_radial,
@@ -15,7 +16,9 @@ from samplets.kernels import (
 
 
 def all_configs(ell=1.0, c=1.0):
-    return [KernelConfig(f, length_scale=ell, distance_scale=c) for f in FAMILIES]
+    """Every family, each with the one scale it reads."""
+    return [KernelConfig(f, distance_scale=c) if f == SCALED_EXPONENTIAL
+            else KernelConfig(f, length_scale=ell) for f in FAMILIES]
 
 
 class TestPointwise:
@@ -70,6 +73,16 @@ class TestPointwise:
     def test_scale_must_be_a_json_number(self, family, key, scale):
         with pytest.raises(InvalidInput, match=key):
             KernelConfig.from_json(json.dumps({"family": family, key: scale}))
+
+    @pytest.mark.parametrize("family, scales", [
+        ("matern32", {"distance_scale": 5.0}),
+        ("squared-exponential", {"length_scale": 0.5, "distance_scale": 2.0}),
+        ("scaled-exponential", {"length_scale": 0.1}),
+    ], ids=["matern-distance-scale", "both-scales", "exponential-length-scale"])
+    def test_a_scale_the_family_does_not_read_rejected(self, family, scales):
+        unread = "length_scale" if family == SCALED_EXPONENTIAL else "distance_scale"
+        with pytest.raises(InvalidInput, match=repr(unread)):
+            KernelConfig(family, **scales)
 
     def test_integer_scale_accepted(self):
         assert KernelConfig.from_json('{"family": "matern12", "length_scale": 2}') == \

@@ -186,6 +186,16 @@ class TestSparseSym:
             SparseSym(n=2, indptr=np.array(indptr), indices=np.array(indices),
                       values=np.ones(len(indices)))
 
+    @pytest.mark.parametrize("rows,cols,vals", [
+        ([0, 5], [0, 0], [1.0, 2.0]),   # a row index past n
+        ([0, 1], [0, -1], [1.0, 2.0]),  # a negative column index
+        ([0, 1], [0, 0], [1.0]),        # fewer values than indices
+        ([[0, 1]], [[0, 0]], [[1.0, 2.0]]),  # not 1-D
+    ], ids=["row-past-n", "negative-column", "lengths-differ", "two-dimensional"])
+    def test_triplets_outside_the_matrix_rejected(self, rows, cols, vals):
+        with pytest.raises(InvalidInput):
+            SparseSym.from_triplets(2, rows, cols, vals)
+
     def test_values_must_match_indices(self):
         with pytest.raises(InvalidInput):
             SparseSym(n=2, indptr=np.array([0, 2, 3]), indices=np.array([0, 1, 1]),
@@ -282,6 +292,12 @@ class TestOrdering:
         np.testing.assert_array_equal(np.sort(perm.order), np.arange(n))
         np.testing.assert_array_equal(perm.order[perm.rank], np.arange(n))
 
+    @pytest.mark.parametrize("order", [[[0, 1]], [[1, 0], [0, 1]], 0],
+                             ids=["row", "square", "scalar"])
+    def test_order_that_is_not_one_dimensional_rejected(self, order):
+        with pytest.raises(InvalidInput, match="1-D"):
+            Permutation.from_order(np.array(order))
+
 
 class TestSymbolic:
     @settings(max_examples=25, deadline=None)
@@ -310,6 +326,16 @@ class TestCholesky:
         factor = sparse_cholesky(a)
         np.testing.assert_allclose(factor.to_scipy().toarray(),
                                    [[2.0, 0.0], [1.0, math.sqrt(2)]])
+
+    @pytest.mark.parametrize("rho", [-1.0, np.nan, np.inf])
+    def test_bad_ridge_refused_before_factoring(self, monkeypatch, rho):
+        import samplets.sparse as sparse_module
+
+        a = SparseSym.from_dense(np.array([[4.0, 2.0], [2.0, 3.0]]))
+        for name in ("_dense_cholesky", "_superlu_cholesky"):
+            monkeypatch.setattr(sparse_module, name, lambda *args: pytest.fail("factored"))
+        with pytest.raises(InvalidInput, match="ridge"):
+            sparse_cholesky(a, Permutation.identity(2), rho=rho)
 
     @pytest.mark.parametrize("change", ["permutation", "pattern", "nan", "diagonal", "ridge"])
     def test_malformed_factor_rejected(self, change):
@@ -591,8 +617,9 @@ class TestGrf:
         cloud = PointCloud(rng.uniform(-1, 1, size=(40, 1)))
         basis = build_samplet_basis(cloud, q=1)
         cfg = KernelConfig("matern12", length_scale=0.5)
-        k_sig = dense_compressed_oracle(cfg, basis)
-        a = add_ridge(SparseSym.from_dense(k_sig, tol=1e-12), 1.0)
+        k_sig = dense_compressed_oracle(cfg, basis)  # symmetric to rounding
+        k_sig = np.tril(k_sig) + np.tril(k_sig, -1).T
+        a = add_ridge(SparseSym.from_dense(k_sig), 1.0)
         perm = fill_reducing_order(a)
         factor = sparse_cholesky(a, perm, rho=1.0)
         fields = sample_grf(factor, basis, seed=3, n_samples=5)

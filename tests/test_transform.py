@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from samplets.basis import build_samplet_basis, multi_indices
+from samplets.basis import NormalizationFrame, build_samplet_basis, multi_indices
 from samplets.cluster_tree import PointCloud
 from samplets.errors import InvalidInput
 from samplets.transform import (
@@ -43,7 +43,8 @@ class TestForward:
         assert np.linalg.norm(coeffs.values) == pytest.approx(np.sqrt(n), rel=1e-12)
 
     def test_polynomial_data_is_annihilated(self, basis_2d):
-        x = basis_2d.frame.normalize(basis_2d.tree.cloud.coords)
+        cloud = basis_2d.tree.cloud
+        x = NormalizationFrame.for_cloud(cloud).normalize(cloud.coords)
         rng = np.random.default_rng(0)
         f = np.zeros(basis_2d.size)
         for alpha in multi_indices(basis_2d.spec.q, 2):
@@ -291,7 +292,8 @@ class TestDetectionReference:
 
 class TestSingularities:
     def test_smooth_polynomial_gives_empty_list(self, basis_2d):
-        x = basis_2d.frame.normalize(basis_2d.tree.cloud.coords)
+        cloud = basis_2d.tree.cloud
+        x = NormalizationFrame.for_cloud(cloud).normalize(cloud.coords)
         f = 1.0 + x[:, 0] - 2 * x[:, 1] + x[:, 0] * x[:, 1]
         coeffs = forward_transform(basis_2d, point_vec(f))
         assert detect_singularities(basis_2d, coeffs, 1e-8) == []
