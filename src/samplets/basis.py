@@ -36,6 +36,7 @@ from __future__ import annotations
 import mmap
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations_with_replacement
 from math import comb, prod
 
 import numpy as np
@@ -69,18 +70,11 @@ def multi_indices(degree: int, d: int) -> np.ndarray:
     the first axis carries the highest exponent first.  Returns an
     (m_degree, d) integer array.
     """
-    rows: list[tuple[int, ...]] = []
-
-    def compositions(total: int, slots: int, prefix: tuple[int, ...]):
-        if slots == 1:
-            rows.append(prefix + (total,))
-            return
-        for head in range(total, -1, -1):
-            compositions(total - head, slots - 1, prefix + (head,))
-
-    for ell in range(degree + 1):
-        compositions(ell, d, ())
-    return np.asarray(rows, dtype=np.int64)
+    # each combination lists the axes of one monomial's factors; sorted
+    # combinations give the first axis its highest count first
+    return np.asarray([[axes.count(axis) for axis in range(d)]
+                       for ell in range(degree + 1)
+                       for axes in combinations_with_replacement(range(d), ell)], dtype=np.int64)
 
 
 @dataclass(frozen=True)

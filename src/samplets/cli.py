@@ -88,7 +88,7 @@ def _write_vector(path: str, values: np.ndarray, fmt: str) -> None:
 
 
 def generate_points(kind: str, n: int, dim: int, seed: int | None) -> PointCloud:
-    """Built-in generators for benchmarks: seeded uniform cube or regular grid."""
+    """The points of ``--gen``: a seeded uniform cube or a regular grid."""
     if n < 1 or dim < 1:
         raise InvalidInput("generator needs --n >= 1 and --dim >= 1")
     if kind == "uniform-cube":

@@ -19,8 +19,6 @@ import numpy as np
 
 from .errors import InvalidInput
 
-DEFAULT_LEAF_SIZE = 16
-
 
 @dataclass(frozen=True)
 class PointCloud:
@@ -147,7 +145,7 @@ class ClusterTree:
                           self.lo[b], self.hi[b], self.diameter[b], eta)
 
 
-def build_cluster_tree(cloud: PointCloud, leaf_size: int = DEFAULT_LEAF_SIZE) -> ClusterTree:
+def build_cluster_tree(cloud: PointCloud, leaf_size: int) -> ClusterTree:
     """Build the balanced binary cluster tree by median splits, one level at a time.
 
     A cluster's box is the tight box of its points.  A cluster holding at

@@ -61,7 +61,7 @@ import numpy as np
 from . import workers
 from .basis import SampletBasis, _groups
 from .cluster_tree import ClusterTree
-from .errors import InvalidInput, ResourceLimit, allocate
+from .errors import InvalidInput, allocate
 from .kernels import KernelConfig, dense_kernel_matrix, kernel_radial
 from .sparse import SparseSym
 from .transform import forward_transform_matrix
@@ -569,9 +569,6 @@ def assemble_compressed_kernel(basis: SampletBasis, cfg: KernelConfig,
 def dense_compressed_oracle(cfg: KernelConfig, basis: SampletBasis,
                             cap: int = 2 ** 12) -> np.ndarray:
     """Exact two-sided samplet transform of the dense kernel matrix (oracle)."""
-    n = basis.size
-    if n > cap:
-        raise ResourceLimit(f"dense oracle capped at N <= {cap}, got {n}")
     k = dense_kernel_matrix(cfg, basis.tree.cloud, cap=cap)
     return forward_transform_matrix(basis, forward_transform_matrix(basis, k).T)
 

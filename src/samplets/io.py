@@ -2,7 +2,7 @@
 factor snapshots.
 
 Every input file is read here, one rule per helper: ``_read`` refuses a
-missing file, ``_utf8`` text that is not UTF-8, and ``_read_binary`` reads
+file it cannot read, ``_utf8`` text that is not UTF-8, and ``_read_binary`` reads
 the one binary frame of points, vectors and factors, which ``_write_binary``
 writes: an 8-byte magic, a little-endian header, then little-endian 8-byte
 arrays that fill the rest of the file exactly.  CSV formats are UTF-8, use
@@ -25,6 +25,7 @@ from __future__ import annotations
 import io
 import struct
 import warnings
+from bisect import bisect_left
 from pathlib import Path
 
 import numpy as np
@@ -43,12 +44,13 @@ _KINDS = {POINTS_MAGIC: "point", VECTOR_MAGIC: "vector", FACTOR_MAGIC: "factor"}
 
 
 def _read(path) -> tuple[Path, bytes]:
-    """The path and the bytes of its file; a missing file is refused."""
+    """The path and the bytes of its file; a file that cannot be read, such
+    as a missing file or a directory, is refused."""
     path = Path(path)
     try:
         return path, path.read_bytes()
-    except FileNotFoundError as exc:
-        raise InvalidInput(f"{path}: no such file") from exc
+    except OSError as exc:
+        raise InvalidInput(f"{path}: {exc.strerror.lower()}") from exc
 
 
 def _utf8(raw: bytes, path: Path) -> str:
@@ -115,35 +117,27 @@ def _parse_csv_rows(raw: bytes, path: Path) -> np.ndarray:
     rows = [stripped[k - 1] for k in lines]
     if not rows:
         raise InvalidInput(f"{path}: file contains no data")
-    try:
-        np.loadtxt(rows[:1], delimiter=",", comments=None)
-    except ValueError:
+    if not _parses(rows[:1]):
         lines, rows = lines[1:], rows[1:]  # header row, skipped
     if not rows:
         raise InvalidInput(f"{path}: file holds a header row but no data")
     try:
         return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
-        bad = _first_bad_row(rows)
+        # a prefix of rows parses exactly when it ends before the first bad row
+        bad = bisect_left(range(1, len(rows) + 1), True, key=lambda k: not _parses(rows[:k]))
         row = rows[bad]
         what = ("rows have inconsistent column counts" if row.count(",") != rows[0].count(",")
                 else f"a data row is not decimal numbers ({row[:60]!r})")
         raise InvalidInput(f"{path}: line {lines[bad]}: {what}") from exc
 
 
-def _first_bad_row(rows: list[str]) -> int:
-    """The index of the first row that ``np.loadtxt`` refuses in ``rows``,
-    which it refuses as a whole.  A prefix of rows parses exactly when it
-    ends before that row, so the row is found by bisection."""
-    good, bad = 0, len(rows)  # rows[:good] parse, rows[:bad] do not
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        try:
-            np.loadtxt(rows[:mid], delimiter=",", comments=None, ndmin=2)
-            good = mid
-        except ValueError:
-            bad = mid
-    return bad - 1
+def _parses(rows: list[str]) -> bool:
+    try:
+        np.loadtxt(rows, delimiter=",", comments=None)
+    except ValueError:
+        return False
+    return True
 
 
 def read_points(path) -> PointCloud:

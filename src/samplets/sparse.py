@@ -19,6 +19,7 @@ reordered matrix takes one of two paths, chosen by the matrix alone:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from math import sqrt
@@ -263,14 +264,10 @@ def _natural_lu(mat: sp.csc_matrix):
     factored = _leading_lu(mat, n)
     if factored is not None:
         return factored
-    lo, hi = 1, n  # the leading block of size hi is singular
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _leading_lu(mat, mid) is None:
-            hi = mid
-        else:
-            lo = mid + 1
-    raise NonPositivePivot(lo - 1, 0.0 if np.isfinite(mat[:lo, :lo].data).all() else np.nan)
+    # the leading block of size column + 1 is the smallest singular one
+    column = bisect_left(range(1, n), True, key=lambda m: _leading_lu(mat, m) is None)
+    block = mat[:column + 1, :column + 1]
+    raise NonPositivePivot(column, 0.0 if np.isfinite(block.data).all() else np.nan)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,11 @@ class TestMomentDimension:
         degrees = idx.sum(axis=1)
         assert np.all(np.diff(degrees) >= 0)  # graded ordering
         assert len({tuple(row) for row in idx}) == idx.shape[0]
+        # within a degree, the first axis carries the highest exponent first
+        for ell in range(q + 1):
+            block = [tuple(row) for row in idx[degrees == ell]]
+            assert block == sorted(block, reverse=True)
+        assert multi_indices(2, 2).tolist() == [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]]
 
 
 class TestLeafMoments:

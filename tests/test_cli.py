@@ -647,6 +647,12 @@ class TestMalformedFiles:
         assert main(argv) == 2
         assert "coordinates" in capsys.readouterr().err
 
+    def test_directory_as_input_exit_code(self, tmp_path, capsys):
+        assert main(["info", "--points", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path}: is a directory" in err
+        assert "[Errno" not in err
+
     def test_header_only_data_exit_code(self, tmp_path, points_1d, capsys):
         data = tmp_path / "f.csv"
         data.write_text("x,y\n")

@@ -187,7 +187,7 @@ class TestInterpolationScheme:
         assert scheme.axes.shape == (1, d, p + 1)
 
     def test_negative_degree_rejected(self):
-        tree = build_cluster_tree(PointCloud(np.zeros((3, 2))))
+        tree = build_cluster_tree(PointCloud(np.zeros((3, 2))), leaf_size=16)
         with pytest.raises(InvalidInput, match="degree"):
             InterpolationScheme.build(tree, -1)
 

@@ -72,7 +72,8 @@ class TestPointFiles:
         ("x,y\n\n1,2\n1_000,2\n", 4, "not decimal numbers"),
         ("1,2\n\n\n3,4\n5,zz\n", 5, "not decimal numbers"),
         ("x,y\n1,2\n\n3,4\n\n5,6,7\n8,9\n", 6, "inconsistent"),
-    ], ids=["after-header-and-blank", "after-blanks", "column-count"])
+        ("x,y\n1_000,2\n3,4\n", 2, "not decimal numbers"),
+    ], ids=["after-header-and-blank", "after-blanks", "column-count", "first-after-header"])
     def test_csv_parse_error_names_the_file_line(self, tmp_path, text, line, what):
         path = tmp_path / "bad.csv"
         path.write_text(text)
@@ -573,9 +574,18 @@ class TestKernelFiles:
             sio.read_kernel(path)
 
 
-@pytest.mark.parametrize("reader", [sio.read_points, sio.read_vector, sio.read_kernel,
-                                    sio.read_matrix_market, sio.read_factor],
-                         ids=["points", "vector", "kernel", "matrix-market", "factor"])
+EVERY_READER = pytest.mark.parametrize(
+    "reader", [sio.read_points, sio.read_vector, sio.read_kernel, sio.read_matrix_market,
+               sio.read_factor], ids=["points", "vector", "kernel", "matrix-market", "factor"])
+
+
+@EVERY_READER
 def test_a_missing_file_is_refused(tmp_path, reader):
     with pytest.raises(InvalidInput, match="no-such.dat: no such file"):
         reader(tmp_path / "no-such.dat")
+
+
+@EVERY_READER
+def test_a_directory_is_refused(tmp_path, reader):
+    with pytest.raises(InvalidInput, match=f"{tmp_path.name}: is a directory"):
+        reader(tmp_path)

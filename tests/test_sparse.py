@@ -375,12 +375,17 @@ class TestCholesky:
         [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
     ]
 
-    @pytest.mark.parametrize("dense", SINGULAR)
-    def test_exactly_singular_reports_column(self, dense):
+    @pytest.mark.parametrize("dense, column", [(dense, 1) for dense in SINGULAR] + [
+        (np.diag(np.r_[0.0, np.ones(63)]), 0), (np.diag(np.r_[np.ones(63), 0.0]), 63),
+    ], ids=["dense0", "dense1", "dense2", "superlu-first", "superlu-last"])
+    def test_exactly_singular_reports_column(self, dense, column):
+        """The 64-by-64 diagonals take SuperLU, whose breakdown is found by
+        bisection; their zero pivots sit at its two ends."""
         a = SparseSym.from_dense(np.array(dense))
+        assert cholesky_method(a) == ("sparse" if len(dense) == 64 else "dense")
         with pytest.raises(NonPositivePivot) as err:
             sparse_cholesky(a)
-        assert err.value.column == 1
+        assert err.value.column == column
         assert err.value.value == 0.0
 
     @pytest.mark.parametrize("dense, column, value", [
