@@ -29,7 +29,7 @@ from .basis import build_samplet_basis
 from .cluster_tree import PointCloud
 from .errors import InvalidInput, NonPositivePivot, ResourceLimit, allocate
 from .h2 import assemble_compressed_kernel, dense_compressed_oracle
-from .kernels import KernelConfig
+from .kernels import KernelConfig, check_dense_size
 from .sparse import (
     add_ridge,
     anz,
@@ -130,9 +130,22 @@ def _build_basis(cloud: PointCloud, args):
                                leaf_size=args.leaf_size)
 
 
+def _check_outputs(paths) -> None:
+    """Refuse an output path whose directory is missing or which names a
+    directory, worded as ``io`` words such an input."""
+    for path in filter(None, paths):
+        if Path(path).is_dir():
+            raise InvalidInput(f"{path}: is a directory")
+        if not Path(path).parent.is_dir():
+            raise InvalidInput(f"{path}: no such file or directory")
+
+
 def _load_data(args):
     """The point cloud, the data vector and the basis of transform, compress
-    and detect."""
+    and detect.  Bad threshold flags are refused first: resolving them
+    against a unit coefficient checks all but the relative threshold that
+    the data's coefficients give."""
+    _resolve_threshold(args, CoefficientVector(np.ones(1), SAMPLET_BASIS))
     cloud = _load_points(args)
     data = sio.read_vector(args.data)
     return cloud, data, _build_basis(cloud, args)
@@ -237,6 +250,8 @@ def _compressed_kernel(args, cloud: PointCloud, cfg: KernelConfig):
 
 def cmd_kernel_compress(args) -> int:
     cloud = _load_points(args)
+    if args.dense_oracle:
+        check_dense_size(cloud.count)  # before the basis and the assembly, not after them
     cfg = sio.read_kernel(args.kernel)
     basis, matrix, metrics = _compressed_kernel(args, cloud, cfg)
     sio.write_matrix_market(args.out, matrix)
@@ -259,6 +274,8 @@ def cmd_grf(args) -> int:
     if args.seed is None:
         raise InvalidInput("grf requires --seed for reproducible sampling")
     grf_buffer(args.samples, cloud.count)  # refuse a bad or unallocatable count before any work
+    paths = [f"{args.out_prefix}_{s:03d}.{args.format}" for s in range(args.samples)]
+    _check_outputs(paths)
     basis, ridged, metrics = _compressed_kernel(args, cloud, cfg)
     t0 = time.perf_counter()
     perm = fill_reducing_order(ridged)
@@ -266,11 +283,8 @@ def cmd_grf(args) -> int:
     factor = sparse_cholesky(ridged, perm, rho=args.ridge)
     chol_seconds = time.perf_counter() - t1
     fields = sample_grf(factor, basis, seed=args.seed, n_samples=args.samples)
-    paths = []
-    for s in range(args.samples):
-        path = f"{args.out_prefix}_{s:03d}.{args.format}"
-        _write_vector(path, fields[s], args.format)
-        paths.append(path)
+    for path, field in zip(paths, fields):
+        _write_vector(path, field, args.format)
     if args.factor_out:
         sio.write_factor(args.factor_out, factor)
     metrics.update(seed=args.seed, samples=args.samples,
@@ -392,11 +406,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        _check_outputs(getattr(args, flag, None)
+                       for flag in ("out", "report", "metrics", "factor_out"))
         return args.func(args)
     except NonPositivePivot as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (InvalidInput, ResourceLimit, OSError) as exc:
+        if getattr(exc, "filename", None):  # a file that failed to open, worded as io words one
+            exc = f"{exc.filename}: {exc.strerror.lower()}"
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -63,7 +63,7 @@ from .basis import SampletBasis, _groups
 from .cluster_tree import ClusterTree
 from .errors import InvalidInput, allocate
 from .kernels import KernelConfig, dense_kernel_matrix, kernel_radial
-from .sparse import SparseSym
+from .sparse import SparseSym, anz
 from .transform import forward_transform_matrix
 
 
@@ -224,7 +224,7 @@ class CompressedKernelMatrix:
 
     @property
     def anz(self) -> float:
-        return self.matrix.nnz_full / self.matrix.n
+        return anz(self.matrix)
 
 
 # Kinds of block-list entries.  FAR pairs are interpolated, LEAF pairs are
@@ -566,9 +566,8 @@ def assemble_compressed_kernel(basis: SampletBasis, cfg: KernelConfig,
     return CompressedKernelMatrix(matrix=matrix, stats=stats)
 
 
-def dense_compressed_oracle(cfg: KernelConfig, basis: SampletBasis,
-                            cap: int = 2 ** 12) -> np.ndarray:
+def dense_compressed_oracle(cfg: KernelConfig, basis: SampletBasis) -> np.ndarray:
     """Exact two-sided samplet transform of the dense kernel matrix (oracle)."""
-    k = dense_kernel_matrix(cfg, basis.tree.cloud, cap=cap)
+    k = dense_kernel_matrix(cfg, basis.tree.cloud)
     return forward_transform_matrix(basis, forward_transform_matrix(basis, k).T)
 

@@ -19,7 +19,10 @@ SCALED_EXPONENTIAL = "scaled-exponential"
 
 FAMILIES = (MATERN12, MATERN32, MATERN52, SQUARED_EXPONENTIAL, SCALED_EXPONENTIAL)
 
-DENSE_CAP = 2 ** 14
+# The dense oracle peaks at about six N x N float64 arrays (the kernel matrix,
+# its one- and two-sided transforms and the transforms' working copies), some
+# 0.8 GB at N = 4096.
+DENSE_CAP = 2 ** 12
 
 
 @dataclass(frozen=True)
@@ -109,10 +112,13 @@ def kernel_cross(cfg: KernelConfig, xs: np.ndarray, ys: np.ndarray) -> np.ndarra
     return kernel_radial(cfg, cdist(xs, ys))
 
 
-def dense_kernel_matrix(cfg: KernelConfig, cloud: PointCloud,
-                        cap: int = DENSE_CAP) -> np.ndarray:
-    """Exact dense N x N kernel matrix, guarded against oversize allocation."""
-    n = cloud.count
-    if n > cap:
-        raise ResourceLimit(f"dense kernel matrix capped at N <= {cap}, got {n}")
+def check_dense_size(n: int) -> None:
+    """Refuse a dense kernel matrix of more than ``DENSE_CAP`` points."""
+    if n > DENSE_CAP:
+        raise ResourceLimit(f"dense kernel matrix capped at N <= {DENSE_CAP}, got {n}")
+
+
+def dense_kernel_matrix(cfg: KernelConfig, cloud: PointCloud) -> np.ndarray:
+    """Exact dense N x N kernel matrix of at most ``DENSE_CAP`` points."""
+    check_dense_size(cloud.count)
     return kernel_cross(cfg, cloud.coords, cloud.coords)

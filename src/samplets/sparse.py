@@ -224,9 +224,10 @@ def _permuted(a: SparseSym, perm: Permutation) -> sp.csc_matrix:
 # SuperLU in symmetric, diagonal-pivot mode
 
 
-def _superlu(mat: sp.csc_matrix, permc_spec: str):
-    """SuperLU with pivots taken from the diagonal unless it is exactly zero."""
-    return splu(mat, permc_spec=permc_spec, diag_pivot_thresh=0.0,
+def _superlu(mat: sp.csc_matrix):
+    """Natural-order SuperLU with pivots taken from the diagonal unless it is
+    exactly zero."""
+    return splu(mat, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True})
 
 
@@ -236,7 +237,7 @@ def _leading_lu(mat: sp.csc_matrix, m: int):
     NonPositivePivot at the first column whose pivot is not positive or was
     replaced by a row swap."""
     try:
-        lu = _superlu(mat if m == mat.shape[0] else mat[:m, :m], "NATURAL")
+        lu = _superlu(mat if m == mat.shape[0] else mat[:m, :m])
     except RuntimeError:  # "Factor is exactly singular"
         return None
     if not np.array_equal(lu.perm_c, np.arange(m)):
@@ -353,7 +354,7 @@ class CholeskyFactor:
     def _triangular_lu(self):
         """SuperLU of L itself: natural order and a positive diagonal, so no
         pivoting and no fill; its solves are the two triangular solves."""
-        return _superlu(self.to_scipy(), "NATURAL")
+        return _superlu(self.to_scipy())
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve A x = b where A is the matrix this factor was computed from.

@@ -221,10 +221,7 @@ def relative_threshold(f_sigma: CoefficientVector, exponent: float) -> float:
 
 
 @dataclass(frozen=True)
-class ReconstructionReport:
-    threshold: float
-    kept: int
-    compression_ratio: float
+class ReconstructionReport(ThresholdReport):
     l2_error: float
     linf_error: float
 
@@ -242,14 +239,9 @@ def reconstruction_error(basis: SampletBasis, f_delta: CoefficientVector,
     kept_vec, report = threshold_coefficients(basis, f_sigma, tau, protect_scaling)
     recon = inverse_transform(basis, kept_vec)
     diff = recon.values - data
-    rep = ReconstructionReport(
-        threshold=report.threshold,
-        kept=report.kept,
-        compression_ratio=report.compression_ratio,
-        l2_error=float(np.linalg.norm(diff)),
-        linf_error=float(np.max(np.abs(diff))) if len(diff) else 0.0,
-    )
-    return recon, rep
+    linf = float(np.max(np.abs(diff))) if len(diff) else 0.0
+    return recon, ReconstructionReport(**vars(report), l2_error=float(np.linalg.norm(diff)),
+                                       linf_error=linf)
 
 
 @dataclass(frozen=True)
@@ -284,11 +276,3 @@ def detect_singularities(basis: SampletBasis, f_sigma: CoefficientVector,
     return [SingularityHit(cluster=int(owners[k]), level=int(level[owners[k]]),
                            max_abs_coefficient=float(peaks[k])) for k in flagged]
 
-
-__all__ = [
-    "POINT_BASIS", "SAMPLET_BASIS", "CoefficientVector", "ThresholdReport",
-    "ReconstructionReport", "SingularityHit", "forward_transform",
-    "inverse_transform", "forward_transform_matrix", "inverse_transform_matrix",
-    "threshold_coefficients", "relative_threshold", "reconstruction_error",
-    "detect_singularities",
-]

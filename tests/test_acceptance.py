@@ -213,7 +213,7 @@ def benchmark_4096():
 def test_a7_compression_accuracy(benchmark_4096):
     start = time.perf_counter()
     basis, compressed = benchmark_4096
-    oracle = dense_compressed_oracle(BENCH_KERNEL_2D, basis, cap=4096)
+    oracle = dense_compressed_oracle(BENCH_KERNEL_2D, basis)
     err = float(np.linalg.norm(compressed.matrix.to_dense() - oracle)
                 / np.linalg.norm(oracle))
     assert err <= 5e-3

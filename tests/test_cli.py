@@ -43,6 +43,15 @@ def kernel_json(tmp_path):
 
 
 @pytest.fixture
+def no_basis(monkeypatch):
+    """Fail the test if the command builds a samplet basis."""
+    def build(*args, **kwargs):
+        raise AssertionError("the basis was built before the arguments were checked")
+
+    monkeypatch.setattr(cli, "build_samplet_basis", build)
+
+
+@pytest.fixture
 def non_utf8_kernel(tmp_path):
     path = tmp_path / "kernel.json"
     path.write_bytes(b"\xff\xfe" + json.dumps({"family": "matern12"}).encode())
@@ -93,11 +102,7 @@ class TestTransformCommand:
         ["--threshold", "1", "--threshold-rel", "2"], ["--no-protect-scaling"],
     ], ids=["relative", "negative", "both", "no-protect-scaling"])
     def test_inverse_refuses_threshold_flags(self, tmp_path, points_1d, data_1d, capsys,
-                                             monkeypatch, flags):
-        def no_basis(*args, **kwargs):
-            raise AssertionError("the basis was built before the flags were checked")
-
-        monkeypatch.setattr(cli, "build_samplet_basis", no_basis)
+                                             no_basis, flags):
         out = tmp_path / "o.csv"
         rc = main(["transform", "--points", str(points_1d), "--data", str(data_1d),
                    "--out", str(out), "--inverse", *flags])
@@ -228,6 +233,17 @@ class TestKernelCompressCommand:
                      "--ridge", "0.5"]) == 0
         a = sio.read_matrix_market(out)
         np.testing.assert_allclose(a.to_dense(), [[1.5]])
+
+    def test_dense_oracle_above_the_cap_refused_before_any_work(self, tmp_path, kernel_json,
+                                                                capsys, no_basis):
+        out, met = tmp_path / "k.mtx", tmp_path / "m.json"
+        rc = main(["kernel-compress", "--gen", "uniform-cube", "--n", "4097", "--dim", "2",
+                   "--seed", "1", "--kernel", str(kernel_json), "--out", str(out),
+                   "--metrics", str(met), "--dense-oracle"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: dense kernel matrix capped at N <= 4096, got 4097\n")
+        assert not out.exists() and not met.exists()
 
     def test_symmetric_file_holds_the_full_matrix_for_other_readers(self, tmp_path,
                                                                     kernel_json):
@@ -554,23 +570,31 @@ class TestInfoCommand:
 
 
 def _threshold_argv(command, points, data, tmp_path):
-    out = {"compress": "--report", "detect": "--out"}[command]
+    out = {"transform": "--out", "compress": "--report", "detect": "--out"}[command]
     return [command, "--points", str(points), "--data", str(data),
             out, str(tmp_path / "out.jsonl")]
 
 
 class TestNonFiniteParameters:
-    @pytest.mark.parametrize("command", ["compress", "detect"])
+    @pytest.mark.parametrize("command", ["transform", "compress", "detect"])
     @pytest.mark.parametrize("flag,value", [
         ("--threshold", "nan"), ("--threshold", "inf"), ("--threshold", "-1"),
         ("--threshold-rel", "nan"), ("--threshold-rel", "inf"),
         ("--threshold-rel", "-inf"), ("--threshold-rel", "-400"),
     ])
-    def test_bad_threshold_exit_code(self, tmp_path, points_1d, data_1d, capsys,
+    def test_bad_threshold_exit_code(self, tmp_path, points_1d, data_1d, capsys, no_basis,
                                      command, flag, value):
         argv = _threshold_argv(command, points_1d, data_1d, tmp_path) + [f"{flag}={value}"]
         assert main(argv) == 2
         assert "threshold" in capsys.readouterr().err
+        assert not (tmp_path / "out.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["transform", "compress", "detect"])
+    def test_both_threshold_flags_exit_code(self, tmp_path, points_1d, data_1d, capsys,
+                                            no_basis, command):
+        argv = _threshold_argv(command, points_1d, data_1d, tmp_path)
+        assert main(argv + ["--threshold=1", "--threshold-rel=2"]) == 2
+        assert "not both" in capsys.readouterr().err
         assert not (tmp_path / "out.jsonl").exists()
 
     @pytest.mark.parametrize("command", ["kernel-compress", "grf"])
@@ -660,6 +684,56 @@ class TestMalformedFiles:
                 "--out", str(tmp_path / "c.csv"), "--report", str(tmp_path / "r.json")]
         assert main(argv) == 2
         assert "no data" in capsys.readouterr().err
+
+
+class TestOutputPaths:
+    """An output path in a missing directory, or naming a directory, is
+    refused before any work and worded as such an input is."""
+
+    WRITES = [("transform", "--out"), ("transform", "--report"), ("compress", "--out"),
+              ("compress", "--report"), ("detect", "--out"), ("kernel-compress", "--out"),
+              ("kernel-compress", "--metrics"), ("grf", "--out-prefix"), ("grf", "--metrics"),
+              ("grf", "--factor-out"), ("info", "--report")]
+
+    @staticmethod
+    def argv(command, points, data, kernel, outputs):
+        """``command`` on ``points`` with every output flag it has, each
+        writing into ``outputs`` unless the test replaces it."""
+        data, kernel, out = str(data), str(kernel), lambda name: str(outputs / name)
+        flags = {"transform": ["--data", data, "--out", out("c.csv"), "--report", out("r.json")],
+                 "compress": ["--data", data, "--out", out("c.csv"), "--report", out("r.json")],
+                 "detect": ["--data", data, "--out", out("d.json")],
+                 "kernel-compress": ["--kernel", kernel, "--out", out("k.mtx"),
+                                     "--metrics", out("m.json")],
+                 "grf": ["--kernel", kernel, "--seed", "1", "--samples", "2",
+                         "--out-prefix", out("f"), "--metrics", out("m.json"),
+                         "--factor-out", out("l.chol")],
+                 "info": ["--report", out("r.json")]}[command]
+        return [command, "--points", str(points), *flags]
+
+    @pytest.mark.parametrize("command,flag", WRITES)
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_refused_before_any_work(self, tmp_path, points_1d, data_1d, kernel_json, capsys,
+                                     no_basis, command, flag, where):
+        outputs = tmp_path / "outputs"
+        outputs.mkdir()
+        argv = self.argv(command, points_1d, data_1d, kernel_json, outputs)
+        bad = str(tmp_path / "missing" / "x") if where == "missing-directory" else str(outputs)
+        argv[argv.index(flag) + 1] = bad
+        if flag == "--out-prefix":
+            bad += "_000.csv"
+            if where == "directory":
+                Path(bad).mkdir()
+        reason = "no such file or directory" if where == "missing-directory" else "is a directory"
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {reason}\n"
+        assert not list(outputs.iterdir())
+
+    def test_a_failed_write_names_its_path(self, tmp_path, points_1d, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_check_outputs", lambda paths: None)
+        report = tmp_path / "missing" / "r.json"
+        assert main(["info", "--points", str(points_1d), "--report", str(report)]) == 2
+        assert capsys.readouterr().err == f"error: {report}: no such file or directory\n"
 
 
 class TestNonFiniteData:

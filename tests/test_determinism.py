@@ -10,6 +10,8 @@ of one column on ``SPLIT_N`` points, whose largest steps split over the
 workers.  For each of ``SETUP_CASES`` it also prints the SHA-256 of the
 set-up and the assembly: every two-scale matrix, every H^2 cluster basis V
 and the compressed kernel matrix K; their column subtrees split at the root.
+It also prints each assembly's ``visited_pairs`` and ``peak_block_bytes``,
+which must not depend on the worker count either.
 The leaf moments of one large 1-D leaf are compared across ``BYTE_OFFSETS``
 in the test process itself.
 """
@@ -50,7 +52,8 @@ def sha256(*arrays: np.ndarray) -> str:
 
 def print_digests() -> None:
     """Print {"k/offset/direction" or "split/direction": SHA-256} for the
-    transforms and {"Q|V|K d-D N": SHA-256} for the set-up and assembly, as
+    transforms, {"Q|V|K d-D N": SHA-256} for the set-up and assembly and
+    {"visited_pairs|peak_block_bytes d-D N": count} for the assembly, as
     JSON, with the worker count and the most slices of a split step."""
     rng = np.random.default_rng(4096)
     basis = build_samplet_basis(PointCloud(rng.uniform(-1, 1, size=(4096, 2))), q=2)
@@ -73,10 +76,13 @@ def print_digests() -> None:
         basis = build_samplet_basis(PointCloud(rng.uniform(-1, 1, size=(n, d))), q=2)
         mbasis = compute_multiscale_cluster_basis(basis, InterpolationScheme.build(basis.tree, 3))
         kernel = KernelConfig("scaled-exponential", distance_scale=10.0 / math.sqrt(d))
-        k = assemble_compressed_kernel(basis, kernel, eta=1.25, p=3, epsilon=1e-4).matrix
+        compressed = assemble_compressed_kernel(basis, kernel, eta=1.25, p=3, epsilon=1e-4)
+        k = compressed.matrix
         digests[f"Q {d}-D {n}"] = sha256(*(basis.q[r] for r in sorted(basis.q)))
         digests[f"V {d}-D {n}"] = sha256(*(mbasis[r] for r in sorted(mbasis)))
         digests[f"K {d}-D {n}"] = sha256(k.indptr, k.indices, k.values)
+        digests[f"visited_pairs {d}-D {n}"] = compressed.stats.visited_pairs
+        digests[f"peak_block_bytes {d}-D {n}"] = compressed.stats.peak_block_bytes
     print(json.dumps(digests))
 
 
@@ -111,7 +117,7 @@ def test_transforms_do_not_depend_on_threads_or_input_offset():
 @pytest.mark.parametrize("d, n", SETUP_CASES)
 def test_setup_and_assembly_do_not_depend_on_threads(d, n):
     runs = {threads: digests_with_threads(threads) for threads in (1, 2)}
-    for what in ("Q", "V", "K"):
+    for what in ("Q", "V", "K", "visited_pairs", "peak_block_bytes"):
         key = f"{what} {d}-D {n}"
         assert runs[1][key] == runs[2][key], f"{key} depends on the thread count"
 

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from samplets import h2
+from samplets import h2, kernels
 from samplets.basis import build_samplet_basis
 from samplets.cluster_tree import PointCloud, build_cluster_tree
 from samplets.errors import InvalidInput, ResourceLimit
@@ -576,12 +576,13 @@ class TestOracle:
         np.testing.assert_allclose(np.linalg.eigvalsh(oracle),
                                    np.linalg.eigvalsh(dense), atol=1e-8)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(kernels, "DENSE_CAP", 10)
         rng = np.random.default_rng(11)
         cloud = PointCloud(rng.uniform(-1, 1, size=(40, 1)))
         basis = build_samplet_basis(cloud, q=0)
         with pytest.raises(ResourceLimit):
-            dense_compressed_oracle(KernelConfig("matern12"), basis, cap=10)
+            dense_compressed_oracle(KernelConfig("matern12"), basis)
 
 
 def visited_pairs(points, leaf_size, eta):

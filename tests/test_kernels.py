@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from samplets import kernels
 from samplets.cluster_tree import PointCloud
 from samplets.errors import InvalidInput, ResourceLimit
 from samplets.kernels import (
@@ -120,10 +121,13 @@ class TestDenseMatrix:
             k = dense_kernel_matrix(cfg, cloud)
             assert np.max(np.abs(k - k.T)) == 0.0
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(kernels, "DENSE_CAP", 5)
         cloud = PointCloud(np.zeros((10, 1)))
-        with pytest.raises(ResourceLimit):
-            dense_kernel_matrix(KernelConfig("matern12"), cloud, cap=5)
+        with pytest.raises(ResourceLimit, match="capped at N <= 5, got 10"):
+            dense_kernel_matrix(KernelConfig("matern12"), cloud)
+        at_cap = PointCloud(np.zeros((5, 1)))
+        assert dense_kernel_matrix(KernelConfig("matern12"), at_cap).shape == (5, 5)
 
     def test_positive_semidefinite_spot_check(self):
         rng = np.random.default_rng(2)

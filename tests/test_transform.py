@@ -10,6 +10,7 @@ from samplets.transform import (
     POINT_BASIS,
     SAMPLET_BASIS,
     CoefficientVector,
+    ThresholdReport,
     detect_singularities,
     forward_transform,
     forward_transform_matrix,
@@ -165,9 +166,12 @@ class TestThreshold:
         coeffs = forward_transform(basis_2d, point_vec(f))
         tau = relative_threshold(coeffs, 1)
         _, rep = reconstruction_error(basis_2d, point_vec(f), coeffs, tau)
-        kept, _ = threshold_coefficients(basis_2d, coeffs, tau)
+        kept, threshold_report = threshold_coefficients(basis_2d, coeffs, tau)
         dropped_norm = np.linalg.norm(coeffs.values - kept.values)
         assert rep.l2_error == pytest.approx(dropped_norm, rel=1e-10, abs=1e-14)
+        # the reconstruction report is the threshold report plus the two errors
+        assert isinstance(rep, ThresholdReport)
+        assert {key: getattr(rep, key) for key in vars(threshold_report)} == vars(threshold_report)
 
     def test_reconstruction_tau_zero_exact(self, basis_2d):
         rng = np.random.default_rng(9)
